@@ -1,61 +1,44 @@
-//! The simulated multi-node cluster: master + execution nodes + network.
+//! The in-process cluster: a harness that runs the coordinator protocol
+//! ([`crate::coordinator`]) with one thread per execution node and the
+//! master on the caller's thread, all sharing one [`Transport`].
 //!
-//! Global termination uses the distributed analogue of the node-local
-//! outstanding-work counter: the cluster is quiescent when every *live*
-//! node's counter is zero *and* no messages are in flight, observed stably
-//! across consecutive checks. (The counters are arranged so no message can
-//! be "invisible": a store forward is sent while its producing unit is
-//! still counted, and delivery increments the destination's counter before
-//! the in-flight count drops.)
-//!
-//! # Fault tolerance
-//!
-//! Execution nodes send heartbeats to the master; the coordinator declares
-//! a node failed when its heartbeats go stale (or the transport reports it
-//! dead) and runs the recovery protocol:
-//!
-//! 1. fail-stop the node and sever it from the network,
-//! 2. re-plan the kernel assignment over the survivors,
-//! 3. re-target store forwarding (subscription map) to the new owners,
-//! 4. tell each survivor its new kernel set ([`Event::Reassign`] — the
-//!    analyzer seeds inherited sources and rescans resident data),
-//! 5. re-inject every survivor's already-written field regions to the
-//!    current subscribers.
-//!
-//! Write-once fields make all of this idempotent: duplicate deliveries and
-//! re-executed kernels dedup on value equality, so an at-least-once network
-//! and at-least-once execution still produce exactly-once results.
+//! Nothing here coordinates anything. The harness builds the transport
+//! ([`SimNet`] or [`TcpMesh`], wrapped in [`FaultyNet`] when a fault plan
+//! is set), starts [`run_node`] per node and [`run_master`], and assembles
+//! the [`ClusterOutcome`] from what they return. Joining, assignment,
+//! failure detection, replan, replay and quiescence are the protocol's —
+//! the same code `p2gc cluster master|node` runs across OS processes. A
+//! node dies here the way it dies there: the transport severs it
+//! ([`Transport::disconnect`], e.g. a scheduled [`FaultPlan`] kill), its
+//! loop notices and fail-stops, and the master learns of it from the
+//! transport or from status silence.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use parking_lot::RwLock;
-
-use p2g_field::{Age, Buffer, FieldId, Region, Value};
-use p2g_graph::{KernelId, NodeId, NodeSpec, ProgramSpec};
+use p2g_field::{Age, Buffer, Region, Value};
+use p2g_graph::{KernelId, NodeId, NodeSpec};
 use p2g_runtime::instrument::RunReport;
-use p2g_runtime::node::{FieldStore, NodeBuilder, RunningNode};
-use p2g_runtime::trace::{RunTrace, TraceEvent, Tracer};
+use p2g_runtime::node::FieldStore;
+use p2g_runtime::trace::{RunTrace, Tracer};
 use p2g_runtime::{Program, RunLimits, RuntimeError};
 
+use crate::coordinator::{run_master, run_node, NodeConfig, ProtocolConfig, StreamFeed};
 use crate::master::MasterNode;
 use crate::tcp::TcpMesh;
-use crate::transport::{FaultPlan, FaultyNet, NetMsg, RetryConfig, SimNet, Transport, MASTER_NODE};
+use crate::transport::{FaultPlan, FaultyNet, RetryConfig, SimNet, Transport, MASTER_NODE};
 
-/// Which interconnect a [`SimCluster`] runs over. The coordinator,
-/// heartbeat, replan and replay machinery is identical either way — that
-/// is the point: the recovery protocol is a property of the [`Transport`]
-/// contract, not of the simulation.
+/// Which interconnect a [`SimCluster`] runs over. The coordinator
+/// protocol is identical either way — that is the point: recovery is a
+/// property of the [`Transport`] contract, not of the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
     /// In-process [`SimNet`] with modeled latency (the default).
     #[default]
     Sim,
-    /// Real loopback TCP sockets via [`crate::TcpMesh`]: every store
-    /// forward is framed by the wire codec and crosses the kernel's
-    /// network stack.
+    /// Real loopback TCP sockets via [`crate::TcpMesh`]: every message
+    /// is framed by the wire codec and crosses the kernel's network stack.
     Tcp,
 }
 
@@ -101,14 +84,9 @@ pub struct ClusterConfig {
     pub latency: Duration,
     /// Fault-injection schedule (drops, duplicates, delays, node kills).
     pub fault_plan: Option<FaultPlan>,
-    /// How often each node heartbeats the master. `None` (the default)
-    /// derives the interval from `failure_timeout` (one tenth, floored at
-    /// 1ms), so the detector always sees several heartbeats per timeout
-    /// window regardless of how the timeout is tuned — a hardcoded
-    /// interval near the timeout made failure detection flaky.
-    pub heartbeat_interval: Option<Duration>,
-    /// Heartbeat staleness after which the master declares a node failed.
-    /// A false positive is safe (recovery is idempotent), merely wasteful.
+    /// Status staleness after which the master declares a node failed
+    /// ([`ProtocolConfig::failure_timeout`]; nodes report every tenth of
+    /// it, see [`ClusterConfig::heartbeat_every`]).
     pub failure_timeout: Duration,
     /// Which interconnect to run over ([`TransportKind::Sim`] default).
     pub transport: TransportKind,
@@ -126,7 +104,6 @@ impl ClusterConfig {
             node_workers: Vec::new(),
             latency: Duration::ZERO,
             fault_plan: None,
-            heartbeat_interval: None,
             failure_timeout: Duration::from_millis(50),
             transport: TransportKind::Sim,
             retry: RetryConfig::default(),
@@ -180,70 +157,25 @@ impl ClusterConfig {
         self
     }
 
-    /// Override the heartbeat interval (default: derived from
-    /// `failure_timeout`, see [`ClusterConfig::heartbeat_every`]).
-    pub fn heartbeat_interval(mut self, d: Duration) -> ClusterConfig {
-        self.heartbeat_interval = Some(d);
-        self
-    }
-
-    /// Override the failure-detection timeout. Unless
-    /// [`ClusterConfig::heartbeat_interval`] was set explicitly, the
-    /// heartbeat interval scales along with it.
+    /// Override the failure-detection timeout; the nodes' status interval
+    /// scales along with it.
     pub fn failure_timeout(mut self, d: Duration) -> ClusterConfig {
         self.failure_timeout = d;
         self
     }
 
-    /// The effective heartbeat interval: the explicit override if set,
-    /// otherwise a tenth of `failure_timeout` (floored at 1ms).
+    /// How often each node reports to the master: a tenth of
+    /// `failure_timeout`, floored at 1ms.
     pub fn heartbeat_every(&self) -> Duration {
-        self.heartbeat_interval
-            .unwrap_or_else(|| (self.failure_timeout / 10).max(Duration::from_millis(1)))
+        self.protocol(None).status_every()
     }
 
-}
-
-/// A frame feed driving a streaming cluster run: the coordinator pulls
-/// frames while the admission window has room and injects their parts to
-/// every node subscribing to the part's field, exactly like a store
-/// forward. Frames not yet known complete are retained and re-injected
-/// after a recovery replan (write-once dedup absorbs duplicates), so a
-/// node death does not lose in-flight frames.
-pub struct StreamFeed {
-    frame: Box<dyn FnMut(u64) -> Option<FrameParts> + Send>,
-    completed: Box<dyn Fn() -> u64 + Send>,
-    window: u64,
-    submitted: u64,
-    exhausted: bool,
-    /// Frames submitted but not yet observed complete, for recovery
-    /// re-injection. Pruned by the completion probe (frames complete in
-    /// age order — the terminal kernel is ordered in streaming
-    /// workloads).
-    pending: std::collections::VecDeque<(u64, FrameParts)>,
-}
-
-/// The `(field, region, buffer)` parts making up one streamed frame.
-pub type FrameParts = Vec<(FieldId, Region, Buffer)>;
-
-impl StreamFeed {
-    /// A feed with an admission window of `window` in-flight frames.
-    /// `frame(n)` produces frame `n`'s `(field, region, buffer)` parts or
-    /// `None` at end of stream; `completed()` reports how many frames the
-    /// workload has finished so far (e.g. a counter bumped by the terminal
-    /// kernel body).
-    pub fn new(
-        window: u64,
-        frame: impl FnMut(u64) -> Option<FrameParts> + Send + 'static,
-        completed: impl Fn() -> u64 + Send + 'static,
-    ) -> StreamFeed {
-        StreamFeed {
-            frame: Box::new(frame),
-            completed: Box::new(completed),
-            window: window.max(1),
-            submitted: 0,
-            exhausted: false,
-            pending: std::collections::VecDeque::new(),
+    /// The protocol settings of a run bounded by `deadline`.
+    fn protocol(&self, deadline: Option<Duration>) -> ProtocolConfig {
+        ProtocolConfig {
+            retry: self.retry,
+            failure_timeout: self.failure_timeout,
+            deadline,
         }
     }
 }
@@ -273,6 +205,14 @@ pub struct ClusterOutcome {
     pub assignment: HashMap<NodeId, HashSet<KernelId>>,
     /// Nodes that failed (were killed or declared dead) during the run.
     pub failed_nodes: Vec<NodeId>,
+    /// Final assignment epoch (1 = no recovery happened).
+    pub epoch: u64,
+    /// The master's digest of the results the live nodes reported (see
+    /// [`crate::results_digest`]): equal across node counts, transports,
+    /// deployments and recovery histories when the results are.
+    pub digest: u32,
+    /// Deduplicated result entries behind the digest.
+    pub entries: usize,
     /// Total send retries across all links.
     pub retries: u64,
     /// Sends abandoned after exhausting their retry budget. Nonzero means
@@ -285,8 +225,8 @@ pub struct ClusterOutcome {
     /// replans) when the run limits enabled tracing. Per-node execution
     /// traces live on the individual [`RunReport`]s.
     pub dist_trace: Option<RunTrace>,
-    /// Streaming mode: frames the coordinator injected from the feed
-    /// (0 for batch runs).
+    /// Streaming mode: frames the master injected from the feed (0 for
+    /// batch runs).
     pub frames_streamed: u64,
 }
 
@@ -324,31 +264,12 @@ impl ClusterOutcome {
     }
 }
 
-/// For each field, the nodes that run at least one consumer of it under
-/// `assignment` — the store-forwarding subscription map.
-pub(crate) fn subscribers_for(
-    spec: &ProgramSpec,
-    assignment: &HashMap<NodeId, HashSet<KernelId>>,
-) -> HashMap<FieldId, Vec<NodeId>> {
-    let mut subscribers: HashMap<FieldId, Vec<NodeId>> = HashMap::new();
-    for k in &spec.kernels {
-        let Some((&node, _)) = assignment.iter().find(|(_, ks)| ks.contains(&k.id)) else {
-            continue;
-        };
-        for fe in &k.fetches {
-            let subs = subscribers.entry(fe.field).or_default();
-            if !subs.contains(&node) {
-                subs.push(node);
-            }
-        }
-    }
-    subscribers
-}
-
 impl SimCluster {
     /// Build a cluster: each node constructs its own program via `build`
-    /// (kernel bodies are closures and cannot be cloned), the master
-    /// aggregates reported topologies and plans the kernel assignment.
+    /// (kernel bodies are closures and cannot be cloned). The plan the
+    /// master will arrive at is computed up front so it can be inspected
+    /// before the run: the run's master sees the same topology through the
+    /// nodes' `Hello`s and the partitioner is deterministic.
     pub fn new(
         config: ClusterConfig,
         build: impl Fn() -> Program,
@@ -358,7 +279,7 @@ impl SimCluster {
         for &id in &node_ids {
             master.report_topology(NodeSpec::multicore(
                 id,
-                format!("sim-node-{}", id.0),
+                format!("node-{}", id.0),
                 config.workers_for(id.0 as usize),
             ));
         }
@@ -391,12 +312,12 @@ impl SimCluster {
         self.run_inner(limits, None)
     }
 
-    /// Run the cluster in streaming mode: the coordinator additionally
-    /// pumps `feed` — injecting frames while the admission window has room
-    /// — and stops once the feed is exhausted, every frame completed, and
-    /// the cluster is stably quiescent. This is the distributed face of
-    /// the session API: same frame-in/parts-injected contract as
-    /// [`p2g_runtime::Session::submit`], with the coordinator playing the
+    /// Run the cluster in streaming mode: the master additionally pumps
+    /// `feed` — injecting frames while the admission window has room — and
+    /// stops once the feed is exhausted, every frame completed, and the
+    /// cluster is stably quiescent. This is the distributed face of the
+    /// session API: same frame-in/parts-injected contract as
+    /// [`p2g_runtime::Session::submit`], with the master playing the
     /// submitting client.
     pub fn run_streaming(
         self,
@@ -409,400 +330,101 @@ impl SimCluster {
     fn run_inner(
         self,
         limits: RunLimits,
-        mut feed: Option<StreamFeed>,
+        feed: Option<StreamFeed>,
     ) -> Result<ClusterOutcome, RuntimeError> {
-        let SimCluster {
-            config,
-            mut master,
-            mut assignment,
-            programs,
-            node_ids,
-        } = self;
-
-        let base: Arc<dyn Transport> = match config.transport {
+        let (config, node_ids) = (self.config, self.node_ids);
+        // One transport object for the master and every node: the fault
+        // plan's kill list and message counter are cluster-wide. Its
+        // statistics are the undecorated network's either way.
+        let mut net: Arc<dyn Transport> = match config.transport {
             TransportKind::Sim => SimNet::new(&node_ids, config.latency),
             TransportKind::Tcp => TcpMesh::new(&node_ids, config.retry)
                 .map_err(|e| RuntimeError::Net(e.to_string()))?,
         };
-        let net: Arc<dyn Transport> = match config.fault_plan.clone() {
-            Some(plan) => FaultyNet::new(base.clone(), plan),
-            None => base.clone(),
-        };
-        let retry = config.retry;
-        let spec = programs[0].spec().clone();
+        if let Some(plan) = config.fault_plan.clone() {
+            net = FaultyNet::new(net, plan);
+        }
+        let spec = Arc::new(self.programs[0].spec().clone());
 
-        // Subscription map: shared so recovery can re-target forwarding.
-        let subscribers = Arc::new(RwLock::new(subscribers_for(&spec, &assignment)));
-
-        // Cluster-level tracer: one buffer per node (taps + delivery
-        // threads) plus one for the coordinator. Node-internal execution
-        // traces are recorded by the nodes themselves, since the trace
-        // option rides along on the node limits.
-        let coord_tid = node_ids.len() as u32;
-        let dist_tracer = limits.trace.as_ref().map(|opts| {
-            let mut labels: Vec<String> =
-                node_ids.iter().map(|id| format!("node-{}", id.0)).collect();
-            labels.push("coordinator".into());
+        // Cluster-level tracer: one buffer per node loop plus one for the
+        // master. Node-internal execution traces are recorded by the nodes
+        // themselves, since the trace option rides along on the limits.
+        let tracer = limits.trace.as_ref().map(|opts| {
+            let nodes = node_ids.iter().map(|id| format!("node-{}", id.0));
+            let labels = nodes.chain(["master".to_string()]).collect();
             Arc::new(Tracer::new(labels, opts.capacity))
         });
 
-        // Node limits: hold open for remote stores; the coordinator owns
-        // the wall deadline.
-        let mut node_limits = limits.clone();
-        node_limits.hold_open = true;
-        node_limits.wall_deadline = None;
+        let protocol = config.protocol(limits.wall_deadline);
+        let silent = |_: &str| {};
 
-        // Start every node with its assignment and a forwarding tap.
-        let mut running: Vec<Arc<RunningNode>> = Vec::with_capacity(programs.len());
-        for (program, &node_id) in programs.into_iter().zip(&node_ids) {
-            let tap_net = net.clone();
-            let tap_subs = subscribers.clone();
-            let tap_tracer = dist_tracer.clone();
-            let src = node_id;
-            let node = NodeBuilder::new(program)
-                .workers(config.workers_for(node_id.0 as usize))
-                .assigned(assignment.get(&node_id).cloned().unwrap_or_default())
-                .store_tap(Arc::new(move |field, age, region, buffer| {
-                    let dsts: Vec<NodeId> = tap_subs
-                        .read()
-                        .get(&field)
-                        .map(|subs| subs.iter().copied().filter(|&d| d != src).collect())
-                        .unwrap_or_default();
-                    for dst in dsts {
-                        if let Some(t) = &tap_tracer {
-                            t.record(
-                                src.0,
-                                TraceEvent::Send {
-                                    from: src,
-                                    to: dst,
-                                    field,
-                                    age: age.0,
-                                },
-                            );
-                        }
-                        // Failure here means the destination died; the
-                        // recovery replay covers it.
-                        let _ = tap_net.send_with_retry(
-                            src,
-                            dst,
-                            NetMsg::StoreForward {
-                                field,
-                                age,
-                                region: region.clone(),
-                                buffer: buffer.clone(),
-                            },
-                            &retry,
-                        );
-                    }
-                }))
-                .launch(node_limits.clone())?;
-            running.push(Arc::new(node));
-        }
-
-        // Delivery threads: apply incoming store forwards to each node and
-        // heartbeat the master. The thread retires when its node dies.
-        let deliver_stop = Arc::new(AtomicBool::new(false));
-        let heartbeat_interval = config.heartbeat_every();
-        let mut delivery_handles = Vec::new();
-        for (i, &node_id) in node_ids.iter().enumerate() {
-            let node = running[i].clone();
-            let net = net.clone();
-            let stop = deliver_stop.clone();
-            let tracer = dist_tracer.clone();
-            delivery_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("p2g-deliver-{}", node_id.0))
-                    .spawn(move || {
-                        let mut hb_seq = 0u64;
-                        let mut last_hb = Instant::now() - heartbeat_interval;
-                        while !stop.load(Ordering::SeqCst) {
-                            if !net.node_alive(node_id) {
-                                return; // dead: no delivery, no heartbeats
-                            }
-                            // A node whose runtime died (fatal kernel
-                            // failure, worker panic) stops advertising
-                            // itself: silence escalates to the master's
-                            // staleness detector. Locally-degraded nodes
-                            // (Poison policy) keep heartbeating — kernel
-                            // faults stay local, only node death replans.
-                            if !node.has_failed() && last_hb.elapsed() >= heartbeat_interval {
-                                hb_seq += 1;
-                                net.try_send(
-                                    node_id,
-                                    MASTER_NODE,
-                                    NetMsg::Heartbeat { seq: hb_seq },
-                                );
-                                last_hb = Instant::now();
-                            }
-                            let recv_budget = heartbeat_interval.min(Duration::from_millis(2));
-                            // Only store forwards carry work to apply;
-                            // control traffic (heartbeats, multi-process
-                            // protocol messages) is dropped here.
-                            if let Some((
-                                _src,
-                                NetMsg::StoreForward {
-                                    field,
-                                    age,
-                                    region,
-                                    buffer,
-                                },
-                            )) = net.recv_timeout(node_id, recv_budget)
-                            {
-                                if let Some(t) = &tracer {
-                                    t.record(
-                                        node_id.0,
-                                        TraceEvent::Recv {
-                                            node: node_id,
-                                            field,
-                                            age: age.0,
-                                        },
-                                    );
-                                }
-                                node.inject_remote_store(field, age, region, buffer);
-                                net.delivered(node_id);
-                            }
-                        }
-                    })
-                    .map_err(|e| RuntimeError::Net(format!("spawn delivery thread: {e}")))?,
+        let (master_out, node_outs) = std::thread::scope(|s| {
+            let mut handles = Vec::with_capacity(node_ids.len());
+            for (program, &id) in self.programs.into_iter().zip(&node_ids) {
+                let cfg = NodeConfig {
+                    id,
+                    workers: config.workers_for(id.0 as usize),
+                    port: 0,
+                    protocol,
+                };
+                let (net, limits, tracer) = (net.clone(), limits.clone(), tracer.clone());
+                let node = move || run_node(program, limits, net, &cfg, tracer, &silent);
+                let spawned = std::thread::Builder::new()
+                    .name(format!("p2g-node-{}", id.0))
+                    .spawn_scoped(s, node)
+                    .map_err(|e| RuntimeError::Net(format!("spawn node thread: {e}")));
+                handles.push(spawned);
+            }
+            let nodes = node_ids.len();
+            let master_out = run_master(
+                &spec,
+                net.clone(),
+                nodes,
+                &protocol,
+                feed,
+                tracer.clone(),
+                &silent,
             );
-        }
+            // Whatever the master returned, it is gone: a node still
+            // waiting on it (a failed spawn left the join short, say)
+            // takes its "lost master" exit instead of waiting forever.
+            net.disconnect(MASTER_NODE);
+            let node_outs: Vec<_> = handles
+                .into_iter()
+                .map(|h| h?.join().unwrap_or(Err(RuntimeError::WorkerPanic)))
+                .collect();
+            (master_out, node_outs)
+        });
+        let master_out = master_out?;
 
-        // Coordinator: failure detection + recovery + stable global
-        // quiescence.
-        let start = Instant::now();
-        let mut stable = 0;
-        let mut alive: Vec<bool> = vec![true; node_ids.len()];
-        let mut failed_nodes: Vec<NodeId> = Vec::new();
-        let mut last_seen: Vec<Instant> = vec![Instant::now(); node_ids.len()];
-        let mut redelivered_stores: u64 = 0;
-        loop {
-            net.poll_faults();
-
-            // Streaming: pump the feed while the admission window has
-            // room. Parts go to every subscriber of their field, exactly
-            // like a store forward from the master.
-            if let Some(f) = feed.as_mut() {
-                while f.pending.front().is_some_and(|&(age, _)| age < (f.completed)()) {
-                    f.pending.pop_front();
-                }
-                while !f.exhausted && f.submitted - (f.completed)() < f.window {
-                    match (f.frame)(f.submitted) {
-                        Some(parts) => {
-                            let age = Age(f.submitted);
-                            let subs_now = subscribers.read().clone();
-                            for (field, region, buffer) in &parts {
-                                let Some(dsts) = subs_now.get(field) else {
-                                    continue;
-                                };
-                                for &dst in dsts {
-                                    if !net.node_alive(dst) {
-                                        continue;
-                                    }
-                                    let _ = net.send_with_retry(
-                                        MASTER_NODE,
-                                        dst,
-                                        NetMsg::StoreForward {
-                                            field: *field,
-                                            age,
-                                            region: region.clone(),
-                                            buffer: buffer.clone(),
-                                        },
-                                        &retry,
-                                    );
-                                }
-                            }
-                            f.pending.push_back((f.submitted, parts));
-                            f.submitted += 1;
-                        }
-                        None => f.exhausted = true,
-                    }
-                }
-            }
-
-            // Drain heartbeats (non-blocking).
-            while let Some((src, msg)) = net.recv_timeout(MASTER_NODE, Duration::ZERO) {
-                if matches!(msg, NetMsg::Heartbeat { .. }) {
-                    if let Some(i) = node_ids.iter().position(|&n| n == src) {
-                        last_seen[i] = Instant::now();
-                    }
-                }
-            }
-
-            // Failure detection: transport says dead, or heartbeats stale.
-            let mut newly_dead: Vec<usize> = Vec::new();
-            for (i, &id) in node_ids.iter().enumerate() {
-                if !alive[i] {
-                    continue;
-                }
-                let dead = !net.node_alive(id)
-                    || running[i].has_failed()
-                    || last_seen[i].elapsed() > config.failure_timeout;
-                if dead {
-                    newly_dead.push(i);
-                }
-            }
-            for i in newly_dead {
-                let id = node_ids[i];
-                alive[i] = false;
-                failed_nodes.push(id);
-                if let Some(t) = &dist_tracer {
-                    t.record(coord_tid, TraceEvent::NodeDeath { node: id });
-                }
-                // 1. Fail-stop the node and sever it from the network.
-                running[i].request_stop();
-                net.disconnect(id);
-                master.node_left(id);
-                let survivors: Vec<usize> = (0..node_ids.len()).filter(|&j| alive[j]).collect();
-                if survivors.is_empty() {
-                    break;
-                }
-                // 2. Re-plan over the survivors (no fresh instrumentation
-                // yet: structural weights).
-                assignment = master.replan(&spec, &BTreeMap::new(), &BTreeMap::new());
-                if let Some(t) = &dist_tracer {
-                    t.record(
-                        coord_tid,
-                        TraceEvent::Replan {
-                            survivors: survivors.iter().map(|&j| node_ids[j]).collect(),
-                        },
-                    );
-                }
-                // 3. Re-target store forwarding before survivors re-run
-                // anything, so re-executed stores reach the new owners.
-                *subscribers.write() = subscribers_for(&spec, &assignment);
-                // 4. Hand each survivor its new kernel set.
-                for &j in &survivors {
-                    running[j].reassign(assignment.get(&node_ids[j]).cloned().unwrap_or_default());
-                }
-                // 5. Replay every survivor's written regions to current
-                // subscribers — data the dead node produced (or consumed
-                // exclusively) reaches the new owners; write-once dedup
-                // absorbs everything already present.
-                let subs_now = subscribers.read().clone();
-                for &j in &survivors {
-                    let src = node_ids[j];
-                    for (field, age, region, buffer) in running[j].snapshot_written() {
-                        let Some(dsts) = subs_now.get(&field) else {
-                            continue;
-                        };
-                        for &dst in dsts {
-                            if dst == src || !net.node_alive(dst) {
-                                continue;
-                            }
-                            let sent = net.send_with_retry(
-                                src,
-                                dst,
-                                NetMsg::StoreForward {
-                                    field,
-                                    age,
-                                    region: region.clone(),
-                                    buffer: buffer.clone(),
-                                },
-                                &retry,
-                            );
-                            if sent {
-                                redelivered_stores += 1;
-                            }
-                        }
-                    }
-                }
-                // Streaming: re-inject every frame not yet known complete
-                // to the re-targeted subscribers — the dead node may have
-                // held the only replica of in-flight input parts.
-                if let Some(f) = feed.as_ref() {
-                    for (age, parts) in &f.pending {
-                        for (field, region, buffer) in parts {
-                            let Some(dsts) = subs_now.get(field) else {
-                                continue;
-                            };
-                            for &dst in dsts {
-                                if !net.node_alive(dst) {
-                                    continue;
-                                }
-                                let sent = net.send_with_retry(
-                                    MASTER_NODE,
-                                    dst,
-                                    NetMsg::StoreForward {
-                                        field: *field,
-                                        age: Age(*age),
-                                        region: region.clone(),
-                                        buffer: buffer.clone(),
-                                    },
-                                    &retry,
-                                );
-                                if sent {
-                                    redelivered_stores += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                stable = 0;
-            }
-
-            let deadline_hit = limits.wall_deadline.is_some_and(|d| start.elapsed() >= d);
-            let any_alive = alive.iter().any(|&a| a);
-            // Quiescence counts live nodes only; a dead node's counter is
-            // frozen mid-flight and its work was reassigned.
-            let quiescent = alive
-                .iter()
-                .enumerate()
-                .filter(|&(_, &a)| a)
-                .all(|(i, _)| running[i].outstanding() == 0)
-                && net.in_flight() == 0;
-            if quiescent {
-                stable += 1;
-            } else {
-                stable = 0;
-            }
-            // In streaming mode stable quiescence between frames is
-            // normal — only break once the feed is exhausted and every
-            // submitted frame completed.
-            let stream_done = feed
-                .as_ref()
-                .is_none_or(|f| f.exhausted && (f.completed)() >= f.submitted);
-            if (stable >= 3 && stream_done) || deadline_hit || !any_alive {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        for node in &running {
-            node.request_stop();
-        }
-        deliver_stop.store(true, Ordering::SeqCst);
-        for h in delivery_handles {
-            h.join().map_err(|_| RuntimeError::WorkerPanic)?;
-        }
-
+        let mut failed_nodes = master_out.failed_nodes;
+        let mut redelivered_stores = master_out.redelivered;
         let mut reports = Vec::new();
         let mut fields = Vec::new();
-        for (node, &id) in running.into_iter().zip(&node_ids) {
-            let node = Arc::try_unwrap(node)
-                .unwrap_or_else(|_| panic!("delivery threads joined; sole owner"));
-            // `finish` tolerates dead nodes: their partial report and field
-            // replica are still valid (write-once fields cannot hold partial
-            // writes), and recovery already moved their kernels elsewhere.
-            let (report, store, err) = node.finish();
-            if err.is_some() && !failed_nodes.contains(&id) {
+        for (out, &id) in node_outs.into_iter().zip(&node_ids) {
+            let out = out?;
+            if out.error.is_some() && !failed_nodes.contains(&id) {
                 failed_nodes.push(id);
             }
-            reports.push((id, report));
-            fields.push((id, store));
+            redelivered_stores += out.replayed;
+            reports.push((id, out.report));
+            fields.push((id, out.fields));
         }
-
-        let dist_trace = dist_tracer.map(|t| t.capture(Arc::new(spec.clone())));
 
         Ok(ClusterOutcome {
             reports,
             fields,
-            retries: base.total_retries(),
-            lost_sends: base.total_lost(),
-            net: base,
-            assignment,
+            retries: net.total_retries(),
+            lost_sends: net.total_lost(),
+            net,
+            assignment: master_out.assignment,
             failed_nodes,
+            epoch: master_out.epoch,
+            digest: master_out.digest,
+            entries: master_out.entries,
             redelivered_stores,
-            dist_trace,
-            frames_streamed: feed.as_ref().map_or(0, |f| f.submitted),
+            dist_trace: tracer.map(|t| t.capture(spec)),
+            frames_streamed: master_out.frames_streamed,
         })
     }
 }

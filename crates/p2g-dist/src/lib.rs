@@ -1,14 +1,21 @@
 //! Distributed P2G: master node (high-level scheduler), the event-based
-//! publish–subscribe transport, and a simulated multi-node cluster.
+//! publish–subscribe transport, and the coordinator protocol that runs a
+//! program across execution nodes.
 //!
 //! The paper's deployment (Figure 1) is a master node plus an arbitrary
-//! number of execution nodes over a network. This crate reproduces that
-//! architecture in-process (see DESIGN.md's substitution table): each
-//! execution node owns its own worker pool, dependency analyzer and field
-//! *replicas*; stores are forwarded to subscriber nodes through a simulated
-//! network with per-link latency and byte accounting; the master aggregates
-//! reported topologies, partitions the final implicit static dependency
-//! graph across nodes, and can repartition from instrumentation feedback.
+//! number of execution nodes over a network. Each execution node owns its
+//! own worker pool, dependency analyzer and field *replicas*; stores are
+//! forwarded to subscriber nodes through a [`Transport`] with per-link
+//! byte accounting; the master aggregates reported topologies, partitions
+//! the final implicit static dependency graph across nodes, supervises the
+//! nodes' status reports and re-plans around a death.
+//!
+//! There is one master loop and one node loop ([`coordinator`]:
+//! [`run_master`], [`run_node`]), and they only ever talk through the
+//! transport they are handed. [`SimCluster`] deploys them as threads of
+//! this process over the simulated [`SimNet`] (or real loopback sockets,
+//! [`TcpMesh`]); `p2gc cluster master|node` deploys the same two
+//! functions as OS processes over one [`TcpNet`] each. See DESIGN.md §8.1.
 //!
 //! ```
 //! use p2g_dist::{SimCluster, ClusterConfig, Transport};
@@ -41,17 +48,18 @@
 //! ```
 
 pub mod cluster;
-pub mod cluster_proc;
+pub mod coordinator;
 pub mod master;
 pub mod serve;
 pub mod tcp;
 pub mod transport;
 pub mod wire;
 
-pub use cluster::{
-    ClusterConfig, ClusterOutcome, FrameParts, SimCluster, StreamFeed, TransportKind, Workers,
+pub use cluster::{ClusterConfig, ClusterOutcome, SimCluster, TransportKind, Workers};
+pub use coordinator::{
+    results_digest, run_master, run_node, FrameParts, MasterOutcome, NodeConfig, NodeOutcome,
+    ProtocolConfig, StreamFeed,
 };
-pub use cluster_proc::{results_digest, run_master, run_node, MasterConfig, MasterOutcome, NodeConfig};
 pub use master::MasterNode;
 pub use serve::{
     run_serve_node, FrameDecoder, OpenRequest, PipelineFactory, PipelineRegistry, RemoteOutput,

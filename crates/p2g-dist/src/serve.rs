@@ -393,7 +393,7 @@ pub fn run_serve_node(
                     finish_requested = true;
                     break;
                 }
-                // Heartbeats, acks and any cluster-protocol traffic are not
+                // Acks and any cluster-protocol traffic are not
                 // part of the serving protocol; ignore rather than fail.
                 _ => {}
             }

@@ -1,8 +1,8 @@
 //! Real-socket implementation of the [`Transport`] trait: [`TcpNet`] is
 //! one endpoint (one process hosting one node's inbox), [`TcpMesh`] wires
 //! one endpoint per node inside a single process so [`crate::SimCluster`]
-//! can run its heartbeat / replan / replay machinery over genuine loopback
-//! TCP instead of the in-process [`crate::SimNet`].
+//! can run the coordinator protocol over genuine loopback TCP instead of
+//! the in-process [`crate::SimNet`].
 //!
 //! # Connection supervision
 //!
@@ -31,9 +31,9 @@
 //! Frames are protected by the [`crate::wire`] codec (magic, version,
 //! length, CRC32); a frame that fails validation drops the connection —
 //! the supervisor reconnects and the resend window makes the stream whole.
-//! Half-open connections are caught by the protocol-level heartbeats
-//! (staleness fires the master's failure detector) plus read timeouts on
-//! the reader threads.
+//! Half-open connections are caught by the protocol-level `Status`
+//! reports (staleness fires the master's failure detector) plus read
+//! timeouts on the reader threads.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
@@ -795,8 +795,8 @@ impl Transport for TcpNet {
     }
 
     fn in_flight(&self) -> u64 {
-        // Local view: data accepted here and not yet applied here. The
-        // multi-process coordinator sums `Status` counters instead.
+        // Local view: data accepted here and not yet acknowledged into
+        // the receiver's inbox. The master sees it in this node's `Status`.
         self.shared.counters.pending_to.lock().values().sum()
     }
 
@@ -809,6 +809,10 @@ impl Transport for TcpNet {
 
     fn disconnect(&self, node: NodeId) {
         endpoint_disconnect(&self.shared, node);
+    }
+
+    fn set_peer(&self, node: NodeId, addr: SocketAddr) {
+        TcpNet::set_peer(self, node, addr);
     }
 
     fn note_retry(&self, src: NodeId, dst: NodeId) {
@@ -838,8 +842,10 @@ impl Transport for TcpNet {
 /// loopback TCP, sharing one set of counters so the [`Transport`]
 /// in-flight contract holds globally. This is what lets [`crate::SimCluster`]
 /// (and with it the whole fault_recovery suite) run unchanged over real
-/// sockets: the coordinator keeps calling one `Transport`, and every
-/// store forward crosses the kernel's network stack.
+/// sockets: the master and every node loop hold the same one `Transport`
+/// — which is also the one object [`crate::FaultyNet`] needs to wrap for
+/// its kill list and message counter to be cluster-wide — and every
+/// message crosses the kernel's network stack.
 pub struct TcpMesh {
     endpoints: BTreeMap<NodeId, Arc<TcpNet>>,
     counters: Arc<Counters>,

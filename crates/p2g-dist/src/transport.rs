@@ -3,7 +3,7 @@
 //! decorator that injects message drops, delays, duplication, and whole-node
 //! kills for fault-tolerance testing.
 //!
-//! Real deployments would serialize messages onto sockets; the simulation
+//! [`crate::TcpNet`] serializes messages onto sockets; the simulation
 //! moves owned buffers between threads, which exercises the same
 //! architectural paths (subscription routing, in-flight tracking for
 //! distributed termination, per-link statistics for the HLS, retry and
@@ -12,12 +12,13 @@
 //! Two message planes share the transport:
 //! - **data** (`StoreForward`): counted in link statistics and the global
 //!   in-flight counter that feeds quiescence detection.
-//! - **control** (`Heartbeat`): excluded from both, so liveness traffic
-//!   neither blocks termination nor skews the byte accounting the HLS
-//!   weighs edges with.
+//! - **control** (everything else — `Status`, `Assign`, ...): excluded
+//!   from both, so liveness and coordination traffic neither blocks
+//!   termination nor skews the byte accounting the HLS weighs edges with.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -27,18 +28,17 @@ use parking_lot::{Condvar, Mutex};
 use p2g_field::{Age, Buffer, FieldId, Region};
 use p2g_graph::{KernelId, NodeId};
 
-/// Pseudo-node id addressing the master's control inbox (heartbeats).
+/// Pseudo-node id addressing the master's inbox.
 pub const MASTER_NODE: NodeId = NodeId(u32::MAX);
 
 /// A message on the cluster network.
 ///
-/// The first two variants are the original simulated-cluster planes
-/// (data + liveness). The remaining variants are the multi-process
-/// control protocol spoken between `p2gc cluster master` and
-/// `p2gc cluster node` processes over [`crate::TcpNet`]; they are all
-/// control-plane (excluded from link statistics and in-flight tracking),
-/// since the data plane is exactly the [`NetMsg::StoreForward`] traffic
-/// either way.
+/// [`NetMsg::StoreForward`] is the data plane. `Hello` through `Results`
+/// are the coordinator protocol ([`crate::coordinator`]) spoken between
+/// the master and the execution nodes — threads of one process or
+/// `p2gc cluster` OS processes alike; `Ack` belongs to the TCP transport
+/// and the rest to remote session serving. Everything but the data plane
+/// is control (excluded from link statistics and in-flight tracking).
 #[derive(Debug, Clone, PartialEq)]
 pub enum NetMsg {
     /// A store forwarded from a producer node to a subscriber node.
@@ -48,9 +48,6 @@ pub enum NetMsg {
         region: Region,
         buffer: Buffer,
     },
-    /// Liveness beacon from an execution node to the master (control
-    /// plane: not counted in link statistics or in-flight tracking).
-    Heartbeat { seq: u64 },
     /// Connection handshake and cluster join: the first frame on every
     /// TCP connection identifies the sender; sent to the master it also
     /// reports the node's worker count and data-plane listen port.
@@ -59,22 +56,25 @@ pub enum NetMsg {
         workers: u32,
         port: u16,
     },
-    /// Master → node: the kernel assignment for `epoch`, the
-    /// field-subscription map for store forwarding, and the peer address
-    /// book (`host:port` per node) so nodes can dial each other.
+    /// Master → node: the kernel assignment for `epoch`, how often to
+    /// report [`NetMsg::Status`], the field-subscription map for store
+    /// forwarding, and the peer address book (`host:port` per node) so
+    /// nodes can dial each other.
     Assign {
         epoch: u64,
+        status_every_us: u64,
         kernels: Vec<KernelId>,
         subscribers: Vec<(FieldId, Vec<NodeId>)>,
         peers: Vec<(NodeId, String)>,
     },
     /// Node → master: liveness plus the counters the master needs for
     /// distributed quiescence detection and failure escalation.
-    /// `outstanding` is the node's runtime work counter, `unacked` its
-    /// data frames accepted for send but not yet acknowledged by a live
-    /// peer (acks are sent after the frame reaches the receiver's inbox,
-    /// so `outstanding == 0 && unacked == 0` on every live node, stably,
-    /// implies global quiescence). `applied` is informational.
+    /// `outstanding` is the node's runtime work counter, `unacked` the
+    /// transport's in-flight count as this node sees it (data frames sent
+    /// but not yet applied — or, between processes, not yet acknowledged
+    /// into the receiver's inbox), `applied` the store forwards this node
+    /// has applied so far: a node whose `applied` moved since its previous
+    /// status was not idle in between, whatever its counters read now.
     Status {
         epoch: u64,
         seq: u64,
@@ -162,7 +162,7 @@ impl NetMsg {
             NetMsg::StoreForward { buffer, .. } => {
                 32 + (buffer.len() * buffer.scalar_type().size_bytes()) as u64
             }
-            NetMsg::Heartbeat { .. } | NetMsg::Ack { .. } | NetMsg::Finish => 16,
+            NetMsg::Ack { .. } | NetMsg::Finish => 16,
             NetMsg::Hello { .. } | NetMsg::Replay { .. } => 24,
             NetMsg::Status { .. } => 56,
             NetMsg::Assign {
@@ -171,7 +171,7 @@ impl NetMsg {
                 peers,
                 ..
             } => {
-                32 + 4 * kernels.len() as u64
+                40 + 4 * kernels.len() as u64
                     + subscribers
                         .iter()
                         .map(|(_, subs)| 8 + 4 * subs.len() as u64)
@@ -334,8 +334,13 @@ pub trait Transport: Send + Sync {
     /// fail all future sends to it, and wake any blocked receiver.
     fn disconnect(&self, node: NodeId);
 
+    /// Tell the transport where `node` listens. Only a transport that
+    /// dials its peers ([`crate::TcpNet`]) has an address book; the others
+    /// already reach every node, so the default does nothing.
+    fn set_peer(&self, _node: NodeId, _addr: SocketAddr) {}
+
     /// Advance any scheduled fault events (node kills). Called from the
-    /// cluster coordinator loop; the default transport has none.
+    /// master's supervision loop; the default transport has none.
     fn poll_faults(&self) {}
 
     /// Record a retry on the `src -> dst` link statistics.
@@ -713,9 +718,9 @@ pub struct KillSpec {
 
 /// Fault-injection schedule for [`FaultyNet`]: probabilistic message
 /// drop/duplication/delay on the data plane, plus scheduled whole-node
-/// kills. Control messages (heartbeats) are never dropped — fault testing
-/// targets the data plane; node death is modeled by kills, which silence
-/// heartbeats wholesale.
+/// kills. Control messages (statuses, assignments) are never dropped —
+/// fault testing targets the data plane; node death is modeled by kills,
+/// which silence a node's statuses wholesale.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     /// Probability in `[0, 1)` that a data send is dropped.
@@ -924,6 +929,10 @@ impl Transport for FaultyNet {
         self.inner.disconnect(node);
     }
 
+    fn set_peer(&self, node: NodeId, addr: SocketAddr) {
+        self.inner.set_peer(node, addr);
+    }
+
     fn poll_faults(&self) {
         self.arm();
         self.check_kills();
@@ -1027,9 +1036,9 @@ mod tests {
     }
 
     #[test]
-    fn heartbeats_bypass_stats_and_in_flight() {
+    fn control_messages_bypass_stats_and_in_flight() {
         let net = SimNet::new(&[NodeId(0)], Duration::ZERO);
-        assert!(net.try_send(NodeId(0), MASTER_NODE, NetMsg::Heartbeat { seq: 1 }));
+        assert!(net.try_send(NodeId(0), MASTER_NODE, NetMsg::Replay { epoch: 1 }));
         assert_eq!(net.in_flight(), 0);
         assert_eq!(net.messages(), 0);
         let (src, m) = net

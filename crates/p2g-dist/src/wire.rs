@@ -347,7 +347,8 @@ impl<'a> Reader<'a> {
 // ------------------------------------------------------ message payloads
 
 const TAG_STORE: u8 = 1;
-const TAG_HEARTBEAT: u8 = 2;
+// Tag 2 carried the in-process cluster's liveness beacon, which `Status`
+// subsumed; it stays retired (decodes as an unknown tag), never reused.
 const TAG_HELLO: u8 = 3;
 const TAG_ASSIGN: u8 = 4;
 const TAG_STATUS: u8 = 5;
@@ -380,10 +381,6 @@ pub fn encode_payload(msg: &NetMsg) -> Vec<u8> {
             w.region(region);
             w.buffer(buffer);
         }
-        NetMsg::Heartbeat { seq } => {
-            w.u8(TAG_HEARTBEAT);
-            w.u64(*seq);
-        }
         NetMsg::Hello {
             node,
             workers,
@@ -396,12 +393,14 @@ pub fn encode_payload(msg: &NetMsg) -> Vec<u8> {
         }
         NetMsg::Assign {
             epoch,
+            status_every_us,
             kernels,
             subscribers,
             peers,
         } => {
             w.u8(TAG_ASSIGN);
             w.u64(*epoch);
+            w.u64(*status_every_us);
             w.u32(kernels.len() as u32);
             for k in kernels {
                 w.u32(k.0);
@@ -557,7 +556,6 @@ pub fn decode_payload(payload: &[u8]) -> Result<NetMsg, WireError> {
             region: r.region()?,
             buffer: r.buffer()?,
         },
-        TAG_HEARTBEAT => NetMsg::Heartbeat { seq: r.u64()? },
         TAG_HELLO => NetMsg::Hello {
             node: NodeId(r.u32()?),
             workers: r.u32()?,
@@ -565,6 +563,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<NetMsg, WireError> {
         },
         TAG_ASSIGN => {
             let epoch = r.u64()?;
+            let status_every_us = r.u64()?;
             let nk = r.u32()? as usize;
             if nk > r.remaining() {
                 return Err(WireError::Malformed("kernel count exceeds payload"));
@@ -601,6 +600,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<NetMsg, WireError> {
             }
             NetMsg::Assign {
                 epoch,
+                status_every_us,
                 kernels,
                 subscribers,
                 peers,
@@ -855,7 +855,6 @@ mod tests {
     fn every_variant_round_trips() {
         let msgs = vec![
             store_msg(),
-            NetMsg::Heartbeat { seq: 42 },
             NetMsg::Hello {
                 node: NodeId(2),
                 workers: 4,
@@ -863,6 +862,7 @@ mod tests {
             },
             NetMsg::Assign {
                 epoch: 3,
+                status_every_us: 5_000,
                 kernels: vec![KernelId(0), KernelId(5)],
                 subscribers: vec![
                     (FieldId(0), vec![NodeId(0), NodeId(1)]),
@@ -949,7 +949,7 @@ mod tests {
 
     #[test]
     fn frames_survive_arbitrary_fragmentation() {
-        let framed: Vec<u8> = [store_msg(), NetMsg::Heartbeat { seq: 1 }, NetMsg::Finish]
+        let framed: Vec<u8> = [store_msg(), NetMsg::Replay { epoch: 1 }, NetMsg::Finish]
             .iter()
             .flat_map(encode_frame)
             .collect();
@@ -970,7 +970,7 @@ mod tests {
     #[test]
     fn corrupt_frame_resyncs_to_next_frame() {
         let mut bytes = vec![0xDE, 0xAD, 0xBE, 0xEF]; // leading garbage
-        let mut good = encode_frame(&NetMsg::Heartbeat { seq: 7 });
+        let mut good = encode_frame(&NetMsg::Replay { epoch: 7 });
         bytes.append(&mut good);
         let mut broken = encode_frame(&store_msg());
         broken[HEADER_LEN + 3] ^= 0x40; // flip a payload bit: CRC must catch
@@ -991,7 +991,7 @@ mod tests {
         }
         assert_eq!(
             got,
-            vec![NetMsg::Heartbeat { seq: 7 }, NetMsg::Ack { count: 1 }],
+            vec![NetMsg::Replay { epoch: 7 }, NetMsg::Ack { count: 1 }],
             "both intact frames recovered around the corruption"
         );
         assert!(errs >= 2, "garbage + corrupt frame were reported");

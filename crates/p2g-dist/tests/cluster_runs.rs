@@ -9,6 +9,8 @@ use p2g_field::{Age, Buffer, Region};
 use p2g_graph::spec::mul_sum_example;
 use p2g_runtime::{NodeBuilder, Program, RunLimits};
 
+mod common;
+
 fn build_mul_sum() -> Program {
     let mut p = Program::new(mul_sum_example()).unwrap();
     p.body("init", |ctx| {
@@ -86,7 +88,7 @@ fn cluster_matches_single_node_results() {
     }
 }
 
-/// The same coordinator over real localhost sockets ([`TcpMesh`] via
+/// The same protocol over real localhost sockets (`TcpMesh` via
 /// `over_tcp`) produces bit-identical results and real network traffic.
 #[test]
 fn cluster_matches_single_node_results_over_tcp() {
@@ -221,128 +223,33 @@ fn heterogeneous_node_workers() {
     assert_eq!(got, reference);
 }
 
-/// Streaming cluster mode: the coordinator pumps a windowed frame feed
-/// (the distributed face of the session API) and the cluster computes
-/// every frame exactly once, in order.
+/// Streaming cluster mode: the master pumps a windowed frame feed (the
+/// distributed face of the session API) and the cluster computes every
+/// frame exactly once, in order.
 #[test]
 fn streaming_feed_drives_cluster_to_completion() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    use p2g_dist::StreamFeed;
-    use p2g_field::{Extents, FieldDef, FieldId, ScalarType};
-    use p2g_graph::spec::{
-        AgeExpr, FetchDecl, IndexSel, KernelId, KernelSpec, ProgramSpec, StoreDecl,
-    };
+    use std::sync::atomic::Ordering;
 
     const FRAMES: u64 = 24;
-
-    fn stream_spec() -> ProgramSpec {
-        let mut spec = ProgramSpec::new();
-        let f_in = spec.add_field(FieldDef::with_extents(
-            "in",
-            ScalarType::I32,
-            Extents::new([4]),
-        ));
-        let f_out = spec.add_field(FieldDef::with_extents(
-            "out",
-            ScalarType::I32,
-            Extents::new([4]),
-        ));
-        spec.add_kernel(KernelSpec {
-            id: KernelId(0),
-            name: "double".into(),
-            index_vars: 0,
-            has_age_var: true,
-            fetches: vec![FetchDecl {
-                field: f_in,
-                age: AgeExpr::Rel(0),
-                dims: vec![IndexSel::All],
-            }],
-            stores: vec![StoreDecl {
-                field: f_out,
-                age: AgeExpr::Rel(0),
-                dims: vec![IndexSel::All],
-            }],
-        });
-        spec.add_kernel(KernelSpec {
-            id: KernelId(0),
-            name: "emit".into(),
-            index_vars: 0,
-            has_age_var: true,
-            fetches: vec![FetchDecl {
-                field: f_out,
-                age: AgeExpr::Rel(0),
-                dims: vec![IndexSel::All],
-            }],
-            stores: vec![],
-        });
-        spec
-    }
-
-    let completed = Arc::new(AtomicU64::new(0));
-    let sums = Arc::new(parking_lot::Mutex::new(Vec::<i64>::new()));
-
-    let build = {
-        let completed = completed.clone();
-        let sums = sums.clone();
-        move || {
-            let mut p = Program::new(stream_spec()).unwrap();
-            p.body("double", |ctx| {
-                let out: Vec<i32> = ctx
-                    .input(0)
-                    .as_i32()
-                    .unwrap()
-                    .iter()
-                    .map(|v| v.wrapping_mul(2))
-                    .collect();
-                ctx.store(0, Buffer::from_vec(out));
-                Ok(())
-            });
-            let completed = completed.clone();
-            let sums = sums.clone();
-            p.body("emit", move |ctx| {
-                let s: i64 = ctx.input(0).as_i32().unwrap().iter().map(|&v| v as i64).sum();
-                sums.lock().push(s);
-                completed.fetch_add(1, Ordering::SeqCst);
-                Ok(())
-            });
-            p.set_ordered("emit");
-            p
-        }
-    };
-
-    let probe = completed.clone();
-    let feed = StreamFeed::new(
-        4,
-        |n| {
-            (n < FRAMES).then(|| {
-                vec![(
-                    FieldId(0),
-                    Region::all(1),
-                    Buffer::from_vec(vec![n as i32, 1, 2, 3]),
-                )]
-            })
-        },
-        move || probe.load(Ordering::SeqCst),
-    );
-
-    let outcome = SimCluster::new(ClusterConfig::nodes(3).workers(2), build)
-        .unwrap()
-        .run_streaming(
-            RunLimits::unbounded()
-                .with_gc_window(8)
-                .with_deadline(Duration::from_secs(60)),
-            feed,
-        )
-        .unwrap();
+    let emitted = common::Emitted::default();
+    let outcome = SimCluster::new(
+        ClusterConfig::nodes(3).workers(2),
+        common::stream_program(&emitted),
+    )
+    .unwrap()
+    .run_streaming(
+        RunLimits::unbounded()
+            .with_gc_window(8)
+            .with_deadline(Duration::from_secs(60)),
+        common::stream_feed(FRAMES, &emitted),
+    )
+    .unwrap();
 
     assert_eq!(outcome.frames_streamed, FRAMES);
-    assert_eq!(completed.load(Ordering::SeqCst), FRAMES);
+    assert_eq!(emitted.frontier.load(Ordering::SeqCst), FRAMES);
     assert_eq!(outcome.lost_sends, 0);
-    // Each frame [n, 1, 2, 3] doubles to [2n, 2, 4, 6]: sum 2n + 12, in
-    // frame order (the emit kernel is ordered).
-    let got = sums.lock().clone();
-    let want: Vec<i64> = (0..FRAMES).map(|n| 2 * n as i64 + 12).collect();
+    // In frame order (the emit kernel is ordered), each exactly once.
+    let got = emitted.sums.lock().clone();
+    let want: Vec<i64> = (0..FRAMES).map(common::frame_sum).collect();
     assert_eq!(got, want);
 }

@@ -14,6 +14,8 @@ use p2g_graph::NodeId;
 use p2g_runtime::{NodeBuilder, Program, RunLimits};
 use proptest::prelude::*;
 
+mod common;
+
 fn build_mul_sum() -> Program {
     let mut p = Program::new(mul_sum_example()).unwrap();
     p.body("init", |ctx| {
@@ -86,12 +88,20 @@ fn outcome_fields(outcome: &p2g_dist::ClusterOutcome, ages: u64) -> Vec<Vec<i32>
         .collect()
 }
 
+/// What the kill scenario runs: the batch `mul_sum` program, or the
+/// streaming pipeline fed by the master.
+#[derive(Clone, Copy)]
+enum Workload {
+    Batch,
+    Stream,
+}
+
 /// The recovery scenarios run over both transports: the simulated network
-/// and real localhost sockets ([`TransportKind::Tcp`]). The coordinator,
+/// and real localhost sockets ([`TransportKind::Tcp`]). The protocol,
 /// fault plan, and exactly-once argument are transport-agnostic.
-fn killed_mid_run_scenario(transport: TransportKind) {
+fn killed_mid_run_scenario(transport: TransportKind, workload: Workload) {
     const AGES: u64 = 6;
-    let want = reference(AGES);
+    const FRAMES: u64 = 24;
     // Kill node 1 once cross-node traffic is underway; a lossy link on top
     // exercises retry alongside recovery.
     let plan = FaultPlan::new()
@@ -100,16 +110,30 @@ fn killed_mid_run_scenario(transport: TransportKind) {
         .seed(42);
     let mut config = ClusterConfig::nodes(3).with_faults(plan);
     config.transport = transport;
-    let cluster = SimCluster::new(config, build_mul_sum).unwrap();
-    let outcome = cluster
-        .run(RunLimits::ages(AGES).with_deadline(Duration::from_secs(30)).with_trace())
-        .unwrap();
+    let deadline = Duration::from_secs(30);
+    let emitted = common::Emitted::default();
+    let outcome = match workload {
+        Workload::Batch => SimCluster::new(config, build_mul_sum)
+            .unwrap()
+            .run(RunLimits::ages(AGES).with_deadline(deadline).with_trace()),
+        Workload::Stream => SimCluster::new(config, common::stream_program(&emitted))
+            .unwrap()
+            .run_streaming(
+                RunLimits::unbounded()
+                    .with_gc_window(8)
+                    .with_deadline(deadline)
+                    .with_trace(),
+                common::stream_feed(FRAMES, &emitted),
+            ),
+    }
+    .unwrap();
 
     assert_eq!(
         outcome.failed_nodes,
         vec![NodeId(1)],
         "the scheduled kill must have been detected"
     );
+    assert_eq!(outcome.epoch, 2, "one death, one replan");
     // Trace invariants hold on every node, including the killed one, and
     // the cluster trace records the death and the recovery re-plan.
     for (_, report) in &outcome.reports {
@@ -133,21 +157,40 @@ fn killed_mid_run_scenario(transport: TransportKind) {
         "the lossy link forced send retries (drops={})",
         outcome.net.total_drops()
     );
-    assert_eq!(
-        outcome_fields(&outcome, AGES),
-        want,
-        "results after a node failure must match the fault-free run"
-    );
+    match workload {
+        Workload::Batch => assert_eq!(
+            outcome_fields(&outcome, AGES),
+            reference(AGES),
+            "results after a node failure must match the fault-free run"
+        ),
+        Workload::Stream => {
+            // The feed kept admitting frames after the recovery (a probe
+            // that counted terminal-kernel runs would have overshot and
+            // wedged the window), and no frame was lost with the node.
+            // Re-execution may emit a frame twice; never a wrong sum.
+            assert_eq!(outcome.frames_streamed, FRAMES);
+            let sums = emitted.sums.lock();
+            for n in 0..FRAMES {
+                assert!(sums.contains(&common::frame_sum(n)), "frame {n} never emitted");
+            }
+            assert!(sums.iter().all(|s| (0..FRAMES).any(|n| common::frame_sum(n) == *s)));
+        }
+    }
 }
 
 #[test]
 fn node_killed_mid_run_recovers_to_identical_results() {
-    killed_mid_run_scenario(TransportKind::Sim);
+    killed_mid_run_scenario(TransportKind::Sim, Workload::Batch);
 }
 
 #[test]
 fn node_killed_mid_run_recovers_over_tcp() {
-    killed_mid_run_scenario(TransportKind::Tcp);
+    killed_mid_run_scenario(TransportKind::Tcp, Workload::Batch);
+}
+
+#[test]
+fn node_killed_mid_stream_loses_no_frame() {
+    killed_mid_run_scenario(TransportKind::Sim, Workload::Stream);
 }
 
 fn duplicate_deliveries_scenario(transport: TransportKind) {
@@ -182,8 +225,8 @@ fn duplicate_deliveries_are_absorbed_over_tcp() {
 }
 
 #[test]
-fn heartbeat_interval_derives_from_failure_timeout() {
-    // Default: no hardcoded interval — a tenth of the timeout.
+fn heartbeat_every_derives_from_failure_timeout() {
+    // No hardcoded interval — a tenth of the timeout.
     let c = ClusterConfig::nodes(2);
     assert_eq!(c.heartbeat_every(), c.failure_timeout / 10);
     // Scaling the timeout scales the interval with it.
@@ -192,11 +235,6 @@ fn heartbeat_interval_derives_from_failure_timeout() {
     // Floored so a tiny timeout cannot demand sub-millisecond heartbeats.
     let c = ClusterConfig::nodes(2).failure_timeout(Duration::from_millis(3));
     assert_eq!(c.heartbeat_every(), Duration::from_millis(1));
-    // An explicit override wins regardless of the timeout.
-    let c = ClusterConfig::nodes(2)
-        .failure_timeout(Duration::from_millis(300))
-        .heartbeat_interval(Duration::from_millis(7));
-    assert_eq!(c.heartbeat_every(), Duration::from_millis(7));
 }
 
 fn overridden_timings_scenario(transport: TransportKind) {
@@ -205,14 +243,14 @@ fn overridden_timings_scenario(transport: TransportKind) {
     let plan = FaultPlan::new().kill_after_messages(NodeId(1), 8).seed(7);
     let mut config = ClusterConfig::nodes(3)
         .with_faults(plan)
-        .failure_timeout(Duration::from_millis(120))
-        .heartbeat_interval(Duration::from_millis(3));
+        .failure_timeout(Duration::from_millis(120));
     config.transport = transport;
     let cluster = SimCluster::new(config, build_mul_sum).unwrap();
     let outcome = cluster
         .run(RunLimits::ages(AGES).with_deadline(Duration::from_secs(30)))
         .unwrap();
     assert_eq!(outcome.failed_nodes, vec![NodeId(1)]);
+    assert_eq!(outcome.epoch, 2);
     assert_eq!(outcome_fields(&outcome, AGES), want);
 }
 
@@ -226,8 +264,8 @@ fn recovery_with_overridden_timings_over_tcp() {
     overridden_timings_scenario(TransportKind::Tcp);
 }
 
-/// A fatal kernel failure (Abort policy) is genuine node death: the node
-/// stops heartbeating, the master declares it dead, re-plans over the
+/// A fatal kernel failure (Abort policy) is genuine node death: the node's
+/// next status says so, the master declares it dead, re-plans over the
 /// survivors, and a survivor re-executes the failed work to the exact
 /// fault-free results.
 #[test]

@@ -15,21 +15,21 @@ use p2g_graph::{KernelId, NodeId};
 /// Deterministic message generator driven by a single seed, so one u64
 /// strategy exercises every variant including deeply nested payloads.
 fn gen_msg(rng: &mut TestRng) -> NetMsg {
-    match rng.next_below(17) {
+    match rng.next_below(16) {
         0 => NetMsg::StoreForward {
             field: FieldId(rng.next_u64() as u32),
             age: Age(rng.next_u64()),
             region: gen_region(rng),
             buffer: gen_buffer(rng),
         },
-        1 => NetMsg::Heartbeat { seq: rng.next_u64() },
-        2 => NetMsg::Hello {
+        1 => NetMsg::Hello {
             node: NodeId(rng.next_u64() as u32),
             workers: rng.next_u64() as u32,
             port: rng.next_u64() as u16,
         },
-        3 => NetMsg::Assign {
+        2 => NetMsg::Assign {
             epoch: rng.next_u64(),
+            status_every_us: rng.next_u64(),
             kernels: (0..rng.next_below(5))
                 .map(|_| KernelId(rng.next_u64() as u32))
                 .collect(),
@@ -52,7 +52,7 @@ fn gen_msg(rng: &mut TestRng) -> NetMsg {
                 })
                 .collect(),
         },
-        4 => NetMsg::Status {
+        3 => NetMsg::Status {
             epoch: rng.next_u64(),
             seq: rng.next_u64(),
             outstanding: rng.next_u64() as i64,
@@ -60,9 +60,9 @@ fn gen_msg(rng: &mut TestRng) -> NetMsg {
             applied: rng.next_u64(),
             failed: rng.next_u64() & 1 == 1,
         },
-        5 => NetMsg::Replay { epoch: rng.next_u64() },
-        6 => NetMsg::Finish,
-        7 => NetMsg::Results {
+        4 => NetMsg::Replay { epoch: rng.next_u64() },
+        5 => NetMsg::Finish,
+        6 => NetMsg::Results {
             entries: (0..rng.next_below(4))
                 .map(|_| {
                     (
@@ -74,8 +74,8 @@ fn gen_msg(rng: &mut TestRng) -> NetMsg {
                 })
                 .collect(),
         },
-        8 => NetMsg::Ack { count: rng.next_u64() },
-        9 => NetMsg::OpenSession {
+        7 => NetMsg::Ack { count: rng.next_u64() },
+        8 => NetMsg::OpenSession {
             session: rng.next_u64(),
             pipeline: gen_string(rng),
             params: (0..rng.next_below(4))
@@ -84,20 +84,20 @@ fn gen_msg(rng: &mut TestRng) -> NetMsg {
             priority: rng.next_u64() as u8,
             weight: rng.next_u64() as u32,
         },
-        10 => NetMsg::SessionOpened {
+        9 => NetMsg::SessionOpened {
             session: rng.next_u64(),
             credits: rng.next_u64(),
         },
-        11 => NetMsg::SessionRejected {
+        10 => NetMsg::SessionRejected {
             session: rng.next_u64(),
             reason: gen_string(rng),
         },
-        12 => NetMsg::SubmitFrame {
+        11 => NetMsg::SubmitFrame {
             session: rng.next_u64(),
             age: rng.next_u64(),
             payload: gen_bytes(rng),
         },
-        13 => NetMsg::Output {
+        12 => NetMsg::Output {
             session: rng.next_u64(),
             age: rng.next_u64(),
             payload: if rng.next_below(2) == 0 {
@@ -106,11 +106,11 @@ fn gen_msg(rng: &mut TestRng) -> NetMsg {
                 Some(gen_bytes(rng))
             },
         },
-        14 => NetMsg::Credit {
+        13 => NetMsg::Credit {
             session: rng.next_u64(),
             granted: rng.next_u64(),
         },
-        15 => NetMsg::CloseSession { session: rng.next_u64() },
+        14 => NetMsg::CloseSession { session: rng.next_u64() },
         _ => NetMsg::SessionStats {
             session: rng.next_u64(),
             submitted: rng.next_u64(),

@@ -26,8 +26,8 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use p2g_dist::{
-    run_master, run_node, run_serve_node, MasterConfig, NodeConfig, RetryConfig, ServeClient,
-    ServeConfig,
+    run_master, run_node, run_serve_node, NodeConfig, ProtocolConfig, RetryConfig, ServeClient,
+    ServeConfig, TcpNet, MASTER_NODE,
 };
 use p2g_graph::{FinalGraph, IntermediateGraph, NodeId};
 use p2g_lang::compile_source;
@@ -36,7 +36,7 @@ use p2g_runtime::{FaultPolicy, NodeBuilder, Qos, RunLimits, SessionRuntime};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  p2gc run <file.p2g> [--ages N] [--workers W] [--shards S] [--gc-window W]\n                      [--deadline-ms D] [--retries R] [--kernel-deadline-ms D]\n                      [--trace-out PATH] [--batch] [--adaptive]\n  p2gc serve <file.p2g> [--sessions N] [--frames F] [--workers W] [--shards S]\n                        [--gc-window W] [--batch] [--adaptive]\n  p2gc check <file.p2g>\n  p2gc graph <file.p2g>\n  p2gc cluster master <file.p2g> --nodes N [--port P] [--ages A]\n                      [--failure-timeout-ms D] [--deadline-ms D]\n                      [--net-retries R] [--net-backoff-us B]\n  p2gc cluster node <file.p2g> --node-id I --master HOST:PORT [--workers W]\n                      [--ages A] [--deadline-ms D]\n                      [--net-retries R] [--net-backoff-us B]\n  p2gc serve-node [--port P] [--workers W] [--stats-interval-ms D]\n                  [--orphan-timeout-ms D] [--deadline-ms D]\n                  [--net-retries R] [--net-backoff-us B]\n  p2gc submit --server HOST:PORT [--client-id I] [--width W] [--height H]\n              [--frames N] [--quality Q] [--seed S] [--cadence-ms C]\n              [--priority P] [--weight W] [--window N] [--out PATH]\n              [--shutdown-server]\n\nmulti-process cluster (p2gc cluster):\n  master listens on loopback, plans the dependency graph across the\n  joined nodes, supervises heartbeats, replans and replays around node\n  deaths, and prints a chunking-invariant results digest; each node\n  process runs its assigned kernels and forwards stores over TCP\n  --net-retries R         send attempts before a peer is declared dead\n  --net-backoff-us B      initial reconnect/retry backoff (doubles, jittered)\n\nremote session serving (p2gc serve-node / p2gc submit):\n  serve-node hosts a resident session runtime behind TCP, offering the\n  built-in \"mjpeg\" pipeline; submit streams synthetic i420 frames into\n  it as one remote session and receives the encoded MJPEG stream back\n  --cadence-ms C          delay between frame submits (live-source pacing)\n  --priority P            QoS class: 0 realtime, 1 normal, 2 bulk\n  --weight W              fair-share weight within the class\n  --out PATH              write the received MJPEG stream to PATH\n  --shutdown-server       send the admin shutdown after closing\n\nparallel dependency analysis:\n  --shards S              analyzer shards (default 1, the sequential\n                          analyzer); sharded runs also enable the\n                          worker-side inline dispatch fast path\n\nbatched execution and granularity adaptation:\n  --batch                 execute multi-instance dispatch units as one\n                          batched work unit (merged fetches and stores)\n  --adaptive              adapt kernel chunk sizes online from live\n                          dispatch-overhead and latency measurements\n\nmulti-tenant serving (p2gc serve):\n  --sessions N            concurrent tenant copies of the program (default 2)\n  --frames F              frames (ages) per tenant (default 4)\n  --workers W             shared worker-pool threads\n\nfault isolation (applies to every kernel, degrade instead of abort):\n  --retries R             retry failed kernel instances up to R times\n  --kernel-deadline-ms D  flag instances overrunning D ms for cancellation\n\ntracing:\n  --trace-out PATH        record a structured run trace; write Chrome\n                          trace-viewer JSON if PATH ends in .json, else JSONL"
+        "usage:\n  p2gc run <file.p2g> [--ages N] [--workers W] [--shards S] [--gc-window W]\n                      [--deadline-ms D] [--retries R] [--kernel-deadline-ms D]\n                      [--trace-out PATH] [--batch] [--adaptive]\n  p2gc serve <file.p2g> [--sessions N] [--frames F] [--workers W] [--shards S]\n                        [--gc-window W] [--batch] [--adaptive]\n  p2gc check <file.p2g>\n  p2gc graph <file.p2g>\n  p2gc cluster master <file.p2g> --nodes N [--port P] [--ages A]\n                      [--failure-timeout-ms D] [--deadline-ms D]\n                      [--net-retries R] [--net-backoff-us B]\n  p2gc cluster node <file.p2g> --node-id I --master HOST:PORT [--workers W]\n                      [--ages A] [--deadline-ms D]\n                      [--net-retries R] [--net-backoff-us B]\n  p2gc serve-node [--port P] [--workers W] [--stats-interval-ms D]\n                  [--orphan-timeout-ms D] [--deadline-ms D]\n                  [--net-retries R] [--net-backoff-us B]\n  p2gc submit --server HOST:PORT [--client-id I] [--width W] [--height H]\n              [--frames N] [--quality Q] [--seed S] [--cadence-ms C]\n              [--priority P] [--weight W] [--window N] [--out PATH]\n              [--shutdown-server]\n\nmulti-process cluster (p2gc cluster):\n  master listens on loopback, plans the dependency graph across the\n  joined nodes, supervises their status reports, replans and replays\n  around node deaths, and prints a chunking-invariant results digest;\n  each node process runs its assigned kernels and forwards stores over TCP\n  --net-retries R         send attempts before a peer is declared dead\n  --net-backoff-us B      initial reconnect/retry backoff (doubles, jittered)\n\nremote session serving (p2gc serve-node / p2gc submit):\n  serve-node hosts a resident session runtime behind TCP, offering the\n  built-in \"mjpeg\" pipeline; submit streams synthetic i420 frames into\n  it as one remote session and receives the encoded MJPEG stream back\n  --cadence-ms C          delay between frame submits (live-source pacing)\n  --priority P            QoS class: 0 realtime, 1 normal, 2 bulk\n  --weight W              fair-share weight within the class\n  --out PATH              write the received MJPEG stream to PATH\n  --shutdown-server       send the admin shutdown after closing\n\nparallel dependency analysis:\n  --shards S              analyzer shards (default 1, the sequential\n                          analyzer); sharded runs also enable the\n                          worker-side inline dispatch fast path\n\nbatched execution and granularity adaptation:\n  --batch                 execute multi-instance dispatch units as one\n                          batched work unit (merged fetches and stores)\n  --adaptive              adapt kernel chunk sizes online from live\n                          dispatch-overhead and latency measurements\n\nmulti-tenant serving (p2gc serve):\n  --sessions N            concurrent tenant copies of the program (default 2)\n  --frames F              frames (ages) per tenant (default 4)\n  --workers W             shared worker-pool threads\n\nfault isolation (applies to every kernel, degrade instead of abort):\n  --retries R             retry failed kernel instances up to R times\n  --kernel-deadline-ms D  flag instances overrunning D ms for cancellation\n\ntracing:\n  --trace-out PATH        record a structured run trace; write Chrome\n                          trace-viewer JSON if PATH ends in .json, else JSONL"
     );
     ExitCode::from(2)
 }
@@ -63,6 +63,12 @@ fn net_retry_flags(args: &[String]) -> RetryConfig {
         retry = retry.with_backoff(base, base.saturating_mul(64));
     }
     retry
+}
+
+/// The sink `p2gc cluster` hands the coordinator loops for their progress
+/// lines.
+fn stderr_line(line: &str) {
+    eprintln!("{line}");
 }
 
 /// Apply the shared `--batch` / `--adaptive` execution flags to run limits.
@@ -197,24 +203,43 @@ fn main() -> ExitCode {
         "cluster" => {
             let ages: u64 = flag(&args, "--ages").unwrap_or(4);
             let retry = net_retry_flags(&args);
+            // Half a second of silence is a death, two minutes bound a run.
+            let mut protocol = ProtocolConfig {
+                retry,
+                failure_timeout: Duration::from_millis(500),
+                deadline: Some(Duration::from_secs(120)),
+            };
+            if let Some(ms) = flag::<u64>(&args, "--deadline-ms") {
+                protocol.deadline = Some(Duration::from_millis(ms));
+            }
             match args.get(1).map(String::as_str) {
                 Some("master") => {
                     let Some(nodes) = flag::<usize>(&args, "--nodes") else {
                         eprintln!("p2gc: cluster master requires --nodes N");
                         return ExitCode::from(2);
                     };
-                    let mut cfg = MasterConfig::nodes(nodes);
-                    cfg.retry = retry;
-                    if let Some(p) = flag::<u16>(&args, "--port") {
-                        cfg.port = p;
-                    }
                     if let Some(ms) = flag::<u64>(&args, "--failure-timeout-ms") {
-                        cfg.failure_timeout = Duration::from_millis(ms);
+                        protocol.failure_timeout = Duration::from_millis(ms);
                     }
-                    if let Some(ms) = flag::<u64>(&args, "--deadline-ms") {
-                        cfg.deadline = Duration::from_millis(ms);
-                    }
-                    match run_master(&compiled.spec, &cfg) {
+                    let port = flag::<u16>(&args, "--port").unwrap_or(0);
+                    let net = match TcpNet::bind_on(MASTER_NODE, retry, 0, port) {
+                        Ok(net) => net,
+                        Err(e) => {
+                            eprintln!("p2gc: cluster master: master bind: {e}");
+                            return ExitCode::FAILURE;
+                        }
+                    };
+                    eprintln!(
+                        "p2g-master: listening on 127.0.0.1:{}, waiting for {nodes} nodes",
+                        net.port()
+                    );
+                    let nodes = nodes.max(1);
+                    match run_master(&compiled.spec, net, nodes, &protocol, None, None, &stderr_line)
+                    {
+                        Ok(out) if out.deadline_hit => {
+                            eprintln!("p2gc: cluster master: run deadline exceeded");
+                            ExitCode::FAILURE
+                        }
                         Ok(out) => {
                             println!(
                                 "digest {:08x} entries {} epoch {} failed {}",
@@ -240,16 +265,28 @@ fn main() -> ExitCode {
                         eprintln!("p2gc: cluster node requires --master HOST:PORT");
                         return ExitCode::from(2);
                     };
-                    let mut cfg = NodeConfig::new(NodeId(id), master);
-                    cfg.retry = retry;
-                    if let Some(w) = flag::<usize>(&args, "--workers") {
-                        cfg.workers = w.max(1);
-                    }
-                    if let Some(ms) = flag::<u64>(&args, "--deadline-ms") {
-                        cfg.deadline = Duration::from_millis(ms);
-                    }
-                    match run_node(compiled.program, RunLimits::ages(ages), &cfg) {
-                        Ok(()) => ExitCode::SUCCESS,
+                    let workers = flag::<usize>(&args, "--workers").unwrap_or(2).max(1);
+                    let net = match TcpNet::bind(NodeId(id), retry, workers as u32) {
+                        Ok(net) => net,
+                        Err(e) => {
+                            eprintln!("p2gc: cluster node: node bind: {e}");
+                            return ExitCode::FAILURE;
+                        }
+                    };
+                    net.set_peer(MASTER_NODE, master);
+                    let cfg = NodeConfig {
+                        id: NodeId(id),
+                        workers,
+                        port: net.port(),
+                        protocol,
+                    };
+                    let limits = RunLimits::ages(ages);
+                    let ran = run_node(compiled.program, limits, net.clone(), &cfg, None, &stderr_line);
+                    // The process is about to exit: make sure the results
+                    // it queued for the master have actually left.
+                    net.flush(MASTER_NODE, Duration::from_secs(10));
+                    match ran {
+                        Ok(_) => ExitCode::SUCCESS,
                         Err(e) => {
                             eprintln!("p2gc: cluster node: {e}");
                             ExitCode::FAILURE

@@ -52,7 +52,7 @@ impl PrintSink {
 
 /// A compiled kernel-language program.
 pub struct CompiledProgram {
-    /// The runnable program (hand to [`p2g_runtime::ExecutionNode`]).
+    /// The runnable program (hand to [`p2g_runtime::NodeBuilder`]).
     pub program: Program,
     /// Captured `print` output.
     pub print: PrintSink,

@@ -194,18 +194,44 @@ fn run_cluster(tag: &str, nodes: usize) -> (String, u64, u64, u64) {
     parse_master_line(&master)
 }
 
-/// Chunking-agnostic exactly-once across processes: 1-node and 2-node
-/// clusters over real sockets produce bit-identical result digests.
+/// The in-process deployment of the same protocol: `SimCluster` threads
+/// over the simulated network or over loopback sockets. Returns the same
+/// (digest, entries, epoch, failed) the master process prints.
+fn run_in_process(config: p2g_dist::ClusterConfig) -> (String, u64, u64, u64) {
+    let source = std::fs::read_to_string(PROGRAM).expect("read program");
+    let build = || p2g_lang::compile_source(&source).expect("compiles").program;
+    let outcome = p2g_dist::SimCluster::new(config, build)
+        .expect("cluster builds")
+        .run(p2g_runtime::RunLimits::ages(3).with_deadline(HARD_TIMEOUT))
+        .expect("cluster runs");
+    (
+        format!("{:08x}", outcome.digest),
+        outcome.entries as u64,
+        outcome.epoch,
+        outcome.failed_nodes.len() as u64,
+    )
+}
+
+/// One protocol, three deployments, one digest: 1-node and 2-node clusters
+/// of OS processes over real sockets, and the in-process cluster over the
+/// simulated network and over loopback sockets, all produce bit-identical
+/// result digests (chunking-agnostic exactly-once).
 #[test]
 fn process_cluster_digest_is_node_count_invariant() {
     let (d1, e1, ep1, f1) = run_cluster("solo", 1);
     assert_eq!(f1, 0, "healthy run must not report failures");
     assert_eq!(ep1, 1, "healthy run stays on epoch 1");
-    let (d2, e2, ep2, f2) = run_cluster("pair", 2);
-    assert_eq!(f2, 0);
-    assert_eq!(ep2, 1);
-    assert_eq!(e1, e2, "entry counts must match across node counts");
-    assert_eq!(d1, d2, "digests must be bit-identical across node counts");
+    let runs = [
+        ("2 processes", run_cluster("pair", 2)),
+        ("2 threads, SimNet", run_in_process(p2g_dist::ClusterConfig::nodes(2))),
+        ("3 threads, TcpMesh", run_in_process(p2g_dist::ClusterConfig::nodes(3).over_tcp())),
+    ];
+    for (what, (d, e, ep, f)) in runs {
+        assert_eq!(f, 0, "{what}");
+        assert_eq!(ep, 1, "{what}");
+        assert_eq!(e, e1, "{what}: entry counts must match the 1-process run");
+        assert_eq!(d, d1, "{what}: digests must be bit-identical to the 1-process run");
+    }
 }
 
 /// The chaos run: `kill -9` a node process mid-run. The master must

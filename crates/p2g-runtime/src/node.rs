@@ -427,8 +427,7 @@ impl FieldStore {
     }
 }
 
-/// Builder for launching an execution node — the single entry point that
-/// replaced `ExecutionNode::{run, run_collect, start}`.
+/// Builder for launching an execution node — the single entry point.
 ///
 /// ```ignore
 /// let report = NodeBuilder::new(program)
@@ -508,7 +507,7 @@ impl NodeBuilder {
     }
 
     /// Start the node's threads and return the interaction handle
-    /// ([`NodeHandle::wait`], [`NodeHandle::collect`], [`NodeHandle::stop`],
+    /// ([`NodeHandle::wait`], [`NodeHandle::collect`], [`NodeHandle::request_stop`],
     /// remote-store injection, reassignment).
     pub fn launch(self, limits: RunLimits) -> Result<NodeHandle, RuntimeError> {
         self.program.check_bodies()?;
@@ -701,9 +700,14 @@ impl NodeBuilder {
             shared.ready.close();
         }
 
-        // Analyzer shard threads.
+        // Analyzer shard threads. They poll (see `ANALYZER_POLL`) only when
+        // each can have a core to itself: this node's own workers and its
+        // shards fit the machine. Pool-attached nodes share their workers
+        // with other tenants' analyzers, so they never do.
         let deadline = limits.wall_deadline.map(|d| start + d);
         let batch = limits.analyzer_batch.max(1);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let poll = self.pool.is_none() && self.workers + shards <= cores;
         let mut analyzer_handles = Vec::with_capacity(shards);
         for (s, (analyzer, events_rx)) in analyzers.into_iter().zip(event_rxs).enumerate() {
             let analyzer_shared = shared.clone();
@@ -718,7 +722,15 @@ impl NodeBuilder {
                     .name(name)
                     .spawn(move || {
                         TRACE_TID.with(|c| c.set(tid));
-                        analyzer_loop(analyzer, analyzer_shared, events_rx, deadline, s, batch)
+                        analyzer_loop(
+                            analyzer,
+                            analyzer_shared,
+                            events_rx,
+                            deadline,
+                            s,
+                            batch,
+                            poll,
+                        )
                     })
                     .expect("spawn analyzer"),
             );
@@ -856,16 +868,11 @@ impl RunningNode {
     }
 
     /// True once the node has recorded a fatal failure (a kernel abort or
-    /// runtime malfunction) — it is shutting down and will stop
-    /// heartbeating in distributed mode. Kernel failures contained by a
-    /// `Poison` fault policy do *not* set this; they only degrade.
+    /// runtime malfunction) — it is shutting down, and in distributed mode
+    /// its next status report tells the master. Kernel failures contained
+    /// by a `Poison` fault policy do *not* set this; they only degrade.
     pub fn has_failed(&self) -> bool {
         self.shared.has_failed()
-    }
-
-    /// Builder-API alias of [`RunningNode::request_stop`].
-    pub fn stop(&self) {
-        self.request_stop();
     }
 
     /// True once the node's stop flag is set (quiescence, failure, or an
@@ -917,16 +924,11 @@ impl RunningNode {
 
     /// Wait for the node to finish; report only.
     pub fn wait(self) -> Result<RunReport, RuntimeError> {
-        self.join().map(|(r, _)| r)
+        self.collect().map(|(r, _)| r)
     }
 
     /// Wait for the node to finish; report plus final field contents.
     pub fn collect(self) -> Result<(RunReport, FieldStore), RuntimeError> {
-        self.join()
-    }
-
-    /// Wait for the node to finish and collect the report and fields.
-    pub fn join(self) -> Result<(RunReport, FieldStore), RuntimeError> {
         let (report, fields, err) = self.finish();
         match err {
             Some(e) => Err(e),
@@ -1032,6 +1034,15 @@ fn watchdog_loop(wd: Arc<Watchdog>, shared: Arc<Shared>) {
     }
 }
 
+/// How long an analyzer shard polls its empty event channel before it
+/// blocks on it. While units are outstanding the next store event is one
+/// instance away (microseconds), and a blocked analyzer costs the storing
+/// worker a futex wake-up — across cores an IPI — per event; on a
+/// virtualised host that wake-up latency, not the work, decided how long
+/// a fine-grained job took and varied from run to run. Only a shard with a
+/// core to itself polls (decided at launch), and it yields between looks.
+const ANALYZER_POLL: Duration = Duration::from_micros(50);
+
 fn analyzer_loop(
     mut analyzer: DependencyAnalyzer,
     shared: Arc<Shared>,
@@ -1039,6 +1050,7 @@ fn analyzer_loop(
     deadline: Option<Instant>,
     shard: usize,
     batch: usize,
+    poll: bool,
 ) -> Termination {
     // The non-failure exit status: quiescent, or degraded once any
     // instance was poisoned.
@@ -1076,6 +1088,16 @@ fn analyzer_loop(
         // idle path).
         if shard == 0 {
             granularity_tick(&shared);
+        }
+        // Poll before blocking, but only while work is outstanding (an idle
+        // node goes straight to the blocking receive).
+        let poll_start = Instant::now();
+        while poll
+            && events_rx.is_empty()
+            && shared.outstanding.load(Ordering::SeqCst) > 0
+            && poll_start.elapsed() < ANALYZER_POLL
+        {
+            std::thread::yield_now();
         }
         let mut next = match events_rx.recv_timeout(Duration::from_millis(5)) {
             Ok(ev) => Some(ev),

@@ -80,7 +80,7 @@ fn hold_open_node_processes_injected_stores() {
         std::thread::sleep(Duration::from_millis(2));
     }
     running.request_stop();
-    let (report, fields) = running.join().unwrap();
+    let (report, fields) = running.collect().unwrap();
     assert_eq!(report.termination, Termination::Quiescent);
     assert_eq!(
         fields
@@ -122,7 +122,7 @@ fn request_stop_interrupts_held_open_node() {
         .unwrap();
     std::thread::sleep(Duration::from_millis(20));
     running.request_stop();
-    let (report, _) = running.join().unwrap();
+    let (report, _) = running.collect().unwrap();
     assert_eq!(report.termination, Termination::Quiescent);
 }
 

@@ -37,13 +37,26 @@
 //! the same supervised connections as everything else, so a client that
 //! died (crash, kill -9) stops acknowledging and the transport marks it
 //! dead after its retry budget. Every session of a dead client is then
-//! closed, drained and finished — slabs and ages are released, which the
-//! process-level tests assert by watching the collection log line.
+//! closed at once and finished when its in-flight frames have drained
+//! (or [`DRAIN_TIMEOUT`] later) — slabs and ages are released, which the
+//! process-level tests assert by watching the collection log line. The
+//! serve loop never waits for a drain: the other tenants keep streaming.
+//!
+//! # Wake-ups
+//!
+//! Nothing on this path polls. The serve loop's one sleep is its inbox
+//! wait, which ends on a message, on a [`crate::tcp::Waker`] kick from a session
+//! that completed a frame (the kick names the session, so only that
+//! tenant is looked at), or at the next all-tenants sweep
+//! (`stats_interval`). The client files inbound messages into per-session
+//! slots on one demultiplexer thread and callers wait on the slot's
+//! condition under the slot's lock. DESIGN.md §14.3 has the argument.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -59,6 +72,19 @@ use crate::transport::{NetMsg, RetryConfig, Transport, MASTER_NODE};
 
 /// Highest valid QoS priority class (0 = realtime, 1 = normal, 2 = bulk).
 const MAX_QOS_CLASS: u8 = 2;
+
+/// Inbox messages handled per serve-loop turn before completed outputs
+/// are looked at again: a fairness bound, so a flooding client cannot
+/// starve output delivery.
+const INBOX_BUDGET: usize = 256;
+
+/// How long a client waits for its last messages to be written and
+/// acknowledged before it tears its endpoint down.
+const FLUSH_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How long an orphan's in-flight frames (and, at shutdown, any
+/// session's) may take to drain before the node is stopped under them.
+const DRAIN_TIMEOUT: Duration = Duration::from_millis(500);
 
 fn net_err(what: &str, e: impl std::fmt::Display) -> RuntimeError {
     RuntimeError::Net(format!("{what}: {e}"))
@@ -174,7 +200,15 @@ pub struct ServeOutcome {
     pub frames_dropped: u64,
     /// Sessions collected because their client died or went stale.
     pub orphans_collected: u64,
+    /// Serve-loop turns that began with a message or a session's kick.
+    pub wakeups: u64,
+    /// Serve-loop turns that began because a due-time (the sweep, the
+    /// deadline) passed with neither.
+    pub timer_wakeups: u64,
 }
+
+/// `(client, client-assigned session id)`: a tenant's key on the node.
+type TenantKey = (NodeId, u64);
 
 /// One live remote session on the server.
 struct Tenant {
@@ -192,10 +226,80 @@ struct Tenant {
     delivered: u64,
     /// Dropped outputs among those delivered.
     dropped: u64,
-    /// Client asked to close; drain and finish.
+    /// Client asked to close (or was rejected, or orphaned); drain and
+    /// finish.
     closed: bool,
     last_activity: Instant,
-    last_stats: Instant,
+    /// Orphaned with frames in flight: collect at this time even if they
+    /// have not drained.
+    drain_due: Option<Instant>,
+}
+
+impl Tenant {
+    /// Ship completed frames and extend the cumulative grant.
+    fn deliver(&mut self, net: &TcpNet, retry: &RetryConfig) {
+        while let Some(out) = self.session.poll_output() {
+            self.delivered += 1;
+            if out.payload.is_none() {
+                self.dropped += 1;
+            }
+            // A dead client's outputs go nowhere: `send_with_retry`
+            // returns at once for a dead destination.
+            let _ = net.send_with_retry(
+                MASTER_NODE,
+                self.client,
+                NetMsg::Output {
+                    session: self.id,
+                    age: out.age,
+                    payload: out.payload,
+                },
+                retry,
+            );
+        }
+        let grant = self.delivered + self.window;
+        if grant > self.granted && !self.closed {
+            self.granted = grant;
+            let _ = net.send_with_retry(
+                MASTER_NODE,
+                self.client,
+                NetMsg::Credit {
+                    session: self.id,
+                    granted: grant,
+                },
+                retry,
+            );
+        }
+    }
+
+    fn drained(&self) -> bool {
+        self.closed && self.session.in_flight() == 0
+    }
+
+    /// Nothing more to wait for: collect now.
+    fn finished(&self, now: Instant) -> bool {
+        self.drained() || self.session.has_failed() || self.drain_due.is_some_and(|due| now >= due)
+    }
+
+    fn push_stats(&self, net: &TcpNet, retry: &RetryConfig) {
+        let m = self.session.metrics();
+        let _ = net.send_with_retry(
+            MASTER_NODE,
+            self.client,
+            NetMsg::SessionStats {
+                session: self.id,
+                submitted: m.frames_submitted,
+                completed: m.frames_completed,
+                dropped: m.frames_dropped,
+                in_flight: m.in_flight,
+                fps_milli: m.fps_milli,
+                p50_latency_us: m.p50_latency_ns / 1_000,
+                p95_latency_us: m.p95_latency_ns / 1_000,
+                resident_ages: m.resident_ages,
+                resident_bytes: m.resident_bytes,
+            },
+            retry,
+        );
+    }
 }
 
 /// Run a serve node until a [`NetMsg::Finish`] arrives (admin shutdown)
@@ -208,10 +312,18 @@ pub fn run_serve_node(
         .map_err(|e| net_err("serve bind", e))?;
     eprintln!("p2g-serve: listening on port {}", net.port());
     let runtime = SessionRuntime::new(cfg.workers);
-    let mut tenants: HashMap<(NodeId, u64), Tenant> = HashMap::new();
+    let mut tenants: HashMap<TenantKey, Tenant> = HashMap::new();
     let mut outcome = ServeOutcome::default();
     let start = Instant::now();
     let mut finish_requested = false;
+    // The loop's one wait is its inbox; a session that completes a frame
+    // ends that wait through `waker` after naming itself in `rang`.
+    let waker = net.waker();
+    let rang: Arc<Mutex<Vec<TenantKey>>> = Arc::new(Mutex::new(Vec::new()));
+    // Tenants this turn has a reason to look at: they rang, closed or
+    // were rejected.
+    let mut touched: Vec<TenantKey> = Vec::new();
+    let mut last_sweep = start;
 
     let reject = |net: &Arc<TcpNet>, dst: NodeId, session: u64, reason: String| {
         let _ = net.send_with_retry(
@@ -223,13 +335,22 @@ pub fn run_serve_node(
     };
 
     while !finish_requested && start.elapsed() < cfg.deadline {
-        // --- inbox (bounded per iteration so output draining never starves)
-        let mut budget = 256;
-        while budget > 0 {
-            budget -= 1;
-            let Some((src, msg)) = net.recv_timeout(MASTER_NODE, Duration::from_millis(2)) else {
-                break;
-            };
+        // --- sleep until the next message, kick or due-time (the sweep's
+        // or the deadline's); then take what else the inbox holds without
+        // sleeping, up to the fairness budget.
+        let asleep_at = Instant::now();
+        let until_due = cfg
+            .stats_interval
+            .saturating_sub(last_sweep.elapsed())
+            .min(cfg.deadline.saturating_sub(start.elapsed()));
+        let first = net.recv_timeout(MASTER_NODE, until_due);
+        if first.is_some() || asleep_at.elapsed() < until_due {
+            outcome.wakeups += 1;
+        } else {
+            outcome.timer_wakeups += 1;
+        }
+        let more = std::iter::from_fn(|| net.recv_timeout(MASTER_NODE, Duration::ZERO));
+        for (src, msg) in first.into_iter().chain(more).take(INBOX_BUDGET) {
             match msg {
                 NetMsg::Hello { node, port, .. } => {
                     // Dial-back address for replies (loopback serving, as
@@ -287,10 +408,20 @@ pub fn run_serve_node(
                         }
                     };
                     let window = built.config.max_in_flight as u64;
-                    let config = built.config.with_qos(Qos {
-                        class: priority,
-                        weight: weight.max(1),
-                    });
+                    let ring = {
+                        let (rang, waker) = (rang.clone(), waker.clone());
+                        Arc::new(move || {
+                            rang.lock().push(key);
+                            waker.kick();
+                        })
+                    };
+                    let config = built
+                        .config
+                        .with_qos(Qos {
+                            class: priority,
+                            weight: weight.max(1),
+                        })
+                        .on_output(ring);
                     match runtime.open(built.program, config) {
                         Ok(s) => {
                             outcome.sessions_opened += 1;
@@ -298,7 +429,6 @@ pub fn run_serve_node(
                                 "p2g-serve: session {}/{session} opened (pipeline={pipeline})",
                                 src.0
                             );
-                            let now = Instant::now();
                             tenants.insert(
                                 key,
                                 Tenant {
@@ -312,8 +442,8 @@ pub fn run_serve_node(
                                     delivered: 0,
                                     dropped: 0,
                                     closed: false,
-                                    last_activity: now,
-                                    last_stats: now,
+                                    last_activity: Instant::now(),
+                                    drain_due: None,
                                 },
                             );
                             let _ = net.send_with_retry(
@@ -380,13 +510,16 @@ pub fn run_serve_node(
                         reject(&net, src, session, reason);
                         t.closed = true;
                         t.session.close();
+                        touched.push(key);
                     }
                 }
                 NetMsg::CloseSession { session } => {
-                    if let Some(t) = tenants.get_mut(&(src, session)) {
+                    let key = (src, session);
+                    if let Some(t) = tenants.get_mut(&key) {
                         t.last_activity = Instant::now();
                         t.closed = true;
                         t.session.close();
+                        touched.push(key);
                     }
                 }
                 NetMsg::Finish => {
@@ -399,126 +532,89 @@ pub fn run_serve_node(
             }
         }
 
-        // --- per-tenant service: outputs, credits, stats, collection
-        let mut done: Vec<(NodeId, u64)> = Vec::new();
-        for (key, t) in tenants.iter_mut() {
-            // Deliver completed frames and extend the cumulative grant.
-            while let Some(out) = t.session.poll_output() {
-                t.delivered += 1;
-                if out.payload.is_none() {
-                    t.dropped += 1;
-                }
-                let _ = net.send_with_retry(
-                    MASTER_NODE,
-                    t.client,
-                    NetMsg::Output {
-                        session: t.id,
-                        age: out.age,
-                        payload: out.payload,
-                    },
-                    &cfg.retry,
-                );
+        // --- the tenants with something to do: outputs, credit, collection
+        touched.append(&mut rang.lock());
+        touched.sort_unstable();
+        touched.dedup();
+        let now = Instant::now();
+        let mut done: Vec<TenantKey> = Vec::new();
+        for key in touched.drain(..) {
+            let Some(t) = tenants.get_mut(&key) else { continue };
+            t.deliver(&net, &cfg.retry);
+            if t.finished(now) {
+                done.push(key);
             }
-            let grant = t.delivered + t.window;
-            if grant > t.granted && !t.closed {
-                t.granted = grant;
-                let _ = net.send_with_retry(
-                    MASTER_NODE,
-                    t.client,
-                    NetMsg::Credit {
-                        session: t.id,
-                        granted: grant,
-                    },
-                    &cfg.retry,
-                );
-            }
-            if t.last_stats.elapsed() >= cfg.stats_interval {
-                t.last_stats = Instant::now();
-                let m = t.session.metrics();
-                let _ = net.send_with_retry(
-                    MASTER_NODE,
-                    t.client,
-                    NetMsg::SessionStats {
-                        session: t.id,
-                        submitted: m.frames_submitted,
-                        completed: m.frames_completed,
-                        dropped: m.frames_dropped,
-                        in_flight: m.in_flight,
-                        fps_milli: m.fps_milli,
-                        p50_latency_us: m.p50_latency_ns / 1_000,
-                        p95_latency_us: m.p95_latency_ns / 1_000,
-                        resident_ages: m.resident_ages,
-                        resident_bytes: m.resident_bytes,
-                    },
-                    &cfg.retry,
-                );
-            }
-            let orphaned = !net.node_alive(t.client)
-                || (t.last_activity.elapsed() > cfg.orphan_timeout
-                    && t.session.in_flight() == 0
-                    && !t.closed);
-            let drained = t.closed && t.session.in_flight() == 0;
-            if orphaned || drained || t.session.has_failed() {
-                if orphaned && !drained {
+        }
+
+        // --- every tenant, on the sweep's own due-time: the stats push
+        // (which is the liveness probe) and the checks no event announces.
+        if now.duration_since(last_sweep) >= cfg.stats_interval {
+            last_sweep = now;
+            for (key, t) in tenants.iter_mut() {
+                t.push_stats(&net, &cfg.retry);
+                let orphaned = !net.node_alive(t.client)
+                    || (t.last_activity.elapsed() > cfg.orphan_timeout
+                        && t.session.in_flight() == 0
+                        && !t.closed);
+                if orphaned && !t.drained() && t.drain_due.is_none() {
+                    // Close and count it now; its in-flight frames drain
+                    // while the loop goes on serving everyone else.
                     outcome.orphans_collected += 1;
+                    t.closed = true;
+                    t.session.close();
+                    t.drain_due = Some(now + DRAIN_TIMEOUT);
                 }
-                done.push(*key);
+                if t.finished(now) {
+                    done.push(*key);
+                }
             }
         }
         for key in done {
-            let Some(t) = tenants.remove(&key) else { continue };
-            collect_tenant(t, &net, &cfg.retry, &mut outcome);
+            if let Some(t) = tenants.remove(&key) {
+                collect_tenant(t, &net, &cfg.retry, Duration::ZERO, &mut outcome);
+            }
         }
     }
 
     // Admin shutdown (or deadline): finish every remaining session.
     for (_, t) in tenants.drain() {
-        collect_tenant(t, &net, &cfg.retry, &mut outcome);
+        collect_tenant(t, &net, &cfg.retry, DRAIN_TIMEOUT, &mut outcome);
     }
     runtime.shutdown();
     net.shutdown();
     eprintln!(
-        "p2g-serve: done ({} opened, {} rejected, {} frames, {} orphans collected)",
+        "p2g-serve: done ({} opened, {} rejected, {} frames, {} orphans collected; \
+         woken {} times by events, {} by the clock)",
         outcome.sessions_opened,
         outcome.sessions_rejected,
         outcome.frames_completed,
-        outcome.orphans_collected
+        outcome.orphans_collected,
+        outcome.wakeups,
+        outcome.timer_wakeups
     );
     Ok(outcome)
 }
 
-/// Drain, finish and account one tenant (normal close, orphan or admin
-/// shutdown). Failures to finish are logged, never escalated — one broken
-/// session must not take the serve loop down.
+/// Finish and account one tenant (normal close, orphan or admin
+/// shutdown), giving frames still in flight `drain` to complete. Inside
+/// the loop `drain` is zero — a tenant is collected there only once it
+/// has drained or outlived its drain deadline. Failures to finish are
+/// logged, never escalated — one broken session must not take the serve
+/// loop down.
 fn collect_tenant(
     mut t: Tenant,
-    net: &Arc<TcpNet>,
+    net: &TcpNet,
     retry: &RetryConfig,
+    drain: Duration,
     outcome: &mut ServeOutcome,
 ) {
+    t.closed = true;
     t.session.close();
     // Ship anything that completed between the last poll and now.
-    while let Some(out) = t.session.poll_output() {
-        t.delivered += 1;
-        if out.payload.is_none() {
-            t.dropped += 1;
-        }
-        if net.node_alive(t.client) {
-            let _ = net.send_with_retry(
-                MASTER_NODE,
-                t.client,
-                NetMsg::Output {
-                    session: t.id,
-                    age: out.age,
-                    payload: out.payload,
-                },
-                retry,
-            );
-        }
-    }
+    t.deliver(net, retry);
     let client = t.client.0;
     let id = t.id;
-    match t.session.finish(Duration::from_millis(500)) {
+    match t.session.finish(drain) {
         Ok(report) => {
             outcome.frames_completed += report.frames_completed;
             outcome.frames_dropped += report.frames_dropped;
@@ -585,21 +681,103 @@ struct SessionSlot {
 
 struct ClientState {
     sessions: HashMap<u64, SessionSlot>,
+    /// The endpoint has shut down: nothing more will be filed.
+    down: bool,
 }
 
-/// Client endpoint to one serve node: owns the TCP endpoint and demuxes
-/// per-session traffic. One `ServeClient` serves any number of
-/// [`RemoteSession`]s, from any number of threads.
+/// What the demultiplexer thread and the callers share. The thread holds
+/// this and the endpoint, never the [`ServeClient`], so dropping the last
+/// client handle is what ends it.
+struct ClientShared {
+    state: Mutex<ClientState>,
+    /// Signalled after every change to `state`; callers wait on it with
+    /// the `state` lock held, so a change between their check and their
+    /// wait cannot be missed.
+    changed: Condvar,
+}
+
+/// Client endpoint to one serve node: owns the TCP endpoint and one
+/// demultiplexer thread that files inbound traffic into per-session
+/// slots. One `ServeClient` serves any number of [`RemoteSession`]s, from
+/// any number of threads.
 pub struct ServeClient {
     net: Arc<TcpNet>,
     me: NodeId,
     retry: RetryConfig,
     next_session: AtomicU64,
-    state: Mutex<ClientState>,
-    wake: Condvar,
-    /// Serializes the inbox drain so exactly one thread pumps at a time
-    /// (others wait on `wake`).
-    pump_lock: Mutex<()>,
+    shared: Arc<ClientShared>,
+    demux: Mutex<Option<JoinHandle<()>>>,
+}
+
+/// The demultiplexer: block on the endpoint's inbox, file each message
+/// into its session's slot, tell the waiters. Ends when the endpoint does.
+fn demux(net: Arc<TcpNet>, me: NodeId, shared: Arc<ClientShared>) {
+    while let Some((_, msg)) = net.recv_timeout(me, Duration::MAX) {
+        let mut g = shared.state.lock();
+        match msg {
+            NetMsg::SessionOpened { session, credits } => {
+                if let Some(s) = g.sessions.get_mut(&session) {
+                    s.opened = true;
+                    s.granted = s.granted.max(credits);
+                }
+            }
+            NetMsg::SessionRejected { session, reason } => {
+                if let Some(s) = g.sessions.get_mut(&session) {
+                    s.rejected = Some(reason);
+                }
+            }
+            NetMsg::Credit { session, granted } => {
+                if let Some(s) = g.sessions.get_mut(&session) {
+                    s.granted = s.granted.max(granted);
+                }
+            }
+            NetMsg::Output {
+                session,
+                age,
+                payload,
+            } => {
+                if let Some(s) = g.sessions.get_mut(&session) {
+                    if age >= s.next_output {
+                        s.next_output = age + 1;
+                        s.outputs.push_back(RemoteOutput { age, payload });
+                    }
+                }
+            }
+            NetMsg::SessionStats {
+                session,
+                submitted,
+                completed,
+                dropped,
+                in_flight,
+                fps_milli,
+                p50_latency_us,
+                p95_latency_us,
+                resident_ages,
+                resident_bytes,
+            } => {
+                if let Some(s) = g.sessions.get_mut(&session) {
+                    s.stats = Some(RemoteStats {
+                        submitted,
+                        completed,
+                        dropped,
+                        in_flight,
+                        fps_milli,
+                        p50_latency_us,
+                        p95_latency_us,
+                        resident_ages,
+                        resident_bytes,
+                    });
+                }
+            }
+            // Handshake Hellos from server reconnects, and anything
+            // outside the serving protocol, are noise here.
+            _ => continue,
+        }
+        drop(g);
+        shared.changed.notify_all();
+    }
+    shared.state.lock().down = true;
+    shared.changed.notify_all();
 }
 
 impl ServeClient {
@@ -630,16 +808,27 @@ impl ServeClient {
         ) {
             return Err(RuntimeError::Net(format!("cannot reach serve node at {server}")));
         }
+        let shared = Arc::new(ClientShared {
+            state: Mutex::new(ClientState {
+                sessions: HashMap::new(),
+                down: false,
+            }),
+            changed: Condvar::new(),
+        });
+        let demux = {
+            let (net, shared) = (net.clone(), shared.clone());
+            std::thread::Builder::new()
+                .name(format!("p2g-serve-demux-{}", me.0))
+                .spawn(move || demux(net, me, shared))
+                .map_err(|e| net_err("client demux thread", e))?
+        };
         Ok(Arc::new(ServeClient {
             net,
             me,
             retry,
             next_session: AtomicU64::new(1),
-            state: Mutex::new(ClientState {
-                sessions: HashMap::new(),
-            }),
-            wake: Condvar::new(),
-            pump_lock: Mutex::new(()),
+            shared,
+            demux: Mutex::new(Some(demux)),
         }))
     }
 
@@ -653,7 +842,8 @@ impl ServeClient {
         timeout: Duration,
     ) -> Result<RemoteSession, RuntimeError> {
         let session = self.next_session.fetch_add(1, Ordering::Relaxed);
-        self.state
+        self.shared
+            .state
             .lock()
             .sessions
             .insert(session, SessionSlot::default());
@@ -671,30 +861,14 @@ impl ServeClient {
         ) {
             return Err(RuntimeError::Net("serve node unreachable".into()));
         }
-        let deadline = Instant::now() + timeout;
-        loop {
-            {
-                let g = self.state.lock();
-                let Some(slot) = g.sessions.get(&session) else {
-                    return Err(RuntimeError::Net("session slot vanished".into()));
-                };
-                if let Some(reason) = &slot.rejected {
-                    return Err(RuntimeError::Net(format!("session rejected: {reason}")));
-                }
-                if slot.opened {
-                    return Ok(RemoteSession {
-                        client: self.clone(),
-                        session,
-                    });
-                }
-            }
-            if Instant::now() >= deadline {
-                return Err(RuntimeError::Net(format!(
-                    "no open acknowledgement within {timeout:?}"
-                )));
-            }
-            self.pump(Duration::from_millis(5));
-        }
+        self.await_slot(session, timeout, |slot| slot.opened.then_some(()))?
+            .ok_or_else(|| {
+                RuntimeError::Net(format!("no open acknowledgement within {timeout:?}"))
+            })?;
+        Ok(RemoteSession {
+            client: self.clone(),
+            session,
+        })
     }
 
     /// Ask the serve node to shut down (admin; the node finishes every
@@ -703,102 +877,61 @@ impl ServeClient {
         let _ = self
             .net
             .send_with_retry(self.me, MASTER_NODE, NetMsg::Finish, &self.retry);
-        self.net.flush(MASTER_NODE, Duration::from_secs(5));
+        self.net.flush(MASTER_NODE, FLUSH_TIMEOUT);
     }
 
-    /// Tear down the client endpoint.
+    /// Tear down the client endpoint (and with it the demultiplexer;
+    /// blocked callers return an error). What was sent leaves first — a
+    /// `CloseSession` still queued when the endpoint went down would turn
+    /// a finished session into an orphan. Idempotent; also runs on drop.
     pub fn close(&self) {
+        self.net.flush(MASTER_NODE, FLUSH_TIMEOUT);
         self.net.shutdown();
+        if let Some(demux) = self.demux.lock().take() {
+            // It only files messages; a panic there has nothing to add
+            // to the errors the callers already get from `down`.
+            let _ = demux.join();
+        }
     }
 
-    /// Drain the inbox into per-session slots for up to `wait`. One
-    /// thread pumps at a time; concurrent callers block briefly on the
-    /// pump lock (state updates wake them via the condvar).
-    fn pump(&self, wait: Duration) {
-        let Some(_guard) = self.pump_lock.try_lock() else {
-            // Someone else is pumping; wait for their updates instead.
-            let mut g = self.state.lock();
-            self.wake.wait_for(&mut g, wait);
-            return;
-        };
-        let deadline = Instant::now() + wait;
+    /// Wait, for up to `timeout`, until `take` finds what the caller
+    /// wants in `session`'s slot. `take` runs under the lock the
+    /// demultiplexer files under, and the wait releases that same lock,
+    /// so no change slips between the check and the sleep. `Ok(None)` is
+    /// the timeout; a zero timeout is one look at the slot.
+    fn await_slot<T>(
+        &self,
+        session: u64,
+        timeout: Duration,
+        mut take: impl FnMut(&mut SessionSlot) -> Option<T>,
+    ) -> Result<Option<T>, RuntimeError> {
+        let deadline = Instant::now() + timeout;
+        let mut g = self.shared.state.lock();
         loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            let Some((_, msg)) = self
-                .net
-                .recv_timeout(self.me, left.min(Duration::from_millis(5)))
-            else {
-                if Instant::now() >= deadline {
-                    return;
-                }
-                continue;
+            let down = g.down;
+            let Some(slot) = g.sessions.get_mut(&session) else {
+                return Err(RuntimeError::Net("session slot vanished".into()));
             };
-            let mut g = self.state.lock();
-            match msg {
-                NetMsg::SessionOpened { session, credits } => {
-                    if let Some(s) = g.sessions.get_mut(&session) {
-                        s.opened = true;
-                        s.granted = s.granted.max(credits);
-                    }
-                }
-                NetMsg::SessionRejected { session, reason } => {
-                    if let Some(s) = g.sessions.get_mut(&session) {
-                        s.rejected = Some(reason);
-                    }
-                }
-                NetMsg::Credit { session, granted } => {
-                    if let Some(s) = g.sessions.get_mut(&session) {
-                        s.granted = s.granted.max(granted);
-                    }
-                }
-                NetMsg::Output {
-                    session,
-                    age,
-                    payload,
-                } => {
-                    if let Some(s) = g.sessions.get_mut(&session) {
-                        if age >= s.next_output {
-                            s.next_output = age + 1;
-                            s.outputs.push_back(RemoteOutput { age, payload });
-                        }
-                    }
-                }
-                NetMsg::SessionStats {
-                    session,
-                    submitted,
-                    completed,
-                    dropped,
-                    in_flight,
-                    fps_milli,
-                    p50_latency_us,
-                    p95_latency_us,
-                    resident_ages,
-                    resident_bytes,
-                } => {
-                    if let Some(s) = g.sessions.get_mut(&session) {
-                        s.stats = Some(RemoteStats {
-                            submitted,
-                            completed,
-                            dropped,
-                            in_flight,
-                            fps_milli,
-                            p50_latency_us,
-                            p95_latency_us,
-                            resident_ages,
-                            resident_bytes,
-                        });
-                    }
-                }
-                // Handshake Hellos from server reconnects, and anything
-                // outside the serving protocol, are noise here.
-                _ => {}
+            if let Some(found) = take(slot) {
+                return Ok(Some(found));
             }
-            drop(g);
-            self.wake.notify_all();
+            if let Some(reason) = &slot.rejected {
+                return Err(RuntimeError::Net(format!("session rejected: {reason}")));
+            }
+            if down {
+                return Err(RuntimeError::Net("client endpoint closed".into()));
+            }
             if Instant::now() >= deadline {
-                return;
+                return Ok(None);
             }
+            self.shared.changed.wait_until(&mut g, deadline);
         }
+    }
+}
+
+impl Drop for ServeClient {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -819,27 +952,16 @@ impl RemoteSession {
     /// server's cumulative grant is exhausted — the remote face of the
     /// in-process admission window. Returns the frame's age.
     pub fn submit(&self, payload: Vec<u8>, timeout: Duration) -> Result<u64, RuntimeError> {
-        let deadline = Instant::now() + timeout;
-        let age = loop {
-            {
-                let mut g = self.client.state.lock();
-                let Some(slot) = g.sessions.get_mut(&self.session) else {
-                    return Err(RuntimeError::Net("session slot vanished".into()));
-                };
-                if let Some(reason) = &slot.rejected {
-                    return Err(RuntimeError::Net(format!("session rejected: {reason}")));
-                }
-                if slot.submitted < slot.granted {
-                    let age = slot.submitted;
+        let age = self
+            .client
+            .await_slot(self.session, timeout, |slot| {
+                // A rejected session takes no more frames, credit or not.
+                (slot.rejected.is_none() && slot.submitted < slot.granted).then(|| {
                     slot.submitted += 1;
-                    break age;
-                }
-            }
-            if Instant::now() >= deadline {
-                return Err(RuntimeError::Net(format!("no credit within {timeout:?}")));
-            }
-            self.client.pump(Duration::from_millis(5));
-        };
+                    slot.submitted - 1
+                })
+            })?
+            .ok_or_else(|| RuntimeError::Net(format!("no credit within {timeout:?}")))?;
         if !self.client.net.send_with_retry(
             self.client.me,
             MASTER_NODE,
@@ -856,34 +978,17 @@ impl RemoteSession {
     }
 
     /// Next completed frame, blocking up to `timeout`. `Ok(None)` on
-    /// timeout; `Err` once the server rejected the session.
+    /// timeout; `Err` once the server rejected the session (after the
+    /// outputs that preceded the rejection have been handed over).
     pub fn recv(&self, timeout: Duration) -> Result<Option<RemoteOutput>, RuntimeError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            {
-                let mut g = self.client.state.lock();
-                let Some(slot) = g.sessions.get_mut(&self.session) else {
-                    return Err(RuntimeError::Net("session slot vanished".into()));
-                };
-                if let Some(out) = slot.outputs.pop_front() {
-                    return Ok(Some(out));
-                }
-                if let Some(reason) = &slot.rejected {
-                    return Err(RuntimeError::Net(format!("session rejected: {reason}")));
-                }
-            }
-            if Instant::now() >= deadline {
-                return Ok(None);
-            }
-            self.client.pump(Duration::from_millis(5));
-        }
+        self.client
+            .await_slot(self.session, timeout, |slot| slot.outputs.pop_front())
     }
 
-    /// The most recent stats push from the server, if any (pumps the
-    /// inbox briefly to pick up a pending one).
+    /// The most recent stats push from the server, if any.
     pub fn stats(&self) -> Option<RemoteStats> {
-        self.client.pump(Duration::from_millis(1));
         self.client
+            .shared
             .state
             .lock()
             .sessions
@@ -894,6 +999,7 @@ impl RemoteSession {
     /// True once the server rejected (and closed) this session.
     pub fn is_rejected(&self) -> bool {
         self.client
+            .shared
             .state
             .lock()
             .sessions

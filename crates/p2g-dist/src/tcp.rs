@@ -179,8 +179,14 @@ impl PeerHandle {
     }
 }
 
+struct InboxState {
+    queue: VecDeque<(NodeId, NetMsg)>,
+    /// Set by [`Waker::kick`], cleared by the `recv_timeout` it ends.
+    kicked: bool,
+}
+
 struct Inbox {
-    queue: Mutex<VecDeque<(NodeId, NetMsg)>>,
+    state: Mutex<InboxState>,
     ready: Condvar,
 }
 
@@ -200,10 +206,30 @@ struct Shared {
 
 impl Shared {
     fn push_inbox(&self, src: NodeId, msg: NetMsg) {
-        let mut q = self.inbox.queue.lock();
-        q.push_back((src, msg));
+        let mut q = self.inbox.state.lock();
+        q.queue.push_back((src, msg));
         drop(q);
         self.inbox.ready.notify_one();
+    }
+}
+
+/// Ends the endpoint owner's sleep in `recv_timeout` without a message:
+/// how an event that is not network traffic (a session completing a
+/// frame) reaches a loop whose one wait is its inbox. Cheap to clone.
+#[derive(Clone)]
+pub struct Waker {
+    shared: Arc<Shared>,
+}
+
+impl Waker {
+    /// Make the current — or, if none is waiting, the next — empty-inbox
+    /// `recv_timeout` on this endpoint return `None` at once. Queued
+    /// messages are still handed out first. The flag is set under the
+    /// inbox mutex the receiver checks it with, so a kick between that
+    /// check and the wait cannot be lost.
+    pub fn kick(&self) {
+        self.shared.inbox.state.lock().kicked = true;
+        self.shared.inbox.ready.notify_one();
     }
 }
 
@@ -250,7 +276,10 @@ impl TcpNet {
             port,
             retry,
             inbox: Inbox {
-                queue: Mutex::new(VecDeque::new()),
+                state: Mutex::new(InboxState {
+                    queue: VecDeque::new(),
+                    kicked: false,
+                }),
                 ready: Condvar::new(),
             },
             peers: Mutex::new(HashMap::new()),
@@ -273,6 +302,13 @@ impl TcpNet {
     /// This endpoint's node id.
     pub fn me(&self) -> NodeId {
         self.shared.me
+    }
+
+    /// A handle that wakes this endpoint's receiver; see [`Waker::kick`].
+    pub fn waker(&self) -> Waker {
+        Waker {
+            shared: self.shared.clone(),
+        }
     }
 
     /// Register (or update) a peer's address. Sends to unregistered peers
@@ -344,6 +380,9 @@ fn shutdown_shared(shared: &Shared) {
     // Wake the accept thread (blocked in `accept`) with a throwaway
     // connection; it observes the flag and exits.
     let _ = TcpStream::connect(("127.0.0.1", shared.port));
+    // Under the inbox mutex: a receiver that read the flag as clear is
+    // either still holding it or already waiting, so it hears this.
+    let _inbox = shared.inbox.state.lock();
     shared.inbox.ready.notify_all();
 }
 
@@ -754,26 +793,35 @@ fn endpoint_recv(shared: &Shared, dst: NodeId, timeout: Duration) -> Option<(Nod
     if dst != shared.me {
         return None;
     }
-    let deadline = Instant::now() + timeout;
-    let mut q = shared.inbox.queue.lock();
+    // A timeout too large to be a point in time (`Duration::MAX`) is a
+    // wait without a deadline: only a message, a kick or the endpoint's
+    // end returns.
+    let deadline = Instant::now().checked_add(timeout);
+    let mut q = shared.inbox.state.lock();
     loop {
-        if let Some(item) = q.pop_front() {
+        if let Some(item) = q.queue.pop_front() {
             return Some(item);
         }
-        if shared.shutdown.load(Ordering::SeqCst)
+        if std::mem::take(&mut q.kicked)
+            || shared.shutdown.load(Ordering::SeqCst)
             || shared.counters.is_dead(shared.me)
-            || Instant::now() >= deadline
         {
             return None;
         }
-        shared.inbox.ready.wait_until(&mut q, deadline);
+        match deadline {
+            Some(deadline) if Instant::now() >= deadline => return None,
+            Some(deadline) => {
+                shared.inbox.ready.wait_until(&mut q, deadline);
+            }
+            None => shared.inbox.ready.wait(&mut q),
+        }
     }
 }
 
 fn endpoint_disconnect(shared: &Shared, node: NodeId) {
     shared.counters.mark_dead(node);
     if node == shared.me {
-        shared.inbox.queue.lock().clear();
+        shared.inbox.state.lock().queue.clear();
         shared.inbox.ready.notify_all();
     }
     if let Some(peer) = shared.peers.lock().get(&node) {
@@ -931,7 +979,7 @@ impl Transport for TcpMesh {
     fn disconnect(&self, node: NodeId) {
         self.counters.mark_dead(node);
         if let Some(ep) = self.endpoints.get(&node) {
-            ep.shared.inbox.queue.lock().clear();
+            ep.shared.inbox.state.lock().queue.clear();
             ep.shared.inbox.ready.notify_all();
         }
         // Close every endpoint's supervisor for the dead peer so queued

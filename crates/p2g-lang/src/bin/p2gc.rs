@@ -23,7 +23,7 @@
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use p2g_dist::{
     run_master, run_node, run_serve_node, NodeConfig, ProtocolConfig, RetryConfig, ServeClient,
@@ -456,42 +456,56 @@ fn cmd_submit(args: &[String]) -> ExitCode {
     };
 
     let video = SyntheticVideo::new(width, height, frames, seed);
-    let mut stream = Vec::new();
-    let (mut received, mut dropped) = (0u64, 0u64);
-    fn take(
-        out: p2g_dist::RemoteOutput,
-        stream: &mut Vec<u8>,
-        received: &mut u64,
-        dropped: &mut u64,
-    ) {
-        *received += 1;
-        match out.payload {
-            Some(bytes) => stream.extend_from_slice(&bytes),
-            None => *dropped += 1,
+    /// What `submit` has back from the node so far.
+    #[derive(Default)]
+    struct Received {
+        stream: Vec<u8>,
+        frames: u64,
+        dropped: u64,
+        /// Submit-call start → `recv` return, per frame, in ms.
+        latency_ms: Vec<f64>,
+    }
+    impl Received {
+        fn take(&mut self, out: p2g_dist::RemoteOutput, submitted_at: &[Instant]) {
+            self.frames += 1;
+            if let Some(t0) = submitted_at.get(out.age as usize) {
+                self.latency_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+            }
+            match out.payload {
+                Some(bytes) => self.stream.extend_from_slice(&bytes),
+                None => self.dropped += 1,
+            }
         }
     }
+    let mut got = Received::default();
+    // Indexed by age: when the frame's submit call began.
+    let mut submitted_at: Vec<Instant> = Vec::new();
     for n in 0..frames {
         let Some(frame) = video.frame(n) else { break };
+        let tick = Instant::now();
+        submitted_at.push(tick);
         if let Err(e) = session.submit(pack_i420(&frame), Duration::from_secs(30)) {
             eprintln!("p2gc: submit: frame {n}: {e}");
             client.close();
             return ExitCode::FAILURE;
         }
         eprintln!("p2gc-submit: frame {n} submitted");
-        // Opportunistic drain keeps outputs flowing during the stream.
-        while let Ok(Some(out)) = session.recv(Duration::ZERO) {
-            take(out, &mut stream, &mut received, &mut dropped);
-        }
-        if !cadence.is_zero() {
-            std::thread::sleep(cadence);
+        // Wait out the cadence receiving, not sleeping: an output is taken
+        // when it arrives, so the latency below is delivery time. With no
+        // cadence this takes what has already arrived and moves on.
+        while let Ok(Some(out)) = session.recv(cadence.saturating_sub(tick.elapsed())) {
+            got.take(out, &submitted_at);
         }
     }
     session.close();
-    while received < frames {
+    while got.frames < frames {
         match session.recv(Duration::from_secs(30)) {
-            Ok(Some(out)) => take(out, &mut stream, &mut received, &mut dropped),
+            Ok(Some(out)) => got.take(out, &submitted_at),
             Ok(None) => {
-                eprintln!("p2gc: submit: timed out after {received}/{frames} outputs");
+                eprintln!(
+                    "p2gc: submit: timed out after {}/{frames} outputs",
+                    got.frames
+                );
                 client.close();
                 return ExitCode::FAILURE;
             }
@@ -508,25 +522,38 @@ fn cmd_submit(args: &[String]) -> ExitCode {
             stats.completed, stats.dropped, stats.fps_milli, stats.p95_latency_us
         );
     }
+    got.latency_ms.sort_by(f64::total_cmp);
+    if let Some(last) = got.latency_ms.len().checked_sub(1) {
+        let at = |q: f64| got.latency_ms[(last as f64 * q) as usize];
+        eprintln!(
+            "p2gc-submit: client latency p50 {:.3} ms p95 {:.3} ms over {} frames",
+            at(0.50),
+            at(0.95),
+            got.latency_ms.len()
+        );
+    }
     if has_flag(args, "--shutdown-server") {
         client.shutdown_server();
     }
     client.close();
     if let Some(path) = out_path {
-        if let Err(e) = std::fs::write(&path, &stream) {
+        if let Err(e) = std::fs::write(&path, &got.stream) {
             eprintln!("p2gc: submit: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
     }
     // FNV-1a digest so tests can compare streams without shipping bytes.
-    let digest = stream
+    let digest = got
+        .stream
         .iter()
         .fold(0xcbf29ce484222325u64, |h, &b| {
             (h ^ b as u64).wrapping_mul(0x100000001b3)
         });
     println!(
-        "submit: {received} frames ({dropped} dropped), {} bytes, digest {digest:016x}",
-        stream.len()
+        "submit: {} frames ({} dropped), {} bytes, digest {digest:016x}",
+        got.frames,
+        got.dropped,
+        got.stream.len()
     );
     ExitCode::SUCCESS
 }

@@ -234,6 +234,21 @@ fn remote_session_is_bit_identical_to_standalone() {
         oracle(6, 11),
         "remote stream must be bit-identical to encode_standalone"
     );
+    // The client reports the latency it saw: `p2gc-submit: client
+    // latency p50 X ms p95 Y ms over N frames`. Present and well-formed
+    // is the bar here; the values belong to the benchmark.
+    let log = client.stderr();
+    let line = log
+        .lines()
+        .find_map(|l| l.strip_prefix("p2gc-submit: client latency "))
+        .unwrap_or_else(|| panic!("no client latency line in:\n{log}"));
+    let words: Vec<&str> = line.split_whitespace().collect();
+    let [ "p50", p50, "ms", "p95", p95, "ms", "over", n, "frames" ] = words[..] else {
+        panic!("malformed client latency line: {line:?}");
+    };
+    let (p50, p95): (f64, f64) = (p50.parse().expect("p50"), p95.parse().expect("p95"));
+    assert!(0.0 < p50 && p50 <= p95, "implausible latencies in {line:?}");
+    assert_eq!(n.parse::<u64>().expect("frame count"), 6);
     let summary = node.stdout();
     assert!(
         summary.contains("serve-node: 1 sessions, 0 rejected, 6 frames (0 dropped), 0 orphans"),

@@ -109,6 +109,12 @@ pub struct SessionConfig {
     /// Per-session QoS on the shared pool: priority class + fair-share
     /// weight. `None` keeps the neutral default rank (pure age ordering).
     pub qos: Option<Qos>,
+    /// Called (on the analyzer thread, after the output is queued and the
+    /// session's own waiters are signalled) each time a frame completes.
+    /// For a host that multiplexes many sessions on one wait — the serve
+    /// loop — so it can sleep on its own event source instead of polling
+    /// [`Session::poll_output`]. Must be quick and must not block.
+    pub on_output: Option<Arc<dyn Fn() + Send + Sync>>,
 }
 
 impl SessionConfig {
@@ -125,6 +131,7 @@ impl SessionConfig {
             batch_exec: false,
             adaptive: None,
             qos: None,
+            on_output: None,
         }
     }
 
@@ -175,6 +182,12 @@ impl SessionConfig {
     /// Rank this session's pool work with a QoS class and weight.
     pub fn with_qos(mut self, qos: Qos) -> SessionConfig {
         self.qos = Some(qos);
+        self
+    }
+
+    /// Ring `hook` whenever a frame of this session completes.
+    pub fn on_output(mut self, hook: Arc<dyn Fn() + Send + Sync>) -> SessionConfig {
+        self.on_output = Some(hook);
         self
     }
 }
@@ -562,6 +575,7 @@ impl SessionRuntime {
         });
         let watch_shared = shared.clone();
         let sink = config.sink.clone();
+        let on_output = config.on_output.clone();
         let watch = Arc::new(move |age: u64, poisoned: bool| {
             // Analyzer thread. The terminal kernel is ordered and its sink
             // push happens-before its UnitDone, so the staged bytes (when
@@ -592,6 +606,9 @@ impl SessionRuntime {
             drop(g);
             watch_shared.submit_cv.notify_all();
             watch_shared.output_cv.notify_all();
+            if let Some(hook) = &on_output {
+                hook();
+            }
         });
         let mut limits = RunLimits::streaming(config.gc_window).with_shards(config.shards);
         if config.trace {

@@ -93,7 +93,7 @@ fn run_storm(n: usize, k: usize, ages: u64, tracer: Option<&Tracer>, batch: usiz
             .collect(),
     );
     // `--batch B` chunks runnable instances into B-instance dispatch
-    // units, the shape the batched execution path consumes.
+    // units, the shape the executor runs as one work unit.
     let mut options = vec![p2g_core::runtime::KernelOptions::default(); spec.kernels.len()];
     for o in &mut options {
         o.chunk_size = batch.max(1);

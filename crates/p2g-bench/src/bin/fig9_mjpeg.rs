@@ -11,10 +11,9 @@
 //! `cargo run -p p2g-bench --bin fig9_mjpeg --release -- --frames 50 --iters 10 --max-threads 8`
 //!
 //! `--fast-dct` switches the DCT bodies to the SIMD AAN path,
-//! `--dct-chunk N` chunks DCT instances, `--batch` executes
-//! multi-instance units as one batched work unit, and `--adaptive` lets
-//! the runtime adapt chunk sizes online — together the "after"
-//! configuration of the kernel-body optimisation.
+//! `--dct-chunk N` chunks DCT instances and `--adaptive` lets the
+//! runtime adapt chunk sizes online — together the "after" configuration
+//! of the kernel-body optimisation.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,7 +29,6 @@ fn main() {
     let quality: u8 = arg("--quality", 75);
     let fast_dct = has_flag("--fast-dct");
     let dct_chunk: usize = arg("--dct-chunk", 1);
-    let batch = has_flag("--batch");
     let adaptive = has_flag("--adaptive");
 
     let mut out = String::new();
@@ -38,7 +36,7 @@ fn main() {
     out.push_str("==================================================\n");
     out.push_str(&format!(
         "synthetic Foreman-like CIF (352x288), {frames} frames, quality {quality}, \
-         {} DCT, chunk {dct_chunk}, batch {batch}, adaptive {adaptive}\n",
+         {} DCT, chunk {dct_chunk}, adaptive {adaptive}\n",
         if fast_dct { "SIMD AAN" } else { "naive" },
     ));
     out.push_str(&format!(
@@ -74,9 +72,6 @@ fn main() {
         let mut limits = RunLimits::ages(frames + 1).with_gc_window(4);
         if has_flag("--trace") {
             limits = limits.with_trace();
-        }
-        if batch {
-            limits = limits.with_batch_exec();
         }
         if adaptive {
             limits = limits.with_adaptive(AdaptiveGranularity::default());

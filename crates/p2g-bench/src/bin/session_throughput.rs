@@ -13,10 +13,9 @@
 //! `cargo run -p p2g-bench --bin session_throughput --release -- \
 //!    [--sessions 8] [--frames 1000] [--width 64] [--height 64] \
 //!    [--workers N] [--in-flight 8] [--gc-window 8] [--quick] \
-//!    [--batch] [--adaptive] [--label after] [--out BENCH_sessions.json]`
+//!    [--adaptive] [--label after] [--out BENCH_sessions.json]`
 //!
-//! `--batch` executes multi-instance dispatch units as one batched work
-//! unit; `--adaptive` turns on online chunk-size adaptation.
+//! `--adaptive` turns on online chunk-size adaptation.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -35,7 +34,6 @@ struct SessionStats {
     peak_resident_bytes: usize,
     peak_live_ages: u64,
     gc_ages_collected: u64,
-    batched_instances: u64,
     granularity_changes: u64,
     /// Submit→output latency per frame, nanoseconds.
     lat_ns: Vec<u64>,
@@ -52,7 +50,6 @@ fn run_session(
     height: usize,
     in_flight: usize,
     gc_window: u64,
-    batch: bool,
     adaptive: bool,
 ) -> SessionStats {
     let src = SyntheticVideo::new(width, height, frames, seed);
@@ -68,9 +65,6 @@ fn run_session(
         .sink(sink)
         .max_in_flight(in_flight)
         .gc_window(gc_window);
-    if batch {
-        session_config = session_config.with_batch_exec();
-    }
     if adaptive {
         session_config = session_config.with_adaptive(AdaptiveGranularity::default());
     }
@@ -141,7 +135,6 @@ fn run_session(
         peak_resident_bytes,
         peak_live_ages: ins.peak_live_ages(),
         gc_ages_collected: ins.gc_ages_collected(),
-        batched_instances: ins.batched_instances(),
         granularity_changes: ins.granularity_changes(),
         lat_ns,
         kernel_lat,
@@ -157,14 +150,13 @@ fn main() {
     let workers: usize = arg("--workers", logical_cpus());
     let in_flight: usize = arg("--in-flight", 8);
     let gc_window: u64 = arg("--gc-window", 8);
-    let batch = has_flag("--batch");
     let adaptive = has_flag("--adaptive");
     let label: String = arg("--label", "after".to_string());
     let out: String = arg("--out", "BENCH_sessions.json".to_string());
 
     eprintln!(
         "session_throughput: {sessions} sessions x {frames} frames ({width}x{height}) \
-         on {workers} workers, window {in_flight}, gc {gc_window}, batch {batch}, \
+         on {workers} workers, window {in_flight}, gc {gc_window}, \
          adaptive {adaptive}"
     );
     eprintln!("{}", hwinfo());
@@ -184,7 +176,6 @@ fn main() {
                         height,
                         in_flight,
                         gc_window,
-                        batch,
                         adaptive,
                     )
                 })
@@ -205,7 +196,6 @@ fn main() {
         .unwrap_or(0);
     let peak_live_ages = stats.iter().map(|s| s.peak_live_ages).max().unwrap_or(0);
     let gc_collected: u64 = stats.iter().map(|s| s.gc_ages_collected).sum();
-    let batched_instances: u64 = stats.iter().map(|s| s.batched_instances).sum();
     let granularity_changes: u64 = stats.iter().map(|s| s.granularity_changes).sum();
     let fps = frames_total as f64 / elapsed.as_secs_f64();
 
@@ -259,7 +249,7 @@ fn main() {
         "  \"workload\": {{ \"shape\": \"mjpeg-stream\", \"sessions\": {sessions}, \
          \"frames_per_session\": {frames}, \"width\": {width}, \"height\": {height}, \
          \"workers\": {workers}, \"in_flight\": {in_flight}, \"gc_window\": {gc_window}, \
-         \"batch\": {batch}, \"adaptive\": {adaptive} }},"
+         \"adaptive\": {adaptive} }},"
     );
     let _ = writeln!(json, "  \"frames_total\": {frames_total},");
     let _ = writeln!(json, "  \"dropped_frames\": {dropped},");
@@ -269,7 +259,6 @@ fn main() {
     let _ = writeln!(json, "  \"peak_resident_bytes\": {peak_resident_bytes},");
     let _ = writeln!(json, "  \"peak_live_ages\": {peak_live_ages},");
     let _ = writeln!(json, "  \"gc_ages_collected\": {gc_collected},");
-    let _ = writeln!(json, "  \"batched_instances\": {batched_instances},");
     let _ = writeln!(json, "  \"granularity_changes\": {granularity_changes},");
     let _ = writeln!(json, "  \"frame_latency_ns\": {{");
     let _ = writeln!(json, "    \"mean\": {mean},");

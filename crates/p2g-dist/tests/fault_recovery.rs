@@ -193,6 +193,50 @@ fn node_killed_mid_stream_loses_no_frame() {
     killed_mid_run_scenario(TransportKind::Sim, Workload::Stream);
 }
 
+/// Chunked `mul2` units land merged range stores, which recovery replays
+/// and dedups like any other: with a node killed mid-run the results
+/// digest and entries equal an undisturbed unchunked run's.
+#[test]
+fn chunked_units_survive_node_kill_with_identical_digest() {
+    const AGES: u64 = 6;
+    let run = |chunk: usize, plan: FaultPlan| {
+        let config = ClusterConfig::nodes(3).with_faults(plan);
+        SimCluster::new(config, move || {
+            let mut p = build_mul_sum();
+            p.set_chunk_size("mul2", chunk);
+            p
+        })
+        .unwrap()
+        .run(
+            RunLimits::ages(AGES)
+                .with_deadline(Duration::from_secs(30))
+                .with_trace(),
+        )
+        .unwrap()
+    };
+    let plain = run(1, FaultPlan::new());
+    let chunked = run(
+        5,
+        FaultPlan::new().kill_after_messages(NodeId(1), 12).seed(42),
+    );
+
+    assert_eq!(chunked.failed_nodes, vec![NodeId(1)]);
+    for (_, report) in &chunked.reports {
+        p2g_runtime::trace_check::all(report);
+    }
+    let (units, instances) = chunked
+        .reports
+        .iter()
+        .filter_map(|(_, r)| r.instruments.kernel("mul2"))
+        .fold((0, 0), |(u, i), s| (u + s.units, i + s.instances));
+    assert!(units < instances, "mul2 must have run chunked units");
+    assert_eq!(
+        (chunked.digest, chunked.entries),
+        (plain.digest, plain.entries)
+    );
+    assert_eq!(outcome_fields(&chunked, AGES), reference(AGES));
+}
+
 fn duplicate_deliveries_scenario(transport: TransportKind) {
     const AGES: u64 = 4;
     let want = reference(AGES);

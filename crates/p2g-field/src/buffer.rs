@@ -170,8 +170,8 @@ impl Buffer {
 
     /// Concatenate buffers of one scalar type into a single 1-D buffer
     /// (shapes are flattened; element order is part order, row-major
-    /// within each part). The merged-store path of batched execution uses
-    /// this to fuse per-instance payloads into one contiguous payload.
+    /// within each part). The runtime's merged range stores use this to
+    /// fuse per-instance payloads into one contiguous payload.
     pub fn concat<'a, I>(parts: I) -> Result<Buffer, FieldError>
     where
         I: IntoIterator<Item = &'a Buffer>,

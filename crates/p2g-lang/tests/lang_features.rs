@@ -53,6 +53,59 @@ encode:
   store skipped(a)[0] = mark;
 "#;
 
+/// [`DEADLINE_SRC`] with one frame in flight at a time: `capture` of age
+/// a+1 fetches a token `encode` of age a stores, so no later capture can
+/// reset the shared timer while an earlier frame is being encoded, and no
+/// encode waits behind another's spin. Every schedule the runtime allows
+/// then runs capture(a) → encode(a) → capture(a+1): each frame's budget is
+/// measured from its own capture.
+const SEQUENCED_DEADLINE_SRC: &str = r#"
+timer t1;
+int32[] turn age;
+int32[] frames age;
+int32[] encoded age;
+int32[] skipped age;
+
+start:
+  local int32 token;
+  store turn(0)[0] = token;
+
+capture:
+  age a;
+  local int32 token;
+  local int32 v;
+  fetch token = turn(a)[0];
+  %{
+    timer_reset("t1");
+    v = a * 100;
+  %}
+  store frames(a)[0] = v;
+
+encode:
+  age a;
+  local int32 v;
+  local int32 mark;
+  local int32 token;
+  fetch v = frames(a)[0];
+  %{
+    // Odd ages simulate a load spike that blows the 5 ms budget.
+    if (a % 2 == 1) {
+      int spin = 0;
+      while (timer_expired("t1", 5) == 0) { spin = spin + 1; }
+    }
+  %}
+  %{
+    if (timer_expired("t1", 5)) {
+      mark = 0 - a;
+    } else {
+      v = v + 1;
+    }
+  %}
+  store encoded(a)[0] = v;
+  store skipped(a)[0] = mark;
+  store turn(a+1)[0] = token;
+"#;
+
 /// The paper's deadline construct: poll a timer, take the alternate path
 /// (store to a different field) on expiry.
 #[test]
@@ -60,7 +113,7 @@ fn deadline_alternate_code_path() {
     // Both stores are declared; the body performs both here (the alternate
     // path writes the skip marker, the primary path increments) — verify
     // that values reflect which branch ran.
-    let (fields, _) = run(DEADLINE_SRC, 4, 2);
+    let (fields, _) = run(SEQUENCED_DEADLINE_SRC, 4, 2);
     for a in 0..4u64 {
         let enc = fields
             .fetch_element("encoded", Age(a), &[0])

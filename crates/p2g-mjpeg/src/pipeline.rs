@@ -346,22 +346,14 @@ fn install_dct_bodies(program: &mut Program, config: &MjpegConfig) {
         if config.dct_chunk > 1 {
             program.set_chunk_size(name, config.dct_chunk);
         }
-        // Whole-unit batch body for the batched execution path
-        // ([`p2g_runtime::RunLimits::batch_exec`]): parse the quality
-        // parameter and derive the quantization table/divisors ONCE per
-        // unit instead of once per block, then transform every block of
-        // the unit back-to-back. Bit-identical to the scalar body.
-        let stall = if name == "yDCT" {
-            config.stall_frame
-        } else {
-            None
-        };
+        // Whole-unit batch body, run for every multi-instance unit: parse
+        // the quality parameter and derive the quantization
+        // table/divisors ONCE per unit instead of once per block, then
+        // transform every block of the unit back-to-back. Bit-identical
+        // to the per-instance body. A frame deadline (the only way a
+        // stall ends) keeps the runtime on the per-instance body, which
+        // polls its own cancel token.
         program.batch_body(name, move |bctx| {
-            if stall.is_some() {
-                // The stall knob needs per-instance cancellation; let the
-                // runtime fall back to the scalar path.
-                return Err("stall injection forces per-instance bodies".into());
-            }
             let q = match bctx.input(0, 1).value(0) {
                 Value::I32(q) => q as u8,
                 other => return Err(format!("bad params value {other:?}")),
@@ -605,7 +597,6 @@ mod tests {
             .launch(
                 RunLimits::ages(4)
                     .with_gc_window(4)
-                    .with_batch_exec()
                     .with_adaptive(AdaptiveGranularity::default()),
             )
             .and_then(|n| n.wait())
@@ -613,11 +604,12 @@ mod tests {
         assert_eq!(
             sink.take(),
             reference,
-            "batched + adaptive run must stay bit-exact"
+            "chunked + adaptive run must stay bit-exact"
         );
+        let ydct = report.instruments.kernel("yDCT").unwrap();
         assert!(
-            report.instruments.batched_instances() > 0,
-            "chunked DCT units must take the batched path"
+            ydct.units < ydct.instances,
+            "chunked DCT units must hold several instances"
         );
     }
 
@@ -650,6 +642,38 @@ mod tests {
             .instruments
             .poisoned_instances()
             .contains_key(&("vlc/write".to_string(), 1)));
+    }
+
+    /// The same stall inside a chunked unit: the stalled block fails its
+    /// own instance only, so its unit peers and every other frame encode
+    /// exactly.
+    #[test]
+    fn frame_deadline_with_chunked_dct_drops_only_stalled_frame() {
+        use crate::avi::split_frames;
+        use std::time::Duration;
+
+        let src = SyntheticVideo::new(32, 32, 3, 11);
+        let config = MjpegConfig {
+            quality: 75,
+            max_frames: 3,
+            fast_dct: false,
+            dct_chunk: 4,
+            frame_deadline: Some(Duration::from_millis(40)),
+            stall_frame: Some(1),
+        };
+        let (stream, report) = run_pipeline(src.clone(), config, 4);
+
+        let reference = encode_standalone(&src, 75, 3, false);
+        let reference = split_frames(&reference);
+        assert_eq!(split_frames(&stream), vec![reference[0], reference[2]]);
+        let poisoned = report.instruments.poisoned_instances();
+        assert_eq!(
+            poisoned.get(&("yDCT".to_string(), 1)),
+            Some(&vec![vec![0]]),
+            "only the stalled block fails"
+        );
+        let ydct = report.instruments.kernel("yDCT").unwrap();
+        assert!(ydct.units < ydct.instances, "yDCT must run chunked units");
     }
 
     #[test]

@@ -107,9 +107,9 @@ proptest! {
     // the per-kernel properties above carry the bit-level load.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The complete pipeline with SIMD bodies, batched execution, and
-    /// online granularity adaptation emits byte-identical JPEG streams to
-    /// the standalone scalar-order encoder.
+    /// The complete pipeline with SIMD bodies, chunked units run through
+    /// the batch body, and online granularity adaptation emits
+    /// byte-identical JPEG streams to the standalone scalar-order encoder.
     #[test]
     fn batched_pipeline_encodes_bit_identically(
         seed in any::<u64>(),
@@ -131,7 +131,6 @@ proptest! {
             .launch(
                 RunLimits::ages(frames + 1)
                     .with_gc_window(4)
-                    .with_batch_exec()
                     .with_adaptive(AdaptiveGranularity::default()),
             )
             .and_then(|n| n.wait())

@@ -247,9 +247,6 @@ pub struct Instruments {
     /// Worker-side inline dispatches — ready successors that skipped the
     /// analyzer round trip entirely.
     inline_dispatches: AtomicU64,
-    /// Instances executed through the batched work-unit path (one queue
-    /// pop / one `catch_unwind` chain per multi-instance unit).
-    batched_instances: AtomicU64,
     /// Chunk-size decisions made by the online granularity controller.
     granularity_changes: AtomicU64,
 }
@@ -282,19 +279,8 @@ impl Instruments {
             shard_events: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             shard_queue_peak: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             inline_dispatches: AtomicU64::new(0),
-            batched_instances: AtomicU64::new(0),
             granularity_changes: AtomicU64::new(0),
         }
-    }
-
-    /// Record instances executed through the batched work-unit path.
-    pub fn record_batched(&self, instances: u64) {
-        self.batched_instances.fetch_add(instances, Ordering::Relaxed);
-    }
-
-    /// Instances executed through the batched path so far.
-    pub fn batched_instances(&self) -> u64 {
-        self.batched_instances.load(Ordering::Relaxed)
     }
 
     /// Record one chunk-size decision by the granularity controller.
@@ -630,7 +616,6 @@ pub struct InstrumentsSnapshot {
     shard_events: Vec<u64>,
     shard_queue_peaks: Vec<u64>,
     inline_dispatches: u64,
-    batched_instances: u64,
     granularity_changes: u64,
 }
 
@@ -650,14 +635,8 @@ impl InstrumentsSnapshot {
             shard_events: live.shard_events(),
             shard_queue_peaks: live.shard_queue_peaks(),
             inline_dispatches: live.inline_dispatches(),
-            batched_instances: live.batched_instances(),
             granularity_changes: live.granularity_changes(),
         }
-    }
-
-    /// Instances executed through the batched work-unit path.
-    pub fn batched_instances(&self) -> u64 {
-        self.batched_instances
     }
 
     /// Chunk-size decisions made by the online granularity controller.
@@ -765,10 +744,10 @@ impl InstrumentsSnapshot {
     /// percentile columns).
     pub fn render_table(&self) -> String {
         let mut s = render_kernel_table(&self.entries);
-        if self.batched_instances > 0 || self.granularity_changes > 0 {
+        if self.granularity_changes > 0 {
             s.push_str(&format!(
-                "batched path     {:>10} instances {:>7} granularity changes\n",
-                self.batched_instances, self.granularity_changes
+                "granularity      {:>10} changes\n",
+                self.granularity_changes
             ));
         }
         if self.shard_events.len() > 1 {
@@ -868,14 +847,11 @@ mod tests {
     #[test]
     fn batched_and_granularity_counters() {
         let ins = Instruments::new(vec!["k".into()]);
-        ins.record_batched(16);
         ins.record_granularity_change();
-        assert_eq!(ins.batched_instances(), 16);
         assert_eq!(ins.granularity_changes(), 1);
         let snap = InstrumentsSnapshot::capture(&ins);
-        assert_eq!(snap.batched_instances(), 16);
         assert_eq!(snap.granularity_changes(), 1);
-        assert!(snap.render_table().contains("batched path"));
+        assert!(snap.render_table().contains("granularity"));
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! Granularity adaptation (paper Figure 4) is exposed through
 //! [`KernelOptions`]: `chunk_size` merges several instances of one kernel
 //! into a single dispatch (less data parallelism, lower overhead) and
-//! `fuse_with` runs a consumer kernel inline after its producer (less task
-//! parallelism, elided intermediate dispatch).
+//! [`Program::fuse`] runs a consumer kernel inline after its producer
+//! (less task parallelism, elided intermediate dispatch). Either way a
+//! worker runs each dispatch unit as one work unit.
 //!
 //! ```
 //! use p2g_runtime::{Program, NodeBuilder, RunLimits};

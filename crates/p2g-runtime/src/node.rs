@@ -17,7 +17,8 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 
-use p2g_field::{Age, Buffer, Field, FieldId, Region, Value};
+use p2g_field::{Age, Buffer, DimSel, Field, FieldId, Region, Value};
+use p2g_graph::spec::IndexSel;
 use p2g_graph::{KernelId, ProgramSpec};
 
 use crate::analyzer::{AgeWatchFn, DependencyAnalyzer, SharedFields};
@@ -28,7 +29,10 @@ use crate::instance::DispatchUnit;
 use crate::instrument::{Instruments, InstrumentsSnapshot, RunReport, Termination};
 use crate::options::{ExhaustPolicy, FaultPolicy, KernelOptions, RunLimits};
 use crate::pool::{PoolTask, QosState, WorkerPool};
-use crate::program::{BatchCtx, BatchKernelBody, FusionPlan, KernelBody, KernelCtx, Program, StagedStore};
+use crate::program::{
+    resolve_region, BatchCtx, BatchKernelBody, BodyResult, FusionPlan, KernelBody, KernelCtx,
+    Program, StagedStore,
+};
 use crate::ready::ReadyQueue;
 use crate::shard::{ShardGc, ShardPlan};
 use crate::timer::TimerTable;
@@ -71,28 +75,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// How one instance execution failed.
-enum InstanceError {
-    /// Runtime malfunction (field/spec error): aborts the run regardless of
-    /// fault policy.
-    Fatal(RuntimeError),
-    /// The kernel body returned `Err` or panicked: goes through the
-    /// kernel's fault policy (retry / poison / abort).
-    Body(String),
-}
-
-impl From<RuntimeError> for InstanceError {
-    fn from(e: RuntimeError) -> InstanceError {
-        InstanceError::Fatal(e)
-    }
-}
-
-impl From<p2g_field::FieldError> for InstanceError {
-    fn from(e: p2g_field::FieldError) -> InstanceError {
-        InstanceError::Fatal(RuntimeError::Field(e))
-    }
-}
-
 /// Called after every successful local store (distributed mode forwards
 /// the data to subscriber nodes through this hook).
 pub type StoreTap = Arc<dyn Fn(FieldId, Age, &Region, &Buffer) + Send + Sync>;
@@ -130,7 +112,7 @@ fn build_inline_plans(
     watched: &HashSet<KernelId>,
     limits: &RunLimits,
 ) -> Vec<Option<InlinePlan>> {
-    use p2g_graph::spec::{AgeExpr, IndexSel};
+    use p2g_graph::spec::AgeExpr;
     let mut plans: Vec<Option<InlinePlan>> = (0..spec.fields.len()).map(|_| None).collect();
     for k in &spec.kernels {
         let i = k.id.idx();
@@ -196,8 +178,7 @@ fn build_inline_plans(
 pub(crate) struct Shared {
     spec: Arc<ProgramSpec>,
     bodies: Vec<Option<KernelBody>>,
-    /// Optional whole-unit bodies, used opportunistically on the batched
-    /// path when a kernel registered one.
+    /// Optional whole-unit bodies (see [`Program::batch_body`]).
     batch_bodies: Vec<Option<BatchKernelBody>>,
     fusions: Vec<FusionPlan>,
     fields: SharedFields,
@@ -238,10 +219,6 @@ pub(crate) struct Shared {
     /// Session mode: ready units go to this shared pool instead of the
     /// node's private queue (which then has no workers of its own).
     pool: Option<Arc<WorkerPool>>,
-    /// Batched instance execution ([`RunLimits::batch_exec`]): eligible
-    /// multi-instance units run as one work unit with merged fetches,
-    /// segmented `catch_unwind`, and merged store events.
-    batch_exec: bool,
     /// The online chunk-size controller, ticked by analyzer shard 0
     /// ([`RunLimits::adaptive`]).
     granularity: Option<Arc<GranularityController>>,
@@ -637,7 +614,6 @@ impl NodeBuilder {
             watchdog,
             tracer: tracer.clone(),
             pool: self.pool.clone(),
-            batch_exec: limits.batch_exec,
             granularity: granularity.clone(),
             qos: self.qos.clone(),
         });
@@ -1072,13 +1048,6 @@ fn analyzer_loop(
         }
         if let Some(d) = deadline {
             if Instant::now() >= d {
-                if std::env::var_os("P2G_DEBUG_QUIESCENCE").is_some() {
-                    eprintln!(
-                        "[p2g] deadline with outstanding={} ready_len={}",
-                        shared.outstanding.load(Ordering::SeqCst),
-                        shared.ready.len()
-                    );
-                }
                 shared.shutdown();
                 return Termination::DeadlineExpired;
             }
@@ -1224,416 +1193,108 @@ fn retry_salt(unit: &DispatchUnit, failed: &[Vec<usize>]) -> u64 {
     h.finish()
 }
 
-/// Execute one dispatch unit: assemble inputs, run bodies (panic-contained),
-/// apply stores, publish events. Body failures go through the kernel's
-/// fault policy: batched into one delayed retry unit while the budget
-/// lasts, then aborted or poisoned per [`ExhaustPolicy`].
+/// A worker's entry for one dispatch unit: execute it, turn a runtime
+/// malfunction or an aborting kernel failure into the node's failure, and
+/// release the unit's outstanding count.
 fn run_unit(shared: &Arc<Shared>, unit: DispatchUnit) {
     // A failure-stop drains the queue without running stale units.
-    if shared.stop.load(Ordering::SeqCst) && shared.has_failed() {
-        shared.release_outstanding();
-        return;
-    }
-    if batch_eligible(shared, &unit) {
-        run_unit_batched(shared, unit);
-        return;
-    }
-    let policy = &shared.fault[unit.kernel.idx()];
-    let t_unit = Instant::now();
-    let mut body_time = Duration::ZERO;
-    let mut stored_any = unit.prior_stored;
-    let mut ok_instances = 0usize;
-    let mut failed: Vec<Vec<usize>> = Vec::new();
-
-    for indices in &unit.instances {
-        // Soft-deadline registration: the watchdog flags the token when
-        // the instance overruns; the body polls `ctx.cancelled()`.
-        let cancel = policy.deadline.map(|_| Arc::new(AtomicBool::new(false)));
-        let registration = match (&shared.watchdog, policy.deadline, &cancel) {
-            (Some(wd), Some(dl), Some(token)) => Some((
-                wd,
-                wd.register(
-                    Instant::now() + dl,
-                    token.clone(),
-                    unit.kernel,
-                    unit.age,
-                    indices.clone(),
-                ),
-            )),
-            _ => None,
-        };
-        let result = run_instance(
-            shared,
-            unit.kernel,
-            unit.age,
-            indices,
-            unit.attempt,
-            cancel.as_deref(),
-            &mut body_time,
-        );
-        if let Some((wd, id)) = registration {
-            if wd.deregister(id) {
-                shared.instruments.record_deadline_miss(unit.kernel);
-            }
-        }
-        match result {
-            Ok(any) => {
-                stored_any |= any;
-                ok_instances += 1;
-            }
-            Err(InstanceError::Fatal(err)) => {
-                shared.fail(err);
-                // Balance this unit's outstanding count before bailing.
-                shared.release_outstanding();
-                return;
-            }
-            Err(InstanceError::Body(message)) => {
-                shared.instruments.record_failure(unit.kernel);
-                if unit.attempt < policy.retries {
-                    failed.push(indices.clone());
-                } else {
-                    match policy.on_exhaust {
-                        ExhaustPolicy::Abort => {
-                            shared.fail(RuntimeError::Kernel {
-                                kernel: shared.spec.kernel(unit.kernel).name.clone(),
-                                message,
-                            });
-                            shared.release_outstanding();
-                            return;
-                        }
-                        ExhaustPolicy::Poison => {
-                            // Disarm the inline fast path before the
-                            // failure is visible: no worker-side dispatch
-                            // may race the poison traversal. Counted
-                            // event(s): every analyzer shard quarantines
-                            // the instance and propagates poison over the
-                            // slice it owns.
-                            shared.poisoned.store(true, Ordering::SeqCst);
-                            shared.send_event(Event::KernelFailure {
-                                kernel: unit.kernel,
-                                age: unit.age,
-                                indices: indices.clone(),
-                                message,
-                            });
-                        }
-                    }
-                }
-            }
+    let stale = shared.stop.load(Ordering::SeqCst) && shared.has_failed();
+    if !stale {
+        if let Err(err) = execute_unit(shared, unit) {
+            shared.fail(err);
         }
     }
-
-    let dispatch_time = t_unit.elapsed().saturating_sub(body_time);
-    shared
-        .instruments
-        .record_unit(unit.kernel, unit.len() as u64, dispatch_time, body_time);
-
-    // Failed-but-retryable instances become ONE retry unit, re-dispatched
-    // by the watchdog after the backoff delay. Its outstanding count is
-    // taken here and held until the retry finishes, so quiescence cannot
-    // be observed with a retry pending.
-    let retried = !failed.is_empty();
-    if retried {
-        shared.trace(|| TraceEvent::RetryScheduled {
-            kernel: unit.kernel,
-            age: unit.age.0,
-            instances: failed.len(),
-            attempt: unit.attempt + 1,
-            budget: policy.retries,
-        });
-        shared
-            .instruments
-            .record_retries(unit.kernel, failed.len() as u64);
-        let salt = retry_salt(&unit, &failed);
-        let due = Instant::now() + policy.backoff_for(unit.attempt, salt);
-        let retry = DispatchUnit {
-            kernel: unit.kernel,
-            age: unit.age,
-            instances: failed,
-            attempt: unit.attempt + 1,
-            prior_stored: stored_any,
-        };
-        shared.outstanding.fetch_add(1, Ordering::SeqCst);
-        shared
-            .watchdog
-            .as_ref()
-            .expect("watchdog runs whenever retries are configured")
-            .schedule_retry(retry, due);
-    }
-
     // The UnitDone event is counted before the unit's own count is
     // released; the analyzer may nevertheless process it first, in which
     // case this thread's release is the one that observes quiescence.
-    // `instances` reports only this execution's successes — poisoned
-    // instances are accounted by the analyzer, retried ones by the retry
-    // unit's own UnitDone. Routed to the shard owning the unit, behind
-    // every store event this thread published for it (per-shard FIFO).
-    shared.send_event(Event::UnitDone {
-        kernel: unit.kernel,
-        age: unit.age,
-        instances: ok_instances,
-        stored_any,
-        retried,
-    });
     shared.release_outstanding();
 }
 
-/// Whether a dispatch unit may take the batched path: opted in
-/// ([`RunLimits::batch_exec`]), multi-instance, first attempt, and free of
-/// the features the scalar path implements per instance — store dedup
-/// (cluster mode), soft deadlines (per-instance watchdog registration),
-/// and fusion (inline consumer execution). Retry units fall back to the
-/// scalar path, which also handles their idempotent store replay.
-fn batch_eligible(shared: &Shared, unit: &DispatchUnit) -> bool {
-    let k = unit.kernel;
-    shared.batch_exec
-        && unit.instances.len() >= 2
-        && unit.attempt == 0
-        && !shared.dedup_stores
-        && shared.fault[k.idx()].deadline.is_none()
-        && !shared
-            .fusions
-            .iter()
-            .any(|f| f.producer == k || f.consumer == k)
-}
-
-/// Execute a batch-eligible dispatch unit as ONE work unit: one merged
-/// fetch pass (one field read-lock acquisition per fetch declaration
-/// covers every instance), bodies run either through the kernel's
-/// whole-unit batch body or back-to-back inside segmented
-/// `catch_unwind` frames, and contiguous per-instance stores coalesce
-/// into merged range stores (one write-lock, one store event). Fault
-/// containment is per instance: a failed body retries or poisons only
-/// itself, and only its own stores are withheld — its peers' land
-/// normally.
-fn run_unit_batched(shared: &Arc<Shared>, unit: DispatchUnit) {
-    use p2g_graph::spec::IndexSel;
+/// The node's one executor; a one-instance unit is a batch of one. One
+/// read lock per fetch declaration covers every instance, the bodies run
+/// back-to-back in segmented `catch_unwind` frames (or as one whole-unit
+/// batch body), consecutive instances' stores into one declaration land as
+/// one merged range store, and body failures go through the kernel's
+/// fault policy per instance: batched into one delayed retry unit while
+/// the budget lasts, then aborted or poisoned per [`ExhaustPolicy`]. A
+/// failed instance's stores never land; its peers' land normally.
+fn execute_unit(shared: &Arc<Shared>, unit: DispatchUnit) -> Result<(), RuntimeError> {
     let kernel = unit.kernel;
     let kspec = shared.spec.kernel(kernel);
     let policy = &shared.fault[kernel.idx()];
+    let fusion = shared.fusions.iter().find(|f| f.producer == kernel);
     let n = unit.instances.len();
     let t_unit = Instant::now();
     let mut body_time = Duration::ZERO;
-    let mut stored_any = unit.prior_stored;
 
-    // Merged fetch assembly. Buffers are still copies — workers never
-    // hold field locks while running kernel code.
-    let mut inputs: Vec<Vec<Buffer>> = (0..n)
-        .map(|_| Vec::with_capacity(kspec.fetches.len()))
-        .collect();
-    let mut fetch_err: Option<p2g_field::FieldError> = None;
-    'fetch: for fe in &kspec.fetches {
-        let fa = fe.age.resolve(unit.age);
-        let guard = shared.fields[fe.field.idx()].read();
-        for (i, indices) in unit.instances.iter().enumerate() {
-            let region = crate::program::resolve_region(&fe.dims, indices);
-            match guard.fetch(fa, &region) {
-                Ok(buf) => inputs[i].push(buf),
-                Err(e) => {
-                    fetch_err = Some(e);
-                    break 'fetch;
-                }
+    let mut staged = Vec::new();
+    let failures = {
+        // Buffers are copies — workers never hold field locks while
+        // running kernel code. They live as long as the bodies.
+        let mut inputs = Vec::with_capacity(n * kspec.fetches.len());
+        for fe in &kspec.fetches {
+            let age = fe.age.resolve(unit.age);
+            let field = shared.fields[fe.field.idx()].read();
+            for indices in &unit.instances {
+                inputs.push(field.fetch(age, &resolve_region(&fe.dims, indices))?);
             }
         }
-    }
-    if let Some(e) = fetch_err {
-        shared.fail(RuntimeError::Field(e));
-        shared.release_outstanding();
-        return;
-    }
-
-    // Whole-unit batch body, when the kernel registered one: a single
-    // invocation stages every instance's stores. An `Err` or panic falls
-    // back to the per-instance path — batch bodies are pure, so the
-    // discarded partial staging is the only effect lost.
-    let mut outcomes: Option<Vec<Result<Vec<StagedStore>, String>>> = None;
-    if let Some(bbody) = &shared.batch_bodies[kernel.idx()] {
-        let mut bctx = BatchCtx {
-            spec: kspec,
-            age: unit.age,
-            instances: &unit.instances,
-            inputs: &inputs,
-            staged: (0..n).map(|_| Vec::new()).collect(),
-            timers: &shared.timers,
-        };
-        for indices in &unit.instances {
-            shared.trace(|| TraceEvent::BodyStart {
-                kernel,
-                age: unit.age.0,
-                indices: indices.clone(),
-                attempt: 0,
-            });
-        }
-        IN_KERNEL.with(|c| c.set(true));
-        let t_body = Instant::now();
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| bbody(&mut bctx)));
-        let elapsed = t_body.elapsed();
-        IN_KERNEL.with(|c| c.set(false));
-        let ok = matches!(&result, Ok(Ok(())));
-        // Chrome-trace begin/end events nest LIFO: the batch's BodyEnds
-        // close in reverse of their opens.
-        for indices in unit.instances.iter().rev() {
-            shared.trace(|| TraceEvent::BodyEnd {
-                kernel,
-                age: unit.age.0,
-                indices: indices.clone(),
-                attempt: 0,
-                ok,
-            });
-        }
-        if ok {
-            body_time += elapsed;
-            let per = elapsed / n as u32;
-            for _ in 0..n {
-                shared.instruments.record_latency(kernel, per);
+        let batch_body = shared.batch_bodies[kernel.idx()]
+            .as_ref()
+            .filter(|_| n >= 2 && policy.deadline.is_none() && fusion.is_none());
+        match batch_body {
+            Some(body)
+                if run_batch_body(shared, &unit, body, &inputs, &mut staged, &mut body_time) =>
+            {
+                Vec::new()
             }
-            outcomes = Some(bctx.staged.into_iter().map(Ok).collect());
+            _ => run_bodies(
+                shared,
+                &unit,
+                fusion,
+                &mut inputs,
+                &mut staged,
+                &mut body_time,
+            ),
         }
-    }
-    let outcomes = match outcomes {
-        Some(o) => o,
-        None => run_bodies_segmented(
-            shared,
-            kernel,
-            unit.age,
-            &unit.instances,
-            &mut inputs,
-            &mut body_time,
-        ),
     };
+    let ok_instances = n - failures.len();
+    // An attempted store counts for source sequencing even when elided or
+    // fully deduped.
+    let stored_any = unit.prior_stored || !staged.is_empty();
+    apply_stores(shared, &unit, fusion, staged, ok_instances >= 2)?;
 
-    // Partition: successes apply their stores (grouped per store
-    // declaration so contiguous runs can merge), failures go through the
-    // kernel's fault policy exactly as on the scalar path.
-    let ok_instances = outcomes.iter().filter(|o| o.is_ok()).count();
-    let mut failures: Vec<(usize, String)> = Vec::new();
-    let mut groups: Vec<Vec<(usize, StagedStore)>> =
-        (0..kspec.stores.len()).map(|_| Vec::new()).collect();
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            Ok(staged) => {
-                for st in staged {
-                    groups[st.store_idx].push((i, st));
-                }
-            }
-            Err(msg) => failures.push((i, msg)),
-        }
-    }
-    for (sidx, entries) in groups.into_iter().enumerate() {
-        if entries.is_empty() {
-            continue;
-        }
-        let decl = &kspec.stores[sidx];
-        // Merge eligibility: the declaration is addressed by one leading
-        // index variable (no other Var dims), every entry is a default
-        // region/age 1-D store, payloads are type- and length-uniform,
-        // and every successful instance staged exactly one entry.
-        let leading_var = match decl.dims.first() {
-            Some(IndexSel::Var(v)) => Some(v.0 as usize),
-            _ => None,
-        };
-        let mergeable = leading_var.is_some()
-            && !decl.dims[1..]
-                .iter()
-                .any(|d| matches!(d, IndexSel::Var(_)))
-            && entries
-                .iter()
-                .all(|(_, st)| st.region.is_none() && st.age.is_none() && st.buffer.shape().ndim() == 1)
-            && entries.windows(2).all(|w| {
-                w[0].1.buffer.scalar_type() == w[1].1.buffer.scalar_type()
-                    && w[0].1.buffer.len() == w[1].1.buffer.len()
-            })
-            && entries.len() == ok_instances
-            && entries.len() >= 2;
-        let apply_scalar = |run: &[(usize, StagedStore)], stored_any: &mut bool| {
-            for (i, st) in run {
-                apply_store_for(
-                    shared,
-                    kernel,
-                    kspec,
-                    unit.age,
-                    &unit.instances[*i],
-                    st,
-                    false,
-                    stored_any,
-                )?;
-            }
-            Ok::<(), RuntimeError>(())
-        };
-        let applied = if mergeable {
-            let j = leading_var.expect("checked by mergeable");
-            let mut entries = entries;
-            entries.sort_by_key(|(i, _)| unit.instances[*i][j]);
-            // Split into maximal runs of consecutive instance coordinates
-            // and land each run as one range store.
-            let mut result = Ok(());
-            let mut run_start = 0usize;
-            for e in 1..=entries.len() {
-                let boundary = e == entries.len()
-                    || unit.instances[entries[e].0][j] != unit.instances[entries[e - 1].0][j] + 1;
-                if !boundary {
-                    continue;
-                }
-                let run = &entries[run_start..e];
-                run_start = e;
-                result = if run.len() >= 2 {
-                    apply_store_merged(
-                        shared,
-                        kernel,
-                        kspec,
-                        unit.age,
-                        &unit.instances,
-                        j,
-                        sidx,
-                        run,
-                        &mut stored_any,
-                    )
-                } else {
-                    apply_scalar(run, &mut stored_any)
-                };
-                if result.is_err() {
-                    break;
-                }
-            }
-            result
-        } else {
-            apply_scalar(&entries, &mut stored_any)
-        };
-        if let Err(err) = applied {
-            shared.fail(err);
-            shared.release_outstanding();
-            return;
-        }
-    }
-
-    // Fault policy, per failed instance: retryable failures batch into
-    // one delayed retry unit (which is not batch-eligible, so its replay
-    // runs scalar and stores idempotently); exhausted ones abort or
-    // poison. Poison is per instance — only the failed instance's
-    // downstream dependents are quarantined.
+    // Fault policy, per failed instance: retryable failures batch into one
+    // delayed retry unit; exhausted ones abort or poison. Poison is per
+    // instance — only the failed instance's downstream dependents are
+    // quarantined.
     let mut failed: Vec<Vec<usize>> = Vec::new();
-    for (i, message) in failures {
+    for (slot, message) in failures {
         shared.instruments.record_failure(kernel);
         if unit.attempt < policy.retries {
-            failed.push(unit.instances[i].clone());
-        } else {
-            match policy.on_exhaust {
-                ExhaustPolicy::Abort => {
-                    shared.fail(RuntimeError::Kernel {
-                        kernel: kspec.name.clone(),
-                        message,
-                    });
-                    shared.release_outstanding();
-                    return;
-                }
-                ExhaustPolicy::Poison => {
-                    shared.poisoned.store(true, Ordering::SeqCst);
-                    shared.send_event(Event::KernelFailure {
-                        kernel,
-                        age: unit.age,
-                        indices: unit.instances[i].clone(),
-                        message,
-                    });
-                }
+            failed.push(unit.instances[slot].clone());
+            continue;
+        }
+        match policy.on_exhaust {
+            ExhaustPolicy::Abort => {
+                return Err(RuntimeError::Kernel {
+                    kernel: kspec.name.clone(),
+                    message,
+                })
+            }
+            ExhaustPolicy::Poison => {
+                // Disarm the inline fast path before the failure is
+                // visible: no worker-side dispatch may race the poison
+                // traversal. Counted event(s): every analyzer shard
+                // quarantines the instance and propagates poison over the
+                // slice it owns.
+                shared.poisoned.store(true, Ordering::SeqCst);
+                shared.send_event(Event::KernelFailure {
+                    kernel,
+                    age: unit.age,
+                    indices: unit.instances[slot].clone(),
+                    message,
+                });
             }
         }
     }
@@ -1642,8 +1303,10 @@ fn run_unit_batched(shared: &Arc<Shared>, unit: DispatchUnit) {
     shared
         .instruments
         .record_unit(kernel, n as u64, dispatch_time, body_time);
-    shared.instruments.record_batched(n as u64);
 
+    // The retry unit is re-dispatched by the watchdog after the backoff
+    // delay. Its outstanding count is taken here and held until the retry
+    // finishes, so quiescence cannot be observed with a retry pending.
     let retried = !failed.is_empty();
     if retried {
         shared.trace(|| TraceEvent::RetryScheduled {
@@ -1673,6 +1336,10 @@ fn run_unit_batched(shared: &Arc<Shared>, unit: DispatchUnit) {
             .schedule_retry(retry, due);
     }
 
+    // `instances` reports only this execution's successes — poisoned
+    // instances are accounted by the analyzer, retried ones by the retry
+    // unit's own UnitDone. Routed to the shard owning the unit, behind
+    // every store event this thread published for it (per-shard FIFO).
     shared.send_event(Event::UnitDone {
         kernel,
         age: unit.age,
@@ -1680,410 +1347,455 @@ fn run_unit_batched(shared: &Arc<Shared>, unit: DispatchUnit) {
         stored_any,
         retried,
     });
-    shared.release_outstanding();
-}
-
-/// Run a unit's kernel bodies back-to-back inside as few `catch_unwind`
-/// frames as possible: one frame covers every remaining instance, and a
-/// panic fails only the body that raised it — the frame's completed
-/// outcomes persist and the next frame resumes right after the panicking
-/// instance, so successful bodies never re-run.
-fn run_bodies_segmented(
-    shared: &Arc<Shared>,
-    kernel: KernelId,
-    age: Age,
-    instances: &[Vec<usize>],
-    inputs: &mut [Vec<Buffer>],
-    body_time: &mut Duration,
-) -> Vec<Result<Vec<StagedStore>, String>> {
-    let kspec = shared.spec.kernel(kernel);
-    let body = shared.bodies[kernel.idx()]
-        .as_ref()
-        .expect("bodies checked before run");
-    let n = instances.len();
-    let mut outcomes: Vec<Result<Vec<StagedStore>, String>> = Vec::with_capacity(n);
-    while outcomes.len() < n {
-        // Set before each body invocation so a panic's partial runtime
-        // still lands in the instruments.
-        let mut last_start: Option<Instant> = None;
-        IN_KERNEL.with(|c| c.set(true));
-        let segment = {
-            let outcomes = &mut outcomes;
-            let inputs = &mut *inputs;
-            let body_time = &mut *body_time;
-            let last_start = &mut last_start;
-            std::panic::catch_unwind(AssertUnwindSafe(move || {
-                while outcomes.len() < n {
-                    let i = outcomes.len();
-                    let indices = &instances[i];
-                    shared.trace(|| TraceEvent::BodyStart {
-                        kernel,
-                        age: age.0,
-                        indices: indices.clone(),
-                        attempt: 0,
-                    });
-                    let mut ctx = KernelCtx {
-                        spec: kspec,
-                        age,
-                        indices,
-                        inputs: std::mem::take(&mut inputs[i]),
-                        staged: Vec::new(),
-                        timers: &shared.timers,
-                        cancel: None,
-                    };
-                    *last_start = Some(Instant::now());
-                    let result = body(&mut ctx);
-                    let elapsed = last_start.take().expect("set above").elapsed();
-                    *body_time += elapsed;
-                    shared.instruments.record_latency(kernel, elapsed);
-                    shared.trace(|| TraceEvent::BodyEnd {
-                        kernel,
-                        age: age.0,
-                        indices: indices.clone(),
-                        attempt: 0,
-                        ok: result.is_ok(),
-                    });
-                    outcomes.push(match result {
-                        Ok(()) => Ok(std::mem::take(&mut ctx.staged)),
-                        Err(e) => Err(e),
-                    });
-                }
-            }))
-        };
-        IN_KERNEL.with(|c| c.set(false));
-        if let Err(payload) = segment {
-            // The panicking body is the first without an outcome; its
-            // staging died with the unwound ctx.
-            let indices = &instances[outcomes.len()];
-            if let Some(t) = last_start {
-                let elapsed = t.elapsed();
-                *body_time += elapsed;
-                shared.instruments.record_latency(kernel, elapsed);
-            }
-            shared.trace(|| TraceEvent::BodyEnd {
-                kernel,
-                age: age.0,
-                indices: indices.clone(),
-                attempt: 0,
-                ok: false,
-            });
-            outcomes.push(Err(format!("panic: {}", panic_message(payload.as_ref()))));
-        }
-    }
-    outcomes
-}
-
-/// Apply one merged range store: a maximal run of consecutive instances'
-/// 1-D stores into the same declaration lands as one write-lock
-/// acquisition, one concatenated payload, and one store event whose
-/// region's leading dimension is the run's range. Row-major region
-/// enumeration makes the concatenation order (ascending instance
-/// coordinate) exactly the flattened element order.
-#[allow(clippy::too_many_arguments)]
-fn apply_store_merged(
-    shared: &Arc<Shared>,
-    kernel: KernelId,
-    kspec: &p2g_graph::spec::KernelSpec,
-    age: Age,
-    instances: &[Vec<usize>],
-    j: usize,
-    sidx: usize,
-    run: &[(usize, StagedStore)],
-    stored_any: &mut bool,
-) -> Result<(), RuntimeError> {
-    use p2g_field::DimSel;
-    let decl = &kspec.stores[sidx];
-    let target_age = decl.age.resolve(age);
-    let mut region = crate::program::resolve_region(&decl.dims, &instances[run[0].0]);
-    region.0[0] = DimSel::Range {
-        start: instances[run[0].0][j],
-        len: run.len(),
-    };
-    let payload = Buffer::concat(run.iter().map(|(_, st)| &st.buffer))?;
-    let (outcome, region, extents) = {
-        let mut field = shared.fields[decl.field.idx()].write();
-        // Batched units are first attempts with dedup ruled out by
-        // eligibility, so the strict write-once store applies.
-        let outcome = field.store(target_age, &region, &payload)?;
-        let extents = field
-            .extents(target_age)
-            .cloned()
-            .expect("age resident after store");
-        let resolved = region.resolved_against(&extents);
-        (outcome, resolved, extents)
-    };
-    *stored_any = true;
-    shared.trace(|| {
-        store_event(
-            Some(kernel),
-            decl.field,
-            target_age,
-            region.clone(),
-            outcome.stored,
-            outcome.deduped,
-            outcome.age_complete,
-        )
-    });
-    shared
-        .instruments
-        .record_store(kernel, decl.field, outcome.stored as u64);
-    if outcome.deduped > 0 {
-        shared.instruments.record_deduped(outcome.deduped as u64);
-    }
-    if let Some(tap) = &shared.store_tap {
-        tap(decl.field, target_age, &region, &payload);
-    }
-    // A merged region spans several points, so the inline fast path
-    // (single-point stores only) never applies here.
-    shared.send_event(Event::Store(StoreEvent {
-        field: decl.field,
-        age: target_age,
-        region,
-        extents,
-        elements: outcome.stored,
-        age_complete: outcome.age_complete,
-        resized: outcome.resized,
-        inline_dispatched: None,
-    }));
     Ok(())
 }
 
-/// Invoke a kernel body inside `catch_unwind`: a panic is contained to
-/// this instance and reported as a body failure. The staged stores of a
-/// failed body are discarded by the caller (the `KernelCtx` holds them),
-/// so a panicking instance leaves no partial writes behind.
-fn invoke_body(body: &KernelBody, ctx: &mut KernelCtx) -> Result<(), String> {
+/// Run a kernel's whole-unit batch body: one invocation stages every
+/// instance's stores. On `Err` or a panic the staging is discarded and
+/// `false` returned, so the unit falls back to its per-instance bodies —
+/// batch bodies are pure, so nothing else is lost.
+fn run_batch_body(
+    shared: &Shared,
+    unit: &DispatchUnit,
+    body: &BatchKernelBody,
+    inputs: &[Buffer],
+    staged: &mut Vec<StagedStore>,
+    body_time: &mut Duration,
+) -> bool {
+    let (kernel, age, attempt) = (unit.kernel, unit.age.0, unit.attempt);
+    for indices in &unit.instances {
+        shared.trace(|| TraceEvent::BodyStart {
+            kernel,
+            age,
+            indices: indices.clone(),
+            attempt,
+        });
+    }
+    let mut ctx = BatchCtx {
+        spec: shared.spec.kernel(kernel),
+        age: unit.age,
+        instances: &unit.instances,
+        inputs,
+        staged,
+        timers: &shared.timers,
+    };
     IN_KERNEL.with(|c| c.set(true));
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| body(ctx)));
+    let t_body = Instant::now();
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
+    let elapsed = t_body.elapsed();
     IN_KERNEL.with(|c| c.set(false));
-    match result {
-        Ok(r) => r,
-        Err(payload) => Err(format!("panic: {}", panic_message(payload.as_ref()))),
+    let ok = matches!(result, Ok(Ok(())));
+    // Chrome-trace begin/end events nest LIFO: the batch's BodyEnds close
+    // in reverse of their opens.
+    for indices in unit.instances.iter().rev() {
+        shared.trace(|| TraceEvent::BodyEnd {
+            kernel,
+            age,
+            indices: indices.clone(),
+            attempt,
+            ok,
+        });
+    }
+    if ok {
+        *body_time += elapsed;
+        let per = elapsed / unit.instances.len() as u32;
+        for _ in &unit.instances {
+            shared.instruments.record_latency(kernel, per);
+        }
+    } else {
+        ctx.staged.clear();
+    }
+    ok
+}
+
+/// What a body segment is running, kept outside its `catch_unwind` frame
+/// so a panic can be closed out.
+#[derive(Default)]
+struct InFlight {
+    /// The running body's kernel and start time.
+    body: Option<(KernelId, Instant)>,
+    /// The running instance's soft-deadline registration.
+    registration: Option<u64>,
+    /// `staged.len()` before the running instance's first body.
+    mark: usize,
+}
+
+impl InFlight {
+    /// Close the running instance: deregister its deadline (recording a
+    /// miss) and, when it failed, drop everything it staged.
+    fn close(
+        &mut self,
+        shared: &Shared,
+        kernel: KernelId,
+        failed: bool,
+        staged: &mut Vec<StagedStore>,
+    ) {
+        if let (Some(id), Some(wd)) = (self.registration.take(), &shared.watchdog) {
+            if wd.deregister(id) {
+                shared.instruments.record_deadline_miss(kernel);
+            }
+        }
+        if failed {
+            staged.truncate(self.mark);
+        }
     }
 }
 
-/// Execute one kernel instance (and its fused consumer, if any). Returns
-/// whether any store was performed.
-fn run_instance(
-    shared: &Arc<Shared>,
-    kernel: KernelId,
-    age: Age,
-    indices: &[usize],
-    attempt: u32,
-    cancel: Option<&AtomicBool>,
+/// Run every instance's body — and a fusion producer's consumer after
+/// each successful one — back-to-back inside as few `catch_unwind` frames
+/// as possible: one frame covers every remaining instance, and a panic
+/// fails only the instance that raised it; the next frame resumes right
+/// after it, so no successful body re-runs. Each instance has its own
+/// soft-deadline registration and cancel token. A failed instance's
+/// staging, producer's and consumer's alike, is discarded; the failures
+/// come back as `(slot, message)`.
+fn run_bodies(
+    shared: &Shared,
+    unit: &DispatchUnit,
+    fusion: Option<&FusionPlan>,
+    inputs: &mut [Buffer],
+    staged: &mut Vec<StagedStore>,
     body_time: &mut Duration,
-) -> Result<bool, InstanceError> {
+) -> Vec<(usize, String)> {
+    let kernel = unit.kernel;
     let kspec = shared.spec.kernel(kernel);
-    // A retry may re-apply stores an earlier attempt already landed (a
-    // fused consumer can fail after the producer stores applied), so
-    // attempts > 0 store idempotently.
-    let idempotent = attempt > 0;
-
-    // Assemble fetch buffers (copies — workers never hold field locks
-    // while running kernel code).
-    let mut inputs = Vec::with_capacity(kspec.fetches.len());
-    for fe in &kspec.fetches {
-        let fa = fe.age.resolve(age);
-        let region = crate::program::resolve_region(&fe.dims, indices);
-        let buf = shared.fields[fe.field.idx()].read().fetch(fa, &region)?;
-        inputs.push(buf);
-    }
-
-    let mut ctx = KernelCtx {
-        spec: kspec,
-        age,
-        indices,
-        inputs,
-        staged: Vec::new(),
-        timers: &shared.timers,
-        cancel,
-    };
     let body = shared.bodies[kernel.idx()]
         .as_ref()
         .expect("bodies checked before run");
+    let deadline = shared.fault[kernel.idx()].deadline;
+    let n = unit.instances.len();
+    let mut failures = Vec::new();
+    let mut live = InFlight::default();
+    // The fused consumer's index values, for the trace of a panic in it.
+    let mut cidx: Vec<usize> = Vec::new();
+    let mut next = 0;
+    while next < n {
+        IN_KERNEL.with(|c| c.set(true));
+        let segment = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            while next < n {
+                let indices = &unit.instances[next];
+                live.mark = staged.len();
+                // Soft-deadline registration: the watchdog flags the token
+                // when the instance overruns; the body polls
+                // `ctx.cancelled()`.
+                let cancel = deadline.map(|_| Arc::new(AtomicBool::new(false)));
+                if let (Some(wd), Some(dl), Some(token)) = (&shared.watchdog, deadline, &cancel) {
+                    live.registration = Some(wd.register(
+                        Instant::now() + dl,
+                        token.clone(),
+                        kernel,
+                        unit.age,
+                        indices.clone(),
+                    ));
+                }
+                let mut ctx = KernelCtx {
+                    spec: kspec,
+                    age: unit.age,
+                    indices,
+                    slot: next,
+                    inputs: &mut *inputs,
+                    stride: n,
+                    staged: &mut *staged,
+                    timers: &shared.timers,
+                    cancel: cancel.as_deref(),
+                };
+                let mut result =
+                    call_body(shared, body, &mut ctx, unit.attempt, &mut live, body_time);
+                if let (Ok(()), Some(plan)) = (&result, fusion) {
+                    result = run_consumer(
+                        shared,
+                        plan,
+                        unit,
+                        next,
+                        staged,
+                        &mut cidx,
+                        cancel.as_deref(),
+                        &mut live,
+                        body_time,
+                    );
+                }
+                live.close(shared, kernel, result.is_err(), staged);
+                if let Err(message) = result {
+                    failures.push((next, message));
+                }
+                next += 1;
+            }
+        }));
+        IN_KERNEL.with(|c| c.set(false));
+        if let Err(payload) = segment {
+            // The panicking body is still in flight; close it out, then
+            // fail its instance.
+            if let Some((k, start)) = live.body.take() {
+                let elapsed = start.elapsed();
+                *body_time += elapsed;
+                shared.instruments.record_latency(k, elapsed);
+                let indices = if k == kernel {
+                    &unit.instances[next]
+                } else {
+                    &cidx
+                };
+                shared.trace(|| TraceEvent::BodyEnd {
+                    kernel: k,
+                    age: unit.age.0,
+                    indices: indices.clone(),
+                    attempt: unit.attempt,
+                    ok: false,
+                });
+            }
+            live.close(shared, kernel, true, staged);
+            failures.push((next, format!("panic: {}", panic_message(payload.as_ref()))));
+            next += 1;
+        }
+    }
+    failures
+}
+
+/// Run one body between its BodyStart/BodyEnd trace pair and record its
+/// latency. `live.body` names the body while it runs, so its segment can
+/// close it out if it panics.
+fn call_body(
+    shared: &Shared,
+    body: &KernelBody,
+    ctx: &mut KernelCtx,
+    attempt: u32,
+    live: &mut InFlight,
+    body_time: &mut Duration,
+) -> BodyResult {
+    let (kernel, age, indices) = (ctx.spec.id, ctx.age.0, ctx.indices);
     shared.trace(|| TraceEvent::BodyStart {
         kernel,
-        age: age.0,
+        age,
         indices: indices.to_vec(),
         attempt,
     });
-    let t_body = Instant::now();
-    let body_result = invoke_body(body, &mut ctx);
-    let body_elapsed = t_body.elapsed();
-    *body_time += body_elapsed;
-    shared.instruments.record_latency(kernel, body_elapsed);
+    live.body = Some((kernel, Instant::now()));
+    let result = body(ctx);
+    let (_, start) = live.body.take().expect("set above");
+    let elapsed = start.elapsed();
+    *body_time += elapsed;
+    shared.instruments.record_latency(kernel, elapsed);
     shared.trace(|| TraceEvent::BodyEnd {
         kernel,
-        age: age.0,
+        age,
         indices: indices.to_vec(),
         attempt,
-        ok: body_result.is_ok(),
+        ok: result.is_ok(),
     });
-    // Body failure (Err or contained panic): the staged stores die with
-    // the ctx — nothing was applied to any field.
-    body_result.map_err(InstanceError::Body)?;
-
-    let staged = std::mem::take(&mut ctx.staged);
-    let fusion = shared.fusions.iter().find(|f| f.producer == kernel);
-    let mut stored_any = false;
-
-    for st in &staged {
-        let elide = fusion.is_some_and(|f| f.elide_store && f.producer_store == st.store_idx);
-        if !elide {
-            apply_store(
-                shared,
-                kernel,
-                age,
-                indices,
-                st,
-                idempotent,
-                &mut stored_any,
-            )?;
-        } else {
-            stored_any = true;
-        }
-    }
-
-    // Fused consumer: run inline on the producer's staged output.
-    if let Some(plan) = fusion {
-        for st in &staged {
-            if st.store_idx != plan.producer_store {
-                continue;
-            }
-            let cspec = shared.spec.kernel(plan.consumer);
-            // The consumer's index variables take the values selected by
-            // the producer's store pattern at the Var positions.
-            let decl = &kspec.stores[st.store_idx];
-            let fe = &cspec.fetches[0];
-            let mut cidx = vec![0usize; cspec.index_vars as usize];
-            for (sel_p, sel_c) in decl.dims.iter().zip(&fe.dims) {
-                if let (p2g_graph::spec::IndexSel::Var(pv), p2g_graph::spec::IndexSel::Var(cv)) =
-                    (sel_p, sel_c)
-                {
-                    cidx[cv.0 as usize] = indices[pv.0 as usize];
-                }
-            }
-            let mut cctx = KernelCtx {
-                spec: cspec,
-                age,
-                indices: &cidx,
-                inputs: vec![st.buffer.clone()],
-                staged: Vec::new(),
-                timers: &shared.timers,
-                cancel,
-            };
-            let cbody = shared.bodies[plan.consumer.idx()]
-                .as_ref()
-                .expect("bodies checked before run");
-            shared.trace(|| TraceEvent::BodyStart {
-                kernel: plan.consumer,
-                age: age.0,
-                indices: cidx.clone(),
-                attempt,
-            });
-            let t_body = Instant::now();
-            let cresult = invoke_body(cbody, &mut cctx);
-            let c_elapsed = t_body.elapsed();
-            *body_time += c_elapsed;
-            shared.instruments.record_latency(plan.consumer, c_elapsed);
-            shared.trace(|| TraceEvent::BodyEnd {
-                kernel: plan.consumer,
-                age: age.0,
-                indices: cidx.clone(),
-                attempt,
-                ok: cresult.is_ok(),
-            });
-            cresult.map_err(InstanceError::Body)?;
-            let cstaged = std::mem::take(&mut cctx.staged);
-            for cst in &cstaged {
-                apply_store_for(
-                    shared,
-                    plan.consumer,
-                    cspec,
-                    age,
-                    &cidx,
-                    cst,
-                    idempotent,
-                    &mut stored_any,
-                )?;
-            }
-            shared
-                .instruments
-                .record_unit(plan.consumer, 1, Duration::ZERO, Duration::ZERO);
-        }
-    }
-
-    Ok(stored_any)
+    result
 }
 
+/// Run a fusion producer instance's consumer inline on each store the
+/// instance staged into the fused field (paper Figure 4, Age=3). The
+/// consumer's index variables take the values the producer's store
+/// pattern selects, and its own stores get explicit regions and ages here,
+/// while those values are at hand.
 #[allow(clippy::too_many_arguments)]
-fn apply_store(
-    shared: &Arc<Shared>,
-    kernel: KernelId,
-    age: Age,
-    indices: &[usize],
-    st: &StagedStore,
-    idempotent: bool,
-    stored_any: &mut bool,
-) -> Result<(), RuntimeError> {
-    let kspec = shared.spec.kernel(kernel);
-    apply_store_for(
-        shared, kernel, kspec, age, indices, st, idempotent, stored_any,
-    )
+fn run_consumer(
+    shared: &Shared,
+    plan: &FusionPlan,
+    unit: &DispatchUnit,
+    slot: usize,
+    staged: &mut Vec<StagedStore>,
+    cidx: &mut Vec<usize>,
+    cancel: Option<&AtomicBool>,
+    live: &mut InFlight,
+    body_time: &mut Duration,
+) -> BodyResult {
+    let decl = &shared.spec.kernel(unit.kernel).stores[plan.producer_store];
+    let cspec = shared.spec.kernel(plan.consumer);
+    let body = shared.bodies[plan.consumer.idx()]
+        .as_ref()
+        .expect("bodies checked before run");
+    cidx.clear();
+    cidx.resize(cspec.index_vars as usize, 0);
+    for (sel_p, sel_c) in decl.dims.iter().zip(&cspec.fetches[0].dims) {
+        if let (IndexSel::Var(pv), IndexSel::Var(cv)) = (sel_p, sel_c) {
+            cidx[cv.0 as usize] = unit.instances[slot][pv.0 as usize];
+        }
+    }
+    for e in live.mark..staged.len() {
+        let st = &staged[e];
+        if st.kernel != unit.kernel || st.store_idx != plan.producer_store {
+            continue;
+        }
+        let mut input = st.buffer.clone();
+        let first = staged.len();
+        let mut ctx = KernelCtx {
+            spec: cspec,
+            age: unit.age,
+            indices: cidx,
+            slot: 0,
+            inputs: std::slice::from_mut(&mut input),
+            stride: 1,
+            staged: &mut *staged,
+            timers: &shared.timers,
+            cancel,
+        };
+        call_body(shared, body, &mut ctx, unit.attempt, live, body_time)?;
+        for st in &mut staged[first..] {
+            let cdecl = &cspec.stores[st.store_idx];
+            st.age = Some(st.age.unwrap_or_else(|| cdecl.age.resolve(unit.age)));
+            if st.region.is_none() {
+                st.region = Some(resolve_region(&cdecl.dims, cidx));
+            }
+        }
+        shared
+            .instruments
+            .record_unit(plan.consumer, 1, Duration::ZERO, Duration::ZERO);
+    }
+    Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn apply_store_for(
+/// Land the stores of a unit's successful instances. With two or more of
+/// them (`merge`), the stores are grouped per declaration in instance-
+/// coordinate order and each run of consecutive instances' 1-D stores
+/// lands as one merged range store: one write lock, one concatenated
+/// payload, one store event. A fusion producer's elided intermediate
+/// stores never land.
+fn apply_stores(
     shared: &Arc<Shared>,
-    kernel: KernelId,
-    kspec: &p2g_graph::spec::KernelSpec,
-    age: Age,
-    indices: &[usize],
-    st: &StagedStore,
-    idempotent: bool,
-    stored_any: &mut bool,
+    unit: &DispatchUnit,
+    fusion: Option<&FusionPlan>,
+    mut staged: Vec<StagedStore>,
+    merge: bool,
 ) -> Result<(), RuntimeError> {
-    let decl = &kspec.stores[st.store_idx];
-    let target_age = st.age.unwrap_or_else(|| decl.age.resolve(age));
-    let region = match &st.region {
-        Some(r) => r.clone(),
-        None => crate::program::resolve_region(&decl.dims, indices),
-    };
     // Cluster mode stores dedup: recovery re-executes kernels whose data
     // already (partially) exists, and write-once equality makes that a
     // no-op instead of a violation. Single-node mode keeps the strict
     // write-once error, which is a program bug there — except on fault
     // retries, which may legitimately replay stores an earlier attempt
     // already landed.
-    //
+    let idempotent = shared.dedup_stores || unit.attempt > 0;
+    if merge {
+        staged.sort_by_key(|st| (st.kernel.0, st.store_idx, merge_coord(shared, unit, st)));
+    }
+    let mut rest = &staged[..];
+    while let [st, ..] = rest {
+        let len = if merge {
+            merge_run(shared, unit, rest)
+        } else {
+            1
+        };
+        let elided = fusion.is_some_and(|f| {
+            f.elide_store && st.kernel == f.producer && st.store_idx == f.producer_store
+        });
+        if !elided {
+            apply_run(shared, unit, &rest[..len], idempotent)?;
+        }
+        rest = &rest[len..];
+    }
+    Ok(())
+}
+
+/// The instance coordinate a merged range store addresses `st` by: the
+/// leading index variable, when `st` is a default-region, default-age 1-D
+/// store of the unit's own kernel through a declaration that no other
+/// index variable addresses.
+fn merge_coord(shared: &Shared, unit: &DispatchUnit, st: &StagedStore) -> Option<usize> {
+    if st.kernel != unit.kernel
+        || st.region.is_some()
+        || st.age.is_some()
+        || st.buffer.shape().ndim() != 1
+    {
+        return None;
+    }
+    match shared.spec.kernel(st.kernel).stores[st.store_idx]
+        .dims
+        .split_first()?
+    {
+        (IndexSel::Var(v), rest) if !rest.iter().any(|d| matches!(d, IndexSel::Var(_))) => {
+            Some(unit.instances[st.slot][v.0 as usize])
+        }
+        _ => None,
+    }
+}
+
+/// Length of the run at the head of `staged` that lands as one store:
+/// one declaration, consecutive coordinates, payloads of one type and
+/// length.
+fn merge_run(shared: &Shared, unit: &DispatchUnit, staged: &[StagedStore]) -> usize {
+    let first = &staged[0];
+    let Some(c0) = merge_coord(shared, unit, first) else {
+        return 1;
+    };
+    1 + staged[1..]
+        .iter()
+        .zip(1..)
+        .take_while(|&(st, k)| {
+            st.store_idx == first.store_idx
+                && st.buffer.scalar_type() == first.buffer.scalar_type()
+                && st.buffer.len() == first.buffer.len()
+                && merge_coord(shared, unit, st) == Some(c0 + k)
+        })
+        .count()
+}
+
+/// Apply one staged store, or a merged run of them: the run's region
+/// spans its coordinates in the leading dimension, and row-major region
+/// enumeration makes the concatenated payload (ascending coordinate) the
+/// flattened element order.
+fn apply_run(
+    shared: &Arc<Shared>,
+    unit: &DispatchUnit,
+    run: &[StagedStore],
+    idempotent: bool,
+) -> Result<(), RuntimeError> {
+    let st = &run[0];
+    let decl = &shared.spec.kernel(st.kernel).stores[st.store_idx];
+    let age = st.age.unwrap_or_else(|| decl.age.resolve(unit.age));
+    let mut region = match &st.region {
+        Some(r) => r.clone(),
+        None => resolve_region(&decl.dims, &unit.instances[st.slot]),
+    };
+    if run.len() == 1 {
+        return land(
+            shared, st.kernel, decl.field, age, region, &st.buffer, idempotent,
+        );
+    }
+    if let DimSel::Index(start) = region.0[0] {
+        region.0[0] = DimSel::Range {
+            start,
+            len: run.len(),
+        };
+    }
+    let payload = Buffer::concat(run.iter().map(|st| &st.buffer))?;
+    land(
+        shared, st.kernel, decl.field, age, region, &payload, idempotent,
+    )
+}
+
+/// Store `buffer` into `region` of `field` at `age` and publish the store.
+fn land(
+    shared: &Arc<Shared>,
+    kernel: KernelId,
+    field: FieldId,
+    age: Age,
+    region: Region,
+    buffer: &Buffer,
+    idempotent: bool,
+) -> Result<(), RuntimeError> {
     // The store event must describe the store relative to the extents at
     // store time (later stores may grow the field before the analyzer
     // observes this event), so the resolved region and post-store extents
     // are captured inside the write lock.
     let (outcome, region, extents) = {
-        let mut field = shared.fields[decl.field.idx()].write();
-        let outcome = if shared.dedup_stores || idempotent {
-            field.store_idempotent(target_age, &region, &st.buffer)?
+        let mut f = shared.fields[field.idx()].write();
+        let outcome = if idempotent {
+            f.store_idempotent(age, &region, buffer)?
         } else {
-            field.store(target_age, &region, &st.buffer)?
+            f.store(age, &region, buffer)?
         };
-        let extents = field
-            .extents(target_age)
-            .cloned()
-            .expect("age resident after store");
+        let extents = f.extents(age).cloned().expect("age resident after store");
         let resolved = region.resolved_against(&extents);
         (outcome, resolved, extents)
     };
-    // An attempted store counts for source sequencing even when fully
-    // deduped — the re-executed source must keep advancing its ages.
-    *stored_any = true;
     // Recorded before the store event is sent, so the trace's StoreApplied
     // happens-before any dispatch the analyzer derives from it.
     shared.trace(|| {
         store_event(
             Some(kernel),
-            decl.field,
-            target_age,
+            field,
+            age,
             region.clone(),
             outcome.stored,
             outcome.deduped,
@@ -2092,24 +1804,25 @@ fn apply_store_for(
     });
     shared
         .instruments
-        .record_store(kernel, decl.field, outcome.stored as u64);
+        .record_store(kernel, field, outcome.stored as u64);
     if outcome.deduped > 0 {
         shared.instruments.record_deduped(outcome.deduped as u64);
     }
     // Forward even fully-deduped stores: subscribers may have missed the
     // original producer's forward, and their replicas dedup in turn.
     if let Some(tap) = &shared.store_tap {
-        tap(decl.field, target_age, &region, &st.buffer);
+        tap(field, age, &region, buffer);
     }
     // Inline fast path: a fresh single-point store into a field with a
     // pointwise single-fetch consumer proves exactly one instance ready —
     // dispatch it from this worker and tag the store event so the owning
     // analyzer shard reconciles instead of re-dispatching, keeping the
-    // analyzer round trip off the dispatch critical path.
+    // analyzer round trip off the dispatch critical path. A merged range
+    // store spans several points, so it never qualifies.
     let mut inline: Option<(KernelId, Age, Vec<usize>)> = None;
-    if let Some(plan) = &shared.inline[decl.field.idx()] {
+    if let Some(plan) = &shared.inline[field.idx()] {
         if !idempotent && outcome.deduped == 0 && !shared.poisoned.load(Ordering::SeqCst) {
-            let ca = target_age.0 as i64 - plan.t;
+            let ca = age.0 as i64 - plan.t;
             if ca >= 0 && plan.max_ages.is_none_or(|m| (ca as u64) < m) {
                 if let Ok(spans) = region.resolve(&extents) {
                     if spans.iter().all(|&(_, len)| len == 1) {
@@ -2127,8 +1840,8 @@ fn apply_store_for(
     // so the owning shard observes the tag ahead of any event the unit
     // itself produces.
     shared.send_event(Event::Store(StoreEvent {
-        field: decl.field,
-        age: target_age,
+        field,
+        age,
         region,
         extents,
         elements: outcome.stored,

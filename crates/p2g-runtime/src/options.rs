@@ -232,12 +232,6 @@ pub struct RunLimits {
     /// without a round trip through the analyzer. Always considered in
     /// sharded mode; this knob enables the fast path at `shards == 1` too.
     pub inline_dispatch: bool,
-    /// Execute multi-instance dispatch units as one batched work unit —
-    /// one queue pop, one `catch_unwind` segment chain, merged store
-    /// events with contiguous extents — instead of looping the full
-    /// per-instance machinery. Amortizes per-instance dispatch overhead
-    /// for sub-microsecond kernel bodies. Off by default.
-    pub batch_exec: bool,
     /// Online granularity adaptation: when set, a
     /// [`crate::granularity::GranularityController`] on the analyzer
     /// thread adjusts each kernel's effective chunk size from live
@@ -261,7 +255,6 @@ impl Default for RunLimits {
             shards: 1,
             analyzer_batch: 256,
             inline_dispatch: false,
-            batch_exec: false,
             adaptive: None,
         }
     }
@@ -336,15 +329,10 @@ impl RunLimits {
         self
     }
 
-    /// Execute multi-instance dispatch units as one batched work unit.
-    pub fn with_batch_exec(mut self) -> RunLimits {
-        self.batch_exec = true;
-        self
-    }
-
     /// Enable online granularity adaptation with the given controller
-    /// configuration (implies nothing about `batch_exec`; enable both for
-    /// the full fast path).
+    /// configuration: the controller resizes each eligible kernel's
+    /// dispatch units, which the executor runs as one work unit whatever
+    /// their size.
     pub fn with_adaptive(mut self, cfg: AdaptiveGranularity) -> RunLimits {
         self.adaptive = Some(cfg);
         self
@@ -395,12 +383,8 @@ mod tests {
     #[test]
     fn batch_and_adaptive_builders() {
         let l = RunLimits::default();
-        assert!(!l.batch_exec);
         assert!(l.adaptive.is_none());
-        let l = RunLimits::ages(5)
-            .with_batch_exec()
-            .with_adaptive(AdaptiveGranularity::default());
-        assert!(l.batch_exec);
+        let l = RunLimits::ages(5).with_adaptive(AdaptiveGranularity::default());
         let cfg = l.adaptive.unwrap();
         assert_eq!(cfg.min_chunk, 1);
         assert_eq!(cfg.max_chunk, 256);

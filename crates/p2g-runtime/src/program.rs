@@ -28,20 +28,24 @@ pub type KernelBody = Box<dyn Fn(&mut KernelCtx) -> BodyResult + Send + Sync>;
 /// instances in one call (see [`BatchCtx`]).
 pub type BatchKernelBody = Box<dyn Fn(&mut BatchCtx) -> BodyResult + Send + Sync>;
 
-/// A store staged by a kernel body, applied by the worker after the body
-/// returns.
+/// A store staged by a kernel body, applied by the worker once every body
+/// of the dispatch unit has run.
 #[derive(Debug)]
-pub struct StagedStore {
+pub(crate) struct StagedStore {
+    /// The staging instance's position in its dispatch unit.
+    pub(crate) slot: usize,
+    /// The staging kernel: the unit's own, or its fused consumer.
+    pub(crate) kernel: KernelId,
     /// Which of the kernel's store declarations this fulfils.
-    pub store_idx: usize,
+    pub(crate) store_idx: usize,
     /// Explicit target region (absolute field coordinates) for
     /// data-dependent stores; `None` resolves the declaration's index
     /// pattern against the instance's index variables.
-    pub region: Option<Region>,
+    pub(crate) region: Option<Region>,
     /// Explicit age override for data-dependent ages (rare); `None`
     /// resolves the declaration's age expression.
-    pub age: Option<Age>,
-    pub buffer: Buffer,
+    pub(crate) age: Option<Age>,
+    pub(crate) buffer: Buffer,
 }
 
 /// The execution context handed to a kernel body: one kernel instance's
@@ -50,8 +54,15 @@ pub struct KernelCtx<'a> {
     pub(crate) spec: &'a KernelSpec,
     pub(crate) age: Age,
     pub(crate) indices: &'a [usize],
-    pub(crate) inputs: Vec<Buffer>,
-    pub(crate) staged: Vec<StagedStore>,
+    /// This instance's position in its dispatch unit.
+    pub(crate) slot: usize,
+    /// The whole unit's fetched buffers, fetch-major: input `i` of this
+    /// instance is `inputs[i * stride + slot]`, `stride` being the unit's
+    /// instance count.
+    pub(crate) inputs: &'a mut [Buffer],
+    pub(crate) stride: usize,
+    /// Every store staged so far by the unit's bodies.
+    pub(crate) staged: &'a mut Vec<StagedStore>,
     pub(crate) timers: &'a TimerTable,
     /// Cooperative cancellation token, set by the watchdog thread when the
     /// instance overruns its fault-policy soft deadline. `None` when the
@@ -77,30 +88,39 @@ impl KernelCtx<'_> {
 
     /// The fetched buffer for the kernel's `i`-th fetch declaration.
     pub fn input(&self, i: usize) -> &Buffer {
-        &self.inputs[i]
+        &self.inputs[i * self.stride + self.slot]
     }
 
     /// Number of fetch declarations / input buffers.
     pub fn num_inputs(&self) -> usize {
-        self.inputs.len()
+        self.inputs.len() / self.stride
     }
 
     /// Take ownership of an input buffer (useful to mutate in place and
     /// store back out without a copy).
     pub fn take_input(&mut self, i: usize) -> Buffer {
-        std::mem::replace(&mut self.inputs[i], Buffer::from_vec(Vec::<u8>::new()))
+        std::mem::replace(
+            &mut self.inputs[i * self.stride + self.slot],
+            Buffer::from_vec(Vec::<u8>::new()),
+        )
+    }
+
+    fn stage(&mut self, store_idx: usize, region: Option<Region>, buffer: Buffer) {
+        self.staged.push(StagedStore {
+            slot: self.slot,
+            kernel: self.spec.id,
+            store_idx,
+            region,
+            age: None,
+            buffer,
+        });
     }
 
     /// Stage a store fulfilling store declaration `store_idx`; the target
     /// region comes from the declaration's index pattern and this
     /// instance's index variables.
     pub fn store(&mut self, store_idx: usize, buffer: Buffer) {
-        self.staged.push(StagedStore {
-            store_idx,
-            region: None,
-            age: None,
-            buffer,
-        });
+        self.stage(store_idx, None, buffer);
     }
 
     /// Stage a single-element store through the declaration's pattern.
@@ -112,12 +132,7 @@ impl KernelCtx<'_> {
     /// data-dependent target indices (the k-means `assign` kernel stores to
     /// the cluster chosen at runtime).
     pub fn store_region(&mut self, store_idx: usize, region: Region, buffer: Buffer) {
-        self.staged.push(StagedStore {
-            store_idx,
-            region: Some(region),
-            age: None,
-            buffer,
-        });
+        self.stage(store_idx, Some(region), buffer);
     }
 
     /// Poll a deadline: has `timeout` passed since timer `name` was reset?
@@ -160,10 +175,10 @@ pub struct BatchCtx<'a> {
     pub(crate) spec: &'a KernelSpec,
     pub(crate) age: Age,
     pub(crate) instances: &'a [Vec<usize>],
-    /// `inputs[instance][fetch]`.
-    pub(crate) inputs: &'a [Vec<Buffer>],
-    /// `staged[instance]` — stores staged for each instance.
-    pub(crate) staged: Vec<Vec<StagedStore>>,
+    /// Fetch-major: `inputs[fetch * len + instance]`.
+    pub(crate) inputs: &'a [Buffer],
+    /// Stores staged for every instance, tagged by instance.
+    pub(crate) staged: &'a mut Vec<StagedStore>,
     pub(crate) timers: &'a TimerTable,
 }
 
@@ -196,13 +211,15 @@ impl BatchCtx<'_> {
 
     /// The fetched buffer for instance `i`'s `fetch`-th fetch declaration.
     pub fn input(&self, i: usize, fetch: usize) -> &Buffer {
-        &self.inputs[i][fetch]
+        &self.inputs[fetch * self.instances.len() + i]
     }
 
     /// Stage a store for instance `i` through store declaration
     /// `store_idx`'s index pattern.
     pub fn store(&mut self, i: usize, store_idx: usize, buffer: Buffer) {
-        self.staged[i].push(StagedStore {
+        self.staged.push(StagedStore {
+            slot: i,
+            kernel: self.spec.id,
             store_idx,
             region: None,
             age: None,
@@ -287,11 +304,13 @@ impl Program {
         self
     }
 
-    /// Register an optional batch body for a kernel by name. The runtime
-    /// uses it opportunistically when batched execution (`--batch`) hands
-    /// the worker a multi-instance unit with no retry/fusion/deadline in
-    /// play; every kernel still needs a per-instance [`Self::body`] as the
-    /// fallback and single-instance path.
+    /// Register an optional batch body for a kernel by name. The executor
+    /// runs it in place of the per-instance bodies whenever a dispatch
+    /// unit holds two or more instances, unless the kernel's fault policy
+    /// has a deadline (deadlines are per instance) or the kernel is a
+    /// fusion producer (its consumer runs per instance). Every kernel
+    /// still needs a per-instance [`Self::body`] as the fallback and
+    /// single-instance path.
     pub fn batch_body<F>(&mut self, kernel: &str, f: F) -> &mut Program
     where
         F: Fn(&mut BatchCtx) -> BodyResult + Send + Sync + 'static,

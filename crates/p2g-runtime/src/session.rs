@@ -100,9 +100,6 @@ pub struct SessionConfig {
     /// Dependency-analyzer shards for this session's node (default 1, the
     /// single sequential analyzer). See [`RunLimits::with_shards`].
     pub shards: usize,
-    /// Execute multi-instance dispatch units as one batched work unit.
-    /// See [`RunLimits::with_batch_exec`].
-    pub batch_exec: bool,
     /// Online chunk-size adaptation for this session's node. See
     /// [`RunLimits::with_adaptive`].
     pub adaptive: Option<crate::options::AdaptiveGranularity>,
@@ -128,7 +125,6 @@ impl SessionConfig {
             sink: None,
             trace: false,
             shards: 1,
-            batch_exec: false,
             adaptive: None,
             qos: None,
             on_output: None,
@@ -164,12 +160,6 @@ impl SessionConfig {
     /// (at least 1).
     pub fn shards(mut self, n: usize) -> SessionConfig {
         self.shards = n.max(1);
-        self
-    }
-
-    /// Execute multi-instance dispatch units as one batched work unit.
-    pub fn with_batch_exec(mut self) -> SessionConfig {
-        self.batch_exec = true;
         self
     }
 
@@ -613,9 +603,6 @@ impl SessionRuntime {
         let mut limits = RunLimits::streaming(config.gc_window).with_shards(config.shards);
         if config.trace {
             limits = limits.with_trace();
-        }
-        if config.batch_exec {
-            limits = limits.with_batch_exec();
         }
         if let Some(cfg) = config.adaptive.clone() {
             limits = limits.with_adaptive(cfg);

@@ -6,7 +6,8 @@
 //! matches the transitive dependents of the failed stores (checked against
 //! an oracle over the static graph), and with retries enabled and
 //! deterministic bodies the final field contents are identical to the
-//! fault-free run.
+//! fault-free run — at every data granularity (chunked dispatch units) and
+//! task granularity (the middle stages fused into one).
 
 use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -487,12 +488,29 @@ fn layered_program(lanes: usize, plan: ChaosPlan, transient: bool) -> Program {
 
 const KERNEL_NAMES: [&str; 4] = ["read", "stage1", "stage2", "reduce"];
 
+/// How the layered pipeline is scheduled: `chunk` instances of `stage1`
+/// and `stage2` per dispatch unit, and `fuse` runs `stage2` inline after
+/// each `stage1` instance (paper Figure 4, Age=2 and Age=3).
+#[derive(Clone, Copy, Debug)]
+struct Granularity {
+    chunk: usize,
+    fuse: bool,
+}
+
+const FINEST: Granularity = Granularity {
+    chunk: 1,
+    fuse: false,
+};
+
 /// The oracle: the transitive closure of the failure plan over the static
-/// dependency graph of the layered pipeline.
+/// dependency graph of the layered pipeline. A fused pair fails as one
+/// instance: a failing `stage2` fails the `stage1` instance it runs in,
+/// whose stores then never land.
 fn expected_poisoned(
     plan: &ChaosPlan,
     lanes: usize,
     ages: u64,
+    fuse: bool,
 ) -> BTreeSet<(String, u64, Vec<usize>)> {
     // (kernel index, age, lane); kernels without index vars use lane 0 and
     // report an empty index vector.
@@ -507,6 +525,9 @@ fn expected_poisoned(
             for lane in 0..lanes_of {
                 if plan.fails(k as u32, a, lane) {
                     poisoned.insert((k as u32, a, lane));
+                    if fuse && k == 2 {
+                        poisoned.insert((1, a, lane));
+                    }
                 }
             }
         }
@@ -547,9 +568,16 @@ fn run_layered(
     plan: ChaosPlan,
     transient: bool,
     policy: FaultPolicy,
+    granularity: Granularity,
 ) -> (p2g_runtime::RunReport, p2g_runtime::FieldStore) {
     let mut program = layered_program(lanes, plan, transient);
     program.set_fault_policy_all(policy);
+    program
+        .set_chunk_size("stage1", granularity.chunk)
+        .set_chunk_size("stage2", granularity.chunk);
+    if granularity.fuse {
+        program.fuse("stage1", "stage2").unwrap();
+    }
     let (report, fields) = NodeBuilder::new(program)
         .workers(workers)
         .launch(RunLimits::ages(ages).with_deadline(WALL).with_trace())
@@ -572,14 +600,29 @@ fn sums_at(fields: &p2g_runtime::FieldStore, ages: u64) -> Vec<Option<i64>> {
 }
 
 /// One permanent-failure chaos run checked against the oracle.
-fn check_chaos_case(seed: u64, permille: u64, lanes: usize, ages: u64, workers: usize) {
+fn check_chaos_case(
+    seed: u64,
+    permille: u64,
+    lanes: usize,
+    ages: u64,
+    workers: usize,
+    granularity: Granularity,
+) {
     let plan = ChaosPlan { seed, permille };
     let policy = FaultPolicy::retries(0)
         .poison()
         .with_deadline(Duration::from_millis(250));
-    let (report, fields) = run_layered(lanes, ages, workers, plan.clone(), false, policy);
+    let (report, fields) = run_layered(
+        lanes,
+        ages,
+        workers,
+        plan.clone(),
+        false,
+        policy,
+        granularity,
+    );
 
-    let expected = expected_poisoned(&plan, lanes, ages);
+    let expected = expected_poisoned(&plan, lanes, ages, granularity.fuse);
     assert!(
         report.termination.finished(),
         "seed {seed}: run must terminate cleanly, got {:?}",
@@ -629,46 +672,88 @@ fn check_chaos_case(seed: u64, permille: u64, lanes: usize, ages: u64, workers: 
     }
 }
 
+/// Shorthand for a [`Granularity`] in the fixed matrices.
+const fn g(chunk: usize, fuse: bool) -> Granularity {
+    Granularity { chunk, fuse }
+}
+
 /// Fixed seed matrix — the deterministic CI smoke set.
 #[test]
 fn chaos_fixed_seed_matrix() {
-    for (seed, permille, lanes, ages, workers) in [
-        (1u64, 0u64, 4usize, 3u64, 2usize), // fault-free baseline
-        (2, 100, 4, 3, 2),
-        (3, 200, 3, 4, 3),
-        (4, 200, 5, 3, 4),
-        (5, 150, 2, 5, 2),
-        (42, 200, 4, 4, 8),
+    for (seed, permille, lanes, ages, workers, granularity) in [
+        (1u64, 0u64, 4usize, 3u64, 2usize, FINEST), // fault-free baseline
+        (2, 100, 4, 3, 2, FINEST),
+        (3, 200, 3, 4, 3, FINEST),
+        (4, 200, 5, 3, 4, FINEST),
+        (5, 150, 2, 5, 2, FINEST),
+        (42, 200, 4, 4, 8, FINEST),
+        (6, 200, 5, 3, 2, g(3, false)),
+        (10, 200, 4, 3, 3, g(1, true)),
+        (11, 200, 6, 3, 2, g(4, true)),
     ] {
-        check_chaos_case(seed, permille, lanes, ages, workers);
+        check_chaos_case(seed, permille, lanes, ages, workers, granularity);
     }
+}
+
+/// Transient failures under `granularity` with retries enabled converge
+/// to the exact field contents of the fault-free run at the finest
+/// granularity.
+fn check_retry_case(
+    seed: u64,
+    permille: u64,
+    lanes: usize,
+    ages: u64,
+    workers: usize,
+    granularity: Granularity,
+) -> (Termination, Vec<Option<i64>>, Vec<Option<i64>>) {
+    let clean = ChaosPlan { seed, permille: 0 };
+    let (clean_report, clean_fields) = run_layered(
+        lanes,
+        ages,
+        workers,
+        clean,
+        false,
+        fast_retries(0).poison(),
+        FINEST,
+    );
+    assert_eq!(clean_report.termination, Termination::Quiescent);
+    let plan = ChaosPlan { seed, permille };
+    let (report, fields) = run_layered(
+        lanes,
+        ages,
+        workers,
+        plan,
+        true,
+        fast_retries(2).poison(),
+        granularity,
+    );
+    (
+        report.termination,
+        sums_at(&fields, ages),
+        sums_at(&clean_fields, ages),
+    )
 }
 
 /// Fixed seed matrix for the retry path: transient failures with retries
 /// enabled converge to the exact fault-free field contents.
 #[test]
 fn chaos_retries_fixed_seed_matrix() {
-    for (seed, permille, lanes, ages, workers) in [
-        (7u64, 200u64, 4usize, 3u64, 2usize),
-        (8, 150, 3, 4, 4),
-        (9, 200, 5, 3, 8),
+    for (seed, permille, lanes, ages, workers, granularity) in [
+        (7u64, 200u64, 4usize, 3u64, 2usize, FINEST),
+        (8, 150, 3, 4, 4, FINEST),
+        (9, 200, 5, 3, 8, FINEST),
+        (12, 200, 5, 3, 2, g(3, false)),
+        (13, 200, 4, 3, 3, g(2, true)),
     ] {
-        let clean = ChaosPlan { seed, permille: 0 };
-        let (clean_report, clean_fields) =
-            run_layered(lanes, ages, workers, clean, false, fast_retries(0).poison());
-        assert_eq!(clean_report.termination, Termination::Quiescent);
-
-        let plan = ChaosPlan { seed, permille };
-        let (report, fields) =
-            run_layered(lanes, ages, workers, plan, true, fast_retries(2).poison());
+        let (termination, sums, clean) =
+            check_retry_case(seed, permille, lanes, ages, workers, granularity);
         assert_eq!(
-            report.termination,
+            termination,
             Termination::Quiescent,
             "seed {seed}: transient failures with retries must not degrade"
         );
         assert_eq!(
-            sums_at(&fields, ages),
-            sums_at(&clean_fields, ages),
+            sums, clean,
             "seed {seed}: retried run must equal the fault-free run"
         );
     }
@@ -677,8 +762,9 @@ fn chaos_retries_fixed_seed_matrix() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random kernel panics (p ≤ 0.2) and slow instances: every run
-    /// terminates, and the poisoned set exactly matches the oracle.
+    /// Random kernel panics (p ≤ 0.2) and slow instances at a random
+    /// granularity: every run terminates, and the poisoned set exactly
+    /// matches the oracle.
     #[test]
     fn chaos_poison_matches_oracle(
         seed in 0u64..1_000_000,
@@ -686,12 +772,14 @@ proptest! {
         lanes in 1usize..5,
         ages in 1u64..5,
         workers in 1usize..5,
+        chunk in 1usize..8,
+        fuse in any::<bool>(),
     ) {
-        check_chaos_case(seed, permille, lanes, ages, workers);
+        check_chaos_case(seed, permille, lanes, ages, workers, Granularity { chunk, fuse });
     }
 
-    /// With retries and deterministic bodies the final field store is
-    /// identical to the fault-free run.
+    /// With retries and deterministic bodies the final field store at a
+    /// random granularity is identical to the fault-free run.
     #[test]
     fn chaos_retries_converge(
         seed in 0u64..1_000_000,
@@ -699,14 +787,12 @@ proptest! {
         lanes in 1usize..4,
         ages in 1u64..4,
         workers in 1usize..5,
+        chunk in 1usize..8,
+        fuse in any::<bool>(),
     ) {
-        let clean = ChaosPlan { seed, permille: 0 };
-        let (_, clean_fields) =
-            run_layered(lanes, ages, workers, clean, false, fast_retries(0).poison());
-        let plan = ChaosPlan { seed, permille };
-        let (report, fields) =
-            run_layered(lanes, ages, workers, plan, true, fast_retries(2).poison());
-        prop_assert_eq!(report.termination, Termination::Quiescent);
-        prop_assert_eq!(sums_at(&fields, ages), sums_at(&clean_fields, ages));
+        let (termination, sums, clean) =
+            check_retry_case(seed, permille, lanes, ages, workers, Granularity { chunk, fuse });
+        prop_assert_eq!(termination, Termination::Quiescent);
+        prop_assert_eq!(sums, clean);
     }
 }

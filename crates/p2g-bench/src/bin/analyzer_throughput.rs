@@ -294,9 +294,7 @@ fn run_storm_sharded(
             fields.clone(),
             RunLimits::ages(ages),
         );
-        if shards > 1 {
-            an.set_shard_scope(plan.clone(), s, gc.clone());
-        }
+        an.set_shard_scope(plan.clone(), s, gc.clone());
         an.seed();
         analyzers.push(an);
     }
@@ -456,9 +454,7 @@ fn run_storm_capacity(n: usize, k: usize, ages: u64, shards: usize) -> CapacityS
             fields.clone(),
             RunLimits::ages(ages),
         );
-        if shards > 1 {
-            an.set_shard_scope(plan.clone(), s, gc.clone());
-        }
+        an.set_shard_scope(plan.clone(), s, gc.clone());
         an.seed();
         analyzers.push(an);
     }

@@ -237,6 +237,50 @@ fn chunked_units_survive_node_kill_with_identical_digest() {
     assert_eq!(outcome_fields(&chunked, AGES), reference(AGES));
 }
 
+/// Two analyzer shards per node: forwarded stores land node-side and route
+/// to the shard owning their consumer, so a healthy run and a run with a
+/// node killed mid-run digest exactly like the one-shard run, and every
+/// instance — `print`'s too, which stores nothing the digest could miss —
+/// still runs.
+#[test]
+fn sharded_nodes_match_single_shard_digest() {
+    const AGES: u64 = 6;
+    let run = |shards: usize, plan: FaultPlan| {
+        SimCluster::new(ClusterConfig::nodes(3).with_faults(plan), build_mul_sum)
+            .unwrap()
+            .run(
+                RunLimits::ages(AGES)
+                    .with_deadline(Duration::from_secs(30))
+                    .with_trace()
+                    .with_shards(shards),
+            )
+            .unwrap()
+    };
+    let single = run(1, FaultPlan::new());
+    assert_eq!(outcome_fields(&single, AGES), reference(AGES));
+    let healthy = run(2, FaultPlan::new());
+    let killed = run(
+        2,
+        FaultPlan::new().kill_after_messages(NodeId(1), 12).seed(42),
+    );
+    assert!(healthy.failed_nodes.is_empty());
+    assert_eq!(killed.failed_nodes, vec![NodeId(1)]);
+    for outcome in [&healthy, &killed] {
+        for (_, report) in &outcome.reports {
+            p2g_runtime::trace_check::all(report);
+        }
+        assert_eq!(
+            (outcome.digest, outcome.entries),
+            (single.digest, single.entries)
+        );
+    }
+    for k in ["init", "mul2", "plus5", "print"] {
+        assert_eq!(healthy.total_instances(k), single.total_instances(k), "{k}");
+        // Recovery may re-execute the dead node's instances.
+        assert!(killed.total_instances(k) >= single.total_instances(k), "{k}");
+    }
+}
+
 fn duplicate_deliveries_scenario(transport: TransportKind) {
     const AGES: u64 = 4;
     let want = reference(AGES);

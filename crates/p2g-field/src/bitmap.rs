@@ -78,9 +78,41 @@ impl Bitmap {
         true
     }
 
-    /// True when every bit in `indices` is set.
-    pub fn all_set_in(&self, indices: impl IntoIterator<Item = usize>) -> bool {
-        indices.into_iter().all(|i| self.get(i))
+    /// Set the `len` bits from `start` if none of them is set yet; when one
+    /// is, set nothing and return `false`. The write-once check for a
+    /// contiguous run, a word at a time.
+    pub fn set_run(&mut self, start: usize, len: usize) -> bool {
+        debug_assert!(start + len <= self.len);
+        if Self::run_masks(start, len).any(|(w, m)| self.words[w] & m != 0) {
+            return false;
+        }
+        for (w, m) in Self::run_masks(start, len) {
+            self.words[w] |= m;
+        }
+        self.count += len;
+        true
+    }
+
+    /// True when all `len` bits from `start` are set.
+    pub fn all_set_run(&self, start: usize, len: usize) -> bool {
+        debug_assert!(start + len <= self.len);
+        Self::run_masks(start, len).all(|(w, m)| self.words[w] & m == m)
+    }
+
+    /// The words a run of `len` bits from `start` touches, each with the
+    /// mask of the run's bits in it.
+    fn run_masks(start: usize, len: usize) -> impl Iterator<Item = (usize, u64)> {
+        let end = start + len;
+        let words = if len == 0 {
+            0..0
+        } else {
+            start / 64..end.div_ceil(64)
+        };
+        words.map(move |w| {
+            let lo = start.max(w * 64) - w * 64;
+            let hi = end.min(w * 64 + 64) - w * 64;
+            (w, (u64::MAX >> (64 - (hi - lo))) << lo)
+        })
     }
 
     /// Iterate the indices of set bits.
@@ -254,6 +286,26 @@ mod tests {
     }
 
     #[test]
+    fn set_run_is_all_or_nothing() {
+        let mut b = Bitmap::new(200);
+        // Spans a word boundary, then a run ending exactly on one.
+        assert!(b.set_run(60, 10));
+        assert!(b.set_run(100, 28));
+        assert_eq!(b.count(), 38);
+        assert!((60..70).all(|i| b.get(i)) && !b.get(59) && !b.get(70));
+        assert!((100..128).all(|i| b.get(i)) && !b.get(128));
+        // Overlapping one set bit: refused, nothing changes.
+        assert!(!b.set_run(50, 11));
+        assert_eq!(b.count(), 38);
+        assert!(!b.get(50));
+        assert!(b.set_run(0, 60) && b.set_run(128, 72) && b.set_run(70, 0));
+        assert_eq!(b.count(), 38 + 60 + 72);
+        assert!(!b.set_run(199, 1));
+        assert!(b.all_set_run(0, 70) && b.all_set_run(100, 100) && b.all_set_run(5, 0));
+        assert!(!b.all_set_run(60, 41) && !b.all_set_run(69, 2));
+    }
+
+    #[test]
     fn all_set_tracking() {
         let mut b = Bitmap::new(3);
         assert!(!b.all_set());
@@ -297,8 +349,8 @@ mod tests {
         for i in 4..8 {
             b.set(i);
         }
-        assert!(b.all_set_in(4..8));
-        assert!(!b.all_set_in(3..8));
+        assert!(b.all_set_run(4, 4));
+        assert!(!b.all_set_run(3, 5));
     }
 
     #[test]

@@ -168,6 +168,33 @@ impl Buffer {
         Ok(())
     }
 
+    /// Copy `len` elements of `src` starting at `from` into this buffer at
+    /// `at`, as one slice copy. The element types must match.
+    pub fn copy_from(
+        &mut self,
+        at: usize,
+        src: &Buffer,
+        from: usize,
+        len: usize,
+    ) -> Result<(), FieldError> {
+        let (to, from) = (at..at + len, from..from + len);
+        match (&mut self.data, &src.data) {
+            (BufferData::U8(d), BufferData::U8(s)) => d[to].copy_from_slice(&s[from]),
+            (BufferData::I16(d), BufferData::I16(s)) => d[to].copy_from_slice(&s[from]),
+            (BufferData::I32(d), BufferData::I32(s)) => d[to].copy_from_slice(&s[from]),
+            (BufferData::I64(d), BufferData::I64(s)) => d[to].copy_from_slice(&s[from]),
+            (BufferData::F32(d), BufferData::F32(s)) => d[to].copy_from_slice(&s[from]),
+            (BufferData::F64(d), BufferData::F64(s)) => d[to].copy_from_slice(&s[from]),
+            (d, s) => {
+                return Err(FieldError::TypeMismatch {
+                    expected: d.scalar_type(),
+                    found: s.scalar_type(),
+                })
+            }
+        }
+        Ok(())
+    }
+
     /// Concatenate buffers of one scalar type into a single 1-D buffer
     /// (shapes are flattened; element order is part order, row-major
     /// within each part). The runtime's merged range stores use this to
@@ -321,6 +348,18 @@ mod tests {
         assert_eq!(c.as_i16().unwrap(), &[1, 2, 3]);
         assert!(Buffer::concat([&a, &Buffer::from_vec(vec![1u8])]).is_err());
         assert_eq!(Buffer::concat([]).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn copy_from_moves_a_run() {
+        let mut b = Buffer::zeroed(ScalarType::I16, Extents::new([5]));
+        b.copy_from(1, &Buffer::from_vec(vec![7i16, 8, 9]), 1, 2)
+            .unwrap();
+        assert_eq!(b.as_i16().unwrap(), &[0, 8, 9, 0, 0]);
+        assert!(matches!(
+            b.copy_from(0, &Buffer::from_vec(vec![1u8]), 0, 1),
+            Err(FieldError::TypeMismatch { .. })
+        ));
     }
 
     #[test]

@@ -222,12 +222,17 @@ impl Region {
             .collect()
     }
 
-    /// Iterate the linear indices (against `extents`) of every element in
-    /// the region, in row-major order. `extents` must already contain the
-    /// region (call [`Region::resolve`] first).
-    pub fn linear_indices<'a>(&self, extents: &'a Extents) -> Result<RegionIter<'a>, FieldError> {
-        let spans = self.resolve(extents)?;
-        Ok(RegionIter::new(spans, extents))
+    /// The region as rows: the linear index (against `extents`) of the
+    /// first element of each innermost-dimension run, in row-major order,
+    /// and the run length. A row is contiguous in a row-major buffer. The
+    /// region must lie within `extents`.
+    pub fn rows<'a>(&self, extents: &'a Extents) -> Result<(RegionIter<'a>, usize), FieldError> {
+        let mut spans = self.resolve(extents)?;
+        let row = match spans.last_mut() {
+            Some((_, len)) => std::mem::replace(len, (*len).min(1)),
+            None => 1,
+        };
+        Ok((RegionIter::new(spans, extents), row))
     }
 
     /// Resolve every selector against `extents` into an explicit
@@ -393,15 +398,28 @@ mod tests {
             DimSel::Range { start: 1, len: 2 },
             DimSel::Range { start: 0, len: 2 },
         ]);
-        let got: Vec<usize> = r.linear_indices(&e).unwrap().collect();
-        assert_eq!(got, vec![4, 5, 8, 9]);
+        let (rows, row) = r.rows(&e).unwrap();
+        assert_eq!((rows.collect::<Vec<_>>(), row), (vec![4, 8], 2));
+        let (rows, row) = Region::point(&[2, 3]).rows(&e).unwrap();
+        assert_eq!((rows.collect::<Vec<_>>(), row), (vec![11], 1));
+        let e3 = Extents::new([2, 2, 3]);
+        let r3 = Region(vec![
+            DimSel::All,
+            DimSel::All,
+            DimSel::Range { start: 1, len: 2 },
+        ]);
+        let (rows, row) = r3.rows(&e3).unwrap();
+        assert_eq!((rows.collect::<Vec<_>>(), row), (vec![1, 4, 7, 10], 2));
     }
 
     #[test]
     fn region_iteration_all() {
-        let e = Extents::new([2, 2]);
-        let got: Vec<usize> = Region::all(2).linear_indices(&e).unwrap().collect();
-        assert_eq!(got, vec![0, 1, 2, 3]);
+        let e = Extents::new([2, 3]);
+        let (rows, row) = Region::all(2).rows(&e).unwrap();
+        assert_eq!((rows.collect::<Vec<_>>(), row), (vec![0, 3], 3));
+        let scalar = Extents::new([]);
+        let (rows, row) = Region::all(0).rows(&scalar).unwrap();
+        assert_eq!((rows.collect::<Vec<_>>(), row), (vec![0], 1));
     }
 
     #[test]
@@ -409,7 +427,10 @@ mod tests {
         let e = Extents::new([0, 4]);
         let r = Region::all(2);
         assert!(r.is_empty(&e).unwrap());
-        assert_eq!(r.linear_indices(&e).unwrap().count(), 0);
+        assert_eq!(r.rows(&e).unwrap().0.count(), 0);
+        let empty_rows = Extents::new([2, 0]);
+        let (mut rows, row) = r.rows(&empty_rows).unwrap();
+        assert_eq!((rows.next(), row), (None, 0));
     }
 
     #[test]

@@ -214,13 +214,13 @@ impl Field {
         let Some(a) = self.ages.get(&age.0) else {
             return false;
         };
-        let Ok(iter) = region.linear_indices(&a.extents) else {
+        let Ok((mut rows, row)) = region.rows(&a.extents) else {
             return false;
         };
         // A region that resolves to zero elements is trivially complete
         // only when extents are known *and* nonzero overall is not required:
         // P2G treats empty slices as satisfied.
-        a.written.all_set_in(iter)
+        rows.all(|start| a.written.all_set_run(start, row))
     }
 
     /// True when a single element has been written.
@@ -377,34 +377,52 @@ impl Field {
             });
         }
 
-        // Copy elements in, enforcing write-once per element.
-        let extents = data.extents.clone();
+        // Copy in row by row: a row (the region's innermost run) is
+        // contiguous in payload and age buffer alike, so a row with no
+        // element written yet is one slice copy. A row overlapping written
+        // elements goes element by element, enforcing write-once per
+        // element.
+        let AgeData {
+            extents,
+            buffer,
+            written,
+        } = &mut *data;
+        let (rows, row) = region.rows(extents)?;
         let mut stored = 0usize;
         let mut deduped = 0usize;
-        let lins: Vec<usize> = region.linear_indices(&extents)?.collect();
-        for (src, &dst) in lins.iter().enumerate() {
-            if !data.written.set(dst) {
-                if !dedup {
-                    return Err(FieldError::WriteOnceViolation {
-                        field: self.def.name.clone(),
-                        age,
-                        linear_index: dst,
-                    });
-                }
-                if data.buffer.value(dst) != payload.value(src) {
-                    return Err(FieldError::ConflictingStore {
-                        field: self.def.name.clone(),
-                        age,
-                        linear_index: dst,
-                    });
-                }
-                deduped += 1;
+        for (r, start) in rows.enumerate() {
+            let from = r * row;
+            if written.set_run(start, row) {
+                buffer
+                    .copy_from(start, payload, from, row)
+                    .expect("type checked above");
+                stored += row;
                 continue;
             }
-            data.buffer
-                .set_value(dst, payload.value(src))
-                .expect("type checked above");
-            stored += 1;
+            for (src, dst) in (from..from + row).zip(start..) {
+                if !written.set(dst) {
+                    if !dedup {
+                        return Err(FieldError::WriteOnceViolation {
+                            field: self.def.name.clone(),
+                            age,
+                            linear_index: dst,
+                        });
+                    }
+                    if buffer.value(dst) != payload.value(src) {
+                        return Err(FieldError::ConflictingStore {
+                            field: self.def.name.clone(),
+                            age,
+                            linear_index: dst,
+                        });
+                    }
+                    deduped += 1;
+                    continue;
+                }
+                buffer
+                    .set_value(dst, payload.value(src))
+                    .expect("type checked above");
+                stored += 1;
+            }
         }
 
         if let Some(ref new_ext) = resized {
@@ -448,15 +466,17 @@ impl Field {
             })?;
         let shape = region.shape(&data.extents)?;
         let mut out = Buffer::zeroed(self.def.ty, shape);
-        for (dst, src) in region.linear_indices(&data.extents)?.enumerate() {
-            if !data.written.get(src) {
+        // Row by row, as stores land: a fully written row is one copy.
+        let (rows, row) = region.rows(&data.extents)?;
+        for (r, start) in rows.enumerate() {
+            if !data.written.all_set_run(start, row) {
                 return Err(FieldError::UnwrittenRead {
                     field: self.def.name.clone(),
                     age,
                     region: region.clone(),
                 });
             }
-            out.set_value(dst, data.buffer.value(src))
+            out.copy_from(r * row, &data.buffer, start, row)
                 .expect("same scalar type");
         }
         Ok(out)
@@ -803,6 +823,46 @@ mod tests {
             f.fetch(Age(0), &Region::all(1)).unwrap().as_i32().unwrap(),
             &[10, 11, 12, 13]
         );
+    }
+
+    #[test]
+    fn block_store_mixes_fresh_and_overlapping_rows() {
+        let mut f = Field::new(
+            FieldId(0),
+            FieldDef::with_extents("f", ScalarType::I32, Extents::new([3, 4])),
+        );
+        f.store_element(Age(0), &[1, 2], Value::I32(5)).unwrap();
+        let block = Buffer::from_vec((1..=6).collect::<Vec<i32>>())
+            .reshape(Extents::new([2, 3]))
+            .unwrap();
+        let region = Region(vec![
+            DimSel::Range { start: 0, len: 2 },
+            DimSel::Range { start: 1, len: 3 },
+        ]);
+        // Row 0 is fresh (one copy); row 1 holds the one written element.
+        let out = f.store_idempotent(Age(0), &region, &block).unwrap();
+        assert_eq!((out.stored, out.deduped), (5, 1));
+        assert_eq!(f.written_count(Age(0)), 6);
+        assert_eq!(
+            f.fetch(Age(0), &region).unwrap().as_i32().unwrap(),
+            &[1, 2, 3, 4, 5, 6]
+        );
+        assert!(matches!(
+            f.store(
+                Age(0),
+                &Region::point(&[0, 0]),
+                &Buffer::from_vec(vec![0i32])
+            )
+            .map(|o| o.stored),
+            Ok(1)
+        ));
+        assert!(matches!(
+            f.store(Age(0), &region, &block),
+            Err(FieldError::WriteOnceViolation {
+                linear_index: 1,
+                ..
+            })
+        ));
     }
 
     #[test]

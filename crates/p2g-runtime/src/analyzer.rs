@@ -47,6 +47,11 @@
 //!   released one age at a time (bitstream writers).
 //! * **age garbage collection** — with a configured window, field ages far
 //!   enough behind the field's newest age are reclaimed.
+//!
+//! Every analyzer is one shard of a [`ShardPlan`] ([`crate::shard`]); a
+//! single analyzer is shard 0 of a one-shard plan. It analyzes the
+//! `(kernel, age)` slice its shard owns and retires field ages through the
+//! shared [`ShardGc`] frontiers.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -94,13 +99,12 @@ enum FetchKind {
     RowLike,
 }
 
-/// Sharded-analyzer scope ([`crate::shard`]): the slice of the
-/// `(kernel, age)` space this analyzer instance owns, plus the shared
-/// cross-shard GC frontiers.
-struct ShardScope {
-    plan: Arc<ShardPlan>,
-    shard: usize,
-    gc: Arc<ShardGc>,
+/// Shard scope ([`crate::shard`]): the slice of the `(kernel, age)` space
+/// this analyzer instance owns, plus the shared cross-shard GC frontiers.
+pub(crate) struct ShardScope {
+    pub(crate) plan: Arc<ShardPlan>,
+    pub(crate) shard: usize,
+    pub(crate) gc: Arc<ShardGc>,
 }
 
 /// Event-derived knowledge of one (field, age): the extents seen so far and
@@ -174,10 +178,6 @@ pub struct DependencyAnalyzer {
     /// Monotone cache: the smallest age of each kernel that is not yet
     /// fully dispatched + completed.
     gc_floor: HashMap<u32, u64>,
-    /// Store elements absorbed by write-once dedup (duplicate remote
-    /// deliveries, recovery re-injection). Drained by the analyzer loop
-    /// into the node's instruments.
-    deduped: u64,
     /// Poisoned store regions per (field, age): the would-have-been stores
     /// of instances that exhausted their retry budget under
     /// [`crate::options::ExhaustPolicy::Poison`]. Regions may contain
@@ -195,9 +195,8 @@ pub struct DependencyAnalyzer {
     /// True once anything was poisoned: the run terminates
     /// [`crate::instrument::Termination::Degraded`] instead of `Quiescent`.
     degraded: bool,
-    /// Tracer handle + the analyzer thread's buffer id: remote stores are
-    /// applied here (not on a worker), so their `StoreApplied` events are
-    /// recorded here too.
+    /// Tracer handle + the analyzer thread's buffer id, for the
+    /// `AgeRetired` events of the age GC.
     tracer: Option<(Arc<crate::trace::Tracer>, u32)>,
     /// Registered age watches (session output notification).
     watches: Vec<AgeWatch>,
@@ -206,11 +205,11 @@ pub struct DependencyAnalyzer {
     field_gc_floor: Vec<u64>,
     /// `(field, age)` slabs retired by GC since the last drain.
     gc_collected: u64,
-    /// Sharded mode: this instance's slice of the `(kernel, age)` space.
-    /// `None` (single-thread mode) behaves exactly as before sharding.
-    scope: Option<ShardScope>,
-    /// Sharded mode: `(field, age)` keys whose expected extents grew since
-    /// the last [`DependencyAnalyzer::take_outbox`] — broadcast to peers.
+    /// This instance's slice of the `(kernel, age)` space.
+    scope: ShardScope,
+    /// `(field, age)` keys whose expected extents grew since the last
+    /// [`DependencyAnalyzer::take_outbox`] — broadcast to peers. Recorded
+    /// only when the plan has peers.
     outbox_keys: Vec<(u32, u64)>,
     /// Adaptive mode: the online chunk-size controller consulted (instead
     /// of the static `chunk_size`) when chunking runnable instances.
@@ -218,13 +217,31 @@ pub struct DependencyAnalyzer {
 }
 
 impl DependencyAnalyzer {
-    /// Build the analyzer for a program.
+    /// Build the analyzer for a program, as shard 0 of a one-shard plan.
     pub fn new(
         spec: Arc<ProgramSpec>,
         options: Vec<KernelOptions>,
         fused_consumers: HashSet<KernelId>,
         fields: SharedFields,
         limits: RunLimits,
+    ) -> DependencyAnalyzer {
+        let plan = ShardPlan::new(&spec, &options, &fused_consumers, &HashSet::new(), 1);
+        let scope = ShardScope {
+            plan: Arc::new(plan),
+            shard: 0,
+            gc: Arc::new(ShardGc::new(spec.kernels.len(), spec.fields.len(), 1)),
+        };
+        Self::in_scope(spec, options, fused_consumers, fields, limits, scope)
+    }
+
+    /// Build the analyzer as one shard of a node's plan.
+    pub(crate) fn in_scope(
+        spec: Arc<ProgramSpec>,
+        options: Vec<KernelOptions>,
+        fused_consumers: HashSet<KernelId>,
+        fields: SharedFields,
+        limits: RunLimits,
+        scope: ShardScope,
     ) -> DependencyAnalyzer {
         let nf = spec.fields.len();
         let nk = spec.kernels.len();
@@ -304,7 +321,6 @@ impl DependencyAnalyzer {
             expected_extents: HashMap::new(),
             completed: HashMap::new(),
             gc_floor: HashMap::new(),
-            deduped: 0,
             poison: HashMap::new(),
             poisoned_instances: HashMap::new(),
             pending_poison: Vec::new(),
@@ -314,7 +330,7 @@ impl DependencyAnalyzer {
             watches: Vec::new(),
             field_gc_floor: vec![0; nf],
             gc_collected: 0,
-            scope: None,
+            scope,
             outbox_keys: Vec::new(),
             granularity: None,
             spec,
@@ -343,11 +359,6 @@ impl DependencyAnalyzer {
         self.options[kernel.idx()].chunk_size.max(1)
     }
 
-    /// Drain the dedup tally accumulated since the last call.
-    pub fn take_deduped(&mut self) -> u64 {
-        std::mem::take(&mut self.deduped)
-    }
-
     /// Drain the instances poisoned since the last call.
     pub fn take_poisoned(&mut self) -> Vec<(KernelId, u64, Vec<usize>)> {
         std::mem::take(&mut self.poisoned_drain)
@@ -364,7 +375,7 @@ impl DependencyAnalyzer {
     }
 
     /// Attach the node's tracer (with the analyzer thread's buffer id) so
-    /// remote-store applications are traced.
+    /// age retirements are traced.
     pub fn set_tracer(&mut self, tracer: Arc<crate::trace::Tracer>, tid: u32) {
         self.tracer = Some((tracer, tid));
     }
@@ -386,14 +397,15 @@ impl DependencyAnalyzer {
         std::mem::take(&mut self.gc_collected)
     }
 
-    /// Enter sharded mode: this analyzer owns shard `shard` of `plan` and
-    /// coordinates age GC through the shared frontiers in `gc`.
+    /// Make this analyzer shard `shard` of `plan`, coordinating age GC
+    /// through the shared frontiers in `gc` (a new analyzer is shard 0 of
+    /// a one-shard plan).
     pub fn set_shard_scope(&mut self, plan: Arc<ShardPlan>, shard: usize, gc: Arc<ShardGc>) {
-        self.scope = Some(ShardScope { plan, shard, gc });
+        self.scope = ShardScope { plan, shard, gc };
     }
 
     /// Drain the expected-extents broadcasts accumulated since the last
-    /// call (sharded mode; always empty otherwise). The caller must deliver
+    /// call (always empty in a one-shard plan). The caller must deliver
     /// these to every peer shard *before* dispatching the units returned by
     /// the same `on_event` call: per-shard FIFO delivery then guarantees an
     /// expectation arrives ahead of any store produced under it.
@@ -417,13 +429,9 @@ impl DependencyAnalyzer {
             .collect()
     }
 
-    /// True when this analyzer owns `(kid, a)` — always, outside sharded
-    /// mode.
+    /// True when this analyzer's shard owns `(kid, a)`.
     fn owns(&self, kid: KernelId, a: u64) -> bool {
-        match &self.scope {
-            None => true,
-            Some(sc) => sc.plan.owns(kid, a, sc.shard),
-        }
+        self.scope.plan.owns(kid, a, self.scope.shard)
     }
 
     /// Live `(field, age)` views — the analyzer's notion of resident ages,
@@ -470,59 +478,13 @@ impl DependencyAnalyzer {
         out
     }
 
-    /// Handle one event, returning newly runnable dispatch units. An
-    /// error (write-once conflict applying a remote store) aborts the run.
+    /// Handle one event, returning newly runnable dispatch units. Every
+    /// store, remote ones included, was applied and checked before its
+    /// event was sent, so analysis itself never fails.
     pub fn on_event(&mut self, ev: &Event) -> Result<Vec<DispatchUnit>, p2g_field::FieldError> {
         let mut out = Vec::new();
         match ev {
             Event::Store(se) => self.on_store(se, &mut out),
-            Event::RemoteStore {
-                field,
-                age,
-                region,
-                buffer,
-            } => {
-                // Apply the forwarded store to the local replica, then
-                // treat it like a local store. Write-once dedup makes the
-                // apply idempotent, so at-least-once delivery (retries,
-                // duplicates, recovery re-injection) is safe; a
-                // *conflicting* duplicate value means two nodes produced
-                // the same element differently — a partitioning bug
-                // surfaced deterministically.
-                let (o, resolved, extents) = {
-                    let mut f = self.fields[field.idx()].write();
-                    let o = f.store_idempotent(*age, region, buffer)?;
-                    let extents = f.extents(*age).cloned().expect("age resident after store");
-                    let resolved = region.resolved_against(&extents);
-                    (o, resolved, extents)
-                };
-                self.deduped += o.deduped as u64;
-                if let Some((t, tid)) = &self.tracer {
-                    t.record(
-                        *tid,
-                        crate::trace::store_event(
-                            None,
-                            *field,
-                            *age,
-                            resolved.clone(),
-                            o.stored,
-                            o.deduped,
-                            o.age_complete,
-                        ),
-                    );
-                }
-                let se = StoreEvent {
-                    field: *field,
-                    age: *age,
-                    region: resolved,
-                    extents,
-                    elements: o.stored,
-                    age_complete: o.age_complete,
-                    resized: o.resized,
-                    inline_dispatched: None,
-                };
-                self.on_store(&se, &mut out);
-            }
             Event::Reassign { kernels } => {
                 self.assigned = Some(kernels.clone());
                 // Seed newly-owned source kernels (the dispatched set
@@ -682,7 +644,7 @@ impl DependencyAnalyzer {
             return;
         }
         self.degraded = true;
-        // Sharded mode: the traversal itself is replicated on every shard
+        // The traversal itself is replicated on every shard
         // (KernelFailure is broadcast and the walk is deterministic from
         // the spec), but completion accounting and the instrument drain
         // must happen exactly once — on the owning shard.
@@ -936,85 +898,51 @@ impl DependencyAnalyzer {
         }
         let fmax = *fmax;
         if let Some(w) = self.limits.gc_window {
-            if self.scope.is_none() {
-                if fmax > w {
-                    let limit = self.gc_limit(se.field, fmax - w);
-                    // The prune runs once per limit advance, not per store
-                    // event: retire the field slabs, then every piece of
-                    // analyzer state scoped below the new floor — streaming
-                    // runs would otherwise grow views/tables/dispatched/
-                    // completed maps without bound even though the field
-                    // data itself is collected.
-                    if limit > self.field_gc_floor[se.field.idx()] {
-                        let collected = self.fields[se.field.idx()]
-                            .write()
-                            .collect_below(Age(limit));
-                        self.field_gc_floor[se.field.idx()] = limit;
-                        self.gc_collected += collected as u64;
-                        if let Some((t, tid)) = &self.tracer {
-                            t.record(
-                                *tid,
-                                crate::trace::TraceEvent::AgeRetired {
-                                    field: se.field,
-                                    below: limit,
-                                    collected,
-                                },
-                            );
-                        }
-                        let f = se.field.0;
-                        self.views.retain(|&(vf, va), _| vf != f || va >= limit);
-                        self.view_ages[se.field.idx()].retain(|&a| a >= limit);
-                        self.poison.retain(|&(pf, pa), _| pf != f || pa >= limit);
-                        self.expected_extents
-                            .retain(|&(ef, ea), _| ef != f || ea >= limit);
-                        self.prune_kernel_state();
+            // Retirement goes through the shared floor so exactly one
+            // shard collects the field slabs; every shard then prunes its
+            // local state as it observes the floor advance. Each shard's
+            // window bound uses its own frontier view; the shared
+            // `claim_retire` fetch_max makes the outcome the max over
+            // shards, and `gc_limit` clamps by the *global* min consumer
+            // frontier, so no live age retires.
+            let fi = se.field.idx();
+            if fmax > w {
+                let limit = self.gc_limit(se.field, fmax - w);
+                if limit > 0 && self.scope.gc.claim_retire(se.field, limit) < limit {
+                    let collected = self.fields[fi].write().collect_below(Age(limit));
+                    self.gc_collected += collected as u64;
+                    if let Some((t, tid)) = &self.tracer {
+                        t.record(
+                            *tid,
+                            crate::trace::TraceEvent::AgeRetired {
+                                field: se.field,
+                                below: limit,
+                                collected,
+                            },
+                        );
                     }
                 }
-            } else {
-                // Sharded GC: retirement goes through the shared floor so
-                // exactly one shard collects the field slabs; every shard
-                // then prunes its local state as it observes the floor
-                // advance. Each shard's window bound uses its own frontier
-                // view; the shared `claim_retire` fetch_max makes the
-                // outcome the max over shards, and `gc_limit` clamps by the
-                // *global* min consumer frontier, so no live age retires.
-                let gc = self.scope.as_ref().expect("sharded").gc.clone();
-                if fmax > w {
-                    let limit = self.gc_limit(se.field, fmax - w);
-                    if limit > 0 && gc.claim_retire(se.field, limit) < limit {
-                        let collected = self.fields[se.field.idx()]
-                            .write()
-                            .collect_below(Age(limit));
-                        self.gc_collected += collected as u64;
-                        if let Some((t, tid)) = &self.tracer {
-                            t.record(
-                                *tid,
-                                crate::trace::TraceEvent::AgeRetired {
-                                    field: se.field,
-                                    below: limit,
-                                    collected,
-                                },
-                            );
-                        }
-                    }
-                }
-                let floor = gc.retire_floor(se.field);
-                if floor > self.field_gc_floor[se.field.idx()] {
-                    self.field_gc_floor[se.field.idx()] = floor;
-                    let f = se.field.0;
-                    self.views.retain(|&(vf, va), _| vf != f || va >= floor);
-                    self.view_ages[se.field.idx()].retain(|&a| a >= floor);
-                    self.poison.retain(|&(pf, pa), _| pf != f || pa >= floor);
-                    self.expected_extents
-                        .retain(|&(ef, ea), _| ef != f || ea >= floor);
-                    self.prune_kernel_state();
-                }
-                // An event below the floor is stale (its slabs are gone);
-                // rebuilding a view for it would leak state that no later
-                // event prunes.
-                if se.age.0 < self.field_gc_floor[se.field.idx()] {
-                    return;
-                }
+            }
+            // The prune runs once per floor advance, not per store event:
+            // streaming runs would otherwise grow views/tables/dispatched/
+            // completed maps without bound even though the field data
+            // itself is collected.
+            let floor = self.scope.gc.retire_floor(se.field);
+            if floor > self.field_gc_floor[fi] {
+                self.field_gc_floor[fi] = floor;
+                let f = se.field.0;
+                self.views.retain(|&(vf, va), _| vf != f || va >= floor);
+                self.view_ages[fi].retain(|&a| a >= floor);
+                self.poison.retain(|&(pf, pa), _| pf != f || pa >= floor);
+                self.expected_extents
+                    .retain(|&(ef, ea), _| ef != f || ea >= floor);
+                self.prune_kernel_state();
+            }
+            // An event below the floor is stale (its slabs are gone);
+            // rebuilding a view for it would leak state that no later
+            // event prunes.
+            if se.age.0 < self.field_gc_floor[fi] {
+                return;
             }
         }
 
@@ -1604,7 +1532,7 @@ impl DependencyAnalyzer {
             *slot = Some(slot.map_or(range, |cur| cur.max(range)));
             if *slot != before {
                 changed.push((f, a));
-                if self.scope.is_some() {
+                if self.scope.plan.shards() > 1 {
                     self.outbox_keys.push((f, a));
                 }
             }
@@ -1836,15 +1764,13 @@ impl DependencyAnalyzer {
     /// completed — no field age that `kid` still needs may be collected.
     /// `u64::MAX` when the kernel can never run again (age cap reached).
     fn kernel_safe_age(&mut self, kid: KernelId) -> u64 {
-        if let Some(sc) = &self.scope {
-            if sc.plan.is_pinned(kid) && sc.plan.unit_owner(kid, 0) != sc.shard {
-                // A peer shard owns every age of this pinned kernel; its
-                // published frontier is the binding one. (Without this the
-                // skip-non-owned loop below would never terminate.)
-                let shard = sc.shard;
-                sc.gc.publish_kernel_frontier(kid, shard, u64::MAX);
-                return u64::MAX;
-            }
+        let sc = &self.scope;
+        if sc.plan.is_pinned(kid) && sc.plan.unit_owner(kid, 0) != sc.shard {
+            // A peer shard owns every age of this pinned kernel; its
+            // published frontier is the binding one. (Without this the
+            // skip-non-owned loop below would never terminate.)
+            sc.gc.publish_kernel_frontier(kid, sc.shard, u64::MAX);
+            return u64::MAX;
         }
         let mut a = *self.gc_floor.get(&kid.0).unwrap_or(&0);
         loop {
@@ -1873,9 +1799,9 @@ impl DependencyAnalyzer {
         if a != u64::MAX {
             self.gc_floor.insert(kid.0, a);
         }
-        if let Some(sc) = &self.scope {
-            sc.gc.publish_kernel_frontier(kid, sc.shard, a);
-        }
+        self.scope
+            .gc
+            .publish_kernel_frontier(kid, self.scope.shard, a);
         a
     }
 
@@ -1942,13 +1868,10 @@ impl DependencyAnalyzer {
                 match fa {
                     crate::AgeExprCopy::Rel(t) => {
                         // Refresh (and publish) the local frontier, then
-                        // clamp by the *global* one in sharded mode — a
-                        // peer may own ages this shard has skipped over.
-                        let local = self.kernel_safe_age(kid);
-                        let safe = match &self.scope {
-                            None => local,
-                            Some(sc) => sc.gc.kernel_frontier(kid),
-                        };
+                        // clamp by the *global* one — a peer may own ages
+                        // this shard has skipped over.
+                        self.kernel_safe_age(kid);
+                        let safe = self.scope.gc.kernel_frontier(kid);
                         limit = limit.min(safe.saturating_add(t.max(0) as u64));
                     }
                     crate::AgeExprCopy::Const(c) => {

@@ -31,7 +31,7 @@ pub struct StoreEvent {
     pub age_complete: bool,
     /// New extents when the store triggered an implicit resize.
     pub resized: Option<Extents>,
-    /// Sharded/inline fast path: the worker that applied this store
+    /// Inline fast path: the worker that applied this store
     /// already dispatched this consumer's single unblocked instance
     /// inline. The analyzer marks it dispatched instead of dispatching
     /// it again ([`crate::shard`]).
@@ -41,17 +41,10 @@ pub struct StoreEvent {
 /// Bus events consumed by the dependency analyzer.
 #[derive(Debug, Clone)]
 pub enum Event {
-    /// A kernel instance stored into a field.
+    /// A store landed in a field: a kernel instance's, or one forwarded
+    /// from another node or a session submit, which is applied to the
+    /// local replica before its event is sent.
     Store(StoreEvent),
-    /// A store forwarded from another execution node (distributed mode).
-    /// The analyzer applies it to the local field replica and then treats
-    /// it like a local store event.
-    RemoteStore {
-        field: FieldId,
-        age: Age,
-        region: p2g_field::Region,
-        buffer: p2g_field::Buffer,
-    },
     /// The cluster reassigned this node's kernel set after a node failure
     /// (distributed recovery). The analyzer adopts the new assignment,
     /// seeds any newly-owned source kernels, and rescans resident field
@@ -87,11 +80,12 @@ pub enum Event {
     },
     /// A kernel body failed; the node aborts the run.
     Failure(String),
-    /// Sharded mode only: a shard's expected-extents knowledge for
-    /// `(field, age)` grew ([`crate::analyzer`] extent propagation). The
-    /// expectation is broadcast so every shard's settledness gates close
-    /// before any store produced under the new expectation can arrive.
-    /// Max-merged on receipt; expectations only ever grow.
+    /// A shard's expected-extents knowledge for `(field, age)` grew
+    /// ([`crate::analyzer`] extent propagation). The expectation is
+    /// broadcast to the peer shards (a one-shard plan has none) so their
+    /// settledness gates close before any store produced under the new
+    /// expectation can arrive. Max-merged on receipt; expectations only
+    /// ever grow.
     ShardExpect {
         field: FieldId,
         age: Age,

@@ -239,8 +239,7 @@ pub struct Instruments {
     /// Peak simultaneously-live `(field, age)` views observed by the
     /// analyzer — the flat-memory gauge the streaming soak tests assert on.
     peak_live_ages: AtomicU64,
-    /// Events processed per analyzer shard ([`crate::shard`]); one slot in
-    /// single-thread mode.
+    /// Events processed per analyzer shard ([`crate::shard`]).
     shard_events: Vec<AtomicU64>,
     /// Per-shard event-queue depth high-water mark.
     shard_queue_peak: Vec<AtomicU64>,

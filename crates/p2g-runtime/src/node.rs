@@ -1,8 +1,9 @@
-//! The execution node: worker pool + dedicated dependency-analyzer thread.
+//! The execution node: worker pool + dependency-analyzer shard threads.
 //!
 //! Threading model (paper Section VI-B): kernel instances execute on worker
-//! threads and publish store events; dependencies are analyzed in one
-//! dedicated thread which feeds the age-priority ready queue. Termination
+//! threads and publish store events; dependencies are analyzed in dedicated
+//! analyzer threads — one per shard of the node's [`ShardPlan`], one by
+//! default — which feed the age-priority ready queue. Termination
 //! uses an outstanding-work counter: every event and dispatch unit is
 //! counted before it is made visible, so the count can only reach zero when
 //! the program is quiescent.
@@ -21,7 +22,7 @@ use p2g_field::{Age, Buffer, DimSel, Field, FieldId, Region, Value};
 use p2g_graph::spec::IndexSel;
 use p2g_graph::{KernelId, ProgramSpec};
 
-use crate::analyzer::{AgeWatchFn, DependencyAnalyzer, SharedFields};
+use crate::analyzer::{AgeWatchFn, DependencyAnalyzer, ShardScope, SharedFields};
 use crate::error::RuntimeError;
 use crate::events::{Event, StoreEvent};
 use crate::granularity::GranularityController;
@@ -183,12 +184,11 @@ pub(crate) struct Shared {
     fusions: Vec<FusionPlan>,
     fields: SharedFields,
     ready: ReadyQueue,
-    /// One event channel per analyzer shard (one entry in single-analyzer
-    /// mode). Workers route through [`Shared::send_event`].
+    /// One event channel per analyzer shard. Workers route through
+    /// [`Shared::send_event`].
     event_txs: Vec<Sender<Event>>,
-    /// Sharded mode: the store/unit routing plan. `None` ⇒ one analyzer
-    /// thread observing every event (today's semantics, bit for bit).
-    shard_plan: Option<Arc<ShardPlan>>,
+    /// The store/unit routing plan.
+    shard_plan: Arc<ShardPlan>,
     /// Set before the first `KernelFailure` event is published: disarms
     /// the inline fast path so no worker-side dispatch can race the
     /// analyzer's poison traversal.
@@ -286,41 +286,25 @@ impl Shared {
         }
     }
 
-    /// Bitmask selecting every analyzer shard.
-    fn all_shards_mask(&self) -> u64 {
-        let n = self.event_txs.len();
-        if n >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << n) - 1
-        }
-    }
-
     /// Publish an event to the analyzer shard(s) that must observe it.
     /// Stores go to the shards owning an affected consumer instance
     /// ([`ShardPlan::store_dests`]), `UnitDone` to the unit's owner, and
     /// failure/reassign events broadcast. Every delivered copy is counted
     /// separately as outstanding work before the first send, so quiescence
-    /// still requires each copy processed.
+    /// still requires each copy processed. In a one-shard plan every event
+    /// is one copy to shard 0.
     fn send_event(&self, ev: Event) {
-        let Some(plan) = &self.shard_plan else {
-            self.outstanding.fetch_add(1, Ordering::SeqCst);
-            let _ = self.event_txs[0].send(ev);
-            return;
-        };
+        let plan = &self.shard_plan;
         let mask: u64 = match &ev {
             Event::Store(se) => plan.store_dests(se.field, se.age.0),
             Event::UnitDone { kernel, age, .. } => 1u64 << plan.unit_owner(*kernel, age.0),
-            // Sharded mode applies remote stores node-side and routes them
-            // as `Store` (see `inject_remote_store`); this arm is only a
-            // fallback.
-            Event::RemoteStore { .. } => 1,
-            Event::Reassign { .. } | Event::KernelFailure { .. } | Event::Failure(_) => {
-                self.all_shards_mask()
-            }
-            // Expectation broadcasts originate on an analyzer shard and go
-            // through `broadcast_expect` (which excludes the originator).
-            Event::ShardExpect { .. } => self.all_shards_mask(),
+            // Failures and reassignments broadcast. Expectation broadcasts
+            // originate on an analyzer shard and go through
+            // `broadcast_expect` (which excludes the originator).
+            Event::Reassign { .. }
+            | Event::KernelFailure { .. }
+            | Event::Failure(_)
+            | Event::ShardExpect { .. } => plan.all_mask(),
         };
         self.send_to_mask(ev, mask);
     }
@@ -328,7 +312,7 @@ impl Shared {
     /// Deliver one analyzer shard's expected-extents broadcast to every
     /// *other* shard (the originator already merged it locally).
     fn broadcast_expect(&self, ev: Event, from: usize) {
-        let mask = self.all_shards_mask() & !(1u64 << from);
+        let mask = self.shard_plan.all_mask() & !(1u64 << from);
         self.send_to_mask(ev, mask);
     }
 
@@ -436,7 +420,7 @@ impl NodeBuilder {
         }
     }
 
-    /// Number of worker threads (the analyzer thread is extra). Ignored
+    /// Number of worker threads (the analyzer threads are extra). Ignored
     /// when the node is attached to a shared [`WorkerPool`].
     pub fn workers(mut self, workers: usize) -> NodeBuilder {
         self.workers = workers.max(1);
@@ -507,8 +491,7 @@ impl NodeBuilder {
                 .map(|(i, d)| RwLock::new(Field::new(FieldId(i as u32), d.clone())))
                 .collect(),
         );
-        // One event channel (and one analyzer thread) per shard; a single
-        // shard is exactly the pre-sharding runtime, event for event.
+        // One event channel (and one analyzer thread) per shard.
         let shards = limits.shards.clamp(1, 64);
         let (event_txs, event_rxs): (Vec<Sender<Event>>, Vec<Receiver<Event>>) =
             (0..shards).map(|_| unbounded::<Event>()).unzip();
@@ -528,56 +511,46 @@ impl NodeBuilder {
         }
         let watched: HashSet<KernelId> = watch_ids.iter().map(|(k, _)| *k).collect();
         let fused_consumers: HashSet<KernelId> = fusions.iter().map(|f| f.consumer).collect();
-        let shard_plan = (shards > 1).then(|| {
-            Arc::new(ShardPlan::new(
-                &spec,
-                &options,
-                &fused_consumers,
-                &watched,
-                shards,
-            ))
-        });
-        let shard_gc = shard_plan
-            .as_ref()
-            .map(|_| Arc::new(ShardGc::new(spec.kernels.len(), spec.fields.len(), shards)));
-        // The inline fast path rides along with sharding (it exists to
-        // keep the analyzer off the critical path) and can be opted into
-        // explicitly; cluster-assigned nodes keep every dispatch decision
-        // in the analyzer, where recovery rescans can reconcile it.
-        // Adaptive granularity disables it: the inline plan requires
-        // chunk-size 1, which the controller is free to change online.
-        let inline: Vec<Option<InlinePlan>> = if limits.adaptive.is_none()
-            && self.assigned.is_none()
-            && (shards > 1 || limits.inline_dispatch)
-        {
-            build_inline_plans(&spec, &options, &fused_consumers, &watched, &limits)
-        } else {
-            (0..spec.fields.len()).map(|_| None).collect()
-        };
+        let shard_plan = Arc::new(ShardPlan::new(
+            &spec,
+            &options,
+            &fused_consumers,
+            &watched,
+            shards,
+        ));
+        let shard_gc = Arc::new(ShardGc::new(spec.kernels.len(), spec.fields.len(), shards));
+        // The inline fast path keeps the analyzer off the dispatch
+        // critical path wherever its plan is sound. Cluster-assigned nodes
+        // keep every dispatch decision in the analyzer, where recovery
+        // rescans can reconcile it. Adaptive granularity disables it: the
+        // inline plan requires chunk-size 1, which the controller is free
+        // to change online.
+        let inline: Vec<Option<InlinePlan>> =
+            if limits.adaptive.is_none() && self.assigned.is_none() {
+                build_inline_plans(&spec, &options, &fused_consumers, &watched, &limits)
+            } else {
+                (0..spec.fields.len()).map(|_| None).collect()
+            };
         let granularity = limits.adaptive.as_ref().map(|cfg| {
             let adaptive = GranularityController::eligibility(&spec, &options, &fusions);
             Arc::new(GranularityController::new(cfg.clone(), &options, adaptive))
         });
 
         // Trace buffer ids: workers 0..n, then the analyzer shards,
-        // watchdog, main. Pool-attached nodes have no private workers;
-        // their units run on the pool's threads, which claim the worker
-        // tid range.
+        // watchdog, main, and last `remote` (stores injected from outside
+        // the node, whichever thread delivers them). Pool-attached nodes
+        // have no private workers; their units run on the pool's threads,
+        // which claim the worker tid range.
         let worker_slots = self.pool.as_ref().map(|p| p.workers()).unwrap_or(self.workers);
         let analyzer_tid0 = worker_slots as u32;
         let watchdog_tid = analyzer_tid0 + shards as u32;
         let main_tid = watchdog_tid + 1;
         let tracer = limits.trace.as_ref().map(|opts| {
             let mut labels: Vec<String> = (0..worker_slots).map(|w| format!("worker-{w}")).collect();
-            if shards == 1 {
-                labels.push("analyzer".into());
-            } else {
-                for s in 0..shards {
-                    labels.push(format!("analyzer-{s}"));
-                }
-            }
+            labels.extend((0..shards).map(|s| format!("analyzer-{s}")));
             labels.push("watchdog".into());
             labels.push("main".into());
+            labels.push("remote".into());
             Arc::new(Tracer::new(labels, opts.capacity))
         });
         let watchdog = if fault.iter().any(|p| p.needs_watchdog()) {
@@ -620,21 +593,23 @@ impl NodeBuilder {
 
         let mut analyzers = Vec::with_capacity(shards);
         for s in 0..shards {
-            let mut analyzer = DependencyAnalyzer::new(
+            let mut analyzer = DependencyAnalyzer::in_scope(
                 spec.clone(),
                 options.clone(),
                 fused_consumers.clone(),
                 fields.clone(),
                 limits.clone(),
+                ShardScope {
+                    plan: shard_plan.clone(),
+                    shard: s,
+                    gc: shard_gc.clone(),
+                },
             );
             if let Some(assigned) = &self.assigned {
                 analyzer.set_assigned(assigned.clone());
             }
             if let Some(t) = &tracer {
                 analyzer.set_tracer(t.clone(), analyzer_tid0 + s as u32);
-            }
-            if let (Some(plan), Some(gc)) = (&shard_plan, &shard_gc) {
-                analyzer.set_shard_scope(plan.clone(), s, gc.clone());
             }
             if let Some(g) = &granularity {
                 analyzer.set_granularity(g.clone());
@@ -644,11 +619,7 @@ impl NodeBuilder {
         // An age watch lives on the shard owning the watched kernel
         // (pinned, so one shard owns every age and fires in order).
         for (kid, callback) in watch_ids {
-            let home = shard_plan
-                .as_ref()
-                .map(|p| p.unit_owner(kid, 0))
-                .unwrap_or(0);
-            analyzers[home].set_age_watch(kid, callback);
+            analyzers[shard_plan.unit_owner(kid, 0)].set_age_watch(kid, callback);
         }
 
         let start = Instant::now();
@@ -681,32 +652,18 @@ impl NodeBuilder {
         // shards fit the machine. Pool-attached nodes share their workers
         // with other tenants' analyzers, so they never do.
         let deadline = limits.wall_deadline.map(|d| start + d);
-        let batch = limits.analyzer_batch.max(1);
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let poll = self.pool.is_none() && self.workers + shards <= cores;
         let mut analyzer_handles = Vec::with_capacity(shards);
         for (s, (analyzer, events_rx)) in analyzers.into_iter().zip(event_rxs).enumerate() {
             let analyzer_shared = shared.clone();
             let tid = analyzer_tid0 + s as u32;
-            let name = if shards == 1 {
-                "p2g-analyzer".to_string()
-            } else {
-                format!("p2g-analyzer-{s}")
-            };
             analyzer_handles.push(
                 std::thread::Builder::new()
-                    .name(name)
+                    .name(format!("p2g-analyzer-{s}"))
                     .spawn(move || {
                         TRACE_TID.with(|c| c.set(tid));
-                        analyzer_loop(
-                            analyzer,
-                            analyzer_shared,
-                            events_rx,
-                            deadline,
-                            s,
-                            batch,
-                            poll,
-                        )
+                        analyzer_loop(analyzer, analyzer_shared, events_rx, deadline, s, poll)
                     })
                     .expect("spawn analyzer"),
             );
@@ -768,67 +725,21 @@ pub struct RunningNode {
 }
 
 impl RunningNode {
-    /// Forward a store produced on another node into this node's field
-    /// replicas; the dependency analyzer applies it and dispatches any
-    /// instances it unblocks. In sharded mode the replica store is applied
-    /// here (idempotently — remote forwards may duplicate) and the
-    /// resulting store event routed like a local one, so every consumer
-    /// shard observes it.
+    /// Forward a store produced on another node (or submitted to a
+    /// session) into this node's field replicas. It lands like a local
+    /// store, idempotently since remote forwards may duplicate, and its
+    /// store event is routed to every shard owning a consumer it unblocks.
+    /// A conflicting value means two nodes produced the same element
+    /// differently; it fails the node. The store is traced on the node's
+    /// `remote` buffer.
     pub fn inject_remote_store(&self, field: FieldId, age: Age, region: Region, buffer: Buffer) {
-        if self.shared.shard_plan.is_none() {
-            self.shared.outstanding.fetch_add(1, Ordering::SeqCst);
-            let _ = self.shared.event_txs[0].send(Event::RemoteStore {
-                field,
-                age,
-                region,
-                buffer,
-            });
-            return;
+        let remote = self.shared.tracer.as_ref().map_or(0, |t| t.threads() - 1);
+        let caller = TRACE_TID.with(|c| c.replace(remote as u32));
+        let landed = land(&self.shared, None, field, age, region, &buffer, true);
+        TRACE_TID.with(|c| c.set(caller));
+        if let Err(e) = landed {
+            self.shared.fail(e);
         }
-        let applied = {
-            let mut f = self.shared.fields[field.idx()].write();
-            match f.store_idempotent(age, &region, &buffer) {
-                Ok(outcome) => {
-                    let extents = f.extents(age).cloned().expect("age resident after store");
-                    let resolved = region.resolved_against(&extents);
-                    Ok((outcome, resolved, extents))
-                }
-                Err(e) => Err(e),
-            }
-        };
-        let (outcome, region, extents) = match applied {
-            Ok(v) => v,
-            Err(e) => {
-                self.shared.fail(RuntimeError::Field(e));
-                return;
-            }
-        };
-        self.shared.trace(|| {
-            store_event(
-                None,
-                field,
-                age,
-                region.clone(),
-                outcome.stored,
-                outcome.deduped,
-                outcome.age_complete,
-            )
-        });
-        if outcome.deduped > 0 {
-            self.shared
-                .instruments
-                .record_deduped(outcome.deduped as u64);
-        }
-        self.shared.send_event(Event::Store(StoreEvent {
-            field,
-            age,
-            region,
-            extents,
-            elements: outcome.stored,
-            age_complete: outcome.age_complete,
-            resized: outcome.resized,
-            inline_dispatched: None,
-        }));
     }
 
     /// Outstanding local work (events + queued + running units). Zero
@@ -876,8 +787,8 @@ impl RunningNode {
     /// analyzer seeds newly-owned sources and rescans resident field data
     /// for instances that became this node's responsibility.
     pub fn reassign(&self, kernels: std::collections::HashSet<KernelId>) {
-        // Broadcasts in sharded mode: every shard adopts the assignment
-        // and rescans the slice of the instance space it owns.
+        // Broadcast: every shard adopts the assignment and rescans the
+        // slice of the instance space it owns.
         self.shared.send_event(Event::Reassign { kernels });
     }
 
@@ -1019,13 +930,16 @@ fn watchdog_loop(wd: Arc<Watchdog>, shared: Arc<Shared>) {
 /// core to itself polls (decided at launch), and it yields between looks.
 const ANALYZER_POLL: Duration = Duration::from_micros(50);
 
+/// Maximum events an analyzer shard drains back-to-back before it
+/// re-checks the stop flag and deadline and records a batch.
+const ANALYZER_BATCH: usize = 256;
+
 fn analyzer_loop(
     mut analyzer: DependencyAnalyzer,
     shared: Arc<Shared>,
     events_rx: Receiver<Event>,
     deadline: Option<Instant>,
     shard: usize,
-    batch: usize,
     poll: bool,
 ) -> Termination {
     // The non-failure exit status: quiescent, or degraded once any
@@ -1100,10 +1014,6 @@ fn analyzer_loop(
                 }
             };
             shared.instruments.record_analyzer_event(t_event.elapsed());
-            let deduped = analyzer.take_deduped();
-            if deduped > 0 {
-                shared.instruments.record_deduped(deduped);
-            }
             shared
                 .instruments
                 .record_gc(analyzer.take_gc_collected(), analyzer.live_ages() as u64);
@@ -1136,18 +1046,11 @@ fn analyzer_loop(
                 shared.dispatch(unit);
             }
             // This event is fully processed; the release may observe
-            // quiescence (stop is then checked right here to avoid one
-            // extra poll cycle).
+            // quiescence. A stop ends the batch here: it is recorded, and
+            // the loop head returns without another poll cycle.
             shared.release_outstanding();
-            if shared.stop.load(Ordering::SeqCst) {
-                return if shared.has_failed() {
-                    Termination::Failed
-                } else {
-                    finished(&analyzer)
-                };
-            }
             handled += 1;
-            if handled < batch {
+            if handled < ANALYZER_BATCH && !shared.stop.load(Ordering::SeqCst) {
                 next = events_rx.try_recv().ok();
             }
         }
@@ -1747,9 +1650,10 @@ fn apply_run(
         Some(r) => r.clone(),
         None => resolve_region(&decl.dims, &unit.instances[st.slot]),
     };
+    let kernel = Some(st.kernel);
     if run.len() == 1 {
         return land(
-            shared, st.kernel, decl.field, age, region, &st.buffer, idempotent,
+            shared, kernel, decl.field, age, region, &st.buffer, idempotent,
         );
     }
     if let DimSel::Index(start) = region.0[0] {
@@ -1760,14 +1664,17 @@ fn apply_run(
     }
     let payload = Buffer::concat(run.iter().map(|st| &st.buffer))?;
     land(
-        shared, st.kernel, decl.field, age, region, &payload, idempotent,
+        shared, kernel, decl.field, age, region, &payload, idempotent,
     )
 }
 
 /// Store `buffer` into `region` of `field` at `age` and publish the store.
+/// `kernel` is the storing kernel. `None` marks a store forwarded from
+/// another node: it is neither tapped back out nor counted against a
+/// kernel, and it lands `idempotent`, so it never takes the inline path.
 fn land(
     shared: &Arc<Shared>,
-    kernel: KernelId,
+    kernel: Option<KernelId>,
     field: FieldId,
     age: Age,
     region: Region,
@@ -1793,7 +1700,7 @@ fn land(
     // happens-before any dispatch the analyzer derives from it.
     shared.trace(|| {
         store_event(
-            Some(kernel),
+            kernel,
             field,
             age,
             region.clone(),
@@ -1802,16 +1709,19 @@ fn land(
             outcome.age_complete,
         )
     });
-    shared
-        .instruments
-        .record_store(kernel, field, outcome.stored as u64);
     if outcome.deduped > 0 {
         shared.instruments.record_deduped(outcome.deduped as u64);
     }
-    // Forward even fully-deduped stores: subscribers may have missed the
-    // original producer's forward, and their replicas dedup in turn.
-    if let Some(tap) = &shared.store_tap {
-        tap(field, age, &region, buffer);
+    if let Some(kernel) = kernel {
+        shared
+            .instruments
+            .record_store(kernel, field, outcome.stored as u64);
+        // Forward even fully-deduped stores: subscribers may have missed
+        // the original producer's forward, and their replicas dedup in
+        // turn.
+        if let Some(tap) = &shared.store_tap {
+            tap(field, age, &region, buffer);
+        }
     }
     // Inline fast path: a fresh single-point store into a field with a
     // pointwise single-fetch consumer proves exactly one instance ready —

@@ -218,20 +218,11 @@ pub struct RunLimits {
     /// recording (one branch per would-be event). Defaults to enabled
     /// when the crate is built with the `trace` feature.
     pub trace: Option<crate::trace::TraceOptions>,
-    /// Number of dependency-analyzer shards. `1` (the default) runs the
-    /// single dedicated analyzer thread exactly as before; `N > 1`
-    /// partitions analyzer state by `(kernel, age)` across N shard
-    /// threads so independent store events are analyzed concurrently
-    /// ([`crate::shard`]).
+    /// Number of dependency-analyzer shards: analyzer state is partitioned
+    /// by `(kernel, age)` across this many threads so independent store
+    /// events are analyzed concurrently ([`crate::shard`]). The default
+    /// is one.
     pub shards: usize,
-    /// Maximum events an analyzer thread drains back-to-back before
-    /// re-checking deadlines and emitting a batch trace record.
-    pub analyzer_batch: usize,
-    /// Let workers dispatch an obviously-ready successor instance inline
-    /// (single pointwise fetch fully satisfied by the store just applied)
-    /// without a round trip through the analyzer. Always considered in
-    /// sharded mode; this knob enables the fast path at `shards == 1` too.
-    pub inline_dispatch: bool,
     /// Online granularity adaptation: when set, a
     /// [`crate::granularity::GranularityController`] on the analyzer
     /// thread adjusts each kernel's effective chunk size from live
@@ -253,8 +244,6 @@ impl Default for RunLimits {
                 None
             },
             shards: 1,
-            analyzer_batch: 256,
-            inline_dispatch: false,
             adaptive: None,
         }
     }
@@ -310,22 +299,9 @@ impl RunLimits {
         self
     }
 
-    /// Shard the dependency analyzer across `n` threads (`1` keeps the
-    /// single-thread analyzer).
+    /// Shard the dependency analyzer across `n` threads (at least one).
     pub fn with_shards(mut self, n: usize) -> RunLimits {
         self.shards = n.max(1);
-        self
-    }
-
-    /// Set the analyzer's greedy drain batch size.
-    pub fn with_analyzer_batch(mut self, n: usize) -> RunLimits {
-        self.analyzer_batch = n.max(1);
-        self
-    }
-
-    /// Enable the worker-side inline dispatch fast path at `shards == 1`.
-    pub fn with_inline_dispatch(mut self) -> RunLimits {
-        self.inline_dispatch = true;
         self
     }
 
@@ -363,21 +339,10 @@ mod tests {
 
     #[test]
     fn shard_builders() {
-        let l = RunLimits::default();
-        assert_eq!(l.shards, 1);
-        assert_eq!(l.analyzer_batch, 256);
-        assert!(!l.inline_dispatch);
-        let l = RunLimits::ages(5)
-            .with_shards(4)
-            .with_analyzer_batch(64)
-            .with_inline_dispatch();
-        assert_eq!(l.shards, 4);
-        assert_eq!(l.analyzer_batch, 64);
-        assert!(l.inline_dispatch);
-        // Degenerate values clamp to the single-shard / single-event floor.
-        let l = RunLimits::default().with_shards(0).with_analyzer_batch(0);
-        assert_eq!(l.shards, 1);
-        assert_eq!(l.analyzer_batch, 1);
+        assert_eq!(RunLimits::default().shards, 1);
+        assert_eq!(RunLimits::ages(5).with_shards(4).shards, 4);
+        // A degenerate count clamps to one shard.
+        assert_eq!(RunLimits::default().with_shards(0).shards, 1);
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Sharded dependency analysis: the routing plan and shared GC frontiers.
 //!
-//! With `RunLimits::shards = N > 1` the node runs N analyzer threads, each
-//! owning a disjoint slice of the `(kernel, age)` instance space. The shard
+//! A single analyzer is a one-shard analyzer. The node runs
+//! `RunLimits::shards = N` analyzer threads (one by default), each owning a
+//! disjoint slice of the `(kernel, age)` instance space. The shard
 //! key is age-based: an unpinned kernel's age `a` belongs to shard
 //! `a % N`, so every store event of a streaming pipeline lands on exactly
 //! one shard while consecutive ages analyze in parallel. Kernels whose
 //! per-age state cannot be split — sources (self-sequencing), `ordered`
 //! kernels (one `ordered_next` cursor), age-watched kernels (callbacks must
 //! fire in age order), age-less kernels, and fused consumers — are *pinned*:
-//! every age of a pinned kernel lives on its home shard `kernel % N`.
+//! every age of a pinned kernel lives on its home shard `kernel % N`. A
+//! one-shard plan pins every kernel to shard 0, so each event routes to
+//! exactly one copy through index lookups alone.
 //!
 //! A store event is routed to exactly the shards that own a consumer
 //! instance it can affect: `Rel(t)` consumers map store age `a` to instance
@@ -72,7 +75,8 @@ pub struct ShardPlan {
 impl ShardPlan {
     /// Build the plan for `spec` under `options`. `fused` are consumer
     /// kernels run inline by their producer; `watched` carry analyzer age
-    /// watches. Both are pinned to their home shard.
+    /// watches. Both are pinned to their home shard, as is every kernel
+    /// of a one-shard plan.
     pub fn new(
         spec: &ProgramSpec,
         options: &[KernelOptions],
@@ -86,7 +90,8 @@ impl ShardPlan {
         let mut home = vec![0usize; nk];
         for (i, k) in spec.kernels.iter().enumerate() {
             home[i] = i % shards;
-            pinned[i] = k.is_source()
+            pinned[i] = shards == 1
+                || k.is_source()
                 || !k.has_age_var
                 || options[i].ordered
                 || watched.contains(&k.id)
@@ -158,14 +163,19 @@ impl ShardPlan {
         }
     }
 
-    /// Destination shards for a store into `field` at `age`, as a bitmask
-    /// (bit s ⇒ deliver to shard s). Plans are capped at 64 shards.
-    pub fn store_dests(&self, field: FieldId, age: u64) -> u64 {
-        let all: u64 = if self.shards >= 64 {
+    /// Bitmask selecting every shard of the plan.
+    pub fn all_mask(&self) -> u64 {
+        if self.shards >= 64 {
             u64::MAX
         } else {
             (1u64 << self.shards) - 1
-        };
+        }
+    }
+
+    /// Destination shards for a store into `field` at `age`, as a bitmask
+    /// (bit s ⇒ deliver to shard s). Plans are capped at 64 shards.
+    pub fn store_dests(&self, field: FieldId, age: u64) -> u64 {
+        let all = self.all_mask();
         let mut mask = 0u64;
         for rule in &self.routes[field.idx()] {
             match *rule {
@@ -195,7 +205,7 @@ impl ShardPlan {
     }
 }
 
-/// Shared GC frontier state for a sharded run.
+/// Shared GC frontier state of a node's analyzer shards.
 ///
 /// * `kernel_frontier[k * shards + s]`: shard s's published safe age for
 ///   kernel k — every owned age below it is demonstrably finished. The
@@ -349,7 +359,9 @@ mod tests {
         }
         for k in &spec.kernels {
             assert_eq!(p.unit_owner(k.id, 3), 0);
+            assert!(p.is_pinned(k.id) && p.owns(k.id, 3, 0));
         }
+        assert_eq!(p.all_mask(), 1);
     }
 
     #[test]

@@ -266,7 +266,7 @@ pub fn dependencies_respected(trace: &RunTrace) {
 /// merged-record order with no timestamp tie tolerance — each dispatch
 /// sees only the stores at strictly earlier record positions.
 ///
-/// This is the single-analyzer (`shards = 1`) guarantee: one event queue
+/// This is the one-shard (`shards = 1`) guarantee: one event queue
 /// imposes one global order, so every dependency store is traced at an
 /// earlier position than the dispatch it enables. Sharded runs satisfy
 /// only the relaxed per-`(field, age)` form.

@@ -7,7 +7,7 @@ use std::time::Duration;
 use p2g_field::{Age, Buffer, DimSel, Extents, FieldDef, Region, ScalarType, Value};
 use p2g_graph::spec::{AgeExpr, FetchDecl, IndexSel, KernelId, KernelSpec, ProgramSpec, StoreDecl};
 use p2g_runtime::instrument::Termination;
-use p2g_runtime::{NodeBuilder, Program, RunLimits};
+use p2g_runtime::{NodeBuilder, Program, RunLimits, RuntimeError};
 
 /// A consumer-only program: one kernel waits for `input`, doubles it into
 /// `output`. Nothing local produces `input` — only remote stores can.
@@ -99,6 +99,101 @@ fn hold_open_node_processes_injected_stores() {
         &[4, 4, 6, 8]
     );
     assert_eq!(report.instruments.kernel("double").unwrap().instances, 2);
+}
+
+/// A forwarded store lands like a local one at every shard count: an equal
+/// duplicate dedups and the run stays quiescent, and a conflicting value
+/// fails the node with the write-once error.
+#[test]
+fn injected_duplicates_dedup_and_conflicts_fail() {
+    for shards in [1, 2] {
+        let inject_twice = |second: Vec<i32>| {
+            let mut limits = RunLimits::ages(1).with_shards(shards);
+            limits.hold_open = true;
+            let node = NodeBuilder::new(consumer_program())
+                .workers(1)
+                .launch(limits)
+                .unwrap();
+            for data in [vec![1i32, 2, 3, 4], second] {
+                node.inject_remote_store(
+                    p2g_field::FieldId(0),
+                    Age(0),
+                    Region::all(1),
+                    Buffer::from_vec(data),
+                );
+            }
+            let t0 = std::time::Instant::now();
+            while node.outstanding() != 0 && !node.is_stopped() {
+                assert!(t0.elapsed() < Duration::from_secs(10), "node never drained");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            node.request_stop();
+            node.collect()
+        };
+
+        let (report, fields) = inject_twice(vec![1, 2, 3, 4]).unwrap();
+        assert_eq!(
+            report.termination,
+            Termination::Quiescent,
+            "shards={shards}"
+        );
+        assert!(report.instruments.deduped_elements() > 0, "shards={shards}");
+        assert_eq!(
+            fields
+                .fetch("output", Age(0), &Region::all(1))
+                .unwrap()
+                .as_i32()
+                .unwrap(),
+            &[2, 4, 6, 8]
+        );
+
+        match inject_twice(vec![1, 2, 3, 5]) {
+            Err(e) => assert!(matches!(e, RuntimeError::Field(_)), "shards={shards}: {e}"),
+            Ok(_) => panic!("shards={shards}: a conflicting remote store was accepted"),
+        }
+    }
+}
+
+/// An injected store is traced on the node's `remote` buffer, not on the
+/// buffer of whichever thread delivered it; local stores stay on the
+/// workers' buffers.
+#[test]
+fn injected_stores_are_traced_as_remote() {
+    let mut limits = RunLimits::ages(1).with_trace();
+    limits.hold_open = true;
+    let node = NodeBuilder::new(consumer_program())
+        .workers(1)
+        .launch(limits)
+        .unwrap();
+    node.inject_remote_store(
+        p2g_field::FieldId(0),
+        Age(0),
+        Region::all(1),
+        Buffer::from_vec(vec![1i32, 2, 3, 4]),
+    );
+    let t0 = std::time::Instant::now();
+    while node.outstanding() != 0 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "node never drained");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    node.request_stop();
+    let (report, _) = node.collect().unwrap();
+    let trace = report.trace.as_ref().unwrap();
+    assert_eq!(
+        trace.thread_labels.last().map(String::as_str),
+        Some("remote")
+    );
+    let stores: Vec<(bool, &str)> = trace
+        .of_kind("StoreApplied")
+        .map(|r| match &r.event {
+            p2g_runtime::TraceEvent::StoreApplied { kernel, .. } => (
+                kernel.is_none(),
+                trace.thread_labels[r.tid as usize].as_str(),
+            ),
+            _ => unreachable!(),
+        })
+        .collect();
+    assert_eq!(stores, vec![(true, "remote"), (false, "worker-0")]);
 }
 
 #[test]

@@ -221,26 +221,23 @@ fn pointwise_program(n: usize) -> Program {
     program
 }
 
-/// The worker-side inline fast path actually fires on an eligible
-/// (pointwise, statically-sized) pipeline, the dispatched instance space
-/// matches the analyzer-only run exactly, and every trace invariant still
-/// holds — the tagged store events reconcile so nothing double-dispatches
-/// (a duplicate would trip the write-once check).
+/// The worker-side inline fast path fires by default on an eligible
+/// (pointwise, statically-sized) pipeline at one shard and at four, the
+/// dispatched instance space is exactly the program's, and every trace
+/// invariant still holds — the tagged store events reconcile so nothing
+/// double-dispatches (a duplicate would trip the write-once check).
 #[test]
 fn inline_fast_path_fires_and_stays_consistent() {
     const AGES: u64 = 6;
     const N: usize = 8;
-    let baseline = NodeBuilder::new(pointwise_program(N))
-        .workers(4)
-        .launch(RunLimits::ages(AGES))
-        .and_then(|n| n.wait())
-        .unwrap();
+    let per_kernel = [
+        ("seed", 1),
+        ("twice", N as u64 * AGES),
+        ("inc", N as u64 * AGES),
+    ];
     for (limits, label) in [
+        (RunLimits::ages(AGES), "default limits"),
         (RunLimits::ages(AGES).with_shards(4), "shards=4"),
-        (
-            RunLimits::ages(AGES).with_inline_dispatch(),
-            "shards=1 + inline",
-        ),
     ] {
         let report = NodeBuilder::new(pointwise_program(N))
             .workers(4)
@@ -252,10 +249,10 @@ fn inline_fast_path_fires_and_stays_consistent() {
             "{label}: inline fast path never fired on an eligible pipeline"
         );
         p2g_runtime::trace_check::all(&report);
-        for k in ["seed", "twice", "inc"] {
+        for (k, instances) in per_kernel {
             assert_eq!(
                 report.instruments.kernel(k).unwrap().instances,
-                baseline.instruments.kernel(k).unwrap().instances,
+                instances,
                 "{label}: inline dispatch changed the {k} instance space"
             );
         }

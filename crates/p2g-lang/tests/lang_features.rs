@@ -360,3 +360,52 @@ rowsum:
     // Row r: sum of r*10+c for c in 0..4 = 40r + 6.
     assert_eq!(sums.as_i32().unwrap(), &[6, 46, 86]);
 }
+
+/// A constant row next to a whole dimension (`grid(a)[1][*]`) of an
+/// implicitly-sized field that an index-variable kernel fills row by row:
+/// `take` must wait until the grid's extents settle, then read row 1.
+#[test]
+fn constant_row_fetch_of_growing_field() {
+    let src = r#"
+int32[] rows age;
+int32[][] grid age;
+int32[] out age;
+init:
+  age a;
+  local int32[] r;
+  %{
+    resize(r, 3);
+    for (int i = 0; i < 3; ++i) put(r, i, i);
+  %}
+  store rows(a) = r;
+fill:
+  age a; index y;
+  local int32 v;
+  local int32[][] row;
+  fetch v = rows(a)[y];
+  %{
+    // One row, shaped 1x4: the payload's rank sizes the whole dimension
+    // of an age that has no extents yet.
+    resize(row, 1, 4);
+    for (int c = 0; c < 4; ++c) put(row, a * 100 + v * 10 + c, 0, c);
+  %}
+  store grid(a)[y][*] = row;
+take:
+  age a;
+  local int32[] row;
+  local int32 s;
+  fetch row = grid(a)[1][*];
+  %{
+    for (int c = 0; c < extent(row, 0); ++c) s += get(row, c);
+  %}
+  store out(a)[0] = s;
+"#;
+    for workers in [1, 4] {
+        let (fields, _) = run(src, 3, workers);
+        for a in 0..3u64 {
+            // Row 1 at age a: sum of 100a + 10 + c for c in 0..4.
+            let s = fields.fetch_element("out", Age(a), &[0]).unwrap().as_i64();
+            assert_eq!(s, 400 * a as i64 + 46, "age {a}, {workers} workers");
+        }
+    }
+}

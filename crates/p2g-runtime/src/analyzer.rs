@@ -31,12 +31,12 @@
 //!   could have affected; a closed→open transition sweeps the table for
 //!   ready instances.
 //!
-//! Kernels whose fetch shapes the inversion doesn't cover (a fixed index
-//! mixed with a whole dimension) fall back to the original
-//! enumerate-and-check path ([`DependencyAnalyzer::try_generate`]), which
-//! also serves as the correctness oracle: [`Event::Reassign`] triggers
-//! [`DependencyAnalyzer::rescan`], a full resynchronization of views and
-//! tables from field ground truth followed by oracle-path dispatch.
+//! Inversion is the only rule: every fetch shape maps to one of the three
+//! [`FetchKind`]s, and the analyzer never enumerates an instance space to
+//! test it. [`Event::Reassign`] resynchronizes the views from field ground
+//! truth and rebuilds the pending tables from them
+//! ([`DependencyAnalyzer::rescan`]); poison inverts its region into the
+//! instance box it reaches ([`DependencyAnalyzer::queue_poison_dependents`]).
 //!
 //! The analyzer also implements:
 //! * **source-kernel sequencing** — a fetch-less kernel with an age
@@ -83,7 +83,8 @@ struct AgeWatch {
     callback: AgeWatchFn,
 }
 
-/// How the incremental path accounts one fetch declaration.
+/// How the analyzer accounts one fetch declaration. Every fetch shape is
+/// one of these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FetchKind {
     /// Every dimension is `All`: no counters; the fetch is satisfied when
@@ -92,10 +93,11 @@ enum FetchKind {
     /// No `All` dimension: the fetch selects exactly one element per
     /// instance; one counter unit.
     Pointwise,
-    /// `Var` and `All` dimensions only: a row/slab per instance. Counters
-    /// track the slab's unaccounted elements; the `All` extents must also
-    /// be settled (a gate), and extent growth bumps every counter by the
-    /// slab growth.
+    /// Some `All` dimensions next to `Var` and/or `Const` ones: a row/slab
+    /// per instance, fixed by the instance's variables and the constants.
+    /// Counters track the slab's unaccounted elements; the extents must
+    /// also be settled (a gate), and extent growth bumps every counter by
+    /// the slab growth.
     RowLike,
 }
 
@@ -140,11 +142,8 @@ pub struct DependencyAnalyzer {
     consumers: Vec<Vec<KernelId>>,
     /// For each kernel, the (fetch, dim) binding each index var's range.
     bindings: Vec<Vec<(usize, usize)>>,
-    /// Per kernel, per fetch: how the incremental path accounts it.
+    /// Per kernel, per fetch: how the analyzer accounts it.
     fetch_kinds: Vec<Vec<FetchKind>>,
-    /// Kernels the incremental path covers; the rest use the
-    /// enumerate-and-check oracle path.
-    eligible: Vec<bool>,
     /// Event-derived (field, age) views — extents + accounted elements.
     views: HashMap<(u32, u64), FieldView>,
     /// Ages with a view, per field (replaces resident-age field reads on
@@ -276,29 +275,23 @@ impl DependencyAnalyzer {
                         .collect()
                 })
                 .collect();
-        let mut eligible = vec![true; nk];
-        let mut fetch_kinds: Vec<Vec<FetchKind>> = Vec::with_capacity(nk);
-        for k in &spec.kernels {
-            let mut kinds = Vec::with_capacity(k.fetches.len());
-            for fe in &k.fetches {
-                let has_all = fe.dims.iter().any(|d| matches!(d, IndexSel::All));
-                let has_const = fe.dims.iter().any(|d| matches!(d, IndexSel::Const(_)));
-                let kind = if !has_all {
-                    FetchKind::Pointwise
-                } else if fe.dims.iter().all(|d| matches!(d, IndexSel::All)) {
-                    FetchKind::WholeField
-                } else if !has_const {
-                    FetchKind::RowLike
-                } else {
-                    // Fixed index mixed with a whole dimension: the stored
-                    // coordinate → instance inversion doesn't cover it.
-                    eligible[k.id.idx()] = false;
-                    FetchKind::Pointwise
-                };
-                kinds.push(kind);
-            }
-            fetch_kinds.push(kinds);
-        }
+        let fetch_kinds = spec
+            .kernels
+            .iter()
+            .map(|k| {
+                k.fetches
+                    .iter()
+                    .map(|fe| {
+                        let alls = fe.dims.iter().filter(|d| matches!(d, IndexSel::All));
+                        match alls.count() {
+                            0 => FetchKind::Pointwise,
+                            n if n == fe.dims.len() => FetchKind::WholeField,
+                            _ => FetchKind::RowLike,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
         DependencyAnalyzer {
             options,
             fused_consumers,
@@ -308,7 +301,6 @@ impl DependencyAnalyzer {
             consumers,
             bindings,
             fetch_kinds,
-            eligible,
             views: HashMap::new(),
             view_ages: vec![BTreeSet::new(); nf],
             tables: HashMap::new(),
@@ -718,10 +710,14 @@ impl DependencyAnalyzer {
     }
 
     /// Queue for poisoning every instance of `cid` at age `ca` whose fetch
-    /// of (`field`, `fa`) intersects the poisoned `region`. Instance ranges
-    /// come from [`DependencyAnalyzer::known_extent`]; when a binding range
-    /// is still unknown the scan is skipped — [`DependencyAnalyzer::
-    /// ensure_table`] re-scans when the space becomes known.
+    /// of (`field`, `fa`) intersects the poisoned `region`, found by
+    /// inverting each such fetch: a `Var` dimension intersects its
+    /// variable's range with the region's, a `Const` one must lie inside
+    /// the region, and an `All` one needs a non-empty region dimension.
+    /// Instance ranges come from [`DependencyAnalyzer::known_extent`]; when
+    /// a binding range is still unknown nothing is queued —
+    /// [`DependencyAnalyzer::create_table`] re-checks the poison map when
+    /// the space becomes known.
     fn queue_poison_dependents(
         &mut self,
         cid: KernelId,
@@ -734,59 +730,52 @@ impl DependencyAnalyzer {
         if k.is_source() || !self.age_allowed(k, ca) {
             return;
         }
-        let nvars = k.index_vars as usize;
-        let mut ranges = Vec::with_capacity(nvars);
+        let mut ranges = Vec::with_capacity(k.index_vars as usize);
         for &(fi, dim) in &self.bindings[cid.idx()] {
             let fe = &k.fetches[fi];
-            let bfa = fe.age.resolve(Age(ca));
-            match self.known_extent(fe.field, bfa, dim) {
+            match self.known_extent(fe.field, fe.age.resolve(Age(ca)), dim) {
                 Some(r) => ranges.push(r),
                 None => return,
             }
         }
-        if ranges.contains(&0) {
-            return;
-        }
-        // Which fetches of cid read the poisoned (field, age)?
-        let hit_fetches: Vec<Vec<IndexSel>> = k
-            .fetches
-            .iter()
-            .filter(|fe| fe.field == field && fe.age.resolve(Age(ca)) == fa)
-            .map(|fe| fe.dims.clone())
-            .collect();
-        if hit_fetches.is_empty() {
-            return;
-        }
-        let mut idx = vec![0usize; nvars];
-        loop {
-            let hits = hit_fetches
-                .iter()
-                .any(|dims| fetch_hits_region(dims, &idx, region));
-            if hits
-                && !self
-                    .poisoned_instances
-                    .get(&(cid.0, ca))
-                    .is_some_and(|s| s.contains(&idx))
-            {
-                self.pending_poison.push((cid, ca, idx.clone()));
+        let mut hits: Vec<Vec<usize>> = Vec::new();
+        for fe in &k.fetches {
+            if fe.field != field || fe.age.resolve(Age(ca)) != fa {
+                continue;
             }
-            // Advance odometer.
-            let mut d = nvars;
-            loop {
-                if d == 0 {
-                    return;
+            // The instance box [lo, hi) this fetch reads the region from.
+            let mut lo = vec![0usize; ranges.len()];
+            let mut hi = ranges.clone();
+            let reads = fe.dims.iter().zip(&region.0).all(|(sel, rsel)| {
+                let (start, end) = match *rsel {
+                    p2g_field::DimSel::Index(i) => (i, i + 1),
+                    p2g_field::DimSel::Range { start, len } => (start, start + len),
+                    p2g_field::DimSel::All => (0, usize::MAX),
+                };
+                match *sel {
+                    IndexSel::Var(v) => {
+                        let v = v.0 as usize;
+                        lo[v] = lo[v].max(start);
+                        hi[v] = hi[v].min(end);
+                        true
+                    }
+                    IndexSel::Const(c) => start <= c && c < end,
+                    IndexSel::All => start < end,
                 }
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < ranges[d] {
-                    break;
-                }
-                idx[d] = 0;
-                if d == 0 {
-                    return;
-                }
+            });
+            if !reads || lo.iter().zip(&hi).any(|(l, h)| l >= h) {
+                continue;
             }
+            let shape = Extents(lo.iter().zip(&hi).map(|(l, h)| h - l).collect());
+            hits.extend((0..shape.len()).map(|lin| {
+                let off = shape.delinearize(lin);
+                off.iter().zip(&lo).map(|(o, l)| o + l).collect()
+            }));
         }
+        let done = self.poisoned_instances.get(&(cid.0, ca));
+        hits.retain(|idx| !done.is_some_and(|s| s.contains(idx)));
+        self.pending_poison
+            .extend(hits.into_iter().map(|idx| (cid, ca, idx)));
     }
 
     /// Re-scan the poison map against (kid, a)'s fetches — called when the
@@ -826,13 +815,12 @@ impl DependencyAnalyzer {
 
     /// Re-derive runnable instances from all resident field data — used
     /// after a [`Event::Reassign`] so kernels this node just inherited
-    /// catch up on data that arrived while another node owned them, and as
-    /// the recovery/correctness oracle for the incremental path. Views are
-    /// resynchronized from field ground truth (events this analyzer never
-    /// saw may have been replayed into the fields), pending tables are
-    /// dropped — future store events recreate them from the synced views —
-    /// and the enumerate-and-check path dispatches everything currently
-    /// runnable. The dispatched set makes this idempotent.
+    /// catch up on data that arrived while another node owned them. Views
+    /// are resynchronized from field ground truth (events this analyzer
+    /// never saw may have been replayed into the fields); then every
+    /// consumer table an age of resident data can reach is rebuilt from the
+    /// synced views and swept if its gates are open — the store path's own
+    /// table code. The dispatched set makes this idempotent.
     fn rescan(&mut self, out: &mut Vec<DispatchUnit>) {
         // Resync views with the fields.
         self.views.clear();
@@ -855,33 +843,33 @@ impl DependencyAnalyzer {
                 self.view_ages[fi].insert(age.0);
             }
         }
-        // Drop stale pending tables. Anything runnable *now* is dispatched
-        // below; anything that becomes runnable later necessarily gets a
-        // store event, which recreates its table from the synced views.
+        // Drop the stale pending tables; their counters may predate stores
+        // this analyzer never saw.
         self.tables.clear();
         for ta in &mut self.table_ages {
             ta.clear();
         }
 
+        // Propagate every expectation before any gate is read: a gate
+        // opened on a partial propagation could dispatch on a transiently
+        // complete prefix.
+        let mut keys: BTreeSet<(u32, u64)> = BTreeSet::new();
         for fi in 0..self.fields.len() {
-            let field = FieldId(fi as u32);
             let resident: Vec<u64> = self.view_ages[fi].iter().copied().collect();
-            let consumer_ids = self.consumers[fi].clone();
-            for &kid in &consumer_ids {
+            for kid in self.consumers[fi].clone() {
                 if self.fused_consumers.contains(&kid) {
                     continue;
                 }
                 for &ra in &resident {
-                    let ages = self.affected_ages(kid, field, Age(ra));
-                    let mut changed = Vec::new();
-                    self.propagate_extents(kid, &ages, &mut changed);
-                    if self.runs(kid) {
-                        for a in ages {
-                            self.try_generate(kid, a, out);
-                        }
-                    }
+                    let ages = self.affected_ages(kid, FieldId(fi as u32), Age(ra));
+                    self.propagate_extents(kid, &ages, &mut Vec::new());
+                    keys.extend(ages.into_iter().map(|a| (kid.0, a)));
                 }
             }
+        }
+        for (k, a) in keys {
+            self.create_table(KernelId(k), a);
+            self.regate(KernelId(k), a, &mut HashMap::new(), out);
         }
     }
 
@@ -1008,16 +996,8 @@ impl DependencyAnalyzer {
 
         // Bring consumer pending tables up to date: create lazily, bump
         // row-like counters for slab growth, grow the instance space for
-        // binding-extent growth. Ineligible kernels use the oracle path.
+        // binding-extent growth.
         for (kid, ages) in &affected {
-            if !self.eligible[kid.idx()] {
-                if self.runs(*kid) {
-                    for &a in ages {
-                        self.try_generate(*kid, a, out);
-                    }
-                }
-                continue;
-            }
             for &a in ages {
                 if !self.age_allowed(self.spec.kernel(*kid), a) {
                     continue;
@@ -1033,73 +1013,57 @@ impl DependencyAnalyzer {
         let mut zeros: HashMap<(u32, u64), Vec<usize>> = HashMap::new();
         self.account_and_decrement(se, &mut zeros);
 
-        // Gate recompute + dispatch. A closed→open gate transition sweeps
-        // the whole table (zeros accumulated while closed, initial zeros);
-        // an open gate dispatches this event's transitions; a closed gate
-        // drops them (a future sweep picks them up).
+        // Gate recompute + dispatch.
         let mut keys: Vec<(u32, u64)> = gate_check
             .into_iter()
             .chain(zeros.keys().copied())
             .collect();
         keys.sort_unstable();
         keys.dedup();
-        for key in keys {
-            if !self.tables.contains_key(&key) {
-                continue;
-            }
-            let open = self.table_gate(KernelId(key.0), key.1);
-            let table = self.tables.get_mut(&key).expect("checked above");
-            let was_open = table.gates_open;
-            table.gates_open = open;
-            if !open {
-                continue;
-            }
-            if !was_open {
-                self.sweep_table(KernelId(key.0), key.1, out);
-            } else if let Some(lins) = zeros.remove(&key) {
-                self.dispatch_ready(KernelId(key.0), key.1, lins, out);
-            }
+        for (k, a) in keys {
+            self.regate(KernelId(k), a, &mut zeros, out);
+        }
+    }
+
+    /// Recompute the cached gate of (kid, a)'s table, if it has one. A
+    /// closed→open transition sweeps the whole table (zeros accumulated
+    /// while closed, initial zeros); an open gate dispatches the table's
+    /// entry in `zeros`, this event's transitions; a closed gate drops
+    /// them (a future sweep picks them up).
+    fn regate(
+        &mut self,
+        kid: KernelId,
+        a: u64,
+        zeros: &mut HashMap<(u32, u64), Vec<usize>>,
+        out: &mut Vec<DispatchUnit>,
+    ) {
+        let key = (kid.0, a);
+        if !self.tables.contains_key(&key) {
+            return;
+        }
+        let open = self.table_gate(kid, a);
+        let table = self.tables.get_mut(&key).expect("checked above");
+        let was_open = std::mem::replace(&mut table.gates_open, open);
+        if !open {
+            return;
+        }
+        if !was_open {
+            self.sweep_table(kid, a, out);
+        } else if let Some(lins) = zeros.remove(&key) {
+            self.dispatch_ready(kid, a, lins, out);
         }
     }
 
     /// Create or update the pending table of (kid, a) for a store on
     /// `se.field`: bump row-like counters for slab growth of the stored
-    /// view, then grow the instance space if a binding extent grew. Tables
-    /// are created once every binding fetch has a view; counters are
-    /// initialized from the views *before* this event's elements are
-    /// accounted, so the decrement phase sees them as pending.
+    /// view, then grow the instance space if a binding extent grew.
     fn ensure_table(&mut self, kid: KernelId, a: u64, se: &StoreEvent, old_ext: Option<&Extents>) {
-        let k = self.spec.kernel(kid);
-        if k.is_source() || !self.owns(kid, a) {
-            return;
-        }
         let key = (kid.0, a);
         if !self.tables.contains_key(&key) {
-            let Some(ranges) = self.table_ranges(kid, a) else {
-                return; // a binding view is still missing
-            };
-            let len = ranges.len();
-            let mut remaining = vec![0u32; len];
-            for (lin, slot) in remaining.iter_mut().enumerate() {
-                let idx = ranges.delinearize(lin);
-                *slot = self.instance_missing(kid, a, &idx);
-            }
-            self.tables.insert(
-                key,
-                PendingTable {
-                    ranges,
-                    remaining,
-                    // Always start closed; the caller's gate recompute
-                    // performs the initial sweep if the gates are open.
-                    gates_open: false,
-                },
-            );
-            self.table_ages[kid.idx()].insert(a);
-            // The instance space just became enumerable: dependents of any
-            // earlier poison can now be found.
-            self.poison_scan_kernel(kid, a);
+            self.create_table(kid, a);
             return;
         }
+        let k = self.spec.kernel(kid);
 
         // Slab growth: the stored view's extents grew, so every row-like
         // fetch of it now spans more elements — all of them unaccounted.
@@ -1175,6 +1139,37 @@ impl DependencyAnalyzer {
         }
     }
 
+    /// Create the pending table of (kid, a) from the current views — when
+    /// this shard owns a non-source instance age the run limits allow, and
+    /// once every binding fetch has a view. On the store path the counters
+    /// are initialized *before* the event's elements are accounted, so the
+    /// decrement phase sees them as pending. The table starts closed; the
+    /// caller's [`Self::regate`] performs the initial sweep.
+    fn create_table(&mut self, kid: KernelId, a: u64) {
+        let k = self.spec.kernel(kid);
+        if k.is_source() || !self.age_allowed(k, a) || !self.owns(kid, a) {
+            return;
+        }
+        let Some(ranges) = self.table_ranges(kid, a) else {
+            return; // a binding view is still missing
+        };
+        let remaining = (0..ranges.len())
+            .map(|lin| self.instance_missing(kid, a, &ranges.delinearize(lin)))
+            .collect();
+        self.tables.insert(
+            (kid.0, a),
+            PendingTable {
+                ranges,
+                remaining,
+                gates_open: false,
+            },
+        );
+        self.table_ages[kid.idx()].insert(a);
+        // The instance space just became known: dependents of any earlier
+        // poison can now be found.
+        self.poison_scan_kernel(kid, a);
+    }
+
     /// The instance-space shape of (kid, a) from the binding fetches'
     /// views; `None` while some binding view is missing.
     fn table_ranges(&self, kid: KernelId, a: u64) -> Option<Extents> {
@@ -1224,24 +1219,22 @@ impl DependencyAnalyzer {
                     let Some(view) = self.views.get(&(fe.field.0, fa.0)) else {
                         continue;
                     };
-                    // The slab: Var dims fixed by the instance, All dims
-                    // spanning the view extents. A fixed coordinate out of
-                    // the view's extents leaves the whole slab unaccounted.
+                    // The slab: Var and Const dims fixed, All dims spanning
+                    // the view extents. A fixed coordinate out of the
+                    // view's extents leaves the whole slab unaccounted.
                     let mut in_bounds = true;
                     let spans: Vec<(usize, usize)> = fe
                         .dims
                         .iter()
                         .enumerate()
-                        .map(|(d, s)| match s {
-                            IndexSel::Var(v) => {
-                                let c = idx[v.0 as usize];
-                                if c >= view.extents.dim(d) {
-                                    in_bounds = false;
-                                }
-                                (c, 1)
-                            }
-                            IndexSel::All => (0, view.extents.dim(d)),
-                            IndexSel::Const(_) => unreachable!("row-like has no Const dim"),
+                        .map(|(d, s)| {
+                            let c = match s {
+                                IndexSel::Var(v) => idx[v.0 as usize],
+                                IndexSel::Const(c) => *c,
+                                IndexSel::All => return (0, view.extents.dim(d)),
+                            };
+                            in_bounds &= c < view.extents.dim(d);
+                            (c, 1)
                         })
                         .collect();
                     let slab: usize = spans.iter().map(|&(_, l)| l).product();
@@ -1265,7 +1258,7 @@ impl DependencyAnalyzer {
         se: &StoreEvent,
         zeros: &mut HashMap<(u32, u64), Vec<usize>>,
     ) {
-        // The inversion plan: each eligible consumer fetch of this field
+        // The inversion plan: each counted consumer fetch of this field
         // whose resolved age matches, with the kernel ages it feeds.
         struct Plan {
             kid: KernelId,
@@ -1274,7 +1267,7 @@ impl DependencyAnalyzer {
         }
         let mut plans: Vec<Plan> = Vec::new();
         for &kid in &self.consumers[se.field.idx()] {
-            if self.fused_consumers.contains(&kid) || !self.eligible[kid.idx()] {
+            if self.fused_consumers.contains(&kid) {
                 continue;
             }
             let k = self.spec.kernel(kid);
@@ -1328,7 +1321,9 @@ impl DependencyAnalyzer {
             .expect("view created above");
         let view_extents = view.extents.clone();
         let Ok(spans) = se.region.resolve(&view_extents) else {
-            return; // malformed event; rescan recovers
+            // Unreachable for a landed store: its region resolved against
+            // extents no larger than the view's.
+            return;
         };
         let ndim = spans.len();
         let mut coord: Vec<usize> = spans.iter().map(|&(s, _)| s).collect();
@@ -1883,121 +1878,6 @@ impl DependencyAnalyzer {
         limit
     }
 
-    /// Enumerate kernel `kid`'s instance space at age `a`, dispatching
-    /// every not-yet-dispatched instance whose fetches are all satisfied.
-    /// This is the slow enumerate-and-check path, kept for kernels the
-    /// incremental inversion doesn't cover and as the rescan/recovery
-    /// oracle. It reads field ground truth (locks), not views.
-    fn try_generate(&mut self, kid: KernelId, a: u64, out: &mut Vec<DispatchUnit>) {
-        let spec = self.spec.clone();
-        let k = spec.kernel(kid);
-        if !self.age_allowed(k, a) || k.is_source() || !self.owns(kid, a) {
-            return;
-        }
-        let nvars = k.index_vars as usize;
-
-        // Index-variable ranges from their binding fetches' extents.
-        let mut ranges = Vec::with_capacity(nvars);
-        for &(fi, dim) in &self.bindings[kid.idx()] {
-            let fe = &k.fetches[fi];
-            let fa = fe.age.resolve(Age(a));
-            let field = self.fields[fe.field.idx()].read();
-            match field.extents(fa) {
-                Some(e) => ranges.push(e.dim(dim)),
-                None => return, // no data for the binding age yet
-            }
-        }
-        if ranges.contains(&0) {
-            return;
-        }
-        let space: usize = ranges.iter().product::<usize>().max(1);
-        if let Some(set) = self.dispatched.get(&(kid.0, a)) {
-            if set.count() >= space {
-                return; // everything already dispatched at this extent
-            }
-        }
-        // Pre-grow the dispatched bitmap to the full instance space so the
-        // per-instance marks below never trigger a remap.
-        let full = Extents(ranges.clone());
-        let bm = self
-            .dispatched
-            .entry((kid.0, a))
-            .or_insert_with(|| ShapedBitmap::new(full.clone()));
-        bm.grow(&full);
-
-        // Enumerate the instance space (mixed radix odometer).
-        let mut runnable: Vec<Vec<usize>> = Vec::new();
-        let mut idx = vec![0usize; nvars];
-        loop {
-            let seen = self
-                .dispatched
-                .get(&(kid.0, a))
-                .is_some_and(|s| s.get(&idx));
-            if !seen && self.instance_runnable(k, a, &idx) {
-                self.mark_dispatched(kid, a, &idx);
-                runnable.push(idx.clone());
-            }
-            // Advance odometer.
-            let mut d = nvars;
-            loop {
-                if d == 0 {
-                    break;
-                }
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < ranges[d] {
-                    break;
-                }
-                idx[d] = 0;
-                if d == 0 {
-                    d = usize::MAX;
-                    break;
-                }
-            }
-            if nvars == 0 || d == usize::MAX {
-                break;
-            }
-        }
-
-        // Chunk runnable instances into dispatch units (data granularity).
-        let chunk = self.chunk_size_for(kid);
-        for group in runnable.chunks(chunk) {
-            self.emit(DispatchUnit::new(kid, Age(a), group.to_vec()), out);
-        }
-    }
-
-    /// True when every fetch of instance (k, a, idx) is fully written.
-    fn instance_runnable(&self, k: &KernelSpec, a: u64, indices: &[usize]) -> bool {
-        for fe in &k.fetches {
-            let fa = fe.age.resolve(Age(a));
-            let field = self.fields[fe.field.idx()].read();
-            // Fetches spanning whole dimensions must wait until the
-            // field's extents have settled (implicit-resize propagation).
-            if fe.dims.iter().any(|d| matches!(d, IndexSel::All)) {
-                match field.extents(fa) {
-                    Some(ext) => {
-                        if !self.extents_settled(fe.field, fa, &ext.clone()) {
-                            return false;
-                        }
-                    }
-                    None => return false,
-                }
-            }
-            let whole_field = fe.dims.iter().all(|d| matches!(d, IndexSel::All));
-            if whole_field {
-                if !field.is_complete(fa) {
-                    return false;
-                }
-                continue;
-            }
-            let region = crate::program::resolve_region(&fe.dims, indices);
-            if !field.region_written(fa, &region) {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Test/diagnostic helper: total instances dispatched for a kernel.
     pub fn dispatched_count(&self, kid: KernelId) -> usize {
         self.dispatched
@@ -2011,24 +1891,6 @@ impl DependencyAnalyzer {
 #[inline]
 fn vkey_of(se: &StoreEvent) -> (u32, u64) {
     (se.field.0, se.age.0)
-}
-
-/// Does the fetch `dims` of an instance with index values `idx` intersect
-/// the poisoned `region`? `All` on either side matches the whole dimension,
-/// so no extents are needed.
-fn fetch_hits_region(dims: &[IndexSel], idx: &[usize], region: &p2g_field::Region) -> bool {
-    dims.iter().zip(&region.0).all(|(sel, rsel)| {
-        let v = match sel {
-            IndexSel::Var(iv) => idx[iv.0 as usize],
-            IndexSel::Const(c) => *c,
-            IndexSel::All => return !matches!(rsel, p2g_field::DimSel::Range { len: 0, .. }),
-        };
-        match *rsel {
-            p2g_field::DimSel::Index(i) => v == i,
-            p2g_field::DimSel::Range { start, len } => v >= start && v < start + len,
-            p2g_field::DimSel::All => true,
-        }
-    })
 }
 
 /// Count unaccounted elements of the rectangle `spans` (start, len per

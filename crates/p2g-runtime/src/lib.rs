@@ -1,9 +1,10 @@
 //! The P2G execution-node runtime: the low-level scheduler (LLS).
 //!
 //! A node built with [`NodeBuilder`] runs a [`Program`] — a validated
-//! [`p2g_graph::ProgramSpec`] plus Rust kernel bodies — on a pool of worker
-//! threads, with dependency analysis in a dedicated thread exactly as in the
-//! paper's prototype (Section VI-B):
+//! [`p2g_graph::ProgramSpec`] plus Rust kernel bodies — on a
+//! [`WorkerPool`] (its own, or one shared with other tenants), with
+//! dependency analysis in dedicated threads as in the paper's prototype
+//! (Section VI-B):
 //!
 //! * Kernel instances produce **events** on store/resize operations.
 //! * The **dependency analyzer** subscribes to those events, finds every
@@ -73,7 +74,7 @@ pub use events::{Event, StoreEvent};
 pub use granularity::{GranularityChangeInfo, GranularityController};
 pub use instance::InstanceKey;
 pub use instrument::{Instruments, KernelStats, LatencyHistogram, RunReport, Termination};
-pub use node::{FieldStore, NodeBuilder, NodeHandle, RunningNode, StoreTap};
+pub use node::{FieldStore, NodeBuilder, NodeHandle, StoreTap};
 pub use options::{AdaptiveGranularity, ExhaustPolicy, FaultPolicy, KernelOptions, RunLimits};
 pub use pool::{Qos, WorkerPool};
 pub use program::{BatchCtx, BodyResult, KernelCtx, Program};

@@ -1,9 +1,11 @@
-//! The execution node: worker pool + dependency-analyzer shard threads.
+//! The execution node: dependency-analyzer shard threads feeding a worker
+//! pool.
 //!
-//! Threading model (paper Section VI-B): kernel instances execute on worker
-//! threads and publish store events; dependencies are analyzed in dedicated
-//! analyzer threads — one per shard of the node's [`ShardPlan`], one by
-//! default — which feed the age-priority ready queue. Termination
+//! Threading model (paper Section VI-B): kernel instances execute on the
+//! threads of a [`WorkerPool`] — the node's own, or one shared with other
+//! tenants — and publish store events; dependencies are analyzed in
+//! dedicated analyzer threads — one per shard of the node's [`ShardPlan`],
+//! one by default — which feed the pool's age-priority queue. Termination
 //! uses an outstanding-work counter: every event and dispatch unit is
 //! counted before it is made visible, so the count can only reach zero when
 //! the program is quiescent.
@@ -34,7 +36,6 @@ use crate::program::{
     resolve_region, BatchCtx, BatchKernelBody, BodyResult, FusionPlan, KernelBody, KernelCtx,
     Program, StagedStore,
 };
-use crate::ready::ReadyQueue;
 use crate::shard::{ShardGc, ShardPlan};
 use crate::timer::TimerTable;
 use crate::trace::{store_event, RunTrace, TraceEvent, Tracer};
@@ -183,7 +184,6 @@ pub(crate) struct Shared {
     batch_bodies: Vec<Option<BatchKernelBody>>,
     fusions: Vec<FusionPlan>,
     fields: SharedFields,
-    ready: ReadyQueue,
     /// One event channel per analyzer shard. Workers route through
     /// [`Shared::send_event`].
     event_txs: Vec<Sender<Event>>,
@@ -216,9 +216,12 @@ pub(crate) struct Shared {
     /// Structured event tracing; `None` keeps the hot path at one branch
     /// per would-be event.
     tracer: Option<Arc<Tracer>>,
-    /// Session mode: ready units go to this shared pool instead of the
-    /// node's private queue (which then has no workers of its own).
-    pool: Option<Arc<WorkerPool>>,
+    /// Where this node's ready units run.
+    pool: Arc<WorkerPool>,
+    /// Decided at launch: the pool was created for this node alone, so
+    /// the node closes it on stop and joins it on finish. A shared pool is
+    /// never touched by a node's shutdown.
+    owns_pool: bool,
     /// The online chunk-size controller, ticked by analyzer shard 0
     /// ([`RunLimits::adaptive`]).
     granularity: Option<Arc<GranularityController>>,
@@ -246,12 +249,15 @@ impl Shared {
         }
     }
 
-    /// Stop every thread of the node: flag stop, close the ready queue,
-    /// and stop the watchdog — releasing the outstanding count of retries
-    /// that will never run.
+    /// Stop every thread of the node: flag stop, close its own pool's
+    /// queue (without joining: this runs on pool threads too), and stop the
+    /// watchdog — releasing the outstanding count of retries that will
+    /// never run.
     fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        self.ready.close();
+        if self.owns_pool {
+            self.pool.close();
+        }
         if let Some(wd) = &self.watchdog {
             for _unit in wd.stop() {
                 self.outstanding.fetch_sub(1, Ordering::SeqCst);
@@ -277,13 +283,9 @@ impl Shared {
         self.qos.as_ref()
     }
 
-    /// Route a counted ready unit to this node's execution surface: the
-    /// shared worker pool in session mode, the private queue otherwise.
+    /// Queue a counted ready unit on this node's pool.
     fn dispatch(self: &Arc<Self>, unit: DispatchUnit) {
-        match &self.pool {
-            Some(pool) => pool.submit(self.clone(), unit),
-            None => self.ready.push(unit),
-        }
+        self.pool.submit(self.clone(), unit);
     }
 
     /// Publish an event to the analyzer shard(s) that must observe it.
@@ -339,9 +341,9 @@ impl Shared {
     }
 }
 
-/// One tick of a shared pool worker: execute a queued unit against its
-/// owning node. The pool worker's trace id is set per tick because
-/// consecutive ticks may belong to different nodes (different tracers).
+/// One tick of a pool worker: execute a queued unit against its owning
+/// node. The worker's trace id is set per tick because consecutive ticks
+/// may belong to different nodes (different tracers).
 pub(crate) fn pool_worker_tick(worker: u32, task: PoolTask) {
     TRACE_TID.with(|c| c.set(worker));
     run_unit(&task.shared, task.unit);
@@ -420,17 +422,19 @@ impl NodeBuilder {
         }
     }
 
-    /// Number of worker threads (the analyzer threads are extra). Ignored
-    /// when the node is attached to a shared [`WorkerPool`].
+    /// Number of threads in the node's own worker pool (the analyzer
+    /// threads are extra). Ignored when the node is attached to a shared
+    /// [`WorkerPool`].
     pub fn workers(mut self, workers: usize) -> NodeBuilder {
         self.workers = workers.max(1);
         self
     }
 
-    /// Attach this node to a shared worker pool: the node spawns no worker
-    /// threads of its own and its ready units rank against every other
-    /// attached node's by age. This is how [`crate::session::SessionRuntime`]
-    /// hosts many tenants on one fixed thread set.
+    /// Attach this node to a shared worker pool instead of creating one of
+    /// its own: its ready units rank against every other attached node's
+    /// by age, and its shutdown leaves the pool running. This is how
+    /// [`crate::session::SessionRuntime`] hosts many tenants on one fixed
+    /// thread set.
     pub fn pool(mut self, pool: Arc<WorkerPool>) -> NodeBuilder {
         self.pool = Some(pool);
         self
@@ -536,12 +540,15 @@ impl NodeBuilder {
             Arc::new(GranularityController::new(cfg.clone(), &options, adaptive))
         });
 
-        // Trace buffer ids: workers 0..n, then the analyzer shards,
-        // watchdog, main, and last `remote` (stores injected from outside
-        // the node, whichever thread delivers them). Pool-attached nodes
-        // have no private workers; their units run on the pool's threads,
-        // which claim the worker tid range.
-        let worker_slots = self.pool.as_ref().map(|p| p.workers()).unwrap_or(self.workers);
+        // A node without a shared pool gets one of its own.
+        let (pool, owns_pool) = match self.pool {
+            Some(pool) => (pool, false),
+            None => (WorkerPool::new(self.workers), true),
+        };
+        // Trace buffer ids: the pool's workers 0..n, then the analyzer
+        // shards, watchdog, main, and last `remote` (stores injected from
+        // outside the node, whichever thread delivers them).
+        let worker_slots = pool.workers();
         let analyzer_tid0 = worker_slots as u32;
         let watchdog_tid = analyzer_tid0 + shards as u32;
         let main_tid = watchdog_tid + 1;
@@ -567,7 +574,6 @@ impl NodeBuilder {
             batch_bodies,
             fusions: fusions.clone(),
             fields: fields.clone(),
-            ready: ReadyQueue::new(),
             event_txs,
             shard_plan: shard_plan.clone(),
             poisoned: AtomicBool::new(false),
@@ -586,7 +592,8 @@ impl NodeBuilder {
             fault,
             watchdog,
             tracer: tracer.clone(),
-            pool: self.pool.clone(),
+            pool,
+            owns_pool,
             granularity: granularity.clone(),
             qos: self.qos.clone(),
         });
@@ -643,17 +650,16 @@ impl NodeBuilder {
         // A program with no sources is quiescent immediately (unless it
         // waits for remote stores).
         if shared.outstanding.load(Ordering::SeqCst) == 0 && !limits.hold_open {
-            shared.stop.store(true, Ordering::SeqCst);
-            shared.ready.close();
+            shared.shutdown();
         }
 
         // Analyzer shard threads. They poll (see `ANALYZER_POLL`) only when
-        // each can have a core to itself: this node's own workers and its
-        // shards fit the machine. Pool-attached nodes share their workers
-        // with other tenants' analyzers, so they never do.
+        // each can have a core to itself: the node owns its pool, and the
+        // pool's workers and the shards fit the machine. A shared pool's
+        // workers serve other tenants' analyzers too, so those never do.
         let deadline = limits.wall_deadline.map(|d| start + d);
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let poll = self.pool.is_none() && self.workers + shards <= cores;
+        let poll = shared.owns_pool && shared.pool.workers() + shards <= cores;
         let mut analyzer_handles = Vec::with_capacity(shards);
         for (s, (analyzer, events_rx)) in analyzers.into_iter().zip(event_rxs).enumerate() {
             let analyzer_shared = shared.clone();
@@ -669,23 +675,6 @@ impl NodeBuilder {
             );
         }
 
-        // Worker threads — none when attached to a shared pool.
-        let mut worker_handles = Vec::with_capacity(self.workers);
-        if shared.pool.is_none() {
-            for w in 0..self.workers {
-                let ws = shared.clone();
-                worker_handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("p2g-worker-{w}"))
-                        .spawn(move || {
-                            TRACE_TID.with(|c| c.set(w as u32));
-                            worker_loop(ws)
-                        })
-                        .expect("spawn worker"),
-                );
-            }
-        }
-
         // Watchdog thread: releases due retries to the ready queue and
         // flags soft-deadline overruns.
         let watchdog_handle = shared.watchdog.clone().map(|wd| {
@@ -696,35 +685,29 @@ impl NodeBuilder {
                 .expect("spawn watchdog")
         });
 
-        Ok(RunningNode {
+        Ok(NodeHandle {
             shared,
             fields,
             spec,
             start,
             analyzer_handles,
-            worker_handles,
             watchdog_handle,
         })
     }
 }
 
-/// Handle to a launched node — the name the builder API uses for
-/// [`RunningNode`].
-pub type NodeHandle = RunningNode;
-
 /// A started execution node: inject remote stores, query quiescence, stop,
 /// and finally join for the report and field contents.
-pub struct RunningNode {
+pub struct NodeHandle {
     shared: Arc<Shared>,
     fields: SharedFields,
     spec: Arc<ProgramSpec>,
     start: Instant,
     analyzer_handles: Vec<std::thread::JoinHandle<Termination>>,
-    worker_handles: Vec<std::thread::JoinHandle<()>>,
     watchdog_handle: Option<std::thread::JoinHandle<()>>,
 }
 
-impl RunningNode {
+impl NodeHandle {
     /// Forward a store produced on another node (or submitted to a
     /// session) into this node's field replicas. It lands like a local
     /// store, idempotently since remote forwards may duplicate, and its
@@ -763,7 +746,7 @@ impl RunningNode {
     }
 
     /// True once the node's stop flag is set (quiescence, failure, or an
-    /// external [`RunningNode::request_stop`]). The session layer polls
+    /// external [`NodeHandle::request_stop`]). The session layer polls
     /// this while draining so a dead node cannot hang `finish`.
     pub fn is_stopped(&self) -> bool {
         self.shared.stop.load(Ordering::SeqCst)
@@ -828,13 +811,12 @@ impl RunningNode {
     /// A cluster coordinator uses this to salvage whatever a failed node
     /// produced instead of losing the report to the error path.
     pub fn finish(self) -> (RunReport, FieldStore, Option<RuntimeError>) {
-        let RunningNode {
+        let NodeHandle {
             shared,
             fields,
             spec,
             start,
             analyzer_handles,
-            worker_handles,
             watchdog_handle,
         } = self;
         // Join every analyzer shard and keep the most severe exit status:
@@ -854,15 +836,15 @@ impl RunningNode {
             }
         }
         // The analyzer has returned, so stop is set; make sure the
-        // watchdog and workers wind down before collecting.
+        // watchdog and then the node's own pool wind down before
+        // collecting. The pool goes last: no thread is left to queue a
+        // unit behind its join.
         shared.shutdown();
-        for h in worker_handles {
-            if h.join().is_err() {
-                shared.fail(RuntimeError::WorkerPanic);
-            }
-        }
         if let Some(h) = watchdog_handle {
             let _ = h.join();
+        }
+        if shared.owns_pool && !shared.pool.shutdown() {
+            shared.fail(RuntimeError::WorkerPanic);
         }
         let wall_time = start.elapsed();
 
@@ -883,7 +865,7 @@ impl RunningNode {
             instruments: InstrumentsSnapshot::capture(&shared.instruments),
             trace,
         };
-        // All threads joined; in pool mode, queued pool tasks may still
+        // All threads joined; on a shared pool, queued tasks may still
         // hold clones of this node's shared state (they drain in age order
         // and drop their clone as they run), so wait for the last clone to
         // go before unwrapping the fields.
@@ -911,7 +893,7 @@ fn termination_rank(t: Termination) -> u8 {
     }
 }
 
-/// Watchdog thread: push due retry units to the ready queue (their
+/// Watchdog thread: queue due retry units on the pool (their
 /// outstanding counts were taken at schedule time) until stopped.
 fn watchdog_loop(wd: Arc<Watchdog>, shared: Arc<Shared>) {
     while let Some(due) = wd.next_due() {
@@ -1057,12 +1039,6 @@ fn analyzer_loop(
         shared.trace(|| TraceEvent::AnalyzerBatch { events: handled });
         shared.instruments.record_analyzer_batch();
         shared.instruments.record_shard_events(shard, handled as u64);
-    }
-}
-
-fn worker_loop(shared: Arc<Shared>) {
-    while let Some(unit) = shared.ready.pop() {
-        run_unit(&shared, unit);
     }
 }
 

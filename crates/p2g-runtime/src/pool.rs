@@ -1,13 +1,13 @@
-//! The shared worker pool behind [`crate::session::SessionRuntime`]: a
-//! fixed set of worker threads executing dispatch units for *many* nodes
-//! at once.
+//! The worker pool: a fixed set of worker threads executing dispatch units
+//! from one age-priority queue — the only place a kernel instance runs.
 //!
-//! In batch mode each [`crate::NodeBuilder::launch`] spawns its own
-//! workers. A resident multi-tenant runtime cannot do that — a hundred
-//! sessions must not mean a hundred thread pools — so the pool owns the
-//! threads and every attached node routes its ready units here instead of
-//! its private queue. Entries rank by (class, vtime, age, kernel, arrival)
-//! *across* sessions:
+//! Every node is a pool tenant. A node launched without
+//! [`crate::NodeBuilder::pool`] owns a pool of its own, sized by
+//! [`crate::NodeBuilder::workers`]; a resident multi-tenant runtime
+//! ([`crate::session::SessionRuntime`]) instead attaches every session to
+//! one shared pool — a hundred sessions must not mean a hundred thread
+//! pools. Entries rank by (class, vtime, age, kernel, arrival) *across*
+//! tenants:
 //!
 //! * Without per-session [`Qos`] every entry sits at the default
 //!   `(QOS_CLASS_NORMAL, 0)` rank, so the queue degenerates to the
@@ -22,12 +22,13 @@
 //!   session cannot bank credit while asleep and then monopolize the pool
 //!   on wake.
 //!
-//! Lifecycle: the pool outlives the nodes attached to it. Nodes stop
-//! individually (quiescence, `request_stop`); their queued units drain
-//! harmlessly — a unit for a stopped-and-failed node is skipped, one for a
-//! cleanly-stopped node runs against its still-live fields. The pool
-//! itself shuts down when dropped: the queue closes, workers finish the
-//! remaining backlog and exit.
+//! Lifecycle: a shared pool outlives the nodes attached to it. Nodes stop
+//! individually (quiescence, `request_stop`) without touching it; their
+//! queued units drain harmlessly — a unit for a stopped-and-failed node is
+//! skipped, one for a cleanly-stopped node runs against its still-live
+//! fields. A node's own pool closes when the node stops and is joined when
+//! the node finishes. Any pool shuts down when dropped: the queue closes,
+//! workers finish the remaining backlog and exit.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -160,8 +161,8 @@ impl Ranked for PoolTask {
     }
 }
 
-/// A fixed-size worker pool shared by every session of a
-/// [`crate::session::SessionRuntime`] (and by pool-attached batch nodes).
+/// A fixed-size worker pool: one node's own, or shared by every session of
+/// a [`crate::session::SessionRuntime`] (and by pool-attached batch nodes).
 pub struct WorkerPool {
     queue: Arc<ReadyQueue<PoolTask>>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -229,14 +230,26 @@ impl WorkerPool {
         });
     }
 
-    /// Close the queue and join the workers (remaining backlog drains
-    /// first). Idempotent.
-    pub fn shutdown(&self) {
+    /// Close the queue: workers drain the remaining backlog and exit.
+    pub(crate) fn close(&self) {
         self.queue.close();
+    }
+
+    /// Close the queue, join the workers (remaining backlog drains first)
+    /// and drop whatever was queued after they left, so a late unit cannot
+    /// keep its node alive. A worker never joins itself: it may drop the
+    /// last reference to the pool. False when a worker panicked.
+    /// Idempotent.
+    pub fn shutdown(&self) -> bool {
+        self.close();
+        let me = std::thread::current().id();
         let handles = std::mem::take(&mut *self.handles.lock());
-        for h in handles {
-            let _ = h.join();
+        let mut clean = true;
+        for h in handles.into_iter().filter(|h| h.thread().id() != me) {
+            clean &= h.join().is_ok();
         }
+        while self.queue.try_pop().is_some() {}
+        clean
     }
 }
 

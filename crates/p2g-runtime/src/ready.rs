@@ -1,23 +1,18 @@
-//! The shared ready queue between the dependency analyzer and the workers.
+//! The age-priority ready queue between the dependency analyzers and the
+//! workers of a [`crate::pool::WorkerPool`].
 //!
-//! Dispatch units are ordered by (age, kernel, arrival): lower ages first,
-//! as in the paper's prototype — this guarantees that kernels satisfying
-//! their own dependencies through aging cycles (mul2/plus5) never starve
-//! fetch-less kernels or each other.
-//!
-//! The queue is generic over its payload so the session runtime's shared
-//! worker pool ([`crate::pool::WorkerPool`]) can reuse the same age-priority
-//! discipline across *tenants*: pool entries carry (session, unit) pairs and
-//! rank by the unit's age, which keeps a saturated session's high-age
-//! backlog behind every other session's low-age work — the fairness
-//! property the two-tenant tests pin down.
+//! Entries are ordered by (age, kernel, arrival): lower ages first, as in
+//! the paper's prototype — this guarantees that kernels satisfying their
+//! own dependencies through aging cycles (mul2/plus5) never starve
+//! fetch-less kernels or each other. Pool entries carry (node, unit) pairs
+//! and rank by the unit's age, so on a pool shared by several tenants a
+//! saturated session's high-age backlog stays behind every other session's
+//! low-age work — the fairness property the two-tenant tests pin down.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
 
 use parking_lot::{Condvar, Mutex};
-
-use crate::instance::DispatchUnit;
 
 /// The default (and middle) QoS priority class; entries that do not
 /// override [`Ranked::rank_class`] rank here.
@@ -44,15 +39,6 @@ pub trait Ranked {
     /// ranks at the front of the class.
     fn rank_vtime(&self) -> u64 {
         0
-    }
-}
-
-impl Ranked for DispatchUnit {
-    fn rank_age(&self) -> u64 {
-        self.age.0
-    }
-    fn rank_kernel(&self) -> u32 {
-        self.kernel.0
     }
 }
 
@@ -98,7 +84,7 @@ struct Inner<T> {
 }
 
 /// Age-priority blocking queue.
-pub struct ReadyQueue<T: Ranked = DispatchUnit> {
+pub struct ReadyQueue<T: Ranked> {
     inner: Mutex<Inner<T>>,
     cond: Condvar,
 }
@@ -177,23 +163,27 @@ impl<T: Ranked> ReadyQueue<T> {
     }
 }
 
-// DispatchUnit equality for tests and assertions; ordering lives in the
-// queue's Entry, not here.
-impl PartialEq for DispatchUnit {
-    fn eq(&self, other: &Self) -> bool {
-        self.kernel == other.kernel && self.age == other.age && self.instances == other.instances
-    }
-}
-impl Eq for DispatchUnit {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p2g_field::Age;
-    use p2g_graph::KernelId;
 
-    fn unit(kernel: u32, age: u64) -> DispatchUnit {
-        DispatchUnit::new(KernelId(kernel), Age(age), vec![vec![]])
+    /// A payload ranked like a pool task without QoS: by (age, kernel).
+    struct Unit {
+        kernel: u32,
+        age: u64,
+        tag: u32,
+    }
+    impl Ranked for Unit {
+        fn rank_age(&self) -> u64 {
+            self.age
+        }
+        fn rank_kernel(&self) -> u32 {
+            self.kernel
+        }
+    }
+
+    fn unit(kernel: u32, age: u64) -> Unit {
+        Unit { kernel, age, tag: 0 }
     }
 
     #[test]
@@ -202,28 +192,24 @@ mod tests {
         q.push(unit(0, 3));
         q.push(unit(1, 1));
         q.push(unit(2, 2));
-        assert_eq!(q.try_pop().unwrap().age, Age(1));
-        assert_eq!(q.try_pop().unwrap().age, Age(2));
-        assert_eq!(q.try_pop().unwrap().age, Age(3));
+        assert_eq!(q.try_pop().unwrap().age, 1);
+        assert_eq!(q.try_pop().unwrap().age, 2);
+        assert_eq!(q.try_pop().unwrap().age, 3);
         assert!(q.try_pop().is_none());
     }
 
     #[test]
     fn fifo_within_same_age_and_kernel() {
         let q = ReadyQueue::new();
-        let mut a = unit(0, 0);
-        a.instances = vec![vec![1]];
-        let mut b = unit(0, 0);
-        b.instances = vec![vec![2]];
-        q.push(a);
-        q.push(b);
-        assert_eq!(q.try_pop().unwrap().instances, vec![vec![1]]);
-        assert_eq!(q.try_pop().unwrap().instances, vec![vec![2]]);
+        q.push(Unit { tag: 1, ..unit(0, 0) });
+        q.push(Unit { tag: 2, ..unit(0, 0) });
+        assert_eq!(q.try_pop().unwrap().tag, 1);
+        assert_eq!(q.try_pop().unwrap().tag, 2);
     }
 
     #[test]
     fn close_unblocks_poppers() {
-        let q = std::sync::Arc::new(ReadyQueue::<DispatchUnit>::new());
+        let q = std::sync::Arc::new(ReadyQueue::<Unit>::new());
         let q2 = q.clone();
         let h = std::thread::spawn(move || q2.pop());
         std::thread::sleep(std::time::Duration::from_millis(10));
@@ -248,8 +234,8 @@ mod tests {
         assert_eq!(q.len(), 1);
     }
 
-    /// Cross-payload ranking: generic entries interleave by age exactly
-    /// like dispatch units — the property the multi-tenant pool relies on.
+    /// Cross-payload ranking: generic entries interleave by age — the
+    /// property the multi-tenant pool relies on.
     struct Tagged(u64, &'static str);
     impl Ranked for Tagged {
         fn rank_age(&self) -> u64 {

@@ -39,7 +39,7 @@ use p2g_field::{Age, Buffer, FieldId, Region};
 
 use crate::error::RuntimeError;
 use crate::instrument::RunReport;
-use crate::node::{FieldStore, NodeBuilder, RunningNode};
+use crate::node::{FieldStore, NodeBuilder, NodeHandle};
 use crate::options::RunLimits;
 use crate::pool::{Qos, QosState, WorkerPool};
 use crate::program::Program;
@@ -302,7 +302,7 @@ struct SessionShared {
 /// One tenant pipeline of a [`SessionRuntime`]: an unbounded stream of
 /// frames through a resident program. Created by [`SessionRuntime::open`].
 pub struct Session {
-    node: RunningNode,
+    node: NodeHandle,
     shared: Arc<SessionShared>,
     fields_by_name: HashMap<String, FieldId>,
     max_in_flight: usize,
@@ -321,6 +321,26 @@ impl Session {
     /// Errors with [`SubmitError::Closed`] once the session is closed or
     /// its node stopped.
     pub fn submit(&self, parts: Vec<(FieldId, Region, Buffer)>) -> Result<Ticket, SubmitError> {
+        self.admit(parts, true)
+    }
+
+    /// Non-blocking submit: [`SubmitError::WouldBlock`] when the window is
+    /// full.
+    pub fn try_submit(
+        &self,
+        parts: Vec<(FieldId, Region, Buffer)>,
+    ) -> Result<Ticket, SubmitError> {
+        self.admit(parts, false)
+    }
+
+    /// Admit one frame at the next age, waiting for room in the in-flight
+    /// window when `wait` is set and refusing with
+    /// [`SubmitError::WouldBlock`] otherwise, then store its parts.
+    fn admit(
+        &self,
+        parts: Vec<(FieldId, Region, Buffer)>,
+        wait: bool,
+    ) -> Result<Ticket, SubmitError> {
         let age = {
             let mut g = self.shared.state.lock();
             loop {
@@ -330,40 +350,14 @@ impl Session {
                 if g.in_flight < self.max_in_flight {
                     break;
                 }
+                if !wait {
+                    return Err(SubmitError::WouldBlock);
+                }
                 // Timed wait: a failed node never signals, so re-check the
                 // stop flag periodically instead of blocking forever.
                 self.shared
                     .submit_cv
                     .wait_for(&mut g, Duration::from_millis(10));
-            }
-            let age = g.next_age;
-            g.next_age += 1;
-            g.in_flight += 1;
-            let now = Instant::now();
-            g.first_submit.get_or_insert(now);
-            g.submit_times.insert(age, now);
-            age
-        };
-        for (field, region, buffer) in parts {
-            self.node
-                .inject_remote_store(field, Age(age), region, buffer);
-        }
-        Ok(Ticket { age })
-    }
-
-    /// Non-blocking submit: [`SubmitError::WouldBlock`] when the window is
-    /// full.
-    pub fn try_submit(
-        &self,
-        parts: Vec<(FieldId, Region, Buffer)>,
-    ) -> Result<Ticket, SubmitError> {
-        let age = {
-            let mut g = self.shared.state.lock();
-            if g.closed || self.node.is_stopped() {
-                return Err(SubmitError::Closed);
-            }
-            if g.in_flight >= self.max_in_flight {
-                return Err(SubmitError::WouldBlock);
             }
             let age = g.next_age;
             g.next_age += 1;
@@ -631,7 +625,7 @@ impl SessionRuntime {
         &self,
         program: Program,
         limits: RunLimits,
-    ) -> Result<RunningNode, RuntimeError> {
+    ) -> Result<NodeHandle, RuntimeError> {
         NodeBuilder::new(program).pool(self.pool.clone()).launch(limits)
     }
 

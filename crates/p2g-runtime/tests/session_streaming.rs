@@ -1,15 +1,18 @@
 //! Tests of the resident streaming runtime: admission control and
 //! backpressure, flat-memory age GC over long streams, multi-tenant
-//! fairness on the shared pool, dropped-frame reporting, and trace
-//! invariants over a session-mode run.
+//! fairness on the shared pool, batch tenants beside a session, dropped-
+//! frame reporting, and trace invariants over a session-mode run.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use p2g_field::{Buffer, Extents, FieldDef, FieldId, Region, ScalarType};
-use p2g_graph::spec::{AgeExpr, FetchDecl, IndexSel, KernelId, KernelSpec, ProgramSpec, StoreDecl};
+use p2g_graph::spec::{
+    mul_sum_example, AgeExpr, FetchDecl, IndexSel, KernelId, KernelSpec, ProgramSpec, StoreDecl,
+};
 use p2g_runtime::{
-    FaultPolicy, Program, Session, SessionConfig, SessionRuntime, SessionSink, SubmitError,
+    FaultPolicy, FieldStore, NodeBuilder, Program, RunLimits, Session, SessionConfig,
+    SessionRuntime, SessionSink, SubmitError, Termination,
 };
 
 const IN_FIELD: FieldId = FieldId(0);
@@ -404,5 +407,98 @@ fn session_trace_passes_invariant_checks() {
         "a small GC window over {FRAMES} frames must retire slabs"
     );
     p2g_runtime::trace_check::all(&report.report);
+    runtime.shutdown();
+}
+
+/// The Figure-5 mul_sum program (mul2 doubles, plus5 adds five).
+fn mul_sum_program() -> Program {
+    let mut program = Program::new(mul_sum_example()).unwrap();
+    program.body("init", |ctx| {
+        ctx.store(0, Buffer::from_vec((10..15).collect::<Vec<i32>>()));
+        Ok(())
+    });
+    program.body("mul2", |ctx| {
+        let v = ctx.input(0).as_i32().unwrap()[0];
+        ctx.store(0, Buffer::from_vec(vec![v.wrapping_mul(2)]));
+        Ok(())
+    });
+    program.body("plus5", |ctx| {
+        let v = ctx.input(0).as_i32().unwrap()[0];
+        ctx.store(0, Buffer::from_vec(vec![v.wrapping_add(5)]));
+        Ok(())
+    });
+    program.body("print", |_| Ok(()));
+    program
+}
+
+/// The written regions of one field age.
+type Written = Vec<(Region, Buffer)>;
+
+/// Every written region of both mul_sum fields, by field and age.
+fn mul_sum_contents(fields: &FieldStore) -> Vec<(&'static str, u64, Written)> {
+    let mut out = Vec::new();
+    for name in ["m_data", "p_data"] {
+        let field = fields.field_by_name(name).unwrap();
+        let mut ages: Vec<_> = field.resident_ages().collect();
+        ages.sort();
+        for age in ages {
+            out.push((name, age.0, field.snapshot_written(age)));
+        }
+    }
+    out
+}
+
+/// `launch_batch`, the `p2gc serve` path: two batch tenants share a
+/// 2-worker runtime with an open stream session. Each tenant quiesces with
+/// the fields a solo `workers(2)` node computes, and the session keeps
+/// delivering its frames in age order throughout.
+#[test]
+fn batch_tenants_beside_a_session_match_a_solo_node() {
+    const AGES: u64 = 8;
+    const FRAMES: u64 = 60;
+    let (report, solo) = NodeBuilder::new(mul_sum_program())
+        .workers(2)
+        .launch(RunLimits::ages(AGES))
+        .and_then(|n| n.collect())
+        .unwrap();
+    assert_eq!(report.termination, Termination::Quiescent);
+    let expected = mul_sum_contents(&solo);
+    assert!(!expected.is_empty());
+
+    let runtime = SessionRuntime::new(2);
+    let sink = SessionSink::new();
+    let session = runtime
+        .open(
+            stream_program(sink.clone(), None, None),
+            SessionConfig::new("emit")
+                .sink(sink)
+                .max_in_flight(4)
+                .gc_window(8),
+        )
+        .unwrap();
+    for n in 0..FRAMES / 2 {
+        session.submit(frame(n)).unwrap();
+    }
+    let tenants: Vec<_> = (0..2)
+        .map(|_| {
+            runtime
+                .launch_batch(mul_sum_program(), RunLimits::ages(AGES))
+                .unwrap()
+        })
+        .collect();
+    for n in FRAMES / 2..FRAMES {
+        session.submit(frame(n)).unwrap();
+    }
+    for tenant in tenants {
+        let (report, fields) = tenant.collect().unwrap();
+        assert_eq!(report.termination, Termination::Quiescent);
+        assert_eq!(mul_sum_contents(&fields), expected);
+    }
+    assert_eq!(
+        drain_outputs(&session, FRAMES),
+        (0..FRAMES).collect::<Vec<_>>()
+    );
+    let report = session.finish(Duration::from_secs(20)).unwrap();
+    assert_eq!(report.frames_completed, FRAMES);
     runtime.shutdown();
 }

@@ -36,7 +36,7 @@ use p2g_runtime::{FaultPolicy, NodeBuilder, Qos, RunLimits, SessionRuntime};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  p2gc run <file.p2g> [--ages N] [--workers W] [--shards S] [--gc-window W]\n                      [--deadline-ms D] [--retries R] [--kernel-deadline-ms D]\n                      [--trace-out PATH] [--adaptive]\n  p2gc serve <file.p2g> [--sessions N] [--frames F] [--workers W] [--shards S]\n                        [--gc-window W] [--adaptive]\n  p2gc check <file.p2g>\n  p2gc graph <file.p2g>\n  p2gc cluster master <file.p2g> --nodes N [--port P] [--ages A]\n                      [--failure-timeout-ms D] [--deadline-ms D]\n                      [--net-retries R] [--net-backoff-us B]\n  p2gc cluster node <file.p2g> --node-id I --master HOST:PORT [--workers W]\n                      [--ages A] [--deadline-ms D]\n                      [--net-retries R] [--net-backoff-us B]\n  p2gc serve-node [--port P] [--workers W] [--stats-interval-ms D]\n                  [--orphan-timeout-ms D] [--deadline-ms D]\n                  [--net-retries R] [--net-backoff-us B]\n  p2gc submit --server HOST:PORT [--client-id I] [--width W] [--height H]\n              [--frames N] [--quality Q] [--seed S] [--cadence-ms C]\n              [--priority P] [--weight W] [--window N] [--out PATH]\n              [--shutdown-server]\n\nmulti-process cluster (p2gc cluster):\n  master listens on loopback, plans the dependency graph across the\n  joined nodes, supervises their status reports, replans and replays\n  around node deaths, and prints a chunking-invariant results digest;\n  each node process runs its assigned kernels and forwards stores over TCP\n  --net-retries R         send attempts before a peer is declared dead\n  --net-backoff-us B      initial reconnect/retry backoff (doubles, jittered)\n\nremote session serving (p2gc serve-node / p2gc submit):\n  serve-node hosts a resident session runtime behind TCP, offering the\n  built-in \"mjpeg\" pipeline; submit streams synthetic i420 frames into\n  it as one remote session and receives the encoded MJPEG stream back\n  --cadence-ms C          delay between frame submits (live-source pacing)\n  --priority P            QoS class: 0 realtime, 1 normal, 2 bulk\n  --weight W              fair-share weight within the class\n  --out PATH              write the received MJPEG stream to PATH\n  --shutdown-server       send the admin shutdown after closing\n\nparallel dependency analysis:\n  --shards S              analyzer shards (default 1, the sequential\n                          analyzer); sharded runs also enable the\n                          worker-side inline dispatch fast path\n\ngranularity adaptation:\n  --adaptive              adapt kernel chunk sizes online from live\n                          dispatch-overhead and latency measurements\n\nmulti-tenant serving (p2gc serve):\n  --sessions N            concurrent tenant copies of the program (default 2)\n  --frames F              frames (ages) per tenant (default 4)\n  --workers W             shared worker-pool threads\n\nfault isolation (applies to every kernel, degrade instead of abort):\n  --retries R             retry failed kernel instances up to R times\n  --kernel-deadline-ms D  flag instances overrunning D ms for cancellation\n\ntracing:\n  --trace-out PATH        record a structured run trace; write Chrome\n                          trace-viewer JSON if PATH ends in .json, else JSONL"
+        "usage:\n  p2gc run <file.p2g> [--ages N] [--workers W] [--shards S] [--gc-window W]\n                      [--deadline-ms D] [--retries R] [--kernel-deadline-ms D]\n                      [--trace-out PATH] [--adaptive]\n  p2gc serve <file.p2g> [--sessions N] [--frames F] [--workers W] [--shards S]\n                        [--gc-window W] [--adaptive]\n  p2gc check <file.p2g>\n  p2gc graph <file.p2g>\n  p2gc cluster master <file.p2g> --nodes N [--port P] [--ages A]\n                      [--failure-timeout-ms D] [--deadline-ms D]\n                      [--net-retries R] [--net-backoff-us B]\n  p2gc cluster node <file.p2g> --node-id I --master HOST:PORT [--workers W]\n                      [--ages A] [--deadline-ms D]\n                      [--net-retries R] [--net-backoff-us B]\n  p2gc serve-node [--port P] [--workers W] [--stats-interval-ms D]\n                  [--orphan-timeout-ms D] [--deadline-ms D]\n                  [--net-retries R] [--net-backoff-us B]\n  p2gc submit --server HOST:PORT [--client-id I] [--width W] [--height H]\n              [--frames N] [--quality Q] [--seed S] [--cadence-ms C]\n              [--priority P] [--weight W] [--window N] [--out PATH]\n              [--shutdown-server]\n\nmulti-process cluster (p2gc cluster):\n  master listens on loopback, plans the dependency graph across the\n  joined nodes, supervises their status reports, replans and replays\n  around node deaths, and prints a chunking-invariant results digest;\n  each node process runs its assigned kernels and forwards stores over TCP\n  --net-retries R         send attempts before a peer is declared dead\n  --net-backoff-us B      initial reconnect/retry backoff (doubles, jittered)\n\nremote session serving (p2gc serve-node / p2gc submit):\n  serve-node hosts a resident session runtime behind TCP, offering the\n  built-in \"mjpeg\" pipeline; submit streams synthetic i420 frames into\n  it as one remote session and receives the encoded MJPEG stream back\n  --cadence-ms C          delay between frame submits (live-source pacing)\n  --priority P            QoS class: 0 realtime, 1 normal, 2 bulk\n  --weight W              fair-share weight within the class\n  --out PATH              write the received MJPEG stream to PATH\n  --shutdown-server       send the admin shutdown after closing\n\nparallel dependency analysis:\n  --shards S              analyzer shards (default 1, the sequential\n                          analyzer; at most 64)\n\ngranularity adaptation:\n  --adaptive              adapt kernel chunk sizes online from live\n                          dispatch-overhead and latency measurements\n\nmulti-tenant serving (p2gc serve):\n  --sessions N            concurrent tenant copies of the program (default 2)\n  --frames F              frames (ages) per tenant (default 4)\n  --workers W             shared worker-pool threads\n\nfault isolation (applies to every kernel, degrade instead of abort):\n  --retries R             retry failed kernel instances up to R times\n  --kernel-deadline-ms D  flag instances overrunning D ms for cancellation\n\ntracing:\n  --trace-out PATH        record a structured run trace; write Chrome\n                          trace-viewer JSON if PATH ends in .json, else JSONL"
     );
     ExitCode::from(2)
 }
@@ -168,12 +168,13 @@ fn main() -> ExitCode {
                         report.termination, report.wall_time
                     );
                     eprint!("{}", report.instruments.render_table());
-                    if shards > 1 {
+                    // The node clamps the shard count, so report what ran.
+                    let shard_events = report.instruments.shard_events();
+                    if shard_events.len() > 1 {
                         eprintln!(
-                            "analyzer shards: {} ({} events, {} inline dispatches)",
-                            shards,
-                            report.instruments.shard_events().iter().sum::<u64>(),
-                            report.instruments.inline_dispatches()
+                            "analyzer shards: {} ({} events)",
+                            shard_events.len(),
+                            shard_events.iter().sum::<u64>()
                         );
                     }
                     if let Some(out) = trace_out {

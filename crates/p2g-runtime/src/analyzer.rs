@@ -582,38 +582,6 @@ impl DependencyAnalyzer {
         }
     }
 
-    /// Record a worker-side inline dispatch ([`crate::shard`] fast path):
-    /// re-derive the consumer instance the worker ran from its single
-    /// pointwise fetch — the same Var mapping the worker used — and mark it
-    /// dispatched before any accounting, so the analyzer-side dispatch
-    /// paths dedup against it.
-    fn note_inline_dispatch(&mut self, cid: KernelId, se: &StoreEvent) {
-        let k = self.spec.kernel(cid);
-        let Some(fe) = k.fetches.first() else { return };
-        let AgeExpr::Rel(t) = fe.age else { return };
-        if (se.age.0 as i64) < t {
-            return;
-        }
-        let ca = (se.age.0 as i64 - t) as u64;
-        if !self.owns(cid, ca) {
-            return; // only the owning shard tracks this instance
-        }
-        let Ok(spans) = se.region.resolve(&se.extents) else {
-            return;
-        };
-        if spans.iter().any(|&(_, l)| l != 1) {
-            return; // the fast path only fires on single-point stores
-        }
-        let coord: Vec<usize> = spans.iter().map(|&(s, _)| s).collect();
-        let mut idx = vec![0usize; k.index_vars as usize];
-        for (d, sel) in fe.dims.iter().enumerate() {
-            if let IndexSel::Var(v) = sel {
-                idx[v.0 as usize] = coord[d];
-            }
-        }
-        self.mark_dispatched(cid, ca, &idx);
-    }
-
     /// Drain the poison worklist: each entry poisons one instance, which
     /// may queue its transitive dependents back onto the worklist.
     fn process_poison(&mut self, out: &mut Vec<DispatchUnit>) {
@@ -874,11 +842,6 @@ impl DependencyAnalyzer {
     }
 
     fn on_store(&mut self, se: &StoreEvent, out: &mut Vec<DispatchUnit>) {
-        // Worker-side inline dispatch: mark before anything else so every
-        // analyzer-side dispatch path dedups against it.
-        if let Some(cid) = se.inline_dispatched {
-            self.note_inline_dispatch(cid, se);
-        }
         // Track the field's frontier and garbage collect behind it.
         let fmax = &mut self.field_max_age[se.field.idx()];
         if se.age.0 > *fmax {

@@ -31,10 +31,11 @@ pub struct StoreEvent {
     pub age_complete: bool,
     /// New extents when the store triggered an implicit resize.
     pub resized: Option<Extents>,
-    /// Inline fast path: the worker that applied this store
-    /// already dispatched this consumer's single unblocked instance
-    /// inline. The analyzer marks it dispatched instead of dispatching
-    /// it again ([`crate::shard`]).
+    /// Always `None`, and nothing reads it: only the analyzer makes an
+    /// instance ready, so no store arrives with a consumer already
+    /// dispatched. The field stays so that the event keeps its shape for
+    /// callers that spell out the whole literal (the ledger's analyzer
+    /// probe); it goes with the next benchmark change.
     pub inline_dispatched: Option<KernelId>,
 }
 

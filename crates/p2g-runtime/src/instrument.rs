@@ -243,9 +243,6 @@ pub struct Instruments {
     shard_events: Vec<AtomicU64>,
     /// Per-shard event-queue depth high-water mark.
     shard_queue_peak: Vec<AtomicU64>,
-    /// Worker-side inline dispatches — ready successors that skipped the
-    /// analyzer round trip entirely.
-    inline_dispatches: AtomicU64,
     /// Chunk-size decisions made by the online granularity controller.
     granularity_changes: AtomicU64,
 }
@@ -277,7 +274,6 @@ impl Instruments {
             peak_live_ages: AtomicU64::new(0),
             shard_events: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             shard_queue_peak: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            inline_dispatches: AtomicU64::new(0),
             granularity_changes: AtomicU64::new(0),
         }
     }
@@ -320,11 +316,6 @@ impl Instruments {
         self.shard_queue_peak[shard].fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// Record one worker-side inline dispatch.
-    pub fn record_inline_dispatch(&self) {
-        self.inline_dispatches.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Events processed per analyzer shard.
     pub fn shard_events(&self) -> Vec<u64> {
         self.shard_events
@@ -339,11 +330,6 @@ impl Instruments {
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .collect()
-    }
-
-    /// Worker-side inline dispatches.
-    pub fn inline_dispatches(&self) -> u64 {
-        self.inline_dispatches.load(Ordering::Relaxed)
     }
 
     /// Record retired `(field, age)` slabs and the current live-age count
@@ -614,7 +600,6 @@ pub struct InstrumentsSnapshot {
     peak_live_ages: u64,
     shard_events: Vec<u64>,
     shard_queue_peaks: Vec<u64>,
-    inline_dispatches: u64,
     granularity_changes: u64,
 }
 
@@ -633,7 +618,6 @@ impl InstrumentsSnapshot {
             peak_live_ages: live.peak_live_ages(),
             shard_events: live.shard_events(),
             shard_queue_peaks: live.shard_queue_peaks(),
-            inline_dispatches: live.inline_dispatches(),
             granularity_changes: live.granularity_changes(),
         }
     }
@@ -712,12 +696,6 @@ impl InstrumentsSnapshot {
         &self.shard_queue_peaks
     }
 
-    /// Successor instances dispatched by the worker-side inline fast path,
-    /// bypassing the analyzer.
-    pub fn inline_dispatches(&self) -> u64 {
-        self.inline_dispatches
-    }
-
     /// Stats for a kernel by name.
     pub fn kernel(&self, name: &str) -> Option<&KernelStats> {
         self.entries.iter().find(|(n, _)| n == name).map(|(_, s)| s)
@@ -761,10 +739,6 @@ impl InstrumentsSnapshot {
                     i, ev, peak
                 ));
             }
-            s.push_str(&format!(
-                "inline fast-path {:>10} dispatches\n",
-                self.inline_dispatches
-            ));
         }
         s
     }

@@ -30,7 +30,7 @@ use crate::events::{Event, StoreEvent};
 use crate::granularity::GranularityController;
 use crate::instance::DispatchUnit;
 use crate::instrument::{Instruments, InstrumentsSnapshot, RunReport, Termination};
-use crate::options::{ExhaustPolicy, FaultPolicy, KernelOptions, RunLimits};
+use crate::options::{ExhaustPolicy, FaultPolicy, RunLimits};
 use crate::pool::{PoolTask, QosState, WorkerPool};
 use crate::program::{
     resolve_region, BatchCtx, BatchKernelBody, BodyResult, FusionPlan, KernelBody, KernelCtx,
@@ -81,102 +81,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// the data to subscriber nodes through this hook).
 pub type StoreTap = Arc<dyn Fn(FieldId, Age, &Region, &Buffer) + Send + Sync>;
 
-/// Static precomputation for the worker-side inline fast path: a fresh
-/// single-point store into the field unblocks exactly one instance of
-/// `consumer`, so the storing worker dispatches it directly and tags the
-/// store event for the analyzer to reconcile ([`crate::shard`]). Built
-/// only for single-fetch pointwise consumers whose fetch dimensions cover
-/// every index variable and whose own store targets all have static
-/// extents (so no extent expectation can change under a peer shard).
-struct InlinePlan {
-    consumer: KernelId,
-    /// The consumer's `Rel(t)` fetch-age offset: a store at age `a` feeds
-    /// instance age `a - t`.
-    t: i64,
-    /// Number of consumer index variables.
-    index_vars: usize,
-    /// For each fetch dimension, the consumer index variable it selects.
-    var_of_dim: Vec<usize>,
-    /// Run age bound: instances at `age >= max_ages` never dispatch.
-    max_ages: Option<u64>,
-}
-
-/// Derive the per-field inline fast-path plans. A field gets a plan when
-/// it has a consumer that is: non-source, un-fused, un-watched, unordered,
-/// chunk-size 1, with exactly one fetch at a `Rel` age whose dimensions
-/// are distinct `Var` selectors covering all of the consumer's index
-/// variables — then one stored element maps to exactly one instance, and
-/// a fresh single-point store proves that instance's only dependency.
-fn build_inline_plans(
-    spec: &ProgramSpec,
-    options: &[KernelOptions],
-    fused: &HashSet<KernelId>,
-    watched: &HashSet<KernelId>,
-    limits: &RunLimits,
-) -> Vec<Option<InlinePlan>> {
-    use p2g_graph::spec::AgeExpr;
-    let mut plans: Vec<Option<InlinePlan>> = (0..spec.fields.len()).map(|_| None).collect();
-    for k in &spec.kernels {
-        let i = k.id.idx();
-        if k.is_source()
-            || !k.has_age_var
-            || fused.contains(&k.id)
-            || watched.contains(&k.id)
-            || options[i].ordered
-            || options[i].chunk_size > 1
-            || k.fetches.len() != 1
-        {
-            continue;
-        }
-        let fe = &k.fetches[0];
-        let AgeExpr::Rel(t) = fe.age else { continue };
-        let mut var_of_dim = Vec::with_capacity(fe.dims.len());
-        let mut seen = vec![false; k.index_vars as usize];
-        let mut ok = true;
-        for sel in &fe.dims {
-            match sel {
-                IndexSel::Var(v) => {
-                    let vi = v.0 as usize;
-                    if seen[vi] {
-                        ok = false;
-                        break;
-                    }
-                    seen[vi] = true;
-                    var_of_dim.push(vi);
-                }
-                _ => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok || !seen.iter().all(|&b| b) {
-            continue;
-        }
-        // The consumer's own stores must target statically-sized fields:
-        // inline dispatch skips the analyzer's extent propagation, so it
-        // must not be the only source of a grown extent expectation.
-        if !k
-            .stores
-            .iter()
-            .all(|st| spec.fields[st.field.idx()].initial_extents.is_some())
-        {
-            continue;
-        }
-        let slot = &mut plans[fe.field.idx()];
-        if slot.is_none() {
-            *slot = Some(InlinePlan {
-                consumer: k.id,
-                t,
-                index_vars: k.index_vars as usize,
-                var_of_dim,
-                max_ages: limits.max_ages,
-            });
-        }
-    }
-    plans
-}
-
 pub(crate) struct Shared {
     spec: Arc<ProgramSpec>,
     bodies: Vec<Option<KernelBody>>,
@@ -189,13 +93,6 @@ pub(crate) struct Shared {
     event_txs: Vec<Sender<Event>>,
     /// The store/unit routing plan.
     shard_plan: Arc<ShardPlan>,
-    /// Set before the first `KernelFailure` event is published: disarms
-    /// the inline fast path so no worker-side dispatch can race the
-    /// analyzer's poison traversal.
-    poisoned: AtomicBool,
-    /// Per field: inline fast-path plan for its single pointwise consumer
-    /// (empty vector when the fast path is disabled).
-    inline: Vec<Option<InlinePlan>>,
     /// Events + queued units not yet fully processed. Zero ⇒ quiescent.
     outstanding: AtomicI64,
     stop: AtomicBool,
@@ -523,18 +420,6 @@ impl NodeBuilder {
             shards,
         ));
         let shard_gc = Arc::new(ShardGc::new(spec.kernels.len(), spec.fields.len(), shards));
-        // The inline fast path keeps the analyzer off the dispatch
-        // critical path wherever its plan is sound. Cluster-assigned nodes
-        // keep every dispatch decision in the analyzer, where recovery
-        // rescans can reconcile it. Adaptive granularity disables it: the
-        // inline plan requires chunk-size 1, which the controller is free
-        // to change online.
-        let inline: Vec<Option<InlinePlan>> =
-            if limits.adaptive.is_none() && self.assigned.is_none() {
-                build_inline_plans(&spec, &options, &fused_consumers, &watched, &limits)
-            } else {
-                (0..spec.fields.len()).map(|_| None).collect()
-            };
         let granularity = limits.adaptive.as_ref().map(|cfg| {
             let adaptive = GranularityController::eligibility(&spec, &options, &fusions);
             Arc::new(GranularityController::new(cfg.clone(), &options, adaptive))
@@ -576,8 +461,6 @@ impl NodeBuilder {
             fields: fields.clone(),
             event_txs,
             shard_plan: shard_plan.clone(),
-            poisoned: AtomicBool::new(false),
-            inline,
             outstanding: AtomicI64::new(0),
             stop: AtomicBool::new(false),
             failure: Mutex::new(None),
@@ -1162,12 +1045,8 @@ fn execute_unit(shared: &Arc<Shared>, unit: DispatchUnit) -> Result<(), RuntimeE
                 })
             }
             ExhaustPolicy::Poison => {
-                // Disarm the inline fast path before the failure is
-                // visible: no worker-side dispatch may race the poison
-                // traversal. Counted event(s): every analyzer shard
-                // quarantines the instance and propagates poison over the
-                // slice it owns.
-                shared.poisoned.store(true, Ordering::SeqCst);
+                // Counted event(s): every analyzer shard quarantines the
+                // instance and propagates poison over the slice it owns.
                 shared.send_event(Event::KernelFailure {
                     kernel,
                     age: unit.age,
@@ -1647,7 +1526,7 @@ fn apply_run(
 /// Store `buffer` into `region` of `field` at `age` and publish the store.
 /// `kernel` is the storing kernel. `None` marks a store forwarded from
 /// another node: it is neither tapped back out nor counted against a
-/// kernel, and it lands `idempotent`, so it never takes the inline path.
+/// kernel, and it lands `idempotent`.
 fn land(
     shared: &Arc<Shared>,
     kernel: Option<KernelId>,
@@ -1699,32 +1578,6 @@ fn land(
             tap(field, age, &region, buffer);
         }
     }
-    // Inline fast path: a fresh single-point store into a field with a
-    // pointwise single-fetch consumer proves exactly one instance ready —
-    // dispatch it from this worker and tag the store event so the owning
-    // analyzer shard reconciles instead of re-dispatching, keeping the
-    // analyzer round trip off the dispatch critical path. A merged range
-    // store spans several points, so it never qualifies.
-    let mut inline: Option<(KernelId, Age, Vec<usize>)> = None;
-    if let Some(plan) = &shared.inline[field.idx()] {
-        if !idempotent && outcome.deduped == 0 && !shared.poisoned.load(Ordering::SeqCst) {
-            let ca = age.0 as i64 - plan.t;
-            if ca >= 0 && plan.max_ages.is_none_or(|m| (ca as u64) < m) {
-                if let Ok(spans) = region.resolve(&extents) {
-                    if spans.iter().all(|&(_, len)| len == 1) {
-                        let mut cidx = vec![0usize; plan.index_vars];
-                        for (d, &(start, _)) in spans.iter().enumerate() {
-                            cidx[plan.var_of_dim[d]] = start;
-                        }
-                        inline = Some((plan.consumer, Age(ca as u64), cidx));
-                    }
-                }
-            }
-        }
-    }
-    // The tagged store event is sent before the inline unit is dispatched,
-    // so the owning shard observes the tag ahead of any event the unit
-    // itself produces.
     shared.send_event(Event::Store(StoreEvent {
         field,
         age,
@@ -1733,23 +1586,7 @@ fn land(
         elements: outcome.stored,
         age_complete: outcome.age_complete,
         resized: outcome.resized,
-        inline_dispatched: inline.as_ref().map(|(consumer, _, _)| *consumer),
+        inline_dispatched: None,
     }));
-    if let Some((consumer, cage, cidx)) = inline {
-        shared.trace(|| TraceEvent::InstanceDispatched {
-            kernel: consumer,
-            age: cage.0,
-            indices: cidx.clone(),
-        });
-        shared.instruments.record_inline_dispatch();
-        shared.outstanding.fetch_add(1, Ordering::SeqCst);
-        shared.dispatch(DispatchUnit {
-            kernel: consumer,
-            age: cage,
-            instances: vec![cidx],
-            attempt: 0,
-            prior_stored: false,
-        });
-    }
     Ok(())
 }

@@ -33,6 +33,10 @@
 //! 6. **Granularity decisions sane** — adaptive chunk-size changes form a
 //!    per-kernel chain (each decision's `from` is the previous decision's
 //!    `to`), move by exactly a factor of two, and never reach zero.
+//! 7. **Only the analyzer dispatches** — every `InstanceDispatched` is
+//!    recorded on an analyzer shard's lane (`analyzer-*`), or on `main`,
+//!    where launch seeds the source kernels. No worker, watchdog or
+//!    remote-store path makes an instance ready.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -73,6 +77,24 @@ pub fn all(report: &RunReport) {
     poisoned_consistent(trace, report);
     no_store_after_retire(trace);
     granularity_sane(trace);
+    only_analyzer_dispatches(trace);
+}
+
+/// Invariant 7: every instance dispatch is traced on an analyzer shard's
+/// lane or on `main` (launch-time seeding of the source kernels).
+pub fn only_analyzer_dispatches(trace: &RunTrace) {
+    for r in trace.of_kind("InstanceDispatched") {
+        let lane = trace
+            .thread_labels
+            .get(r.tid as usize)
+            .map_or("<unlabelled>", String::as_str);
+        assert!(
+            lane == "main" || lane.starts_with("analyzer-"),
+            "{:?} traced on lane {lane}: only the analyzer (or launch-time \
+             seeding on main) may make an instance ready",
+            r.event
+        );
+    }
 }
 
 /// Invariant 6: the adaptive-granularity controller's decisions are sane.

@@ -80,8 +80,8 @@ pub mod prelude {
     pub use p2g_lang::{compile_source, CompiledProgram, PrintSink};
     // Batch entry points.
     pub use p2g_runtime::{
-        AdaptiveGranularity, BatchCtx, ExhaustPolicy, FaultPolicy, KernelCtx, KernelOptions,
-        NodeBuilder, NodeHandle, Program, RunLimits, RunReport, RuntimeError, Termination,
+        AdaptiveGranularity, ExhaustPolicy, FaultPolicy, KernelCtx, KernelOptions, NodeBuilder,
+        NodeHandle, Program, RunLimits, RunReport, RuntimeError, Termination,
     };
     // Streaming-session entry points.
     pub use p2g_runtime::{

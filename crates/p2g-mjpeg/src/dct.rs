@@ -275,8 +275,9 @@ pub fn dct_quantize_aan_scalar(block: &[u8; 64], table: &[u16; 64]) -> [i16; 64]
     quantize_aan(&fdct_aan_scalar(block), table)
 }
 
-/// Forward DCT + quantization with precomputed divisors — the per-unit
-/// amortized form the batched MJPEG kernel body uses.
+/// Forward DCT + quantization with precomputed divisors — the form the
+/// MJPEG DCT kernel body uses, with divisors derived once per body rather
+/// than once per block.
 pub fn dct_quantize_aan_div(block: &[u8; 64], divisors: &[f64; 64]) -> [i16; 64] {
     quantize_aan_div(&fdct_aan(block), divisors)
 }

@@ -23,8 +23,8 @@ use p2g_graph::spec::{
 use p2g_runtime::{Program, RuntimeError, Session, SessionSink};
 
 use crate::dct::{
-    aan_divisors, dct_quantize_aan, dct_quantize_aan_div, dct_quantize_naive, scaled_quant_table,
-    QUANT_CHROMA, QUANT_LUMA,
+    aan_divisors, dct_quantize_aan_div, dct_quantize_naive, scaled_quant_table, QUANT_CHROMA,
+    QUANT_LUMA,
 };
 use crate::jpeg::{write_frame, JpegParams};
 use crate::synthetic::FrameSource;
@@ -301,9 +301,13 @@ pub fn build_mjpeg_program(
 }
 
 /// Install the three DCT kernel bodies (shared by the batch and streaming
-/// builders), including the chunking and stall-injection knobs.
+/// builders), including the chunking and stall-injection knobs. Each body
+/// derives the quantization table and AAN divisors for `config.quality` —
+/// the value `init` stores into `params` — once, when it is built, instead
+/// of once per block; any other `params` value derives its own.
 fn install_dct_bodies(program: &mut Program, config: &MjpegConfig) {
     let fast = config.fast_dct;
+    let quality = config.quality;
     for (name, base) in [
         ("yDCT", &QUANT_LUMA),
         ("uDCT", &QUANT_CHROMA),
@@ -315,6 +319,8 @@ fn install_dct_bodies(program: &mut Program, config: &MjpegConfig) {
         } else {
             None
         };
+        let table = scaled_quant_table(&base, quality);
+        let divisors = aan_divisors(&table);
         program.body(name, move |ctx| {
             if stall == Some(ctx.age().0) && ctx.index(0) == 0 {
                 // Injected stall: overrun the frame deadline, bail out
@@ -328,7 +334,14 @@ fn install_dct_bodies(program: &mut Program, config: &MjpegConfig) {
                 Value::I32(q) => q as u8,
                 other => return Err(format!("bad params value {other:?}")),
             };
-            let table = scaled_quant_table(&base, q);
+            let own;
+            let (table, divisors) = if q == quality {
+                (&table, &divisors)
+            } else {
+                let t = scaled_quant_table(&base, q);
+                own = (t, aan_divisors(&t));
+                (&own.0, &own.1)
+            };
             let samples = ctx
                 .input(0)
                 .as_u8()
@@ -336,9 +349,9 @@ fn install_dct_bodies(program: &mut Program, config: &MjpegConfig) {
             let mut block = [0u8; 64];
             block.copy_from_slice(samples);
             let coeffs = if fast {
-                dct_quantize_aan(&block, &table)
+                dct_quantize_aan_div(&block, divisors)
             } else {
-                dct_quantize_naive(&block, &table)
+                dct_quantize_naive(&block, table)
             };
             ctx.store(0, Buffer::from_vec(coeffs.to_vec()));
             Ok(())
@@ -346,36 +359,6 @@ fn install_dct_bodies(program: &mut Program, config: &MjpegConfig) {
         if config.dct_chunk > 1 {
             program.set_chunk_size(name, config.dct_chunk);
         }
-        // Whole-unit batch body, run for every multi-instance unit: parse
-        // the quality parameter and derive the quantization
-        // table/divisors ONCE per unit instead of once per block, then
-        // transform every block of the unit back-to-back. Bit-identical
-        // to the per-instance body. A frame deadline (the only way a
-        // stall ends) keeps the runtime on the per-instance body, which
-        // polls its own cancel token.
-        program.batch_body(name, move |bctx| {
-            let q = match bctx.input(0, 1).value(0) {
-                Value::I32(q) => q as u8,
-                other => return Err(format!("bad params value {other:?}")),
-            };
-            let table = scaled_quant_table(&base, q);
-            let divisors = aan_divisors(&table);
-            let mut block = [0u8; 64];
-            for i in 0..bctx.len() {
-                let samples = bctx
-                    .input(i, 0)
-                    .as_u8()
-                    .ok_or_else(|| "input block must be u8".to_string())?;
-                block.copy_from_slice(samples);
-                let coeffs = if fast {
-                    dct_quantize_aan_div(&block, &divisors)
-                } else {
-                    dct_quantize_naive(&block, &table)
-                };
-                bctx.store(i, 0, Buffer::from_vec(coeffs.to_vec()));
-            }
-            Ok(())
-        });
     }
 }
 
@@ -577,6 +560,42 @@ mod tests {
         };
         let (stream, _) = run_pipeline(src, config, 4);
         assert_eq!(stream, reference);
+    }
+
+    /// The DCT bodies prebuild their tables for `config.quality` only; a
+    /// `params` value that differs must still quantize at its own quality.
+    #[test]
+    fn dct_bodies_quantize_at_the_fetched_quality() {
+        use crate::dct::dct_quantize_aan;
+        use p2g_field::Age;
+        let src = SyntheticVideo::new(32, 32, 1, 3);
+        let config = MjpegConfig {
+            quality: 75,
+            max_frames: 1,
+            fast_dct: true,
+            dct_chunk: 4,
+            ..MjpegConfig::default()
+        };
+        let (mut program, _) = build_mjpeg_program(Arc::new(src.clone()), config).unwrap();
+        program.body("init", |ctx| {
+            ctx.store(0, Buffer::from_vec(vec![50i32]));
+            Ok(())
+        });
+        let (_, fields) = NodeBuilder::new(program)
+            .workers(2)
+            .launch(RunLimits::ages(2))
+            .and_then(|n| n.collect())
+            .unwrap();
+        let table = scaled_quant_table(&QUANT_LUMA, 50);
+        let expected: Vec<i16> = src
+            .frame(0)
+            .unwrap()
+            .luma_plane_blocks()
+            .chunks_exact(64)
+            .flat_map(|b| dct_quantize_aan(b.try_into().unwrap(), &table))
+            .collect();
+        let y = fields.fetch("y_result", Age(0), &Region::all(2)).unwrap();
+        assert_eq!(y.as_i16().unwrap(), &expected[..]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests pinning the SIMD fast paths to their scalar oracles:
 //! every vectorised kernel body (AAN DCT, quantization, RGB↔YUV) must be
 //! bit-identical to the scalar implementation on arbitrary inputs, and a
-//! full pipeline run with batching + adaptation enabled must produce the
+//! full pipeline run with chunking + adaptation enabled must produce the
 //! exact bytes of the standalone single-threaded encoder.
 //!
 //! With `--no-default-features` the fast paths compile to the scalar
@@ -107,14 +107,16 @@ proptest! {
     // the per-kernel properties above carry the bit-level load.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The complete pipeline with SIMD bodies, chunked units run through
-    /// the batch body, and online granularity adaptation emits
-    /// byte-identical JPEG streams to the standalone scalar-order encoder.
+    /// The complete pipeline with SIMD bodies, chunked units that run the
+    /// one per-instance body for each block, and online granularity
+    /// adaptation emits byte-identical JPEG streams to the standalone
+    /// scalar-order encoder.
     #[test]
-    fn batched_pipeline_encodes_bit_identically(
+    fn chunked_pipeline_encodes_bit_identically(
         seed in any::<u64>(),
         quality in prop_oneof![Just(50u8), Just(75u8), Just(90u8)],
         frames in 1u64..=3,
+        dct_chunk in prop_oneof![Just(1usize), Just(4usize), Just(16usize)],
     ) {
         let src = SyntheticVideo::new(32, 32, frames, seed);
         let reference = encode_standalone(&src, quality, frames, true);
@@ -122,7 +124,7 @@ proptest! {
             quality,
             max_frames: frames,
             fast_dct: true,
-            dct_chunk: 4,
+            dct_chunk,
             ..MjpegConfig::default()
         };
         let (program, sink) = build_mjpeg_program(Arc::new(src), config).expect("program builds");

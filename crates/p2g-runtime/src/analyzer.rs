@@ -66,6 +66,7 @@ use p2g_graph::{KernelId, ProgramSpec};
 use crate::events::{Event, StoreEvent};
 use crate::instance::DispatchUnit;
 use crate::options::{KernelOptions, RunLimits};
+use crate::program::FusionPlan;
 use crate::shard::{ShardGc, ShardPlan};
 
 /// Shared handle to the node's fields.
@@ -133,6 +134,10 @@ struct PendingTable {
 pub struct DependencyAnalyzer {
     spec: Arc<ProgramSpec>,
     options: Vec<KernelOptions>,
+    /// The node's fusion plans (Figure 4, Age=3): poison follows a failed
+    /// producer into its fused consumer.
+    fusions: Vec<FusionPlan>,
+    /// Consumers of `fusions`: never dispatched on their own.
     fused_consumers: HashSet<KernelId>,
     fields: SharedFields,
     limits: RunLimits,
@@ -217,6 +222,8 @@ pub struct DependencyAnalyzer {
 
 impl DependencyAnalyzer {
     /// Build the analyzer for a program, as shard 0 of a one-shard plan.
+    /// A standalone analyzer has no fusion plans: `fused_consumers` are
+    /// never dispatched, and poison does not follow a producer into them.
     pub fn new(
         spec: Arc<ProgramSpec>,
         options: Vec<KernelOptions>,
@@ -230,14 +237,16 @@ impl DependencyAnalyzer {
             shard: 0,
             gc: Arc::new(ShardGc::new(spec.kernels.len(), spec.fields.len(), 1)),
         };
-        Self::in_scope(spec, options, fused_consumers, fields, limits, scope)
+        let mut analyzer = Self::in_scope(spec, options, &[], fields, limits, scope);
+        analyzer.fused_consumers = fused_consumers;
+        analyzer
     }
 
     /// Build the analyzer as one shard of a node's plan.
     pub(crate) fn in_scope(
         spec: Arc<ProgramSpec>,
         options: Vec<KernelOptions>,
-        fused_consumers: HashSet<KernelId>,
+        fusions: &[FusionPlan],
         fields: SharedFields,
         limits: RunLimits,
         scope: ShardScope,
@@ -294,7 +303,8 @@ impl DependencyAnalyzer {
             .collect();
         DependencyAnalyzer {
             options,
-            fused_consumers,
+            fusions: fusions.to_vec(),
+            fused_consumers: fusions.iter().map(|f| f.consumer).collect(),
             fields,
             limits,
             dispatched: HashMap::new(),
@@ -619,7 +629,11 @@ impl DependencyAnalyzer {
         }
 
         let k = self.spec.kernel(kid).clone();
-        let fused = self.options[kid.idx()].fuse_consumer;
+        let fused = self
+            .fusions
+            .iter()
+            .find(|f| f.producer == kid)
+            .map(|f| f.consumer);
         for st in &k.stores {
             let ta = st.age.resolve(Age(a));
             let region = crate::program::resolve_region(&st.dims, &idx);

@@ -77,7 +77,7 @@ pub use instrument::{Instruments, KernelStats, LatencyHistogram, RunReport, Term
 pub use node::{FieldStore, NodeBuilder, NodeHandle, StoreTap};
 pub use options::{AdaptiveGranularity, ExhaustPolicy, FaultPolicy, KernelOptions, RunLimits};
 pub use pool::{Qos, WorkerPool};
-pub use program::{BatchCtx, BodyResult, KernelCtx, Program};
+pub use program::{BodyResult, KernelCtx, Program};
 pub use ready::QOS_CLASS_NORMAL;
 pub use session::{
     Session, SessionConfig, SessionMetrics, SessionOutput, SessionReport, SessionRuntime,

@@ -33,8 +33,7 @@ use crate::instrument::{Instruments, InstrumentsSnapshot, RunReport, Termination
 use crate::options::{ExhaustPolicy, FaultPolicy, RunLimits};
 use crate::pool::{PoolTask, QosState, WorkerPool};
 use crate::program::{
-    resolve_region, BatchCtx, BatchKernelBody, BodyResult, FusionPlan, KernelBody, KernelCtx,
-    Program, StagedStore,
+    resolve_region, BodyResult, FusionPlan, KernelBody, KernelCtx, Program, StagedStore,
 };
 use crate::shard::{ShardGc, ShardPlan};
 use crate::timer::TimerTable;
@@ -84,8 +83,6 @@ pub type StoreTap = Arc<dyn Fn(FieldId, Age, &Region, &Buffer) + Send + Sync>;
 pub(crate) struct Shared {
     spec: Arc<ProgramSpec>,
     bodies: Vec<Option<KernelBody>>,
-    /// Optional whole-unit bodies (see [`Program::batch_body`]).
-    batch_bodies: Vec<Option<BatchKernelBody>>,
     fusions: Vec<FusionPlan>,
     fields: SharedFields,
     /// One event channel per analyzer shard. Workers route through
@@ -379,7 +376,6 @@ impl NodeBuilder {
         let Program {
             spec,
             bodies,
-            batch_bodies,
             options,
             fusions,
             timers,
@@ -456,7 +452,6 @@ impl NodeBuilder {
         let shared = Arc::new(Shared {
             spec: spec.clone(),
             bodies,
-            batch_bodies,
             fusions: fusions.clone(),
             fields: fields.clone(),
             event_txs,
@@ -486,7 +481,7 @@ impl NodeBuilder {
             let mut analyzer = DependencyAnalyzer::in_scope(
                 spec.clone(),
                 options.clone(),
-                fused_consumers.clone(),
+                &fusions,
                 fields.clone(),
                 limits.clone(),
                 ShardScope {
@@ -973,9 +968,9 @@ fn run_unit(shared: &Arc<Shared>, unit: DispatchUnit) {
 }
 
 /// The node's one executor; a one-instance unit is a batch of one. One
-/// read lock per fetch declaration covers every instance, the bodies run
-/// back-to-back in segmented `catch_unwind` frames (or as one whole-unit
-/// batch body), consecutive instances' stores into one declaration land as
+/// read lock per fetch declaration covers every instance, the kernel's one
+/// body runs once per instance, back-to-back in segmented `catch_unwind`
+/// frames, consecutive instances' stores into one declaration land as
 /// one merged range store, and body failures go through the kernel's
 /// fault policy per instance: batched into one delayed retry unit while
 /// the budget lasts, then aborted or poisoned per [`ExhaustPolicy`]. A
@@ -989,37 +984,26 @@ fn execute_unit(shared: &Arc<Shared>, unit: DispatchUnit) -> Result<(), RuntimeE
     let t_unit = Instant::now();
     let mut body_time = Duration::ZERO;
 
+    // Buffers are copies — workers never hold field locks while running
+    // kernel code. They live as long as the bodies.
+    let mut inputs = Vec::with_capacity(n * kspec.fetches.len());
+    for fe in &kspec.fetches {
+        let age = fe.age.resolve(unit.age);
+        let field = shared.fields[fe.field.idx()].read();
+        for indices in &unit.instances {
+            inputs.push(field.fetch(age, &resolve_region(&fe.dims, indices))?);
+        }
+    }
     let mut staged = Vec::new();
-    let failures = {
-        // Buffers are copies — workers never hold field locks while
-        // running kernel code. They live as long as the bodies.
-        let mut inputs = Vec::with_capacity(n * kspec.fetches.len());
-        for fe in &kspec.fetches {
-            let age = fe.age.resolve(unit.age);
-            let field = shared.fields[fe.field.idx()].read();
-            for indices in &unit.instances {
-                inputs.push(field.fetch(age, &resolve_region(&fe.dims, indices))?);
-            }
-        }
-        let batch_body = shared.batch_bodies[kernel.idx()]
-            .as_ref()
-            .filter(|_| n >= 2 && policy.deadline.is_none() && fusion.is_none());
-        match batch_body {
-            Some(body)
-                if run_batch_body(shared, &unit, body, &inputs, &mut staged, &mut body_time) =>
-            {
-                Vec::new()
-            }
-            _ => run_bodies(
-                shared,
-                &unit,
-                fusion,
-                &mut inputs,
-                &mut staged,
-                &mut body_time,
-            ),
-        }
-    };
+    let failures = run_bodies(
+        shared,
+        &unit,
+        fusion,
+        &mut inputs,
+        &mut staged,
+        &mut body_time,
+    );
+    drop(inputs);
     let ok_instances = n - failures.len();
     // An attempted store counts for source sequencing even when elided or
     // fully deduped.
@@ -1106,64 +1090,6 @@ fn execute_unit(shared: &Arc<Shared>, unit: DispatchUnit) -> Result<(), RuntimeE
         retried,
     });
     Ok(())
-}
-
-/// Run a kernel's whole-unit batch body: one invocation stages every
-/// instance's stores. On `Err` or a panic the staging is discarded and
-/// `false` returned, so the unit falls back to its per-instance bodies —
-/// batch bodies are pure, so nothing else is lost.
-fn run_batch_body(
-    shared: &Shared,
-    unit: &DispatchUnit,
-    body: &BatchKernelBody,
-    inputs: &[Buffer],
-    staged: &mut Vec<StagedStore>,
-    body_time: &mut Duration,
-) -> bool {
-    let (kernel, age, attempt) = (unit.kernel, unit.age.0, unit.attempt);
-    for indices in &unit.instances {
-        shared.trace(|| TraceEvent::BodyStart {
-            kernel,
-            age,
-            indices: indices.clone(),
-            attempt,
-        });
-    }
-    let mut ctx = BatchCtx {
-        spec: shared.spec.kernel(kernel),
-        age: unit.age,
-        instances: &unit.instances,
-        inputs,
-        staged,
-        timers: &shared.timers,
-    };
-    IN_KERNEL.with(|c| c.set(true));
-    let t_body = Instant::now();
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
-    let elapsed = t_body.elapsed();
-    IN_KERNEL.with(|c| c.set(false));
-    let ok = matches!(result, Ok(Ok(())));
-    // Chrome-trace begin/end events nest LIFO: the batch's BodyEnds close
-    // in reverse of their opens.
-    for indices in unit.instances.iter().rev() {
-        shared.trace(|| TraceEvent::BodyEnd {
-            kernel,
-            age,
-            indices: indices.clone(),
-            attempt,
-            ok,
-        });
-    }
-    if ok {
-        *body_time += elapsed;
-        let per = elapsed / unit.instances.len() as u32;
-        for _ in &unit.instances {
-            shared.instruments.record_latency(kernel, per);
-        }
-    } else {
-        ctx.staged.clear();
-    }
-    ok
 }
 
 /// What a body segment is running, kept outside its `catch_unwind` frame

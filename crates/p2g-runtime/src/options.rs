@@ -3,8 +3,6 @@
 
 use std::time::Duration;
 
-use p2g_graph::KernelId;
-
 /// What happens when a kernel instance has exhausted its retry budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExhaustPolicy {
@@ -110,7 +108,8 @@ impl FaultPolicy {
 }
 
 /// Per-kernel low-level-scheduler options — the granularity adaptation of
-/// paper Figure 4.
+/// paper Figure 4. Fusion (Age=3) pairs two kernels, so it is recorded once,
+/// on the program ([`crate::Program::fuse`]), not here.
 #[derive(Debug, Clone)]
 pub struct KernelOptions {
     /// Maximum number of ready instances of this kernel (same age) merged
@@ -119,11 +118,6 @@ pub struct KernelOptions {
     /// trade data parallelism for lower dispatch overhead (Figure 4,
     /// Age=2).
     pub chunk_size: usize,
-    /// Run this *consumer* kernel inline after the producer instance that
-    /// satisfies its single fetch, skipping its separate dispatch
-    /// (Figure 4, Age=3 — reduced task parallelism). Set on the producer,
-    /// naming the consumer.
-    pub fuse_consumer: Option<KernelId>,
     /// Dispatch instances of this kernel strictly in age order, one age at
     /// a time. Needed by kernels with ordered side effects (the MJPEG
     /// `VLC/write` kernel appends to the output bitstream).
@@ -136,7 +130,6 @@ impl Default for KernelOptions {
     fn default() -> KernelOptions {
         KernelOptions {
             chunk_size: 1,
-            fuse_consumer: None,
             ordered: false,
             fault: FaultPolicy::default(),
         }
@@ -323,7 +316,6 @@ mod tests {
     fn defaults() {
         let o = KernelOptions::default();
         assert_eq!(o.chunk_size, 1);
-        assert!(o.fuse_consumer.is_none());
         assert!(!o.ordered);
     }
 

@@ -24,10 +24,6 @@ pub type BodyResult = Result<(), String>;
 /// A kernel body closure.
 pub type KernelBody = Box<dyn Fn(&mut KernelCtx) -> BodyResult + Send + Sync>;
 
-/// A batch kernel body closure: executes a whole dispatch unit's worth of
-/// instances in one call (see [`BatchCtx`]).
-pub type BatchKernelBody = Box<dyn Fn(&mut BatchCtx) -> BodyResult + Send + Sync>;
-
 /// A store staged by a kernel body, applied by the worker once every body
 /// of the dispatch unit has run.
 #[derive(Debug)]
@@ -162,77 +158,6 @@ impl KernelCtx<'_> {
     }
 }
 
-/// The execution context for a [`BatchKernelBody`]: every instance of one
-/// dispatch unit (same kernel, same age) at once, so the body can hoist
-/// per-unit setup (quantization tables, lookup tables) out of the
-/// per-instance loop and process instances back-to-back with warm caches.
-///
-/// Contract: batch bodies must be pure with respect to staged stores —
-/// when a batch body returns `Err` or panics, the runtime falls back to
-/// running the per-instance body for every instance of the unit, so any
-/// partial staging is discarded, never applied.
-pub struct BatchCtx<'a> {
-    pub(crate) spec: &'a KernelSpec,
-    pub(crate) age: Age,
-    pub(crate) instances: &'a [Vec<usize>],
-    /// Fetch-major: `inputs[fetch * len + instance]`.
-    pub(crate) inputs: &'a [Buffer],
-    /// Stores staged for every instance, tagged by instance.
-    pub(crate) staged: &'a mut Vec<StagedStore>,
-    pub(crate) timers: &'a TimerTable,
-}
-
-impl BatchCtx<'_> {
-    /// Number of instances in the unit.
-    pub fn len(&self) -> usize {
-        self.instances.len()
-    }
-
-    /// True when the unit holds no instances (never happens in practice;
-    /// provided for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.instances.is_empty()
-    }
-
-    /// The unit's age (shared by every instance).
-    pub fn age(&self) -> Age {
-        self.age
-    }
-
-    /// The kernel definition's name.
-    pub fn kernel_name(&self) -> &str {
-        &self.spec.name
-    }
-
-    /// Index-variable values of instance `i`.
-    pub fn indices(&self, i: usize) -> &[usize] {
-        &self.instances[i]
-    }
-
-    /// The fetched buffer for instance `i`'s `fetch`-th fetch declaration.
-    pub fn input(&self, i: usize, fetch: usize) -> &Buffer {
-        &self.inputs[fetch * self.instances.len() + i]
-    }
-
-    /// Stage a store for instance `i` through store declaration
-    /// `store_idx`'s index pattern.
-    pub fn store(&mut self, i: usize, store_idx: usize, buffer: Buffer) {
-        self.staged.push(StagedStore {
-            slot: i,
-            kernel: self.spec.id,
-            store_idx,
-            region: None,
-            age: None,
-            buffer,
-        });
-    }
-
-    /// Elapsed time since a timer was reset.
-    pub fn timer_elapsed(&self, name: &str) -> Option<Duration> {
-        self.timers.elapsed(name)
-    }
-}
-
 /// How a fused consumer kernel is executed inline after its producer.
 #[derive(Debug, Clone)]
 pub struct FusionPlan {
@@ -250,7 +175,6 @@ pub struct FusionPlan {
 pub struct Program {
     pub(crate) spec: Arc<ProgramSpec>,
     pub(crate) bodies: Vec<Option<KernelBody>>,
-    pub(crate) batch_bodies: Vec<Option<BatchKernelBody>>,
     pub(crate) options: Vec<KernelOptions>,
     pub(crate) fusions: Vec<FusionPlan>,
     pub(crate) timers: Arc<TimerTable>,
@@ -264,7 +188,6 @@ impl Program {
         Ok(Program {
             spec: Arc::new(spec),
             bodies: (0..n).map(|_| None).collect(),
-            batch_bodies: (0..n).map(|_| None).collect(),
             options: vec![KernelOptions::default(); n],
             fusions: Vec::new(),
             timers: Arc::new(TimerTable::new()),
@@ -282,7 +205,9 @@ impl Program {
     }
 
     /// Register a body for a kernel by name. Panics on unknown names —
-    /// that is a programming error, not a runtime condition.
+    /// that is a programming error, not a runtime condition. A kernel has
+    /// exactly one body, written for one instance: a chunked dispatch unit
+    /// (Figure 4, Age=2) runs it once per instance it holds.
     pub fn body<F>(&mut self, kernel: &str, f: F) -> &mut Program
     where
         F: Fn(&mut KernelCtx) -> BodyResult + Send + Sync + 'static,
@@ -301,34 +226,6 @@ impl Program {
         F: Fn(&mut KernelCtx) -> BodyResult + Send + Sync + 'static,
     {
         self.bodies[kernel.idx()] = Some(Box::new(f));
-        self
-    }
-
-    /// Register an optional batch body for a kernel by name. The executor
-    /// runs it in place of the per-instance bodies whenever a dispatch
-    /// unit holds two or more instances, unless the kernel's fault policy
-    /// has a deadline (deadlines are per instance) or the kernel is a
-    /// fusion producer (its consumer runs per instance). Every kernel
-    /// still needs a per-instance [`Self::body`] as the fallback and
-    /// single-instance path.
-    pub fn batch_body<F>(&mut self, kernel: &str, f: F) -> &mut Program
-    where
-        F: Fn(&mut BatchCtx) -> BodyResult + Send + Sync + 'static,
-    {
-        let id = self
-            .spec
-            .kernel_by_name(kernel)
-            .unwrap_or_else(|| panic!("unknown kernel '{kernel}'"));
-        self.batch_bodies[id.idx()] = Some(Box::new(f));
-        self
-    }
-
-    /// Register a batch body by kernel id.
-    pub fn batch_body_id<F>(&mut self, kernel: KernelId, f: F) -> &mut Program
-    where
-        F: Fn(&mut BatchCtx) -> BodyResult + Send + Sync + 'static,
-    {
-        self.batch_bodies[kernel.idx()] = Some(Box::new(f));
         self
     }
 
@@ -445,7 +342,6 @@ impl Program {
             .consumers_of(fe.field)
             .iter()
             .any(|&(k, _)| k != cid);
-        self.options[pid.idx()].fuse_consumer = Some(cid);
         self.fusions.push(FusionPlan {
             producer: pid,
             consumer: cid,
@@ -453,17 +349,6 @@ impl Program {
             elide_store: !other_consumers,
         });
         Ok(())
-    }
-
-    /// The fusion plan where `k` is the producer, if any.
-    pub fn fusion_for(&self, k: KernelId) -> Option<&FusionPlan> {
-        self.fusions.iter().find(|f| f.producer == k)
-    }
-
-    /// True when `k` is a fused consumer (the analyzer must not dispatch
-    /// it independently).
-    pub fn is_fused_consumer(&self, k: KernelId) -> bool {
-        self.fusions.iter().any(|f| f.consumer == k)
     }
 }
 
@@ -515,11 +400,12 @@ mod tests {
         p.fuse("mul2", "plus5").unwrap();
         let mul2 = p.spec().kernel_by_name("mul2").unwrap();
         let plus5 = p.spec().kernel_by_name("plus5").unwrap();
-        let plan = p.fusion_for(mul2).unwrap();
-        assert_eq!(plan.consumer, plus5);
+        let [plan] = &p.fusions[..] else {
+            panic!("expected one fusion plan, got {:?}", p.fusions)
+        };
+        assert_eq!((plan.producer, plan.consumer), (mul2, plus5));
         // print also fetches p_data, so the store cannot be elided.
         assert!(!plan.elide_store);
-        assert!(p.is_fused_consumer(plus5));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Tests of the executor on multi-instance dispatch units (merged
-//! fetches, segmented `catch_unwind`, merged range stores, batch bodies)
+//! fetches, segmented `catch_unwind`, merged range stores, one body call
+//! per instance)
 //! and of online granularity adaptation ([`RunLimits::adaptive`]): results
 //! must equal the paper's sequences, fault containment must stay
 //! per-instance, and every trace invariant must keep holding.
@@ -70,25 +71,23 @@ fn batched_execution_matches_scalar_results() {
     assert!(mul2.units < mul2.instances, "mul2 must run chunked units");
 }
 
-/// A registered whole-unit batch body runs instead of per-instance bodies
-/// and produces identical results.
+/// A kernel has one body: a chunked unit runs it once per instance it
+/// holds, never once per unit, and produces the same results.
 #[test]
-fn batch_body_replaces_per_instance_bodies() {
+fn chunked_unit_runs_each_body_once() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     let calls = Arc::new(AtomicUsize::new(0));
     let mut program = build_program();
     program.set_chunk_size("mul2", 5);
     let c = calls.clone();
-    program.batch_body("mul2", move |bctx| {
+    program.body("mul2", move |ctx| {
         c.fetch_add(1, Ordering::SeqCst);
-        for i in 0..bctx.len() {
-            let v = match bctx.input(i, 0).value(0) {
-                Value::I32(v) => v,
-                other => return Err(format!("unexpected type {other:?}")),
-            };
-            bctx.store(i, 0, Buffer::from_vec(vec![v.wrapping_mul(2)]));
-        }
+        let v = match ctx.input(0).value(0) {
+            Value::I32(v) => v,
+            other => return Err(format!("unexpected type {other:?}")),
+        };
+        ctx.store(0, Buffer::from_vec(vec![v.wrapping_mul(2)]));
         Ok(())
     });
     let (report, fields) = NodeBuilder::new(program)
@@ -98,8 +97,17 @@ fn batch_body_replaces_per_instance_bodies() {
         .unwrap();
     assert_eq!(report.termination, Termination::Quiescent);
     p2g_runtime::trace_check::all(&report);
+    assert_eq!(i32s(&fields, "p_data", 0), vec![20, 22, 24, 26, 28]);
+    assert_eq!(i32s(&fields, "p_data", 1), vec![50, 54, 58, 62, 66]);
     assert_eq!(i32s(&fields, "m_data", 2), vec![55, 59, 63, 67, 71]);
-    assert!(calls.load(Ordering::SeqCst) > 0, "the batch body never ran");
+    let mul2 = report.instruments.kernel("mul2").unwrap();
+    assert_eq!(mul2.instances, 15, "5 instances at each of 3 ages");
+    assert!(mul2.units < mul2.instances, "mul2 must run chunked units");
+    assert_eq!(
+        calls.load(Ordering::SeqCst) as u64,
+        mul2.instances,
+        "the body runs once per instance"
+    );
 }
 
 /// Per-instance fault containment in a chunked unit: one failing

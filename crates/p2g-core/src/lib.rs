@@ -66,7 +66,7 @@ pub use p2g_runtime as runtime;
 /// The common imports for building and running P2G programs.
 pub mod prelude {
     pub use p2g_dist::{
-        ClusterConfig, ClusterOutcome, FaultPlan, FaultyNet, FrameParts, KillTrigger, LinkStats,
+        ClusterConfig, ClusterOutcome, FaultPlan, FaultyNet, FrameParts, KillSpec, LinkStats,
         MasterNode, SimCluster, SimNet, StreamFeed, Transport, Workers,
     };
     pub use p2g_field::{

@@ -1,19 +1,22 @@
 //! The in-process cluster: a harness that runs the coordinator protocol
 //! ([`crate::coordinator`]) with one thread per execution node and the
-//! master on the caller's thread, all sharing one [`Transport`].
+//! master on the caller's thread.
 //!
-//! Nothing here coordinates anything. The harness builds the transport
-//! ([`SimNet`] or [`TcpMesh`], wrapped in [`FaultyNet`] when a fault plan
-//! is set), starts [`run_node`] per node and [`run_master`], and assembles
-//! the [`ClusterOutcome`] from what they return. Joining, assignment,
-//! failure detection, replan, replay and quiescence are the protocol's —
-//! the same code `p2gc cluster master|node` runs across OS processes. A
-//! node dies here the way it dies there: the transport severs it
-//! ([`Transport::disconnect`], e.g. a scheduled [`FaultPlan`] kill), its
-//! loop notices and fail-stops, and the master learns of it from the
-//! transport or from status silence.
+//! Nothing here coordinates anything. The harness gives every participant
+//! its transport — the one shared [`SimNet`], or over TCP one solo
+//! [`TcpNet`] each, bound and pointed at the master exactly as
+//! `p2gc cluster master|node` do — wraps each in a [`FaultyNet`] on one
+//! shared schedule when a fault plan is set, starts [`run_node`] per node
+//! and [`run_master`], and assembles the [`ClusterOutcome`] from what they
+//! return. Joining, peering, assignment, failure detection, replan, replay
+//! and quiescence are the protocol's — the same code `p2gc cluster` runs
+//! across OS processes. A node dies here the way it dies there: its links
+//! are severed ([`Transport::disconnect`], e.g. a scheduled [`FaultPlan`]
+//! kill), its loop notices and fail-stops, and the master learns of it
+//! from its transport or from status silence.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,8 +29,10 @@ use p2g_runtime::{Program, RunLimits, RuntimeError};
 
 use crate::coordinator::{run_master, run_node, NodeConfig, ProtocolConfig, StreamFeed};
 use crate::master::MasterNode;
-use crate::tcp::TcpMesh;
-use crate::transport::{FaultPlan, FaultyNet, RetryConfig, SimNet, Transport, MASTER_NODE};
+use crate::tcp::TcpNet;
+use crate::transport::{
+    FaultPlan, FaultyNet, LinkStats, RetryConfig, SimNet, Transport, MASTER_NODE,
+};
 
 /// Which interconnect a [`SimCluster`] runs over. The coordinator
 /// protocol is identical either way — that is the point: recovery is a
@@ -37,8 +42,9 @@ pub enum TransportKind {
     /// In-process [`SimNet`] with modeled latency (the default).
     #[default]
     Sim,
-    /// Real loopback TCP sockets via [`crate::TcpMesh`]: every message
-    /// is framed by the wire codec and crosses the kernel's network stack.
+    /// Real loopback TCP sockets, one solo [`TcpNet`] per participant:
+    /// every message is framed by the wire codec and crosses the kernel's
+    /// network stack.
     Tcp,
 }
 
@@ -82,7 +88,7 @@ pub struct ClusterConfig {
     pub node_workers: Vec<usize>,
     /// Simulated per-message network latency.
     pub latency: Duration,
-    /// Fault-injection schedule (drops, duplicates, delays, node kills).
+    /// Fault-injection schedule (drops, duplicates, node kills).
     pub fault_plan: Option<FaultPlan>,
     /// Status staleness after which the master declares a node failed
     /// ([`ProtocolConfig::failure_timeout`]; nodes report every tenth of
@@ -111,17 +117,11 @@ impl ClusterConfig {
     }
 
     /// Run over real loopback TCP sockets instead of the in-process
-    /// simulated network. Latency modeling does not apply (the loopback
-    /// stack provides its own), and fault-plan delivery *delays* degrade
-    /// to immediate delivery; drops, duplicates and kills inject the same.
+    /// simulated network: one endpoint for the master and one per node.
+    /// Latency modeling does not apply (the loopback stack provides its
+    /// own); drops, duplicates and kills inject the same.
     pub fn over_tcp(mut self) -> ClusterConfig {
         self.transport = TransportKind::Tcp;
-        self
-    }
-
-    /// Override the send retry/backoff discipline.
-    pub fn with_retry(mut self, retry: RetryConfig) -> ClusterConfig {
-        self.retry = retry;
         self
     }
 
@@ -150,8 +150,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Inject faults per `plan` (message drops/duplicates/delays, node
-    /// kills) during the run.
+    /// Inject faults per `plan` (message drops/duplicates, node kills)
+    /// during the run.
     pub fn with_faults(mut self, plan: FaultPlan) -> ClusterConfig {
         self.fault_plan = Some(plan);
         self
@@ -197,9 +197,9 @@ pub struct ClusterOutcome {
     pub reports: Vec<(NodeId, RunReport)>,
     /// Per-node field replicas, in node order.
     pub fields: Vec<(NodeId, FieldStore)>,
-    /// The network with its final statistics. (Bring the
-    /// [`Transport`] trait into scope to query them.)
-    pub net: Arc<dyn Transport>,
+    /// Final per-directed-link statistics, merged over the run's distinct
+    /// transports (the one [`SimNet`], or every participant's [`TcpNet`]).
+    pub link_stats: BTreeMap<(NodeId, NodeId), LinkStats>,
     /// The kernel assignment in effect at the end of the run (differs from
     /// the initial plan when recovery re-planned).
     pub assignment: HashMap<NodeId, HashSet<KernelId>>,
@@ -213,12 +213,6 @@ pub struct ClusterOutcome {
     pub digest: u32,
     /// Deduplicated result entries behind the digest.
     pub entries: usize,
-    /// Total send retries across all links.
-    pub retries: u64,
-    /// Sends abandoned after exhausting their retry budget. Nonzero means
-    /// the network was lossier than the retry budget covers and field data
-    /// may be incomplete — treat the results as suspect.
-    pub lost_sends: u64,
     /// Store regions replayed to new owners during recovery.
     pub redelivered_stores: u64,
     /// Cluster-level trace (store forwards, deliveries, node deaths,
@@ -231,6 +225,37 @@ pub struct ClusterOutcome {
 }
 
 impl ClusterOutcome {
+    fn total(&self, stat: impl Fn(&LinkStats) -> u64) -> u64 {
+        self.link_stats.values().map(stat).sum()
+    }
+
+    /// Data messages accepted onto links.
+    pub fn messages(&self) -> u64 {
+        self.total(|s| s.messages)
+    }
+
+    /// Data payload bytes accepted onto links.
+    pub fn bytes(&self) -> u64 {
+        self.total(|s| s.bytes)
+    }
+
+    /// Dropped data messages across all links.
+    pub fn total_drops(&self) -> u64 {
+        self.total(|s| s.drops)
+    }
+
+    /// Send retries across all links.
+    pub fn retries(&self) -> u64 {
+        self.total(|s| s.retries)
+    }
+
+    /// Sends abandoned after exhausting their retry budget. Nonzero means
+    /// the network was lossier than the retry budget covers and field data
+    /// may be incomplete — treat the results as suspect.
+    pub fn lost_sends(&self) -> u64 {
+        self.total(|s| s.lost)
+    }
+
     /// Fetch field data from whichever node replica has it complete.
     pub fn fetch(&self, name: &str, age: Age, region: &Region) -> Option<Buffer> {
         self.fields
@@ -333,17 +358,45 @@ impl SimCluster {
         feed: Option<StreamFeed>,
     ) -> Result<ClusterOutcome, RuntimeError> {
         let (config, node_ids) = (self.config, self.node_ids);
-        // One transport object for the master and every node: the fault
-        // plan's kill list and message counter are cluster-wide. Its
-        // statistics are the undecorated network's either way.
-        let mut net: Arc<dyn Transport> = match config.transport {
-            TransportKind::Sim => SimNet::new(&node_ids, config.latency),
-            TransportKind::Tcp => TcpMesh::new(&node_ids, config.retry)
-                .map_err(|e| RuntimeError::Net(e.to_string()))?,
+        // One transport per participant, the master's first. Over TCP each
+        // binds its own endpoint and a node knows only the master's address,
+        // as `p2gc cluster node --master` does: the master learns each node
+        // from its `Hello`, the nodes learn each other from `Assign`.
+        let mut ports = vec![0; node_ids.len()];
+        let endpoints: Vec<Arc<dyn Transport>> = match config.transport {
+            TransportKind::Sim => {
+                let net: Arc<dyn Transport> = SimNet::new(&node_ids, config.latency);
+                vec![net; node_ids.len() + 1]
+            }
+            TransportKind::Tcp => {
+                let bind = |id: NodeId, workers: usize| {
+                    TcpNet::bind(id, config.retry, workers as u32)
+                        .map_err(|e| RuntimeError::Net(format!("bind {id}: {e}")))
+                };
+                let master = bind(MASTER_NODE, 0)?;
+                let master_addr = SocketAddr::from(([127, 0, 0, 1], master.port()));
+                let mut endpoints: Vec<Arc<dyn Transport>> = vec![master];
+                for (&id, port) in node_ids.iter().zip(&mut ports) {
+                    let node = bind(id, config.workers_for(id.0 as usize))?;
+                    node.set_peer(MASTER_NODE, master_addr);
+                    *port = node.port();
+                    endpoints.push(node);
+                }
+                endpoints
+            }
         };
-        if let Some(plan) = config.fault_plan.clone() {
-            net = FaultyNet::new(net, plan);
-        }
+        // Every participant's fault injection runs on one schedule: one
+        // RNG, one cluster-wide message count, kills seen by all.
+        let nets: Vec<Arc<dyn Transport>> = match config.fault_plan.clone() {
+            None => endpoints.clone(),
+            Some(plan) => {
+                let first = FaultyNet::new(endpoints[0].clone(), plan);
+                let share = |t: &Arc<dyn Transport>| first.share(t.clone()) as Arc<dyn Transport>;
+                let mut nets: Vec<_> = endpoints[1..].iter().map(share).collect();
+                nets.insert(0, first);
+                nets
+            }
+        };
         let spec = Arc::new(self.programs[0].spec().clone());
 
         // Cluster-level tracer: one buffer per node loop plus one for the
@@ -360,11 +413,12 @@ impl SimCluster {
 
         let (master_out, node_outs) = std::thread::scope(|s| {
             let mut handles = Vec::with_capacity(node_ids.len());
-            for (program, &id) in self.programs.into_iter().zip(&node_ids) {
+            let participants = node_ids.iter().zip(&nets[1..]).zip(&ports);
+            for (program, ((&id, net), &port)) in self.programs.into_iter().zip(participants) {
                 let cfg = NodeConfig {
                     id,
                     workers: config.workers_for(id.0 as usize),
-                    port: 0,
+                    port,
                     protocol,
                 };
                 let (net, limits, tracer) = (net.clone(), limits.clone(), tracer.clone());
@@ -378,17 +432,27 @@ impl SimCluster {
             let nodes = node_ids.len();
             let master_out = run_master(
                 &spec,
-                net.clone(),
+                nets[0].clone(),
                 nodes,
                 &protocol,
                 feed,
                 tracer.clone(),
                 &silent,
             );
-            // Whatever the master returned, it is gone: a node still
-            // waiting on it (a failed spawn left the join short, say)
-            // takes its "lost master" exit instead of waiting forever.
-            net.disconnect(MASTER_NODE);
+            // Whatever the master returned, it is gone. A node it declared
+            // failed is severed the way a kill severs it, so it fail-stops
+            // with what it has; any other node still waiting on the master
+            // (a failed spawn left the join short, say) takes its "lost
+            // master" exit instead of waiting forever.
+            let failed = master_out.as_ref().map_or(&[][..], |m| &m.failed_nodes[..]);
+            for (net, id) in nets[1..].iter().zip(&node_ids) {
+                let severed = if failed.contains(id) {
+                    *id
+                } else {
+                    MASTER_NODE
+                };
+                net.disconnect(severed);
+            }
             let node_outs: Vec<_> = handles
                 .into_iter()
                 .map(|h| h?.join().unwrap_or(Err(RuntimeError::WorkerPanic)))
@@ -411,12 +475,23 @@ impl SimCluster {
             fields.push((id, out.fields));
         }
 
+        // Merge the statistics of the distinct transports: every endpoint
+        // records the links it sends on; the one `SimNet` records them all.
+        let mut link_stats: BTreeMap<_, LinkStats> = BTreeMap::new();
+        let mut seen = HashSet::new();
+        for t in &endpoints {
+            if !seen.insert(Arc::as_ptr(t) as *const ()) {
+                continue;
+            }
+            for (link, stats) in t.link_stats() {
+                *link_stats.entry(link).or_default() += stats;
+            }
+        }
+
         Ok(ClusterOutcome {
             reports,
             fields,
-            retries: net.total_retries(),
-            lost_sends: net.total_lost(),
-            net,
+            link_stats,
             assignment: master_out.assignment,
             failed_nodes,
             epoch: master_out.epoch,

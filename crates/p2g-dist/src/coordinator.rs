@@ -1,9 +1,9 @@
 //! The coordinator protocol: the one master loop ([`run_master`]) and the
 //! one execution-node loop ([`run_node`]) every deployment runs. They talk
 //! only through a [`Transport`], so the same two functions serve
-//! [`crate::SimCluster`] (one thread per node over [`crate::SimNet`] or
-//! [`crate::TcpMesh`]) and `p2gc cluster master|node` (one OS process each
-//! over [`crate::TcpNet`]).
+//! [`crate::SimCluster`] (one thread per node over [`crate::SimNet`] or one
+//! [`crate::TcpNet`] each) and `p2gc cluster master|node` (one OS process
+//! each over its own [`crate::TcpNet`]).
 //!
 //! # Protocol (over TCP, all frames via the [`crate::wire`] codec)
 //!
@@ -33,8 +33,8 @@
 //! flight: the producing unit is still counted in its node's `outstanding`
 //! when the store tap sends, and from then on the store is counted in
 //! flight until the receiving loop has injected it (which raises the
-//! receiver's `outstanding` first). Between processes a sender's count
-//! drops at the receiver's acknowledgement instead, which is sent once the
+//! receiver's `outstanding` first). Over TCP a sender's count drops at
+//! the receiver's acknowledgement instead, which is sent once the
 //! frame is in the receiver's inbox — and a receiver only reports
 //! `outstanding == 0` from a turn of its loop that found the inbox empty.
 //!
@@ -373,8 +373,9 @@ pub fn run_master(
             continue;
         };
         // A node may not claim the master's id, and a `Hello` that
-        // advertises no workers is a bare connection handshake (a
-        // `TcpMesh` endpoint's), not a join.
+        // advertises no workers (the handshake of an endpoint that hosts
+        // no runtime, such as a serve client's) is not a join: this is
+        // input from the network, so it is checked, not trusted.
         if node == MASTER_NODE || workers == 0 {
             continue;
         }
@@ -433,7 +434,6 @@ pub fn run_master(
     let mut failed_nodes: Vec<NodeId> = Vec::new();
     let mut redelivered = 0u64;
     let deadline_hit = loop {
-        net.poll_faults();
         if protocol.deadline.is_some_and(|d| start.elapsed() >= d) {
             break true;
         }

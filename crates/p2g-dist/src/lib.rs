@@ -14,11 +14,12 @@
 //! [`run_master`], [`run_node`]), and they only ever talk through the
 //! transport they are handed. [`SimCluster`] deploys them as threads of
 //! this process over the simulated [`SimNet`] (or real loopback sockets,
-//! [`TcpMesh`]); `p2gc cluster master|node` deploys the same two
-//! functions as OS processes over one [`TcpNet`] each. See DESIGN.md §8.1.
+//! one [`TcpNet`] per participant); `p2gc cluster master|node` deploys the
+//! same two functions as OS processes over one [`TcpNet`] each. See
+//! DESIGN.md §8.1.
 //!
 //! ```
-//! use p2g_dist::{SimCluster, ClusterConfig, Transport};
+//! use p2g_dist::{SimCluster, ClusterConfig};
 //! use p2g_graph::spec::mul_sum_example;
 //! use p2g_runtime::Program;
 //! use p2g_field::Buffer;
@@ -44,7 +45,7 @@
 //! };
 //! let cluster = SimCluster::new(ClusterConfig::nodes(2), build).unwrap();
 //! let outcome = cluster.run(p2g_runtime::RunLimits::ages(3)).unwrap();
-//! assert!(outcome.net.messages() > 0); // data really crossed the "network"
+//! assert!(outcome.messages() > 0); // data really crossed the "network"
 //! ```
 
 pub mod cluster;
@@ -65,8 +66,7 @@ pub use serve::{
     run_serve_node, FrameDecoder, OpenRequest, PipelineFactory, PipelineRegistry, RemoteOutput,
     RemoteSession, RemoteStats, ServeClient, ServeConfig, ServeOutcome, TenantPipeline,
 };
-pub use tcp::{TcpMesh, TcpNet};
+pub use tcp::TcpNet;
 pub use transport::{
-    FaultPlan, FaultyNet, KillSpec, KillTrigger, LinkStats, NetMsg, RetryConfig, SimNet, Transport,
-    MASTER_NODE,
+    FaultPlan, FaultyNet, KillSpec, LinkStats, NetMsg, RetryConfig, SimNet, Transport, MASTER_NODE,
 };

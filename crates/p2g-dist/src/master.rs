@@ -61,7 +61,7 @@ impl MasterNode {
 
     /// Partition with an explicitly weighted graph (used by
     /// [`MasterNode::replan`] after instrumentation feedback).
-    pub fn plan_weighted(
+    fn plan_weighted(
         &mut self,
         spec: &ProgramSpec,
         graph: &FinalGraph,

@@ -1,8 +1,8 @@
-//! Real-socket implementation of the [`Transport`] trait: [`TcpNet`] is
-//! one endpoint (one process hosting one node's inbox), [`TcpMesh`] wires
-//! one endpoint per node inside a single process so [`crate::SimCluster`]
-//! can run the coordinator protocol over genuine loopback TCP instead of
-//! the in-process [`crate::SimNet`].
+//! Real-socket implementation of the [`Transport`] trait: a [`TcpNet`] is
+//! one participant's endpoint — the inbox of one node id, a loopback
+//! listener, and one supervised outbound connection per peer. A
+//! `p2gc cluster` process binds one; [`crate::SimCluster`] over TCP binds
+//! one per participant inside a single process, wired the same way.
 //!
 //! # Connection supervision
 //!
@@ -38,7 +38,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,7 +46,7 @@ use parking_lot::{Condvar, Mutex};
 
 use p2g_graph::NodeId;
 
-use crate::transport::{LinkStats, NetMsg, RetryConfig, Transport, MASTER_NODE};
+use crate::transport::{LinkStats, NetMsg, RetryConfig, Transport};
 use crate::wire::{self, FrameReader};
 
 /// Timeout for one TCP connect attempt (loopback connects resolve in
@@ -58,83 +58,6 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 /// Reader-thread poll interval: reads time out this often so the thread
 /// can observe shutdown even on an idle connection.
 const READ_POLL: Duration = Duration::from_millis(100);
-
-/// Counters shared by every endpoint of a mesh (or owned solo by one
-/// process's endpoint): link statistics and the data-plane in-flight
-/// accounting that feeds quiescence detection.
-struct Counters {
-    /// Data messages accepted for `dst` but not yet applied there. The
-    /// in-flight count is the sum; `disconnect(dst)` removes the entry
-    /// wholesale so a dead node can never wedge quiescence.
-    pending_to: Mutex<HashMap<NodeId, u64>>,
-    /// Monotonic data messages accepted (for multi-process `Status`).
-    sent: AtomicU64,
-    /// Monotonic data messages applied (for multi-process `Status`).
-    applied: AtomicU64,
-    stats: Mutex<BTreeMap<(NodeId, NodeId), LinkStats>>,
-    dead: Mutex<HashSet<NodeId>>,
-    /// Corrupt frames dropped by inbound readers (each one costs the
-    /// sender a reconnect + resend).
-    corrupt_frames: AtomicU64,
-    /// Solo (multi-process) endpoints balance `pending_to` on peer
-    /// acknowledgement — the receiver lives in another process, so its
-    /// `delivered` calls can't reach these counters. Mesh endpoints share
-    /// counters and balance on `delivered` instead.
-    ack_balances: bool,
-}
-
-impl Counters {
-    fn new(ack_balances: bool) -> Arc<Counters> {
-        Arc::new(Counters {
-            pending_to: Mutex::new(HashMap::new()),
-            sent: AtomicU64::new(0),
-            applied: AtomicU64::new(0),
-            stats: Mutex::new(BTreeMap::new()),
-            dead: Mutex::new(HashSet::new()),
-            corrupt_frames: AtomicU64::new(0),
-            ack_balances,
-        })
-    }
-
-    fn is_dead(&self, node: NodeId) -> bool {
-        self.dead.lock().contains(&node)
-    }
-
-    fn count_sent(&self, src: NodeId, dst: NodeId, bytes: u64) {
-        let mut stats = self.stats.lock();
-        let e = stats.entry((src, dst)).or_default();
-        e.messages += 1;
-        e.bytes += bytes;
-        drop(stats);
-        self.sent.fetch_add(1, Ordering::SeqCst);
-        *self.pending_to.lock().entry(dst).or_insert(0) += 1;
-    }
-
-    fn count_applied(&self, dst: NodeId) {
-        self.applied.fetch_add(1, Ordering::SeqCst);
-        if !self.ack_balances {
-            if let Some(n) = self.pending_to.lock().get_mut(&dst) {
-                *n = n.saturating_sub(1);
-            }
-        }
-    }
-
-    /// An acked data frame to `dst` leaves the pending count (solo mode).
-    fn count_acked(&self, dst: NodeId) {
-        if self.ack_balances {
-            if let Some(n) = self.pending_to.lock().get_mut(&dst) {
-                *n = n.saturating_sub(1);
-            }
-        }
-    }
-
-    /// Declare `node` dead: future liveness checks fail and its pending
-    /// deliveries stop counting as in flight (they will never be applied).
-    fn mark_dead(&self, node: NodeId) {
-        self.dead.lock().insert(node);
-        self.pending_to.lock().remove(&node);
-    }
-}
 
 /// One message queue + resend window guarded by the peer's sender thread.
 struct PeerQueue {
@@ -190,8 +113,8 @@ struct Inbox {
     ready: Condvar,
 }
 
-/// Endpoint-local shared state (between the caller, accept/reader threads
-/// and sender threads).
+/// Endpoint state shared between the caller, the accept/reader threads and
+/// the sender threads.
 struct Shared {
     me: NodeId,
     workers: u32,
@@ -200,7 +123,12 @@ struct Shared {
     inbox: Inbox,
     peers: Mutex<HashMap<NodeId, Arc<PeerHandle>>>,
     addrs: Mutex<HashMap<NodeId, SocketAddr>>,
-    counters: Arc<Counters>,
+    /// Data messages accepted for `dst` and not yet acknowledged by it.
+    /// The in-flight count is the sum; `disconnect(dst)` removes the entry
+    /// wholesale so a dead node can never wedge quiescence.
+    pending_to: Mutex<HashMap<NodeId, u64>>,
+    stats: Mutex<BTreeMap<(NodeId, NodeId), LinkStats>>,
+    dead: Mutex<HashSet<NodeId>>,
     shutdown: AtomicBool,
 }
 
@@ -210,6 +138,37 @@ impl Shared {
         q.queue.push_back((src, msg));
         drop(q);
         self.inbox.ready.notify_one();
+    }
+
+    fn is_dead(&self, node: NodeId) -> bool {
+        self.dead.lock().contains(&node)
+    }
+
+    /// Update the `src -> dst` link statistics.
+    fn link(&self, src: NodeId, dst: NodeId, f: impl FnOnce(&mut LinkStats)) {
+        f(self.stats.lock().entry((src, dst)).or_default());
+    }
+
+    fn count_sent(&self, dst: NodeId, bytes: u64) {
+        self.link(self.me, dst, |s| {
+            s.messages += 1;
+            s.bytes += bytes;
+        });
+        *self.pending_to.lock().entry(dst).or_insert(0) += 1;
+    }
+
+    /// An acknowledged data frame to `dst` is no longer in flight.
+    fn count_acked(&self, dst: NodeId) {
+        if let Some(n) = self.pending_to.lock().get_mut(&dst) {
+            *n = n.saturating_sub(1);
+        }
+    }
+
+    /// Declare `node` dead: future liveness checks fail and its pending
+    /// deliveries stop counting as in flight (they will never be applied).
+    fn mark_dead(&self, node: NodeId) {
+        self.dead.lock().insert(node);
+        self.pending_to.lock().remove(&node);
     }
 }
 
@@ -236,8 +195,9 @@ impl Waker {
 /// One TCP endpoint: hosts the inbox for a single node id (`me`), accepts
 /// inbound connections on a loopback listener, and supervises one
 /// outbound connection per peer. Implements [`Transport`] from this
-/// node's perspective — `recv_timeout`/`delivered` are only meaningful
-/// for `me`, `try_send` only with `src == me`.
+/// node's perspective — `recv_timeout` is only meaningful for `me`,
+/// `try_send` only with `src == me`. A data message counts as in flight
+/// from the send until the peer acknowledges it into its inbox.
 pub struct TcpNet {
     shared: Arc<Shared>,
 }
@@ -258,16 +218,6 @@ impl TcpNet {
         workers: u32,
         port: u16,
     ) -> std::io::Result<Arc<TcpNet>> {
-        Self::bind_shared(node, retry, workers, Counters::new(true), port)
-    }
-
-    fn bind_shared(
-        node: NodeId,
-        retry: RetryConfig,
-        workers: u32,
-        counters: Arc<Counters>,
-        port: u16,
-    ) -> std::io::Result<Arc<TcpNet>> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         let port = listener.local_addr()?.port();
         let shared = Arc::new(Shared {
@@ -284,7 +234,9 @@ impl TcpNet {
             },
             peers: Mutex::new(HashMap::new()),
             addrs: Mutex::new(HashMap::new()),
-            counters,
+            pending_to: Mutex::new(HashMap::new()),
+            stats: Mutex::new(BTreeMap::new()),
+            dead: Mutex::new(HashSet::new()),
             shutdown: AtomicBool::new(false),
         });
         let accept_shared = shared.clone();
@@ -299,11 +251,6 @@ impl TcpNet {
         self.shared.port
     }
 
-    /// This endpoint's node id.
-    pub fn me(&self) -> NodeId {
-        self.shared.me
-    }
-
     /// A handle that wakes this endpoint's receiver; see [`Waker::kick`].
     pub fn waker(&self) -> Waker {
         Waker {
@@ -315,21 +262,6 @@ impl TcpNet {
     /// are drops.
     pub fn set_peer(&self, node: NodeId, addr: SocketAddr) {
         self.shared.addrs.lock().insert(node, addr);
-    }
-
-    /// Monotonic count of data messages this endpoint accepted for send.
-    pub fn data_sent(&self) -> u64 {
-        self.shared.counters.sent.load(Ordering::SeqCst)
-    }
-
-    /// Monotonic count of data messages applied at this endpoint.
-    pub fn data_applied(&self) -> u64 {
-        self.shared.counters.applied.load(Ordering::SeqCst)
-    }
-
-    /// Corrupt frames dropped by this endpoint's inbound readers.
-    pub fn corrupt_frames(&self) -> u64 {
-        self.shared.counters.corrupt_frames.load(Ordering::SeqCst)
     }
 
     /// Block until every frame queued for `dst` has been written *and
@@ -351,7 +283,7 @@ impl TcpNet {
             if done {
                 return true;
             }
-            if Instant::now() >= deadline || self.shared.counters.is_dead(dst) {
+            if Instant::now() >= deadline || self.shared.is_dead(dst) {
                 return false;
             }
             std::thread::sleep(Duration::from_millis(1));
@@ -448,26 +380,13 @@ fn inbound_conn(stream: TcpStream, shared: Arc<Shared>) {
             let payload = match reader.next_frame() {
                 Ok(Some(p)) => p,
                 Ok(None) => break,
-                Err(_) => {
-                    // Corrupt frame: sever the connection rather than
-                    // risk misinterpreting the stream. The supervisor on
-                    // the other side reconnects and re-sends.
-                    shared
-                        .counters
-                        .corrupt_frames
-                        .fetch_add(1, Ordering::SeqCst);
-                    return;
-                }
+                // Corrupt frame: sever the connection rather than risk
+                // misinterpreting the stream. The supervisor on the other
+                // side reconnects and re-sends.
+                Err(_) => return,
             };
-            let msg = match wire::decode_payload(&payload) {
-                Ok(m) => m,
-                Err(_) => {
-                    shared
-                        .counters
-                        .corrupt_frames
-                        .fetch_add(1, Ordering::SeqCst);
-                    return;
-                }
+            let Ok(msg) = wire::decode_payload(&payload) else {
+                return;
             };
             // The first frame on every connection must identify the peer.
             // The handshake is not ack-counted: it never enters the
@@ -479,7 +398,7 @@ fn inbound_conn(stream: TcpStream, shared: Arc<Shared>) {
                         peer = Some(node);
                         // Surface the join/handshake to the host (the
                         // multi-process master treats it as a node join).
-                        if !shared.counters.is_dead(shared.me) {
+                        if !shared.is_dead(shared.me) {
                             shared.push_inbox(node, msg);
                         }
                         continue;
@@ -494,7 +413,7 @@ fn inbound_conn(stream: TcpStream, shared: Arc<Shared>) {
             // Deliveries for a dead endpoint are dropped (their in-flight
             // accounting was already balanced by `disconnect`) — but still
             // acknowledged, so the sender's window drains.
-            if !shared.counters.is_dead(shared.me) {
+            if !shared.is_dead(shared.me) {
                 shared.push_inbox(src, msg);
             }
             let ack = wire::encode_frame(&NetMsg::Ack { count: frames_in });
@@ -591,14 +510,12 @@ fn sender_loop(dst: NodeId, peer: Arc<PeerHandle>, shared: Arc<Shared>) {
                         // Budget exhausted: the peer is gone. Mark it dead
                         // so liveness checks fail fast, and drop the
                         // queue — recovery replay makes the data whole.
-                        shared.counters.mark_dead(dst);
-                        shared.counters.stats.lock().entry((shared.me, dst)).or_default().lost +=
-                            1;
+                        shared.mark_dead(dst);
+                        shared.link(shared.me, dst, |s| s.lost += 1);
                         peer.close();
                         return;
                     }
-                    shared.counters.stats.lock().entry((shared.me, dst)).or_default().retries +=
-                        1;
+                    shared.link(shared.me, dst, |s| s.retries += 1);
                     let salt = ((shared.me.0 as u64) << 40)
                         ^ ((dst.0 as u64) << 16)
                         ^ attempts as u64;
@@ -690,7 +607,7 @@ fn ack_loop(
                         for _ in 0..newly {
                             if let Some(m) = q.unacked.pop_front() {
                                 if !m.is_control() {
-                                    shared.counters.count_acked(dst);
+                                    shared.count_acked(dst);
                                 }
                             }
                         }
@@ -714,149 +631,131 @@ fn ack_loop(
 
 // ------------------------------------------------------- Transport impl
 
-fn endpoint_try_send(shared: &Arc<Shared>, src: NodeId, dst: NodeId, msg: NetMsg) -> bool {
-    debug_assert_eq!(src, shared.me, "endpoint sends originate locally");
-    let data = !msg.is_control();
-    if shared.counters.is_dead(dst) || shared.counters.is_dead(shared.me) {
-        if data {
-            shared.counters.stats.lock().entry((src, dst)).or_default().drops += 1;
-        }
-        return false;
-    }
-    if dst == shared.me {
-        // Loopback delivery without a socket (a node subscribing to its
-        // own field would not normally be routed here, but be total).
-        if data {
-            shared.counters.count_sent(src, dst, msg.wire_bytes());
-        }
-        shared.push_inbox(src, msg);
-        return true;
-    }
-    if !shared.addrs.lock().contains_key(&dst) {
-        if data {
-            shared.counters.stats.lock().entry((src, dst)).or_default().drops += 1;
-        }
-        return false;
-    }
-    let peer = {
+impl TcpNet {
+    /// The supervisor handle for `dst`, spawning its sender thread on first
+    /// use. A failed spawn (fd/thread exhaustion) is `None`, not a panic and
+    /// not a supervisor-less queue.
+    fn peer(&self, dst: NodeId) -> Option<Arc<PeerHandle>> {
+        let shared = &self.shared;
         let mut peers = shared.peers.lock();
-        match peers.get(&dst) {
-            Some(p) => p.clone(),
-            None => {
-                let p = PeerHandle::new();
-                let thread_peer = p.clone();
-                let thread_shared = shared.clone();
-                // Register the handle only once its supervisor exists; a
-                // failed spawn (fd/thread exhaustion) is a counted drop,
-                // not a panic and not a supervisor-less queue.
-                match std::thread::Builder::new()
-                    .name(format!("p2g-tcp-send-{}-{}", shared.me.0, dst.0))
-                    .spawn(move || sender_loop(dst, thread_peer, thread_shared))
-                {
-                    Ok(_) => {
-                        peers.insert(dst, p.clone());
-                        p
-                    }
-                    Err(_) => {
-                        if data {
-                            shared
-                                .counters
-                                .stats
-                                .lock()
-                                .entry((src, dst))
-                                .or_default()
-                                .drops += 1;
-                        }
-                        return false;
-                    }
-                }
-            }
+        if let Some(p) = peers.get(&dst) {
+            return Some(p.clone());
         }
-    };
-    let mut q = peer.queue.lock();
-    if q.closed {
-        if data {
-            shared.counters.stats.lock().entry((src, dst)).or_default().drops += 1;
-        }
-        return false;
-    }
-    if data {
-        shared.counters.count_sent(src, dst, msg.wire_bytes());
-    }
-    q.out.push_back(msg);
-    drop(q);
-    peer.ready.notify_one();
-    true
-}
-
-fn endpoint_recv(shared: &Shared, dst: NodeId, timeout: Duration) -> Option<(NodeId, NetMsg)> {
-    if dst != shared.me {
-        return None;
-    }
-    // A timeout too large to be a point in time (`Duration::MAX`) is a
-    // wait without a deadline: only a message, a kick or the endpoint's
-    // end returns.
-    let deadline = Instant::now().checked_add(timeout);
-    let mut q = shared.inbox.state.lock();
-    loop {
-        if let Some(item) = q.queue.pop_front() {
-            return Some(item);
-        }
-        if std::mem::take(&mut q.kicked)
-            || shared.shutdown.load(Ordering::SeqCst)
-            || shared.counters.is_dead(shared.me)
-        {
-            return None;
-        }
-        match deadline {
-            Some(deadline) if Instant::now() >= deadline => return None,
-            Some(deadline) => {
-                shared.inbox.ready.wait_until(&mut q, deadline);
-            }
-            None => shared.inbox.ready.wait(&mut q),
-        }
-    }
-}
-
-fn endpoint_disconnect(shared: &Shared, node: NodeId) {
-    shared.counters.mark_dead(node);
-    if node == shared.me {
-        shared.inbox.state.lock().queue.clear();
-        shared.inbox.ready.notify_all();
-    }
-    if let Some(peer) = shared.peers.lock().get(&node) {
-        peer.close();
+        let p = PeerHandle::new();
+        let (thread_peer, thread_shared) = (p.clone(), shared.clone());
+        std::thread::Builder::new()
+            .name(format!("p2g-tcp-send-{}-{}", shared.me.0, dst.0))
+            .spawn(move || sender_loop(dst, thread_peer, thread_shared))
+            .ok()?;
+        peers.insert(dst, p.clone());
+        Some(p)
     }
 }
 
 impl Transport for TcpNet {
     fn try_send(&self, src: NodeId, dst: NodeId, msg: NetMsg) -> bool {
-        endpoint_try_send(&self.shared, src, dst, msg)
+        let shared = &self.shared;
+        debug_assert_eq!(src, shared.me, "endpoint sends originate locally");
+        let data = !msg.is_control();
+        let refuse = || {
+            if data {
+                shared.link(src, dst, |s| s.drops += 1);
+            }
+            false
+        };
+        if shared.is_dead(dst) || shared.is_dead(shared.me) {
+            return refuse();
+        }
+        if dst == shared.me {
+            // Loopback delivery without a socket (a node subscribing to its
+            // own field would not normally be routed here, but be total).
+            // Nothing acknowledges it, so it is never counted in flight.
+            if data {
+                let bytes = msg.wire_bytes();
+                shared.link(src, dst, |s| {
+                    s.messages += 1;
+                    s.bytes += bytes;
+                });
+            }
+            shared.push_inbox(src, msg);
+            return true;
+        }
+        if !shared.addrs.lock().contains_key(&dst) {
+            return refuse();
+        }
+        let Some(peer) = self.peer(dst) else {
+            return refuse();
+        };
+        let mut q = peer.queue.lock();
+        if q.closed {
+            return refuse();
+        }
+        if data {
+            shared.count_sent(dst, msg.wire_bytes());
+        }
+        q.out.push_back(msg);
+        drop(q);
+        peer.ready.notify_one();
+        true
     }
 
     fn recv_timeout(&self, dst: NodeId, timeout: Duration) -> Option<(NodeId, NetMsg)> {
-        endpoint_recv(&self.shared, dst, timeout)
+        let shared = &self.shared;
+        if dst != shared.me {
+            return None;
+        }
+        // A timeout too large to be a point in time (`Duration::MAX`) is a
+        // wait without a deadline: only a message, a kick or the endpoint's
+        // end returns.
+        let deadline = Instant::now().checked_add(timeout);
+        let mut q = shared.inbox.state.lock();
+        loop {
+            if let Some(item) = q.queue.pop_front() {
+                return Some(item);
+            }
+            if std::mem::take(&mut q.kicked)
+                || shared.shutdown.load(Ordering::SeqCst)
+                || shared.is_dead(shared.me)
+            {
+                return None;
+            }
+            match deadline {
+                Some(deadline) if Instant::now() >= deadline => return None,
+                Some(deadline) => {
+                    shared.inbox.ready.wait_until(&mut q, deadline);
+                }
+                None => shared.inbox.ready.wait(&mut q),
+            }
+        }
     }
 
-    fn delivered(&self, dst: NodeId) {
-        self.shared.counters.count_applied(dst);
-    }
+    /// A no-op: a frame left the in-flight count when its receiver
+    /// acknowledged it into the inbox.
+    fn delivered(&self, _dst: NodeId) {}
 
     fn in_flight(&self) -> u64 {
         // Local view: data accepted here and not yet acknowledged into
         // the receiver's inbox. The master sees it in this node's `Status`.
-        self.shared.counters.pending_to.lock().values().sum()
+        self.shared.pending_to.lock().values().sum()
     }
 
     fn node_alive(&self, node: NodeId) -> bool {
-        if self.shared.counters.is_dead(node) {
+        if self.shared.is_dead(node) {
             return false;
         }
         node == self.shared.me || self.shared.addrs.lock().contains_key(&node)
     }
 
     fn disconnect(&self, node: NodeId) {
-        endpoint_disconnect(&self.shared, node);
+        let shared = &self.shared;
+        shared.mark_dead(node);
+        if node == shared.me {
+            shared.inbox.state.lock().queue.clear();
+            shared.inbox.ready.notify_all();
+        }
+        if let Some(peer) = shared.peers.lock().get(&node) {
+            peer.close();
+        }
     }
 
     fn set_peer(&self, node: NodeId, addr: SocketAddr) {
@@ -864,151 +763,23 @@ impl Transport for TcpNet {
     }
 
     fn note_retry(&self, src: NodeId, dst: NodeId) {
-        self.shared.counters.stats.lock().entry((src, dst)).or_default().retries += 1;
+        self.shared.link(src, dst, |s| s.retries += 1);
     }
 
     fn note_lost(&self, src: NodeId, dst: NodeId) {
-        self.shared.counters.stats.lock().entry((src, dst)).or_default().lost += 1;
+        self.shared.link(src, dst, |s| s.lost += 1);
     }
 
     fn note_drop(&self, src: NodeId, dst: NodeId) {
-        self.shared.counters.stats.lock().entry((src, dst)).or_default().drops += 1;
+        self.shared.link(src, dst, |s| s.drops += 1);
     }
 
     fn note_duplicate(&self, src: NodeId, dst: NodeId) {
-        self.shared.counters.stats.lock().entry((src, dst)).or_default().duplicates += 1;
+        self.shared.link(src, dst, |s| s.duplicates += 1);
     }
 
     fn link_stats(&self) -> BTreeMap<(NodeId, NodeId), LinkStats> {
-        self.shared.counters.stats.lock().clone()
-    }
-}
-
-// ----------------------------------------------------------------- mesh
-
-/// All of a cluster's endpoints in one process, fully peered over
-/// loopback TCP, sharing one set of counters so the [`Transport`]
-/// in-flight contract holds globally. This is what lets [`crate::SimCluster`]
-/// (and with it the whole fault_recovery suite) run unchanged over real
-/// sockets: the master and every node loop hold the same one `Transport`
-/// — which is also the one object [`crate::FaultyNet`] needs to wrap for
-/// its kill list and message counter to be cluster-wide — and every
-/// message crosses the kernel's network stack.
-pub struct TcpMesh {
-    endpoints: BTreeMap<NodeId, Arc<TcpNet>>,
-    counters: Arc<Counters>,
-}
-
-impl TcpMesh {
-    /// Bind one endpoint per node (plus the master's control endpoint)
-    /// and introduce them to each other.
-    pub fn new(nodes: &[NodeId], retry: RetryConfig) -> std::io::Result<Arc<TcpMesh>> {
-        let counters = Counters::new(false);
-        let mut endpoints = BTreeMap::new();
-        for &id in nodes.iter().chain(std::iter::once(&MASTER_NODE)) {
-            let ep = TcpNet::bind_shared(id, retry, 0, counters.clone(), 0)?;
-            endpoints.insert(id, ep);
-        }
-        let addrs: Vec<(NodeId, SocketAddr)> = endpoints
-            .iter()
-            .map(|(&id, ep)| {
-                (
-                    id,
-                    SocketAddr::from(([127, 0, 0, 1], ep.port())),
-                )
-            })
-            .collect();
-        for ep in endpoints.values() {
-            for &(id, addr) in &addrs {
-                if id != ep.me() {
-                    ep.set_peer(id, addr);
-                }
-            }
-        }
-        Ok(Arc::new(TcpMesh {
-            endpoints,
-            counters,
-        }))
-    }
-
-    /// Corrupt frames dropped across all endpoints.
-    pub fn corrupt_frames(&self) -> u64 {
-        self.counters.corrupt_frames.load(Ordering::SeqCst)
-    }
-
-    /// Stop every endpoint's threads. Idempotent; also runs on drop.
-    pub fn shutdown(&self) {
-        for ep in self.endpoints.values() {
-            ep.shutdown();
-        }
-    }
-}
-
-impl Drop for TcpMesh {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl Transport for TcpMesh {
-    fn try_send(&self, src: NodeId, dst: NodeId, msg: NetMsg) -> bool {
-        match self.endpoints.get(&src) {
-            Some(ep) => ep.try_send(src, dst, msg),
-            None => false,
-        }
-    }
-
-    fn recv_timeout(&self, dst: NodeId, timeout: Duration) -> Option<(NodeId, NetMsg)> {
-        self.endpoints
-            .get(&dst)
-            .and_then(|ep| ep.recv_timeout(dst, timeout))
-    }
-
-    fn delivered(&self, dst: NodeId) {
-        self.counters.count_applied(dst);
-    }
-
-    fn in_flight(&self) -> u64 {
-        self.counters.pending_to.lock().values().sum()
-    }
-
-    fn node_alive(&self, node: NodeId) -> bool {
-        self.endpoints.contains_key(&node) && !self.counters.is_dead(node)
-    }
-
-    fn disconnect(&self, node: NodeId) {
-        self.counters.mark_dead(node);
-        if let Some(ep) = self.endpoints.get(&node) {
-            ep.shared.inbox.state.lock().queue.clear();
-            ep.shared.inbox.ready.notify_all();
-        }
-        // Close every endpoint's supervisor for the dead peer so queued
-        // frames stop being retried.
-        for ep in self.endpoints.values() {
-            if let Some(peer) = ep.shared.peers.lock().get(&node) {
-                peer.close();
-            }
-        }
-    }
-
-    fn note_retry(&self, src: NodeId, dst: NodeId) {
-        self.counters.stats.lock().entry((src, dst)).or_default().retries += 1;
-    }
-
-    fn note_lost(&self, src: NodeId, dst: NodeId) {
-        self.counters.stats.lock().entry((src, dst)).or_default().lost += 1;
-    }
-
-    fn note_drop(&self, src: NodeId, dst: NodeId) {
-        self.counters.stats.lock().entry((src, dst)).or_default().drops += 1;
-    }
-
-    fn note_duplicate(&self, src: NodeId, dst: NodeId) {
-        self.counters.stats.lock().entry((src, dst)).or_default().duplicates += 1;
-    }
-
-    fn link_stats(&self) -> BTreeMap<(NodeId, NodeId), LinkStats> {
-        self.counters.stats.lock().clone()
+        self.shared.stats.lock().clone()
     }
 }
 
@@ -1047,9 +818,14 @@ mod tests {
             }
         }
         assert!(got_store, "store forward crossed the socket");
-        b.delivered(NodeId(1));
-        assert_eq!(a.data_sent(), 1);
-        assert_eq!(b.data_applied(), 1);
+        let link = a.link_stats()[&(NodeId(0), NodeId(1))];
+        assert_eq!((link.messages, link.bytes), (1, store(7).wire_bytes()));
+        // The store leaves the sender's in-flight count at b's ack.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while a.in_flight() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(a.in_flight(), 0, "the ack balanced the send");
     }
 
     #[test]
@@ -1104,14 +880,17 @@ mod tests {
     }
 
     #[test]
-    fn mesh_disconnect_balances_in_flight() {
-        let mesh = TcpMesh::new(&[NodeId(0), NodeId(1)], RetryConfig::default()).unwrap();
-        assert!(mesh.try_send(NodeId(0), NodeId(1), store(1)));
-        assert!(mesh.in_flight() >= 1);
-        mesh.disconnect(NodeId(1));
-        assert_eq!(mesh.in_flight(), 0);
-        assert!(!mesh.node_alive(NodeId(1)));
-        assert!(mesh.node_alive(NodeId(0)));
-        assert!(!mesh.try_send(NodeId(0), NodeId(1), store(2)));
+    fn disconnect_balances_in_flight() {
+        let a = TcpNet::bind(NodeId(0), RetryConfig::default(), 1).unwrap();
+        // A peer that accepts connections but never reads: nothing is acked.
+        let silent = TcpListener::bind("127.0.0.1:0").unwrap();
+        a.set_peer(NodeId(1), silent.local_addr().unwrap());
+        assert!(a.try_send(NodeId(0), NodeId(1), store(1)));
+        assert_eq!(a.in_flight(), 1);
+        a.disconnect(NodeId(1));
+        assert_eq!(a.in_flight(), 0);
+        assert!(!a.node_alive(NodeId(1)));
+        assert!(a.node_alive(NodeId(0)));
+        assert!(!a.try_send(NodeId(0), NodeId(1), store(2)));
     }
 }

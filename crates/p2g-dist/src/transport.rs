@@ -1,7 +1,7 @@
 //! The cluster network layer: a [`Transport`] trait the cluster is generic
 //! over, the in-process [`SimNet`] implementation, and the [`FaultyNet`]
-//! decorator that injects message drops, delays, duplication, and whole-node
-//! kills for fault-tolerance testing.
+//! decorator that injects message drops, duplication and whole-node kills
+//! for fault-tolerance testing.
 //!
 //! [`crate::TcpNet`] serializes messages onto sockets; the simulation
 //! moves owned buffers between threads, which exercises the same
@@ -19,6 +19,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::net::SocketAddr;
+use std::ops::AddAssign;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -71,8 +72,8 @@ pub enum NetMsg {
     /// distributed quiescence detection and failure escalation.
     /// `outstanding` is the node's runtime work counter, `unacked` the
     /// transport's in-flight count as this node sees it (data frames sent
-    /// but not yet applied — or, between processes, not yet acknowledged
-    /// into the receiver's inbox), `applied` the store forwards this node
+    /// but not yet applied — or, over TCP, not yet acknowledged into the
+    /// receiver's inbox), `applied` the store forwards this node
     /// has applied so far: a node whose `applied` moved since its previous
     /// status was not idle in between, whatever its counters read now.
     Status {
@@ -229,6 +230,17 @@ pub struct LinkStats {
     pub lost: u64,
 }
 
+impl AddAssign for LinkStats {
+    fn add_assign(&mut self, o: LinkStats) {
+        self.messages += o.messages;
+        self.bytes += o.bytes;
+        self.drops += o.drops;
+        self.retries += o.retries;
+        self.duplicates += o.duplicates;
+        self.lost += o.lost;
+    }
+}
+
 /// Backoff-and-budget discipline for [`Transport::send_with_retry`] and
 /// the TCP connection supervisor — the same exponential-backoff-with-
 /// deterministic-jitter shape as the kernel-level `FaultPolicy` (PR 3),
@@ -307,13 +319,6 @@ pub trait Transport: Send + Sync {
     /// message was dropped (dead/unknown destination, or injected fault).
     fn try_send(&self, src: NodeId, dst: NodeId, msg: NetMsg) -> bool;
 
-    /// Send with an extra delivery delay (fault injection). Transports
-    /// without delayed delivery send immediately — the injected fault
-    /// degrades to plain delivery, never to a drop.
-    fn send_delayed(&self, src: NodeId, dst: NodeId, msg: NetMsg, _delay: Duration) -> bool {
-        self.try_send(src, dst, msg)
-    }
-
     /// Receive the next message for `dst`, waiting up to `timeout`.
     /// Returns `None` on timeout or when `dst` is disconnected and its
     /// inbox is empty.
@@ -339,10 +344,6 @@ pub trait Transport: Send + Sync {
     /// already reach every node, so the default does nothing.
     fn set_peer(&self, _node: NodeId, _addr: SocketAddr) {}
 
-    /// Advance any scheduled fault events (node kills). Called from the
-    /// master's supervision loop; the default transport has none.
-    fn poll_faults(&self) {}
-
     /// Record a retry on the `src -> dst` link statistics.
     fn note_retry(&self, src: NodeId, dst: NodeId);
 
@@ -360,31 +361,6 @@ pub trait Transport: Send + Sync {
     /// transport and the drops/duplicates land here either way.
     fn link_stats(&self) -> BTreeMap<(NodeId, NodeId), LinkStats> {
         BTreeMap::new()
-    }
-
-    /// Total data messages accepted onto links.
-    fn messages(&self) -> u64 {
-        self.link_stats().values().map(|s| s.messages).sum()
-    }
-
-    /// Total data payload bytes accepted onto links.
-    fn bytes(&self) -> u64 {
-        self.link_stats().values().map(|s| s.bytes).sum()
-    }
-
-    /// Total send retries across all links.
-    fn total_retries(&self) -> u64 {
-        self.link_stats().values().map(|s| s.retries).sum()
-    }
-
-    /// Total dropped data messages across all links.
-    fn total_drops(&self) -> u64 {
-        self.link_stats().values().map(|s| s.drops).sum()
-    }
-
-    /// Total sends abandoned after exhausting their retry budget.
-    fn total_lost(&self) -> u64 {
-        self.link_stats().values().map(|s| s.lost).sum()
     }
 
     /// Send with bounded exponential backoff + jitter while the
@@ -469,8 +445,6 @@ pub struct SimNet {
     /// Added to every delivery, modeling interconnect latency.
     latency: Duration,
     stats: Mutex<BTreeMap<(NodeId, NodeId), LinkStats>>,
-    total_msgs: AtomicU64,
-    total_bytes: AtomicU64,
 }
 
 impl SimNet {
@@ -501,14 +475,19 @@ impl SimNet {
             seq: AtomicU64::new(0),
             latency,
             stats: Mutex::new(BTreeMap::new()),
-            total_msgs: AtomicU64::new(0),
-            total_bytes: AtomicU64::new(0),
         })
     }
 
-    /// Queue `msg` for delivery after `latency + extra_delay`. Returns
-    /// `false` (a drop) for unknown or disconnected destinations.
-    fn enqueue(&self, src: NodeId, dst: NodeId, msg: NetMsg, extra_delay: Duration) -> bool {
+    /// Update the `src -> dst` link statistics.
+    fn link(&self, src: NodeId, dst: NodeId, f: impl FnOnce(&mut LinkStats)) {
+        f(self.stats.lock().entry((src, dst)).or_default());
+    }
+}
+
+impl Transport for SimNet {
+    /// Queue `msg` for delivery after the modeled latency. Returns `false`
+    /// (a drop) for unknown or disconnected destinations.
+    fn try_send(&self, src: NodeId, dst: NodeId, msg: NetMsg) -> bool {
         let Some(inbox) = self.inboxes.get(&dst) else {
             self.note_drop(src, dst);
             return false;
@@ -525,17 +504,14 @@ impl SimNet {
                 return false;
             }
             if !control {
-                let mut stats = self.stats.lock();
-                let e = stats.entry((src, dst)).or_default();
-                e.messages += 1;
-                e.bytes += bytes;
-                drop(stats);
-                self.total_msgs.fetch_add(1, Ordering::Relaxed);
-                self.total_bytes.fetch_add(bytes, Ordering::Relaxed);
+                self.link(src, dst, |s| {
+                    s.messages += 1;
+                    s.bytes += bytes;
+                });
                 self.sent.fetch_add(1, Ordering::SeqCst);
             }
             state.queue.push(Reverse(Pending {
-                ready_at: Instant::now() + self.latency + extra_delay,
+                ready_at: Instant::now() + self.latency,
                 seq: self.seq.fetch_add(1, Ordering::Relaxed),
                 src,
                 msg,
@@ -543,60 +519,6 @@ impl SimNet {
         }
         inbox.ready.notify_one();
         true
-    }
-
-    fn note_drop(&self, src: NodeId, dst: NodeId) {
-        self.stats.lock().entry((src, dst)).or_default().drops += 1;
-    }
-
-    fn note_duplicate(&self, src: NodeId, dst: NodeId) {
-        self.stats.lock().entry((src, dst)).or_default().duplicates += 1;
-    }
-
-    /// Send a message from `src` to `dst` (legacy strict-delivery entry
-    /// point used by tests; the cluster goes through [`Transport`]).
-    pub fn send(&self, src: NodeId, dst: NodeId, msg: NetMsg) {
-        self.enqueue(src, dst, msg, Duration::ZERO);
-    }
-
-    /// Total data messages sent.
-    pub fn messages(&self) -> u64 {
-        self.total_msgs.load(Ordering::Relaxed)
-    }
-
-    /// Total data bytes sent.
-    pub fn bytes(&self) -> u64 {
-        self.total_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Per-directed-link statistics snapshot.
-    pub fn link_stats(&self) -> BTreeMap<(NodeId, NodeId), LinkStats> {
-        self.stats.lock().clone()
-    }
-
-    /// Total send retries across all links.
-    pub fn total_retries(&self) -> u64 {
-        self.stats.lock().values().map(|s| s.retries).sum()
-    }
-
-    /// Total dropped data messages across all links.
-    pub fn total_drops(&self) -> u64 {
-        self.stats.lock().values().map(|s| s.drops).sum()
-    }
-
-    /// Total sends abandoned after exhausting their retry budget.
-    pub fn total_lost(&self) -> u64 {
-        self.stats.lock().values().map(|s| s.lost).sum()
-    }
-}
-
-impl Transport for SimNet {
-    fn try_send(&self, src: NodeId, dst: NodeId, msg: NetMsg) -> bool {
-        self.enqueue(src, dst, msg, Duration::ZERO)
-    }
-
-    fn send_delayed(&self, src: NodeId, dst: NodeId, msg: NetMsg, delay: Duration) -> bool {
-        self.enqueue(src, dst, msg, delay)
     }
 
     fn recv_timeout(&self, dst: NodeId, timeout: Duration) -> Option<(NodeId, NetMsg)> {
@@ -670,65 +592,46 @@ impl Transport for SimNet {
     }
 
     fn note_retry(&self, src: NodeId, dst: NodeId) {
-        self.stats.lock().entry((src, dst)).or_default().retries += 1;
+        self.link(src, dst, |s| s.retries += 1);
     }
 
     fn note_lost(&self, src: NodeId, dst: NodeId) {
-        self.stats.lock().entry((src, dst)).or_default().lost += 1;
+        self.link(src, dst, |s| s.lost += 1);
     }
 
     fn note_drop(&self, src: NodeId, dst: NodeId) {
-        SimNet::note_drop(self, src, dst);
+        self.link(src, dst, |s| s.drops += 1);
     }
 
     fn note_duplicate(&self, src: NodeId, dst: NodeId) {
-        SimNet::note_duplicate(self, src, dst);
+        self.link(src, dst, |s| s.duplicates += 1);
     }
 
     fn link_stats(&self) -> BTreeMap<(NodeId, NodeId), LinkStats> {
-        SimNet::link_stats(self)
-    }
-
-    fn messages(&self) -> u64 {
-        SimNet::messages(self)
-    }
-
-    fn bytes(&self) -> u64 {
-        SimNet::bytes(self)
+        self.stats.lock().clone()
     }
 }
 
-/// When a scheduled node kill fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KillTrigger {
-    /// Wall-clock time after the transport first carries traffic (or
-    /// [`FaultyNet::arm`] is called, whichever is earlier).
-    Elapsed(Duration),
-    /// After the n-th data message has been accepted cluster-wide —
-    /// deterministic mid-run kills for tests.
-    AfterMessages(u64),
-}
-
-/// One scheduled whole-node failure.
+/// One scheduled whole-node failure: kill `node` once `after_messages`
+/// data messages have been sent cluster-wide — deterministic mid-run kills
+/// for tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KillSpec {
     pub node: NodeId,
-    pub trigger: KillTrigger,
+    pub after_messages: u64,
 }
 
 /// Fault-injection schedule for [`FaultyNet`]: probabilistic message
-/// drop/duplication/delay on the data plane, plus scheduled whole-node
-/// kills. Control messages (statuses, assignments) are never dropped —
-/// fault testing targets the data plane; node death is modeled by kills,
-/// which silence a node's statuses wholesale.
+/// drop/duplication on the data plane, plus scheduled whole-node kills.
+/// Control messages (statuses, assignments) are never dropped — fault
+/// testing targets the data plane; node death is modeled by kills, which
+/// silence a node's statuses wholesale.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     /// Probability in `[0, 1)` that a data send is dropped.
     pub drop_rate: f64,
     /// Probability in `[0, 1)` that a data send is delivered twice.
     pub duplicate_rate: f64,
-    /// Upper bound on uniformly random extra delivery delay.
-    pub max_extra_delay: Duration,
     /// Scheduled whole-node failures.
     pub kills: Vec<KillSpec>,
     /// Seed for the deterministic fault RNG.
@@ -740,7 +643,6 @@ impl Default for FaultPlan {
         FaultPlan {
             drop_rate: 0.0,
             duplicate_rate: 0.0,
-            max_extra_delay: Duration::ZERO,
             kills: Vec::new(),
             seed: 0x5EED,
         }
@@ -769,26 +671,11 @@ impl FaultPlan {
         self
     }
 
-    /// Add up to `max` uniformly random extra delay per delivery.
-    pub fn delay_up_to(mut self, max: Duration) -> FaultPlan {
-        self.max_extra_delay = max;
-        self
-    }
-
     /// Kill `node` once `n` data messages have crossed the network.
     pub fn kill_after_messages(mut self, node: NodeId, n: u64) -> FaultPlan {
         self.kills.push(KillSpec {
             node,
-            trigger: KillTrigger::AfterMessages(n),
-        });
-        self
-    }
-
-    /// Kill `node` after `elapsed` of wall-clock run time.
-    pub fn kill_after(mut self, node: NodeId, elapsed: Duration) -> FaultPlan {
-        self.kills.push(KillSpec {
-            node,
-            trigger: KillTrigger::Elapsed(elapsed),
+            after_messages: n,
         });
         self
     }
@@ -814,102 +701,106 @@ impl FaultRng {
     }
 }
 
-/// Decorator injecting faults per a [`FaultPlan`] into any inner
-/// [`Transport`] — [`SimNet`] or [`crate::TcpNet`] alike, so the same
-/// drop/dup/delay schedules exercise real sockets. Statistics (drops,
-/// duplicates, retries) land in the inner transport's [`LinkStats`], so
-/// outcome reporting is transport-agnostic.
-pub struct FaultyNet {
-    inner: Arc<dyn Transport>,
+/// The fault state of one run, shared by every participant's [`FaultyNet`]:
+/// the plan, its RNG and the cluster-wide data-message count. A kill has
+/// fired once the count reached its threshold, so the count alone says
+/// which nodes are dead.
+struct Schedule {
     plan: FaultPlan,
     rng: Mutex<FaultRng>,
     data_msgs: AtomicU64,
-    started: Mutex<Option<Instant>>,
-    kill_fired: Mutex<Vec<bool>>,
+}
+
+/// Decorator injecting faults per a [`FaultPlan`] into any inner
+/// [`Transport`] — [`SimNet`] or [`crate::TcpNet`] alike, so the same
+/// drop/duplicate schedules exercise real sockets. Statistics (drops,
+/// duplicates, retries) land in the inner transport's [`LinkStats`], so
+/// outcome reporting is transport-agnostic.
+///
+/// Each participant of a cluster wraps its own transport; [`FaultyNet::new`]
+/// starts a schedule and [`FaultyNet::share`] puts another participant on
+/// it. A kill is cluster-wide: from the send that fires it, every sharer
+/// reports the node dead, and each severs it on its own inner transport
+/// (once, at its next call), as if the node's links had all gone down.
+pub struct FaultyNet {
+    inner: Arc<dyn Transport>,
+    schedule: Arc<Schedule>,
+    /// Kills (a prefix of the plan's, sorted by threshold) already applied
+    /// to `inner`.
+    severed: Mutex<usize>,
 }
 
 impl FaultyNet {
-    pub fn new(inner: Arc<dyn Transport>, plan: FaultPlan) -> Arc<FaultyNet> {
-        let kill_fired = vec![false; plan.kills.len()];
-        Arc::new(FaultyNet {
+    /// Decorate `inner` with a new fault schedule.
+    pub fn new(inner: Arc<dyn Transport>, mut plan: FaultPlan) -> Arc<FaultyNet> {
+        plan.kills.sort_by_key(|k| k.after_messages);
+        let schedule = Schedule {
             rng: Mutex::new(FaultRng(plan.seed | 1)),
             plan,
-            inner,
             data_msgs: AtomicU64::new(0),
-            started: Mutex::new(None),
-            kill_fired: Mutex::new(kill_fired),
+        };
+        Arc::new(FaultyNet {
+            inner,
+            schedule: Arc::new(schedule),
+            severed: Mutex::new(0),
         })
     }
 
-    /// Start the clock for [`KillTrigger::Elapsed`] schedules. Called by
-    /// the cluster when the run begins; implicit on first traffic.
-    pub fn arm(&self) {
-        self.started.lock().get_or_insert_with(Instant::now);
+    /// Decorate another participant's `inner` with this one's schedule.
+    pub fn share(&self, inner: Arc<dyn Transport>) -> Arc<FaultyNet> {
+        Arc::new(FaultyNet {
+            inner,
+            schedule: self.schedule.clone(),
+            severed: Mutex::new(0),
+        })
     }
 
-    /// The undecorated transport (statistics, direct access).
-    pub fn inner(&self) -> &Arc<dyn Transport> {
-        &self.inner
-    }
-
-    fn check_kills(&self) {
-        if self.plan.kills.is_empty() {
-            return;
-        }
-        let elapsed = self.started.lock().map(|t| t.elapsed());
-        let msgs = self.data_msgs.load(Ordering::SeqCst);
-        let mut fired = self.kill_fired.lock();
-        for (i, kill) in self.plan.kills.iter().enumerate() {
-            if fired[i] {
-                continue;
-            }
-            let due = match kill.trigger {
-                KillTrigger::Elapsed(d) => elapsed.is_some_and(|e| e >= d),
-                KillTrigger::AfterMessages(n) => msgs >= n,
-            };
-            if due {
-                fired[i] = true;
-                self.inner.disconnect(kill.node);
-            }
+    /// Sever on `inner` every node whose kill has fired and is not yet
+    /// severed here.
+    fn sync_kills(&self) {
+        let kills = &self.schedule.plan.kills;
+        let msgs = self.schedule.data_msgs.load(Ordering::SeqCst);
+        let fired = kills.partition_point(|k| k.after_messages <= msgs);
+        let mut severed = self.severed.lock();
+        while *severed < fired {
+            self.inner.disconnect(kills[*severed].node);
+            *severed += 1;
         }
     }
 }
 
 impl Transport for FaultyNet {
     fn try_send(&self, src: NodeId, dst: NodeId, msg: NetMsg) -> bool {
-        self.arm();
-        if !msg.is_control() {
-            self.data_msgs.fetch_add(1, Ordering::SeqCst);
-        }
-        self.check_kills();
         if msg.is_control() {
+            self.sync_kills();
             return self.inner.try_send(src, dst, msg);
         }
-        if !self.inner.node_alive(dst) {
+        self.schedule.data_msgs.fetch_add(1, Ordering::SeqCst);
+        if !self.node_alive(dst) {
             self.inner.note_drop(src, dst);
             return false;
         }
-        let (drop_roll, dup_roll, delay_roll) = {
-            let mut rng = self.rng.lock();
-            (rng.next_unit(), rng.next_unit(), rng.next_unit())
+        let (drop_roll, dup_roll) = {
+            let mut rng = self.schedule.rng.lock();
+            (rng.next_unit(), rng.next_unit())
         };
-        if drop_roll < self.plan.drop_rate {
+        if drop_roll < self.schedule.plan.drop_rate {
             self.inner.note_drop(src, dst);
             return false;
         }
-        let extra = self.plan.max_extra_delay.mul_f64(delay_roll);
-        if dup_roll < self.plan.duplicate_rate {
+        if dup_roll < self.schedule.plan.duplicate_rate {
             // Deliver twice; write-once dedup at the receiver absorbs it.
-            if self.inner.send_delayed(src, dst, msg.clone(), extra) {
+            if self.inner.try_send(src, dst, msg.clone()) {
                 self.inner.note_duplicate(src, dst);
-                self.inner.send_delayed(src, dst, msg, extra);
+                self.inner.try_send(src, dst, msg);
             }
             return true;
         }
-        self.inner.send_delayed(src, dst, msg, extra)
+        self.inner.try_send(src, dst, msg)
     }
 
     fn recv_timeout(&self, dst: NodeId, timeout: Duration) -> Option<(NodeId, NetMsg)> {
+        self.sync_kills();
         self.inner.recv_timeout(dst, timeout)
     }
 
@@ -918,10 +809,12 @@ impl Transport for FaultyNet {
     }
 
     fn in_flight(&self) -> u64 {
+        self.sync_kills();
         self.inner.in_flight()
     }
 
     fn node_alive(&self, node: NodeId) -> bool {
+        self.sync_kills();
         self.inner.node_alive(node)
     }
 
@@ -931,11 +824,6 @@ impl Transport for FaultyNet {
 
     fn set_peer(&self, node: NodeId, addr: SocketAddr) {
         self.inner.set_peer(node, addr);
-    }
-
-    fn poll_faults(&self) {
-        self.arm();
-        self.check_kills();
     }
 
     fn note_retry(&self, src: NodeId, dst: NodeId) {
@@ -957,14 +845,6 @@ impl Transport for FaultyNet {
     fn link_stats(&self) -> BTreeMap<(NodeId, NodeId), LinkStats> {
         self.inner.link_stats()
     }
-
-    fn messages(&self) -> u64 {
-        self.inner.messages()
-    }
-
-    fn bytes(&self) -> u64 {
-        self.inner.bytes()
-    }
 }
 
 #[cfg(test)]
@@ -984,7 +864,7 @@ mod tests {
     #[test]
     fn send_recv_round_trip() {
         let net = SimNet::new(&[NodeId(0), NodeId(1)], Duration::ZERO);
-        net.send(NodeId(0), NodeId(1), msg(4));
+        net.try_send(NodeId(0), NodeId(1), msg(4));
         assert_eq!(net.in_flight(), 1);
         let (src, m) = net.recv_timeout(NodeId(1), Duration::from_secs(1)).unwrap();
         assert_eq!(src, NodeId(0));
@@ -1004,20 +884,19 @@ mod tests {
     #[test]
     fn stats_accumulate_per_link() {
         let net = SimNet::new(&[NodeId(0), NodeId(1), NodeId(2)], Duration::ZERO);
-        net.send(NodeId(0), NodeId(1), msg(1));
-        net.send(NodeId(0), NodeId(1), msg(1));
-        net.send(NodeId(0), NodeId(2), msg(2));
+        net.try_send(NodeId(0), NodeId(1), msg(1));
+        net.try_send(NodeId(0), NodeId(1), msg(1));
+        net.try_send(NodeId(0), NodeId(2), msg(2));
         let stats = net.link_stats();
         assert_eq!(stats[&(NodeId(0), NodeId(1))].messages, 2);
+        assert_eq!(stats[&(NodeId(0), NodeId(1))].bytes, 2 * (32 + 4));
         assert_eq!(stats[&(NodeId(0), NodeId(2))].bytes, 32 + 8);
-        assert_eq!(net.messages(), 3);
-        assert!(net.bytes() > 0);
     }
 
     #[test]
     fn latency_delays_delivery() {
         let net = SimNet::new(&[NodeId(0), NodeId(1)], Duration::from_millis(20));
-        net.send(NodeId(0), NodeId(1), msg(1));
+        net.try_send(NodeId(0), NodeId(1), msg(1));
         let t0 = std::time::Instant::now();
         net.recv_timeout(NodeId(1), Duration::from_secs(1)).unwrap();
         assert!(t0.elapsed() >= Duration::from_millis(20));
@@ -1031,7 +910,7 @@ mod tests {
         net.delivered(NodeId(0));
         net.delivered(NodeId(0));
         assert_eq!(net.in_flight(), 0);
-        net.send(NodeId(0), NodeId(0), msg(1));
+        net.try_send(NodeId(0), NodeId(0), msg(1));
         assert!(net.in_flight() <= 1);
     }
 
@@ -1040,7 +919,7 @@ mod tests {
         let net = SimNet::new(&[NodeId(0)], Duration::ZERO);
         assert!(net.try_send(NodeId(0), MASTER_NODE, NetMsg::Replay { epoch: 1 }));
         assert_eq!(net.in_flight(), 0);
-        assert_eq!(net.messages(), 0);
+        assert!(net.link_stats().is_empty());
         let (src, m) = net
             .recv_timeout(MASTER_NODE, Duration::from_secs(1))
             .unwrap();
@@ -1051,8 +930,8 @@ mod tests {
     #[test]
     fn disconnect_purges_and_balances() {
         let net = SimNet::new(&[NodeId(0), NodeId(1)], Duration::from_secs(60));
-        net.send(NodeId(0), NodeId(1), msg(1));
-        net.send(NodeId(0), NodeId(1), msg(1));
+        net.try_send(NodeId(0), NodeId(1), msg(1));
+        net.try_send(NodeId(0), NodeId(1), msg(1));
         assert_eq!(net.in_flight(), 2);
         net.disconnect(NodeId(1));
         assert_eq!(net.in_flight(), 0, "purged messages balance the counter");
@@ -1073,7 +952,7 @@ mod tests {
                 .map(|(src, _)| src)
         });
         std::thread::sleep(Duration::from_millis(10));
-        net.send(NodeId(0), NodeId(1), msg(1));
+        net.try_send(NodeId(0), NodeId(1), msg(1));
         assert_eq!(h.join().unwrap(), Some(NodeId(0)));
     }
 
@@ -1106,7 +985,8 @@ mod tests {
             }
         }
         assert!(lost > 0, "a 99% lossy link defeats a 2-attempt budget");
-        assert_eq!(inner.total_lost(), lost, "every abandoned send is counted");
+        let link = inner.link_stats()[&(NodeId(0), NodeId(1))];
+        assert_eq!(link.lost, lost, "every abandoned send is counted");
     }
 
     #[test]
@@ -1144,17 +1024,20 @@ mod tests {
     }
 
     #[test]
-    fn kill_after_elapsed_fires_via_poll() {
-        let inner = SimNet::new(&[NodeId(0), NodeId(1)], Duration::ZERO);
-        let net = FaultyNet::new(
-            inner.clone(),
-            FaultPlan::new().kill_after(NodeId(1), Duration::from_millis(10)),
-        );
-        net.arm();
-        net.poll_faults();
-        assert!(net.node_alive(NodeId(1)));
-        std::thread::sleep(Duration::from_millis(15));
-        net.poll_faults();
-        assert!(!net.node_alive(NodeId(1)));
+    fn shared_schedule_kill_reaches_every_sharer() {
+        let nodes = [NodeId(0), NodeId(1), NodeId(2)];
+        let inner_a = SimNet::new(&nodes, Duration::ZERO);
+        let inner_b = SimNet::new(&nodes, Duration::ZERO);
+        let plan = FaultPlan::new().kill_after_messages(NodeId(2), 1);
+        let a = FaultyNet::new(inner_a.clone(), plan);
+        let b = a.share(inner_b.clone());
+        // The first data message through `a` fires the kill.
+        assert!(a.try_send(NodeId(0), NodeId(1), msg(1)));
+        assert!(!inner_a.node_alive(NodeId(2)), "a severed the node at once");
+        assert!(inner_b.node_alive(NodeId(2)), "b has not been called yet");
+        assert!(!b.node_alive(NodeId(2)), "b sees the kill a fired");
+        assert!(!inner_b.node_alive(NodeId(2)), "severed on b's inner");
+        assert!(b.node_alive(NodeId(0)) && b.node_alive(NodeId(1)));
+        assert!(!b.try_send(NodeId(0), NodeId(2), msg(1)));
     }
 }

@@ -755,11 +755,6 @@ impl FrameReader {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes buffered but not yet consumed.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Discard one byte, then re-align on the next magic sequence (or
     /// keep the unscanned tail if no magic is present yet).
     fn resync(&mut self) {

@@ -88,8 +88,9 @@ fn cluster_matches_single_node_results() {
     }
 }
 
-/// The same protocol over real localhost sockets (`TcpMesh` via
-/// `over_tcp`) produces bit-identical results and real network traffic.
+/// The same protocol over real localhost sockets (one solo `TcpNet` per
+/// participant via `over_tcp`) produces bit-identical results and real
+/// network traffic.
 #[test]
 fn cluster_matches_single_node_results_over_tcp() {
     let reference = single_node_reference(4);
@@ -116,7 +117,7 @@ fn cluster_matches_single_node_results_over_tcp() {
             })
             .collect();
         assert_eq!(got, reference, "{nodes}-node tcp cluster diverged");
-        assert!(outcome.net.messages() > 0, "data must cross real sockets");
+        assert!(outcome.messages() > 0, "data must cross real sockets");
     }
 }
 
@@ -148,10 +149,9 @@ fn network_carries_cross_partition_traffic() {
     let outcome = cluster.run(RunLimits::ages(3)).unwrap();
     // mul2/plus5/print share fields; with 2 nodes at least one edge is
     // cut, so the network must have carried messages and bytes.
-    assert!(outcome.net.messages() > 0);
-    assert!(outcome.net.bytes() > outcome.net.messages() * 32);
-    let stats = outcome.net.link_stats();
-    assert!(!stats.is_empty());
+    assert!(outcome.messages() > 0);
+    assert!(outcome.bytes() > outcome.messages() * 32);
+    assert!(!outcome.link_stats.is_empty());
 }
 
 #[test]
@@ -184,7 +184,7 @@ fn cluster_deadline_stops_unbounded_program() {
 fn single_node_cluster_degenerates_gracefully() {
     let cluster = SimCluster::new(ClusterConfig::nodes(1), build_mul_sum).unwrap();
     let outcome = cluster.run(RunLimits::ages(3)).unwrap();
-    assert_eq!(outcome.net.messages(), 0, "no self-forwarding");
+    assert_eq!(outcome.messages(), 0, "no self-forwarding");
     assert_eq!(outcome.total_instances("mul2"), 15);
 }
 
@@ -247,7 +247,7 @@ fn streaming_feed_drives_cluster_to_completion() {
 
     assert_eq!(outcome.frames_streamed, FRAMES);
     assert_eq!(emitted.frontier.load(Ordering::SeqCst), FRAMES);
-    assert_eq!(outcome.lost_sends, 0);
+    assert_eq!(outcome.lost_sends(), 0);
     // In frame order (the emit kernel is ordered), each exactly once.
     let got = emitted.sums.lock().clone();
     let want: Vec<i64> = (0..FRAMES).map(common::frame_sum).collect();

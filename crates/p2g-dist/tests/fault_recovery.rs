@@ -153,9 +153,9 @@ fn killed_mid_run_scenario(transport: TransportKind, workload: Workload) {
         "recovery replayed stored regions to new owners"
     );
     assert!(
-        outcome.retries > 0,
+        outcome.retries() > 0,
         "the lossy link forced send retries (drops={})",
-        outcome.net.total_drops()
+        outcome.total_drops()
     );
     match workload {
         Workload::Batch => assert_eq!(

@@ -425,19 +425,6 @@ impl ProgramSpec {
         Ok(())
     }
 
-    /// Producers of each field: (kernel, store index) pairs.
-    pub fn producers_of(&self, field: FieldId) -> Vec<(KernelId, usize)> {
-        let mut out = Vec::new();
-        for k in &self.kernels {
-            for (i, s) in k.stores.iter().enumerate() {
-                if s.field == field {
-                    out.push((k.id, i));
-                }
-            }
-        }
-        out
-    }
-
     /// Consumers of each field: (kernel, fetch index) pairs.
     pub fn consumers_of(&self, field: FieldId) -> Vec<(KernelId, usize)> {
         let mut out = Vec::new();
@@ -561,8 +548,6 @@ mod tests {
     fn producers_and_consumers() {
         let p = mul_sum_example();
         let m = p.field_by_name("m_data").unwrap();
-        let prods: Vec<_> = p.producers_of(m).iter().map(|&(k, _)| k).collect();
-        assert_eq!(prods, vec![KernelId(0), KernelId(2)]); // init, plus5
         let cons: Vec<_> = p.consumers_of(m).iter().map(|&(k, _)| k).collect();
         assert_eq!(cons, vec![KernelId(1), KernelId(3)]); // mul2, print
     }

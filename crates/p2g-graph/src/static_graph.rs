@@ -122,7 +122,7 @@ pub struct FinalGraph {
 
 impl FinalGraph {
     /// Derive from the intermediate graph by merging field vertices.
-    pub fn from_intermediate(spec: &ProgramSpec, ig: &IntermediateGraph) -> FinalGraph {
+    fn from_intermediate(spec: &ProgramSpec, ig: &IntermediateGraph) -> FinalGraph {
         let mut edges = Vec::new();
         for &(producer, field) in &ig.stores {
             for &(f2, consumer) in &ig.fetches {
@@ -155,16 +155,6 @@ impl FinalGraph {
     /// True when the graph has no kernels.
     pub fn is_empty(&self) -> bool {
         self.kernel_weights.is_empty()
-    }
-
-    /// Out-neighbors of a kernel.
-    pub fn successors(&self, k: KernelId) -> impl Iterator<Item = KernelId> + '_ {
-        self.edges.iter().filter(move |e| e.from == k).map(|e| e.to)
-    }
-
-    /// In-neighbors of a kernel.
-    pub fn predecessors(&self, k: KernelId) -> impl Iterator<Item = KernelId> + '_ {
-        self.edges.iter().filter(move |e| e.to == k).map(|e| e.from)
     }
 
     /// Apply instrumentation feedback: set kernel weights to measured mean
@@ -261,16 +251,6 @@ mod tests {
         ];
         want.sort_unstable();
         assert_eq!(pairs, want);
-    }
-
-    #[test]
-    fn successors_predecessors() {
-        let spec = mul_sum_example();
-        let fg = FinalGraph::from_spec(&spec);
-        let mul2 = spec.kernel_by_name("mul2").unwrap();
-        let plus5 = spec.kernel_by_name("plus5").unwrap();
-        assert!(fg.successors(mul2).any(|k| k == plus5));
-        assert!(fg.predecessors(mul2).any(|k| k == plus5));
     }
 
     #[test]

@@ -25,11 +25,6 @@ pub struct NodeSpec {
     pub name: String,
     /// Worker cores available for kernel execution.
     pub cores: usize,
-    /// GPU-like accelerators (modelled but not scheduled onto in this
-    /// prototype, matching the paper's x86-only prototype).
-    pub gpus: usize,
-    /// Memory in megabytes, bounds field residency.
-    pub mem_mb: usize,
 }
 
 impl NodeSpec {
@@ -39,8 +34,6 @@ impl NodeSpec {
             id,
             name: name.into(),
             cores,
-            gpus: 0,
-            mem_mb: 8192,
         }
     }
 }

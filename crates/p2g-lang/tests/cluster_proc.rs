@@ -224,7 +224,7 @@ fn process_cluster_digest_is_node_count_invariant() {
     let runs = [
         ("2 processes", run_cluster("pair", 2)),
         ("2 threads, SimNet", run_in_process(p2g_dist::ClusterConfig::nodes(2))),
-        ("3 threads, TcpMesh", run_in_process(p2g_dist::ClusterConfig::nodes(3).over_tcp())),
+        ("3 threads, TcpNet", run_in_process(p2g_dist::ClusterConfig::nodes(3).over_tcp())),
     ];
     for (what, (d, e, ep, f)) in runs {
         assert_eq!(f, 0, "{what}");

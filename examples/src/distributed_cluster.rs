@@ -52,10 +52,10 @@ fn main() {
 
     println!(
         "network traffic: {} messages, {} bytes",
-        outcome.net.messages(),
-        outcome.net.bytes()
+        outcome.messages(),
+        outcome.bytes()
     );
-    for ((src, dst), stats) in outcome.net.link_stats() {
+    for ((src, dst), stats) in &outcome.link_stats {
         println!(
             "  {src} -> {dst}: {} msgs, {} bytes",
             stats.messages, stats.bytes

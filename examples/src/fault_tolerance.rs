@@ -76,15 +76,15 @@ fn main() {
     println!("failed nodes: {:?}", outcome.failed_nodes);
     println!(
         "drops: {}, retries: {}, redelivered stores on recovery: {}, deduped elements: {}",
-        outcome.net.total_drops(),
-        outcome.retries,
+        outcome.total_drops(),
+        outcome.retries(),
         outcome.redelivered_stores,
         outcome.total_deduped(),
     );
-    if outcome.lost_sends > 0 {
+    if outcome.lost_sends() > 0 {
         println!(
             "WARNING: {} sends exhausted their retry budget — data was lost",
-            outcome.lost_sends
+            outcome.lost_sends()
         );
     }
     println!("post-recovery assignment: {:?}", {

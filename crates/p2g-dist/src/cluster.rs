@@ -24,7 +24,7 @@ use p2g_field::{Age, Buffer, Region, Value};
 use p2g_graph::{KernelId, NodeId, NodeSpec};
 use p2g_runtime::instrument::RunReport;
 use p2g_runtime::node::FieldStore;
-use p2g_runtime::trace::{RunTrace, Tracer};
+use p2g_runtime::trace::{RunTrace, Tracer, TRACE_CAPACITY};
 use p2g_runtime::{Program, RunLimits, RuntimeError};
 
 use crate::coordinator::{run_master, run_node, NodeConfig, ProtocolConfig, StreamFeed};
@@ -402,10 +402,10 @@ impl SimCluster {
         // Cluster-level tracer: one buffer per node loop plus one for the
         // master. Node-internal execution traces are recorded by the nodes
         // themselves, since the trace option rides along on the limits.
-        let tracer = limits.trace.as_ref().map(|opts| {
+        let tracer = limits.trace.then(|| {
             let nodes = node_ids.iter().map(|id| format!("node-{}", id.0));
             let labels = nodes.chain(["master".to_string()]).collect();
-            Arc::new(Tracer::new(labels, opts.capacity))
+            Arc::new(Tracer::new(labels, TRACE_CAPACITY))
         });
 
         let protocol = config.protocol(limits.wall_deadline);

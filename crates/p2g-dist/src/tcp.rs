@@ -78,7 +78,12 @@ struct PeerQueue {
 
 struct PeerHandle {
     queue: Mutex<PeerQueue>,
+    /// Wakes the sender thread: frames queued, connection broken, closed.
     ready: Condvar,
+    /// Wakes [`TcpNet::flush`]: the resend window shrank or the peer
+    /// closed. Separate from `ready`, whose `notify_one` from `try_send` a
+    /// waiting flusher could otherwise swallow.
+    drained: Condvar,
 }
 
 impl PeerHandle {
@@ -93,12 +98,14 @@ impl PeerHandle {
                 closed: false,
             }),
             ready: Condvar::new(),
+            drained: Condvar::new(),
         })
     }
 
     fn close(&self) {
         self.queue.lock().closed = true;
         self.ready.notify_all();
+        self.drained.notify_all();
     }
 }
 
@@ -269,24 +276,18 @@ impl TcpNet {
     /// about to exit calls this so its final messages actually leave.
     pub fn flush(&self, dst: NodeId, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
+        let Some(peer) = self.shared.peers.lock().get(&dst).cloned() else {
+            return true;
+        };
+        let mut q = peer.queue.lock();
         loop {
-            let done = {
-                let peers = self.shared.peers.lock();
-                match peers.get(&dst) {
-                    Some(p) => {
-                        let q = p.queue.lock();
-                        q.closed || (q.out.is_empty() && q.unacked.is_empty())
-                    }
-                    None => true,
-                }
-            };
-            if done {
+            if q.closed || (q.out.is_empty() && q.unacked.is_empty()) {
                 return true;
             }
             if Instant::now() >= deadline || self.shared.is_dead(dst) {
                 return false;
             }
-            std::thread::sleep(Duration::from_millis(1));
+            peer.drained.wait_until(&mut q, deadline);
         }
     }
 
@@ -459,6 +460,7 @@ fn sender_loop(dst: NodeId, peer: Arc<PeerHandle>, shared: Arc<Shared>) {
                 let mut q = peer.queue.lock();
                 q.out.clear();
                 q.unacked.clear();
+                peer.drained.notify_all();
                 continue;
             };
             match TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT) {
@@ -612,6 +614,7 @@ fn ack_loop(
                             }
                         }
                         q.conn_acked = q.conn_acked.max(count);
+                        peer.drained.notify_all();
                     }
                 }
                 Ok(None) => break,
@@ -656,9 +659,9 @@ impl Transport for TcpNet {
     fn try_send(&self, src: NodeId, dst: NodeId, msg: NetMsg) -> bool {
         let shared = &self.shared;
         debug_assert_eq!(src, shared.me, "endpoint sends originate locally");
-        let data = !msg.is_control();
+        let data_bytes = msg.data_bytes();
         let refuse = || {
-            if data {
+            if data_bytes.is_some() {
                 shared.link(src, dst, |s| s.drops += 1);
             }
             false
@@ -670,8 +673,7 @@ impl Transport for TcpNet {
             // Loopback delivery without a socket (a node subscribing to its
             // own field would not normally be routed here, but be total).
             // Nothing acknowledges it, so it is never counted in flight.
-            if data {
-                let bytes = msg.wire_bytes();
+            if let Some(bytes) = data_bytes {
                 shared.link(src, dst, |s| {
                     s.messages += 1;
                     s.bytes += bytes;
@@ -690,8 +692,8 @@ impl Transport for TcpNet {
         if q.closed {
             return refuse();
         }
-        if data {
-            shared.count_sent(dst, msg.wire_bytes());
+        if let Some(bytes) = data_bytes {
+            shared.count_sent(dst, bytes);
         }
         q.out.push_back(msg);
         drop(q);
@@ -819,12 +821,16 @@ mod tests {
         }
         assert!(got_store, "store forward crossed the socket");
         let link = a.link_stats()[&(NodeId(0), NodeId(1))];
-        assert_eq!((link.messages, link.bytes), (1, store(7).wire_bytes()));
-        // The store leaves the sender's in-flight count at b's ack.
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while a.in_flight() > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        assert_eq!(
+            (link.messages, link.bytes),
+            (1, store(7).data_bytes().unwrap())
+        );
+        // The store leaves the sender's in-flight count at b's ack, which
+        // is what `flush` waits for.
+        assert!(
+            a.flush(NodeId(1), Duration::from_secs(2)),
+            "b acked the window"
+        );
         assert_eq!(a.in_flight(), 0, "the ack balanced the send");
     }
 
@@ -892,5 +898,21 @@ mod tests {
         assert!(!a.node_alive(NodeId(1)));
         assert!(a.node_alive(NodeId(0)));
         assert!(!a.try_send(NodeId(0), NodeId(1), store(2)));
+    }
+
+    #[test]
+    fn flush_to_a_peer_that_never_acks_times_out() {
+        let a = TcpNet::bind(NodeId(0), RetryConfig::default(), 1).unwrap();
+        // A peer that accepts connections but never reads: nothing is acked.
+        let silent = TcpListener::bind("127.0.0.1:0").unwrap();
+        a.set_peer(NodeId(1), silent.local_addr().unwrap());
+        assert!(a.try_send(NodeId(0), NodeId(1), store(1)));
+        let start = Instant::now();
+        assert!(!a.flush(NodeId(1), Duration::from_millis(100)));
+        assert!(
+            start.elapsed() >= Duration::from_millis(100),
+            "waited to the deadline"
+        );
+        assert_eq!(a.in_flight(), 1, "the window is still unacknowledged");
     }
 }

@@ -28,6 +28,7 @@ use parking_lot::{Condvar, Mutex};
 
 use p2g_field::{Age, Buffer, FieldId, Region};
 use p2g_graph::{KernelId, NodeId};
+use p2g_runtime::jittered_backoff;
 
 /// Pseudo-node id addressing the master's inbox.
 pub const MASTER_NODE: NodeId = NodeId(u32::MAX);
@@ -156,50 +157,15 @@ pub enum NetMsg {
 }
 
 impl NetMsg {
-    /// Approximate wire size in bytes (payload + fixed header), used for
-    /// the per-link statistics the HLS weighs edges with.
-    pub fn wire_bytes(&self) -> u64 {
+    /// The bytes a data message adds to its link's statistics (payload +
+    /// fixed header), the edge volume the HLS weighs edges with; `None`
+    /// for control messages, which are never counted.
+    pub fn data_bytes(&self) -> Option<u64> {
         match self {
             NetMsg::StoreForward { buffer, .. } => {
-                32 + (buffer.len() * buffer.scalar_type().size_bytes()) as u64
+                Some(32 + (buffer.len() * buffer.scalar_type().size_bytes()) as u64)
             }
-            NetMsg::Ack { .. } | NetMsg::Finish => 16,
-            NetMsg::Hello { .. } | NetMsg::Replay { .. } => 24,
-            NetMsg::Status { .. } => 56,
-            NetMsg::Assign {
-                kernels,
-                subscribers,
-                peers,
-                ..
-            } => {
-                40 + 4 * kernels.len() as u64
-                    + subscribers
-                        .iter()
-                        .map(|(_, subs)| 8 + 4 * subs.len() as u64)
-                        .sum::<u64>()
-                    + peers.iter().map(|(_, a)| 8 + a.len() as u64).sum::<u64>()
-            }
-            NetMsg::Results { entries } => {
-                16 + entries
-                    .iter()
-                    .map(|(_, _, _, b)| 32 + (b.len() * b.scalar_type().size_bytes()) as u64)
-                    .sum::<u64>()
-            }
-            NetMsg::OpenSession {
-                pipeline, params, ..
-            } => {
-                32 + pipeline.len() as u64
-                    + params.iter().map(|(k, _)| 10 + k.len() as u64).sum::<u64>()
-            }
-            NetMsg::SessionOpened { .. } | NetMsg::Credit { .. } | NetMsg::CloseSession { .. } => {
-                24
-            }
-            NetMsg::SessionRejected { reason, .. } => 24 + reason.len() as u64,
-            NetMsg::SubmitFrame { payload, .. } => 32 + payload.len() as u64,
-            NetMsg::Output { payload, .. } => {
-                32 + payload.as_ref().map(|p| p.len() as u64).unwrap_or(0)
-            }
-            NetMsg::SessionStats { .. } => 88,
+            _ => None,
         }
     }
 
@@ -241,10 +207,13 @@ impl AddAssign for LinkStats {
     }
 }
 
+/// Fraction of extra deterministic delay, in `[0, NET_RETRY_JITTER]`, that
+/// each network backoff adds to decorrelate retry storms.
+const NET_RETRY_JITTER: f64 = 0.1;
+
 /// Backoff-and-budget discipline for [`Transport::send_with_retry`] and
-/// the TCP connection supervisor — the same exponential-backoff-with-
-/// deterministic-jitter shape as the kernel-level `FaultPolicy` (PR 3),
-/// applied to the network.
+/// the TCP connection supervisor — the kernel retry path's
+/// [`jittered_backoff`], applied to the network.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryConfig {
     /// Maximum send attempts before the message is abandoned
@@ -254,9 +223,6 @@ pub struct RetryConfig {
     pub backoff: Duration,
     /// Upper bound on the exponential backoff.
     pub backoff_cap: Duration,
-    /// Fraction of extra random (deterministic, identity-hashed) delay in
-    /// `[0, jitter]` added per backoff, decorrelating retry storms.
-    pub jitter: f64,
 }
 
 impl Default for RetryConfig {
@@ -268,7 +234,6 @@ impl Default for RetryConfig {
             attempts: 64,
             backoff: Duration::from_micros(50),
             backoff_cap: Duration::from_millis(2),
-            jitter: 0.1,
         }
     }
 }
@@ -290,18 +255,15 @@ impl RetryConfig {
     }
 
     /// The backoff before attempt `attempt + 1`, with deterministic
-    /// jitter derived from `salt` (splitmix64 finalizer, as in the
-    /// kernel retry path).
+    /// jitter derived from `salt`.
     pub fn backoff_for(&self, attempt: u32, salt: u64) -> Duration {
-        let base = self
-            .backoff
-            .saturating_mul(1u32 << attempt.min(20))
-            .min(self.backoff_cap);
-        let mut z = salt.wrapping_add(0x9E3779B97F4A7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        let frac = ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64;
-        base.mul_f64(1.0 + self.jitter.clamp(0.0, 1.0) * frac)
+        jittered_backoff(
+            self.backoff,
+            self.backoff_cap,
+            NET_RETRY_JITTER,
+            attempt,
+            salt,
+        )
     }
 }
 
@@ -492,18 +454,17 @@ impl Transport for SimNet {
             self.note_drop(src, dst);
             return false;
         };
-        let control = msg.is_control();
-        let bytes = msg.wire_bytes();
+        let data_bytes = msg.data_bytes();
         {
             let mut state = inbox.state.lock();
             if !state.alive {
                 drop(state);
-                if !control {
+                if data_bytes.is_some() {
                     self.note_drop(src, dst);
                 }
                 return false;
             }
-            if !control {
+            if let Some(bytes) = data_bytes {
                 self.link(src, dst, |s| {
                     s.messages += 1;
                     s.bytes += bytes;
@@ -852,6 +813,17 @@ mod tests {
     use super::*;
     use p2g_field::DimSel;
 
+    /// The jittered doubling is pinned to the nanosecond for a fixed
+    /// salt, so a refactor of the backoff cannot move a delay.
+    #[test]
+    fn backoff_is_pinned() {
+        let r = RetryConfig::default();
+        let got: Vec<u128> = (0..4)
+            .map(|a| r.backoff_for(a, 0x5EED).as_nanos())
+            .collect();
+        assert_eq!(got, [50_194, 100_388, 200_777, 401_554]);
+    }
+
     fn msg(n: usize) -> NetMsg {
         NetMsg::StoreForward {
             field: FieldId(0),
@@ -868,7 +840,7 @@ mod tests {
         assert_eq!(net.in_flight(), 1);
         let (src, m) = net.recv_timeout(NodeId(1), Duration::from_secs(1)).unwrap();
         assert_eq!(src, NodeId(0));
-        assert_eq!(m.wire_bytes(), 32 + 16);
+        assert_eq!(m.data_bytes(), Some(32 + 16));
         net.delivered(NodeId(1));
         assert_eq!(net.in_flight(), 0);
     }
@@ -925,6 +897,7 @@ mod tests {
             .unwrap();
         assert_eq!(src, NodeId(0));
         assert!(m.is_control());
+        assert_eq!(m.data_bytes(), None);
     }
 
     #[test]

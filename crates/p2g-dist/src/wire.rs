@@ -148,6 +148,15 @@ impl Writer {
         self.0.extend_from_slice(&b[..b.len().min(u32::MAX as usize)]);
     }
 
+    /// A `u32` count followed by each item: the one layout of every list
+    /// on the wire ([`Reader::list`] reads it back).
+    fn list<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
+        self.u32(items.len() as u32);
+        for x in items {
+            item(self, x);
+        }
+    }
+
     fn region(&mut self, r: &Region) {
         debug_assert!(r.0.len() <= u8::MAX as usize, "region rank too high for wire");
         self.u8(r.0.len().min(u8::MAX as usize) as u8);
@@ -272,6 +281,24 @@ impl<'a> Reader<'a> {
     fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
         let len = self.u32()? as usize;
         Ok(self.take(len)?.to_vec())
+    }
+
+    /// A list written by [`Writer::list`]. Every item takes at least one
+    /// byte, so a count above the bytes left is corruption, refused before
+    /// anything is allocated.
+    fn list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let n = self.u32()? as usize;
+        if n > self.remaining() {
+            return Err(WireError::Malformed("count exceeds payload"));
+        }
+        let mut out = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
     }
 
     fn region(&mut self) -> Result<Region, WireError> {
@@ -401,23 +428,15 @@ pub fn encode_payload(msg: &NetMsg) -> Vec<u8> {
             w.u8(TAG_ASSIGN);
             w.u64(*epoch);
             w.u64(*status_every_us);
-            w.u32(kernels.len() as u32);
-            for k in kernels {
-                w.u32(k.0);
-            }
-            w.u32(subscribers.len() as u32);
-            for (field, subs) in subscribers {
+            w.list(kernels, |w, k| w.u32(k.0));
+            w.list(subscribers, |w, (field, subs)| {
                 w.u32(field.0);
-                w.u32(subs.len() as u32);
-                for n in subs {
-                    w.u32(n.0);
-                }
-            }
-            w.u32(peers.len() as u32);
-            for (n, addr) in peers {
+                w.list(subs, |w, n| w.u32(n.0));
+            });
+            w.list(peers, |w, (n, addr)| {
                 w.u32(n.0);
                 w.str(addr);
-            }
+            });
         }
         NetMsg::Status {
             epoch,
@@ -442,13 +461,12 @@ pub fn encode_payload(msg: &NetMsg) -> Vec<u8> {
         NetMsg::Finish => w.u8(TAG_FINISH),
         NetMsg::Results { entries } => {
             w.u8(TAG_RESULTS);
-            w.u32(entries.len() as u32);
-            for (field, age, region, buffer) in entries {
+            w.list(entries, |w, (field, age, region, buffer)| {
                 w.u32(field.0);
                 w.u64(age.0);
                 w.region(region);
                 w.buffer(buffer);
-            }
+            });
         }
         NetMsg::Ack { count } => {
             w.u8(TAG_ACK);
@@ -464,11 +482,10 @@ pub fn encode_payload(msg: &NetMsg) -> Vec<u8> {
             w.u8(TAG_OPEN_SESSION);
             w.u64(*session);
             w.str(pipeline);
-            w.u32(params.len() as u32);
-            for (key, value) in params {
+            w.list(params, |w, (key, value)| {
                 w.str(key);
                 w.i64(*value);
-            }
+            });
             w.u8(*priority);
             w.u32(*weight);
         }
@@ -561,51 +578,13 @@ pub fn decode_payload(payload: &[u8]) -> Result<NetMsg, WireError> {
             workers: r.u32()?,
             port: r.u16()?,
         },
-        TAG_ASSIGN => {
-            let epoch = r.u64()?;
-            let status_every_us = r.u64()?;
-            let nk = r.u32()? as usize;
-            if nk > r.remaining() {
-                return Err(WireError::Malformed("kernel count exceeds payload"));
-            }
-            let mut kernels = Vec::with_capacity(nk);
-            for _ in 0..nk {
-                kernels.push(KernelId(r.u32()?));
-            }
-            let ns = r.u32()? as usize;
-            if ns > r.remaining() {
-                return Err(WireError::Malformed("subscriber count exceeds payload"));
-            }
-            let mut subscribers = Vec::with_capacity(ns);
-            for _ in 0..ns {
-                let field = FieldId(r.u32()?);
-                let nn = r.u32()? as usize;
-                if nn > r.remaining() {
-                    return Err(WireError::Malformed("node count exceeds payload"));
-                }
-                let mut nodes = Vec::with_capacity(nn);
-                for _ in 0..nn {
-                    nodes.push(NodeId(r.u32()?));
-                }
-                subscribers.push((field, nodes));
-            }
-            let np = r.u32()? as usize;
-            if np > r.remaining() {
-                return Err(WireError::Malformed("peer count exceeds payload"));
-            }
-            let mut peers = Vec::with_capacity(np);
-            for _ in 0..np {
-                let n = NodeId(r.u32()?);
-                peers.push((n, r.str()?));
-            }
-            NetMsg::Assign {
-                epoch,
-                status_every_us,
-                kernels,
-                subscribers,
-                peers,
-            }
-        }
+        TAG_ASSIGN => NetMsg::Assign {
+            epoch: r.u64()?,
+            status_every_us: r.u64()?,
+            kernels: r.list(|r| Ok(KernelId(r.u32()?)))?,
+            subscribers: r.list(|r| Ok((FieldId(r.u32()?), r.list(|r| Ok(NodeId(r.u32()?)))?)))?,
+            peers: r.list(|r| Ok((NodeId(r.u32()?), r.str()?)))?,
+        },
         TAG_STATUS => NetMsg::Status {
             epoch: r.u64()?,
             seq: r.u64()?,
@@ -620,42 +599,18 @@ pub fn decode_payload(payload: &[u8]) -> Result<NetMsg, WireError> {
         },
         TAG_REPLAY => NetMsg::Replay { epoch: r.u64()? },
         TAG_FINISH => NetMsg::Finish,
-        TAG_RESULTS => {
-            let ne = r.u32()? as usize;
-            if ne > r.remaining() {
-                return Err(WireError::Malformed("entry count exceeds payload"));
-            }
-            let mut entries = Vec::with_capacity(ne.min(1024));
-            for _ in 0..ne {
-                let field = FieldId(r.u32()?);
-                let age = Age(r.u64()?);
-                let region = r.region()?;
-                let buffer = r.buffer()?;
-                entries.push((field, age, region, buffer));
-            }
-            NetMsg::Results { entries }
-        }
+        TAG_RESULTS => NetMsg::Results {
+            entries: r
+                .list(|r| Ok((FieldId(r.u32()?), Age(r.u64()?), r.region()?, r.buffer()?)))?,
+        },
         TAG_ACK => NetMsg::Ack { count: r.u64()? },
-        TAG_OPEN_SESSION => {
-            let session = r.u64()?;
-            let pipeline = r.str()?;
-            let np = r.u32()? as usize;
-            if np > r.remaining() {
-                return Err(WireError::Malformed("param count exceeds payload"));
-            }
-            let mut params = Vec::with_capacity(np);
-            for _ in 0..np {
-                let key = r.str()?;
-                params.push((key, r.i64()?));
-            }
-            NetMsg::OpenSession {
-                session,
-                pipeline,
-                params,
-                priority: r.u8()?,
-                weight: r.u32()?,
-            }
-        }
+        TAG_OPEN_SESSION => NetMsg::OpenSession {
+            session: r.u64()?,
+            pipeline: r.str()?,
+            params: r.list(|r| Ok((r.str()?, r.i64()?)))?,
+            priority: r.u8()?,
+            weight: r.u32()?,
+        },
         TAG_SESSION_OPENED => NetMsg::SessionOpened {
             session: r.u64()?,
             credits: r.u64()?,

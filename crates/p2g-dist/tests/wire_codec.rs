@@ -283,3 +283,144 @@ proptest! {
         let _ = wire::decode_payload(&bytes); // Ok or Err both fine; panic is the failure
     }
 }
+
+/// One message of every `NetMsg` variant (both `Output` payload states),
+/// each with small distinct field values.
+fn golden_msgs() -> Vec<NetMsg> {
+    let region = Region(vec![
+        DimSel::Index(3),
+        DimSel::Range { start: 8, len: 8 },
+        DimSel::All,
+    ]);
+    let i16s = Buffer::from_data(BufferData::I16(vec![-2, 7, 300]), Extents::new(vec![3]))
+        .expect("consistent shape");
+    let f32s = Buffer::from_data(BufferData::F32(vec![0.5, -1.25]), Extents::new(vec![1, 2]))
+        .expect("consistent shape");
+    vec![
+        NetMsg::StoreForward {
+            field: FieldId(2),
+            age: Age(5),
+            region: region.clone(),
+            buffer: i16s.clone(),
+        },
+        NetMsg::Hello {
+            node: NodeId(1),
+            workers: 4,
+            port: 47100,
+        },
+        NetMsg::Assign {
+            epoch: 3,
+            status_every_us: 2000,
+            kernels: vec![KernelId(0), KernelId(6)],
+            subscribers: vec![
+                (FieldId(1), vec![NodeId(0), NodeId(2)]),
+                (FieldId(4), vec![]),
+            ],
+            peers: vec![(NodeId(0), "127.0.0.1:9".to_string())],
+        },
+        NetMsg::Status {
+            epoch: 2,
+            seq: 17,
+            outstanding: -3,
+            unacked: 4,
+            applied: 99,
+            failed: true,
+        },
+        NetMsg::Replay { epoch: 8 },
+        NetMsg::Finish,
+        NetMsg::Results {
+            entries: vec![
+                (FieldId(0), Age(1), region, i16s),
+                (FieldId(3), Age(0), Region(vec![DimSel::All]), f32s),
+            ],
+        },
+        NetMsg::Ack { count: 12 },
+        NetMsg::OpenSession {
+            session: 7,
+            pipeline: "mjpeg".to_string(),
+            params: vec![("width".to_string(), 64), ("q".to_string(), -1)],
+            priority: 2,
+            weight: 3,
+        },
+        NetMsg::SessionOpened {
+            session: 7,
+            credits: 8,
+        },
+        NetMsg::SessionRejected {
+            session: 7,
+            reason: "full".to_string(),
+        },
+        NetMsg::SubmitFrame {
+            session: 7,
+            age: 1,
+            payload: vec![1, 2, 3],
+        },
+        NetMsg::Output {
+            session: 7,
+            age: 1,
+            payload: Some(vec![0xFF, 0xD8]),
+        },
+        NetMsg::Output {
+            session: 7,
+            age: 2,
+            payload: None,
+        },
+        NetMsg::Credit {
+            session: 7,
+            granted: 16,
+        },
+        NetMsg::CloseSession { session: 7 },
+        NetMsg::SessionStats {
+            session: 7,
+            submitted: 1,
+            completed: 2,
+            dropped: 3,
+            in_flight: 4,
+            fps_milli: 5,
+            p50_latency_us: 6,
+            p95_latency_us: 7,
+            resident_ages: 8,
+            resident_bytes: 9,
+        },
+    ]
+}
+
+/// The wire format is pinned byte for byte: the payload of one message
+/// of every variant must encode to exactly these bytes (hex), so a codec
+/// refactor cannot change what goes on the wire or what
+/// `results_digest` hashes.
+#[test]
+fn every_variant_encodes_to_its_pinned_bytes() {
+    const GOLDEN: [&str; 17] = [
+        "010200000005000000000000000300030000000000000001080000000000000008000000000000000201010300000000000000feff07002c01",
+        "030100000004000000fcb7",
+        "040300000000000000d0070000000000000200000000000000060000000200000001000000020000000000000002000000040000000000000001000000000000000b003132372e302e302e313a39",
+        "0502000000000000001100000000000000fdffffffffffffff0400000000000000630000000000000001",
+        "060800000000000000",
+        "07",
+        "08020000000000000001000000000000000300030000000000000001080000000000000008000000000000000201010300000000000000feff07002c0103000000000000000000000001020402010000000000000002000000000000000000003f0000a0bf",
+        "090c00000000000000",
+        "0a070000000000000005006d6a70656702000000050077696474684000000000000000010071ffffffffffffffff0203000000",
+        "0b07000000000000000800000000000000",
+        "0c0700000000000000040066756c6c",
+        "0d0700000000000000010000000000000003000000010203",
+        "0e070000000000000001000000000000000102000000ffd8",
+        "0e0700000000000000020000000000000000",
+        "0f07000000000000001000000000000000",
+        "100700000000000000",
+        "110700000000000000010000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000070000000000000008000000000000000900000000000000",
+    ];
+    let msgs = golden_msgs();
+    assert_eq!(msgs.len(), GOLDEN.len());
+    for (msg, want) in msgs.iter().zip(GOLDEN) {
+        let got: String = wire::encode_payload(msg)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(got, want, "payload bytes of {msg:?}");
+        assert_eq!(
+            &wire::decode_payload(&wire::encode_payload(msg)).unwrap(),
+            msg
+        );
+    }
+}

@@ -44,7 +44,7 @@ impl Bitmap {
 
     /// True when every tracked bit is set.
     #[inline]
-    pub fn all_set(&self) -> bool {
+    pub(crate) fn all_set(&self) -> bool {
         self.count == self.len
     }
 
@@ -81,7 +81,7 @@ impl Bitmap {
     /// Set the `len` bits from `start` if none of them is set yet; when one
     /// is, set nothing and return `false`. The write-once check for a
     /// contiguous run, a word at a time.
-    pub fn set_run(&mut self, start: usize, len: usize) -> bool {
+    pub(crate) fn set_run(&mut self, start: usize, len: usize) -> bool {
         debug_assert!(start + len <= self.len);
         if Self::run_masks(start, len).any(|(w, m)| self.words[w] & m != 0) {
             return false;
@@ -94,7 +94,7 @@ impl Bitmap {
     }
 
     /// True when all `len` bits from `start` are set.
-    pub fn all_set_run(&self, start: usize, len: usize) -> bool {
+    pub(crate) fn all_set_run(&self, start: usize, len: usize) -> bool {
         debug_assert!(start + len <= self.len);
         Self::run_masks(start, len).all(|(w, m)| self.words[w] & m == m)
     }
@@ -116,7 +116,7 @@ impl Bitmap {
     }
 
     /// Iterate the indices of set bits.
-    pub fn iter_set(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn iter_set(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(move |(wi, &w)| {
             let base = wi * 64;
             let len = self.len;
@@ -219,13 +219,6 @@ impl ShapedBitmap {
     #[inline]
     pub fn get_linear(&self, lin: usize) -> bool {
         self.bits.get(lin)
-    }
-
-    /// Set a bit by row-major linear index under the current shape,
-    /// returning `false` when it was already set.
-    #[inline]
-    pub fn set_linear(&mut self, lin: usize) -> bool {
-        self.bits.set(lin)
     }
 
     /// Grow to `new_extents` (component-wise union with the current shape),

@@ -170,7 +170,7 @@ impl Buffer {
 
     /// Copy `len` elements of `src` starting at `from` into this buffer at
     /// `at`, as one slice copy. The element types must match.
-    pub fn copy_from(
+    pub(crate) fn copy_from(
         &mut self,
         at: usize,
         src: &Buffer,
@@ -238,12 +238,6 @@ impl Buffer {
     #[inline]
     pub fn data(&self) -> &BufferData {
         &self.data
-    }
-
-    /// Mutable access to the raw data.
-    #[inline]
-    pub fn data_mut(&mut self) -> &mut BufferData {
-        &mut self.data
     }
 }
 

@@ -71,19 +71,6 @@ impl Extents {
         idx
     }
 
-    /// Grow so that `index` is in bounds, returning `true` when anything
-    /// changed. This is the primitive behind implicit resizing.
-    pub fn grow_to_include(&mut self, index: &[usize]) -> bool {
-        let mut changed = false;
-        for (ext, &ix) in self.0.iter_mut().zip(index) {
-            if ix >= *ext {
-                *ext = ix + 1;
-                changed = true;
-            }
-        }
-        changed
-    }
-
     /// Component-wise maximum with another extent set.
     pub fn union(&self, other: &Extents) -> Extents {
         Extents(
@@ -201,32 +188,11 @@ impl Region {
         Ok(out)
     }
 
-    /// The largest multi-index this region touches, used for implicit
-    /// resizing on stores. `None` when the region contains an `All`
-    /// selector (those adopt the current extent rather than forcing growth)
-    /// or is empty along some dimension.
-    pub fn max_index(&self) -> Option<Vec<usize>> {
-        self.0
-            .iter()
-            .map(|sel| match *sel {
-                DimSel::Index(i) => Some(i),
-                DimSel::Range { start, len } => {
-                    if len == 0 {
-                        None
-                    } else {
-                        Some(start + len - 1)
-                    }
-                }
-                DimSel::All => None,
-            })
-            .collect()
-    }
-
     /// The region as rows: the linear index (against `extents`) of the
     /// first element of each innermost-dimension run, in row-major order,
     /// and the run length. A row is contiguous in a row-major buffer. The
     /// region must lie within `extents`.
-    pub fn rows<'a>(&self, extents: &'a Extents) -> Result<(RegionIter<'a>, usize), FieldError> {
+    pub(crate) fn rows<'a>(&self, extents: &'a Extents) -> Result<(RegionIter<'a>, usize), FieldError> {
         let mut spans = self.resolve(extents)?;
         let row = match spans.last_mut() {
             Some((_, len)) => std::mem::replace(len, (*len).min(1)),
@@ -257,11 +223,6 @@ impl Region {
         )
     }
 
-    /// True when any dimension uses the extent-relative `All` selector.
-    pub fn has_all(&self) -> bool {
-        self.0.iter().any(|s| matches!(s, DimSel::All))
-    }
-
     /// Number of elements this region selects under `extents`.
     pub fn len(&self, extents: &Extents) -> Result<usize, FieldError> {
         Ok(self.shape(extents)?.len())
@@ -287,7 +248,7 @@ impl std::fmt::Display for Region {
 }
 
 /// Row-major iterator over the linear indices of a region.
-pub struct RegionIter<'a> {
+pub(crate) struct RegionIter<'a> {
     spans: Vec<(usize, usize)>,
     extents: &'a Extents,
     cursor: Vec<usize>,
@@ -353,14 +314,6 @@ mod tests {
         for lin in 0..e.len() {
             assert_eq!(e.linearize(&e.delinearize(lin)), Some(lin));
         }
-    }
-
-    #[test]
-    fn grow_to_include() {
-        let mut e = Extents::new([2, 2]);
-        assert!(!e.grow_to_include(&[1, 1]));
-        assert!(e.grow_to_include(&[4, 0]));
-        assert_eq!(e, Extents::new([5, 2]));
     }
 
     #[test]
@@ -431,13 +384,6 @@ mod tests {
         let empty_rows = Extents::new([2, 0]);
         let (mut rows, row) = r.rows(&empty_rows).unwrap();
         assert_eq!((rows.next(), row), (None, 0));
-    }
-
-    #[test]
-    fn region_max_index() {
-        let r = Region(vec![DimSel::Index(3), DimSel::Range { start: 1, len: 4 }]);
-        assert_eq!(r.max_index(), Some(vec![3, 4]));
-        assert_eq!(Region::all(2).max_index(), None);
     }
 
     #[test]

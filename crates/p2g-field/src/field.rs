@@ -157,11 +157,6 @@ impl Field {
         self.id
     }
 
-    /// The field's definition.
-    pub fn def(&self) -> &FieldDef {
-        &self.def
-    }
-
     /// Source-level name.
     pub fn name(&self) -> &str {
         &self.def.name
@@ -180,12 +175,6 @@ impl Field {
     /// The extents of an age, if that age has any data.
     pub fn extents(&self, age: Age) -> Option<&Extents> {
         self.ages.get(&age.0).map(|a| a.extents())
-    }
-
-    /// The latest known extents (used to predict instance counts for ages
-    /// that have not been written yet).
-    pub fn template_extents(&self) -> Option<&Extents> {
-        self.template_extents.as_ref()
     }
 
     /// Ages currently resident.
@@ -221,17 +210,6 @@ impl Field {
         // only when extents are known *and* nonzero overall is not required:
         // P2G treats empty slices as satisfied.
         rows.all(|start| a.written.all_set_run(start, row))
-    }
-
-    /// True when a single element has been written.
-    pub fn element_written(&self, age: Age, index: &[usize]) -> bool {
-        let Some(a) = self.ages.get(&age.0) else {
-            return false;
-        };
-        match a.extents.linearize(index) {
-            Some(lin) => a.written.get(lin),
-            None => false,
-        }
     }
 
     fn check_age_live(&self, age: Age) -> Result<(), FieldError> {
@@ -748,9 +726,6 @@ mod tests {
         assert!(f.region_written(Age(0), &Region(vec![DimSel::Range { start: 1, len: 2 }])));
         assert!(!f.region_written(Age(0), &Region::all(1)));
         assert!(!f.region_written(Age(1), &Region::all(1)));
-        assert!(f.element_written(Age(0), &[1]));
-        assert!(!f.element_written(Age(0), &[0]));
-        assert!(!f.element_written(Age(0), &[9]));
     }
 
     #[test]

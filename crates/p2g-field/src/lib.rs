@@ -28,7 +28,7 @@ pub mod buffer;
 pub mod error;
 pub mod extent;
 pub mod field;
-pub mod types;
+pub(crate) mod types;
 
 pub use bitmap::{Bitmap, ShapedBitmap};
 pub use buffer::Buffer;

@@ -40,19 +40,6 @@ impl ScalarType {
         }
     }
 
-    /// Parse a kernel-language type keyword.
-    pub fn from_keyword(kw: &str) -> Option<ScalarType> {
-        Some(match kw {
-            "uint8" => ScalarType::U8,
-            "int16" => ScalarType::I16,
-            "int32" => ScalarType::I32,
-            "int64" => ScalarType::I64,
-            "float32" => ScalarType::F32,
-            "float64" => ScalarType::F64,
-            _ => return None,
-        })
-    }
-
     /// Whether this is a floating-point type.
     pub fn is_float(self) -> bool {
         matches!(self, ScalarType::F32 | ScalarType::F64)
@@ -144,7 +131,7 @@ impl Value {
     }
 
     /// Strictly-typed conversion: error if the types differ.
-    pub fn expect_type(self, ty: ScalarType) -> Result<Value, FieldError> {
+    pub(crate) fn expect_type(self, ty: ScalarType) -> Result<Value, FieldError> {
         if self.scalar_type() == ty {
             Ok(self)
         } else {
@@ -190,21 +177,6 @@ mod tests {
         assert_eq!(ScalarType::F32.size_bytes(), 4);
         assert_eq!(ScalarType::I64.size_bytes(), 8);
         assert_eq!(ScalarType::F64.size_bytes(), 8);
-    }
-
-    #[test]
-    fn keyword_round_trip() {
-        for ty in [
-            ScalarType::U8,
-            ScalarType::I16,
-            ScalarType::I32,
-            ScalarType::I64,
-            ScalarType::F32,
-            ScalarType::F64,
-        ] {
-            assert_eq!(ScalarType::from_keyword(ty.keyword()), Some(ty));
-        }
-        assert_eq!(ScalarType::from_keyword("void"), None);
     }
 
     #[test]

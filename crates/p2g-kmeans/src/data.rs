@@ -28,7 +28,7 @@ pub fn generate_dataset(n: usize, dim: usize, k: usize, seed: u64) -> Vec<f64> {
 
 /// Squared Euclidean distance between two `dim`-dimensional slices.
 #[inline]
-pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
     a.iter()
         .zip(b)
         .map(|(x, y)| {
@@ -40,7 +40,7 @@ pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
 
 /// The `assign` kernel's math: index of the nearest centroid. Ties break
 /// toward the lower index (deterministic).
-pub fn assign_point(point: &[f64], centroids: &[f64], k: usize, dim: usize) -> usize {
+pub(crate) fn assign_point(point: &[f64], centroids: &[f64], k: usize, dim: usize) -> usize {
     let mut best = 0usize;
     let mut best_d = f64::INFINITY;
     for c in 0..k {
@@ -56,7 +56,7 @@ pub fn assign_point(point: &[f64], centroids: &[f64], k: usize, dim: usize) -> u
 /// The `refine` kernel's math: the new centroid of cluster `c` — the mean
 /// of its members, or the old centroid when the cluster is empty. Summation
 /// runs in point-index order so results are bit-deterministic.
-pub fn refine_centroid(
+pub(crate) fn refine_centroid(
     points: &[f64],
     assignments: &[i32],
     c: usize,

@@ -29,5 +29,5 @@ pub mod data;
 pub mod pipeline;
 
 pub use baseline::{kmeans_baseline, KmeansTrace};
-pub use data::{assign_point, generate_dataset, refine_centroid, squared_distance};
+pub use data::generate_dataset;
 pub use pipeline::{build_kmeans_program, KmeansConfig, KmeansResult};

@@ -4,7 +4,7 @@ use p2g_field::ScalarType;
 
 /// A whole source file.
 #[derive(Debug, Clone, Default)]
-pub struct SourceUnit {
+pub(crate) struct SourceUnit {
     pub fields: Vec<FieldDecl>,
     pub timers: Vec<String>,
     pub kernels: Vec<KernelDef>,
@@ -12,7 +12,7 @@ pub struct SourceUnit {
 
 /// `int32[] m_data age;` or `uint8[1584][64] y_input age;`
 #[derive(Debug, Clone, PartialEq)]
-pub struct FieldDecl {
+pub(crate) struct FieldDecl {
     pub name: String,
     pub ty: ScalarType,
     /// One entry per dimension; `Some(n)` when an extent was given.
@@ -24,7 +24,7 @@ pub struct FieldDecl {
 
 /// A kernel definition: `name:` followed by declarations and statements.
 #[derive(Debug, Clone)]
-pub struct KernelDef {
+pub(crate) struct KernelDef {
     pub name: String,
     /// `age a;` — name of the age variable, if declared.
     pub age_var: Option<String>,
@@ -39,7 +39,7 @@ pub struct KernelDef {
 
 /// `local int32[] values;`
 #[derive(Debug, Clone, PartialEq)]
-pub struct LocalDecl {
+pub(crate) struct LocalDecl {
     pub name: String,
     pub ty: ScalarType,
     /// Array dimensionality (0 = scalar).
@@ -156,7 +156,7 @@ pub enum Expr {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AssignOp {
+pub(crate) enum AssignOp {
     Set,
     Add,
     Sub,
@@ -165,7 +165,7 @@ pub enum AssignOp {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnaryOp {
+pub(crate) enum UnaryOp {
     Neg,
     Not,
     PreInc,

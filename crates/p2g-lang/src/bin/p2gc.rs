@@ -7,14 +7,12 @@
 //! per-kernel instrumentation table.
 //!
 //! Usage:
-//!   p2gc run <file.p2g> [--ages N] [--workers W] [--shards S] [--gc-window W] [--trace-out PATH]
-//!   p2gc serve <file.p2g> [--sessions N] [--frames F] [--workers W] [--shards S] [--gc-window W]
+//!   p2gc run <file.p2g> [--ages N] [--workers W] [--shards S] [--trace-out PATH]
+//!                       [--adaptive]
 //!   p2gc check <file.p2g>
 //!   p2gc graph <file.p2g>        # dump Figures 2/3 style dot graphs
-//!
-//! `serve` runs the program as N concurrent tenants of one shared
-//! session-runtime worker pool (the resident multi-session configuration),
-//! each bounded to F frames (ages).
+//!   p2gc cluster master|node ... # the multi-process cluster
+//!   p2gc serve-node / submit ... # remote session serving
 //!
 //! `--trace-out` enables structured run tracing and writes the merged
 //! trace after the run: Chrome trace-viewer JSON (`chrome://tracing`,
@@ -32,11 +30,11 @@ use p2g_dist::{
 use p2g_graph::{FinalGraph, IntermediateGraph, NodeId};
 use p2g_lang::compile_source;
 use p2g_mjpeg::{mjpeg_registry, pack_i420, FrameSource, SyntheticVideo};
-use p2g_runtime::{FaultPolicy, NodeBuilder, Qos, RunLimits, SessionRuntime};
+use p2g_runtime::{NodeBuilder, Qos, RunLimits};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  p2gc run <file.p2g> [--ages N] [--workers W] [--shards S] [--gc-window W]\n                      [--deadline-ms D] [--retries R] [--kernel-deadline-ms D]\n                      [--trace-out PATH] [--adaptive]\n  p2gc serve <file.p2g> [--sessions N] [--frames F] [--workers W] [--shards S]\n                        [--gc-window W] [--adaptive]\n  p2gc check <file.p2g>\n  p2gc graph <file.p2g>\n  p2gc cluster master <file.p2g> --nodes N [--port P] [--ages A]\n                      [--failure-timeout-ms D] [--deadline-ms D]\n                      [--net-retries R] [--net-backoff-us B]\n  p2gc cluster node <file.p2g> --node-id I --master HOST:PORT [--workers W]\n                      [--ages A] [--deadline-ms D]\n                      [--net-retries R] [--net-backoff-us B]\n  p2gc serve-node [--port P] [--workers W] [--stats-interval-ms D]\n                  [--orphan-timeout-ms D] [--deadline-ms D]\n                  [--net-retries R] [--net-backoff-us B]\n  p2gc submit --server HOST:PORT [--client-id I] [--width W] [--height H]\n              [--frames N] [--quality Q] [--seed S] [--cadence-ms C]\n              [--priority P] [--weight W] [--window N] [--out PATH]\n              [--shutdown-server]\n\nmulti-process cluster (p2gc cluster):\n  master listens on loopback, plans the dependency graph across the\n  joined nodes, supervises their status reports, replans and replays\n  around node deaths, and prints a chunking-invariant results digest;\n  each node process runs its assigned kernels and forwards stores over TCP\n  --net-retries R         send attempts before a peer is declared dead\n  --net-backoff-us B      initial reconnect/retry backoff (doubles, jittered)\n\nremote session serving (p2gc serve-node / p2gc submit):\n  serve-node hosts a resident session runtime behind TCP, offering the\n  built-in \"mjpeg\" pipeline; submit streams synthetic i420 frames into\n  it as one remote session and receives the encoded MJPEG stream back\n  --cadence-ms C          delay between frame submits (live-source pacing)\n  --priority P            QoS class: 0 realtime, 1 normal, 2 bulk\n  --weight W              fair-share weight within the class\n  --out PATH              write the received MJPEG stream to PATH\n  --shutdown-server       send the admin shutdown after closing\n\nparallel dependency analysis:\n  --shards S              analyzer shards (default 1, the sequential\n                          analyzer; at most 64)\n\ngranularity adaptation:\n  --adaptive              adapt kernel chunk sizes online from live\n                          dispatch-overhead and latency measurements\n\nmulti-tenant serving (p2gc serve):\n  --sessions N            concurrent tenant copies of the program (default 2)\n  --frames F              frames (ages) per tenant (default 4)\n  --workers W             shared worker-pool threads\n\nfault isolation (applies to every kernel, degrade instead of abort):\n  --retries R             retry failed kernel instances up to R times\n  --kernel-deadline-ms D  flag instances overrunning D ms for cancellation\n\ntracing:\n  --trace-out PATH        record a structured run trace; write Chrome\n                          trace-viewer JSON if PATH ends in .json, else JSONL"
+        "usage:\n  p2gc run <file.p2g> [--ages N] [--workers W] [--shards S] [--trace-out PATH]\n                      [--adaptive]\n  p2gc check <file.p2g>\n  p2gc graph <file.p2g>\n  p2gc cluster master <file.p2g> --nodes N [--port P] [--ages A]\n                      [--failure-timeout-ms D] [--deadline-ms D]\n                      [--net-retries R] [--net-backoff-us B]\n  p2gc cluster node <file.p2g> --node-id I --master HOST:PORT [--workers W]\n                      [--ages A] [--deadline-ms D]\n                      [--net-retries R] [--net-backoff-us B]\n  p2gc serve-node [--port P] [--workers W] [--stats-interval-ms D]\n                  [--orphan-timeout-ms D] [--deadline-ms D]\n                  [--net-retries R] [--net-backoff-us B]\n  p2gc submit --server HOST:PORT [--client-id I] [--width W] [--height H]\n              [--frames N] [--quality Q] [--seed S] [--cadence-ms C]\n              [--priority P] [--weight W] [--window N] [--out PATH]\n              [--shutdown-server]\n\nmulti-process cluster (p2gc cluster):\n  master listens on loopback, plans the dependency graph across the\n  joined nodes, supervises their status reports, replans and replays\n  around node deaths, and prints a chunking-invariant results digest;\n  each node process runs its assigned kernels and forwards stores over TCP\n  --net-retries R         send attempts before a peer is declared dead\n  --net-backoff-us B      initial reconnect/retry backoff (doubles, jittered)\n\nremote session serving (p2gc serve-node / p2gc submit):\n  serve-node hosts a resident session runtime behind TCP, offering the\n  built-in \"mjpeg\" pipeline; submit streams synthetic i420 frames into\n  it as one remote session and receives the encoded MJPEG stream back\n  --cadence-ms C          delay between frame submits (live-source pacing)\n  --priority P            QoS class: 0 realtime, 1 normal, 2 bulk\n  --weight W              fair-share weight within the class\n  --out PATH              write the received MJPEG stream to PATH\n  --shutdown-server       send the admin shutdown after closing\n\nparallel dependency analysis:\n  --shards S              analyzer shards (default 1, the sequential\n                          analyzer; at most 64)\n\ngranularity adaptation:\n  --adaptive              adapt kernel chunk sizes online from live\n                          dispatch-overhead and latency measurements\n\ntracing:\n  --trace-out PATH        record a structured run trace; write Chrome\n                          trace-viewer JSON if PATH ends in .json, else JSONL"
     );
     ExitCode::from(2)
 }
@@ -71,14 +69,6 @@ fn stderr_line(line: &str) {
     eprintln!("{line}");
 }
 
-/// Apply the shared `--adaptive` execution flag to run limits.
-fn exec_flags(args: &[String], mut limits: RunLimits) -> RunLimits {
-    if has_flag(args, "--adaptive") {
-        limits = limits.with_adaptive(p2g_runtime::AdaptiveGranularity::default());
-    }
-    limits
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
@@ -104,7 +94,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut compiled = match compile_source(&source) {
+    let compiled = match compile_source(&source) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("p2gc: {path}: {e}");
@@ -135,28 +125,13 @@ fn main() -> ExitCode {
             let workers: usize = flag(&args, "--workers")
                 .unwrap_or_else(|| std::thread::available_parallelism().map_or(2, |n| n.get()));
             let shards: usize = flag(&args, "--shards").unwrap_or(1);
-            let mut limits = exec_flags(&args, RunLimits::ages(ages).with_shards(shards));
-            if let Some(w) = flag::<u64>(&args, "--gc-window") {
-                limits = limits.with_gc_window(w);
+            let mut limits = RunLimits::ages(ages).with_shards(shards);
+            if has_flag(&args, "--adaptive") {
+                limits = limits.with_adaptive(p2g_runtime::AdaptiveGranularity::default());
             }
-            if let Some(ms) = flag::<u64>(&args, "--deadline-ms") {
-                limits = limits.with_deadline(Duration::from_millis(ms));
-            }
-            // Fault isolation: with either flag set, kernel failures are
-            // retried and then degrade (poison dependents) instead of
-            // aborting the whole run.
             let trace_out = flag::<String>(&args, "--trace-out");
             if trace_out.is_some() {
                 limits = limits.with_trace();
-            }
-            let retries = flag::<u32>(&args, "--retries");
-            let kernel_deadline = flag::<u64>(&args, "--kernel-deadline-ms");
-            if retries.is_some() || kernel_deadline.is_some() {
-                let mut policy = FaultPolicy::retries(retries.unwrap_or(0)).poison();
-                if let Some(ms) = kernel_deadline {
-                    policy = policy.with_deadline(Duration::from_millis(ms));
-                }
-                compiled.program.set_fault_policy_all(policy);
             }
 
             let node = NodeBuilder::new(compiled.program).workers(workers);
@@ -292,73 +267,6 @@ fn main() -> ExitCode {
                     }
                 }
                 _ => usage(),
-            }
-        }
-        "serve" => {
-            let sessions: usize = flag(&args, "--sessions").unwrap_or(2);
-            let frames: u64 = flag(&args, "--frames").unwrap_or(4);
-            let workers: usize = flag(&args, "--workers")
-                .unwrap_or_else(|| std::thread::available_parallelism().map_or(2, |n| n.get()));
-            let shards: usize = flag(&args, "--shards").unwrap_or(1);
-            let mut limits = exec_flags(&args, RunLimits::ages(frames).with_shards(shards));
-            if let Some(w) = flag::<u64>(&args, "--gc-window") {
-                limits = limits.with_gc_window(w);
-            }
-
-            // One shared pool; each tenant is a pool-attached node running
-            // its own copy of the compiled program (kernel bodies cannot
-            // be cloned, so each session recompiles the source).
-            let runtime = SessionRuntime::new(workers);
-            let mut tenants = Vec::new();
-            for s in 0..sessions.max(1) {
-                let tenant = match compile_source(&source) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        eprintln!("p2gc: {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                match runtime.launch_batch(tenant.program, limits.clone()) {
-                    Ok(node) => tenants.push((s, node, tenant.print)),
-                    Err(e) => {
-                        eprintln!("p2gc: session {s}: launch failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            let start = std::time::Instant::now();
-            let mut failed = false;
-            for (s, node, print) in tenants {
-                match node.wait() {
-                    Ok(report) => {
-                        print!("{}", print.take());
-                        let instances: u64 = report
-                            .instruments
-                            .all()
-                            .iter()
-                            .map(|(_, s)| s.instances)
-                            .sum();
-                        eprintln!(
-                            "--- session {s}: {:?}, {instances} instances, {:?} ---",
-                            report.termination, report.wall_time
-                        );
-                    }
-                    Err(e) => {
-                        eprintln!("p2gc: session {s}: runtime error: {e}");
-                        failed = true;
-                    }
-                }
-            }
-            runtime.shutdown();
-            eprintln!(
-                "--- {path}: {sessions} sessions x {frames} frames on {workers} shared workers \
-                 in {:?} ---",
-                start.elapsed()
-            );
-            if failed {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
             }
         }
         _ => usage(),

@@ -39,11 +39,6 @@ impl PrintSink {
         self.buf.lock().push_str(text);
     }
 
-    /// Snapshot the captured output.
-    pub fn contents(&self) -> String {
-        self.buf.lock().clone()
-    }
-
     /// Take the captured output, clearing the sink.
     pub fn take(&self) -> String {
         std::mem::take(&mut self.buf.lock())
@@ -168,7 +163,7 @@ print:
         assert_eq!(p1.as_i32().unwrap(), &[50, 54, 58, 62, 66]);
 
         // The print kernel captured both ages, in age order.
-        let out = compiled.print.contents();
+        let out = compiled.print.take();
         let expected = "10 11 12 13 14 \n20 22 24 26 28 \n25 27 29 31 33 \n50 54 58 62 66 \n";
         assert_eq!(out, expected);
     }

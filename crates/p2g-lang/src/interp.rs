@@ -18,7 +18,7 @@ use crate::sema::{BodyStep, KernelPlan};
 
 /// A runtime array value.
 #[derive(Debug, Clone)]
-pub struct ArrayVal {
+pub(crate) struct ArrayVal {
     pub ty: ScalarType,
     pub extents: Vec<usize>,
     /// Canonicalized element values (I64 for integer types, F64 for
@@ -60,7 +60,7 @@ impl ArrayVal {
 /// A scalar slot canonicalized to i64 or f64 depending on its declared
 /// type.
 #[derive(Debug, Clone)]
-pub enum RtVal {
+pub(crate) enum RtVal {
     Int(i64),
     Float(f64),
     Str(String),
@@ -141,7 +141,7 @@ struct Interp<'a, 'c> {
 }
 
 /// Execute one kernel instance according to its plan.
-pub fn run_kernel(
+pub(crate) fn run_kernel(
     plan: &KernelPlan,
     spec_stores: &[p2g_graph::spec::StoreDecl],
     field_types: &[ScalarType],

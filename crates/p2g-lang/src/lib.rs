@@ -50,15 +50,14 @@
 //! assert_eq!(report.instruments.kernel("mul2").unwrap().instances, 10);
 //! ```
 
-pub mod ast;
+pub(crate) mod ast;
 pub mod compile;
 pub mod error;
-pub mod interp;
-pub mod lexer;
-pub mod parser;
-pub mod sema;
-pub mod token;
+pub(crate) mod interp;
+pub(crate) mod lexer;
+pub(crate) mod parser;
+pub(crate) mod sema;
+pub(crate) mod token;
 
 pub use compile::{compile_source, CompiledProgram, PrintSink};
 pub use error::LangError;
-pub use parser::parse;

@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use p2g_field::{Extents, FieldDef, ScalarType};
+use p2g_field::{Extents, FieldDef};
 use p2g_graph::spec::{
     AgeExpr, FetchDecl, IndexSel, IndexVar, KernelId, KernelSpec, ProgramSpec, StoreDecl,
 };
@@ -14,7 +14,7 @@ use crate::error::LangError;
 
 /// A store step in a kernel's execution plan.
 #[derive(Debug, Clone)]
-pub struct StorePlan {
+pub(crate) struct StorePlan {
     /// Index into the kernel's `stores` declarations.
     pub store_idx: usize,
     /// The local variable whose value is stored.
@@ -28,14 +28,14 @@ pub struct StorePlan {
 /// One step of a kernel body, executed in source order after all fetches
 /// are bound.
 #[derive(Debug, Clone)]
-pub enum BodyStep {
+pub(crate) enum BodyStep {
     Native(Vec<Stmt>),
     Store(StorePlan),
 }
 
 /// Everything the interpreter needs to run one kernel definition.
 #[derive(Debug, Clone)]
-pub struct KernelPlan {
+pub(crate) struct KernelPlan {
     pub name: String,
     /// Age variable name, if declared.
     pub age_var: Option<String>,
@@ -52,7 +52,7 @@ pub struct KernelPlan {
 
 /// Result of semantic analysis.
 #[derive(Debug)]
-pub struct Analyzed {
+pub(crate) struct Analyzed {
     pub spec: ProgramSpec,
     pub plans: Vec<KernelPlan>,
     pub timers: Vec<String>,
@@ -319,14 +319,6 @@ fn natives_print(stmts: &[Stmt]) -> bool {
                 || natives_print(std::slice::from_ref(body))
         }
     })
-}
-
-/// The scalar type a fetch target should be bound as, given the local decl.
-pub fn local_type(locals: &[LocalDecl], name: &str) -> Option<(ScalarType, usize)> {
-    locals
-        .iter()
-        .find(|l| l.name == name)
-        .map(|l| (l.ty, l.dims))
 }
 
 #[cfg(test)]

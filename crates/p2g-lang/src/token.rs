@@ -68,7 +68,7 @@ pub enum Tok {
 
 impl Tok {
     /// Human-readable token name for diagnostics.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             Tok::Ident(s) => format!("identifier '{s}'"),
             Tok::Int(v) => format!("integer {v}"),
@@ -83,7 +83,7 @@ impl Tok {
 
 /// A token with its source position.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Spanned {
+pub(crate) struct Spanned {
     pub tok: Tok,
     pub pos: Pos,
 }
@@ -128,6 +128,17 @@ mod tests {
             Some(Tok::Type(p2g_field::ScalarType::F64))
         );
         assert_eq!(keyword("banana"), None);
+    }
+
+    /// The keyword table above is the one place a type keyword is parsed:
+    /// every type's printed keyword lexes back to that type.
+    #[test]
+    fn every_scalar_keyword_lexes_to_its_type() {
+        use p2g_field::ScalarType as S;
+        for ty in [S::U8, S::I16, S::I32, S::I64, S::F32, S::F64] {
+            let toks = crate::lexer::lex(ty.keyword()).unwrap();
+            assert_eq!(toks[0].tok, Tok::Type(ty), "{}", ty.keyword());
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl ChunkWriter {
 /// tables) may contain `FF D9`-looking byte pairs, so a naive EOI scan
 /// from the frame start is not safe; only the entropy-coded scan after
 /// SOS is stuffing-protected.
-pub fn frame_span(data: &[u8]) -> Option<usize> {
+pub(crate) fn frame_span(data: &[u8]) -> Option<usize> {
     if data.len() < 4 || data[0] != 0xFF || data[1] != 0xD8 {
         return None;
     }
@@ -175,23 +175,23 @@ pub fn wrap_avi(mjpeg: &[u8], width: u32, height: u32, fps: u32) -> Vec<u8> {
     out
 }
 
-/// Quick sanity parse of an AVI produced by [`wrap_avi`]: returns the
-/// frame count from the idx1 index.
-pub fn avi_frame_count(avi: &[u8]) -> Option<usize> {
-    if avi.len() < 12 || &avi[0..4] != b"RIFF" || &avi[8..12] != b"AVI " {
-        return None;
-    }
-    // Find idx1 chunk.
-    let pos = avi.windows(4).position(|w| w == b"idx1")?;
-    let len = u32::from_le_bytes(avi[pos + 4..pos + 8].try_into().ok()?) as usize;
-    Some(len / 16)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encoder::{count_frames, encode_standalone};
     use crate::synthetic::SyntheticVideo;
+
+    /// Quick sanity parse of an AVI produced by [`wrap_avi`]: returns the
+    /// frame count from the idx1 index.
+    fn avi_frame_count(avi: &[u8]) -> Option<usize> {
+        if avi.len() < 12 || &avi[0..4] != b"RIFF" || &avi[8..12] != b"AVI " {
+            return None;
+        }
+        // Find idx1 chunk.
+        let pos = avi.windows(4).position(|w| w == b"idx1")?;
+        let len = u32::from_le_bytes(avi[pos + 4..pos + 8].try_into().ok()?) as usize;
+        Some(len / 16)
+    }
 
     fn sample_stream(frames: u64) -> Vec<u8> {
         encode_standalone(&SyntheticVideo::new(32, 32, frames, 3), 70, frames, true)

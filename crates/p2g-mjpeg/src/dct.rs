@@ -55,7 +55,7 @@ pub fn scaled_quant_table(base: &[u16; 64], quality: u8) -> [u16; 64] {
 
 /// Naive forward 8×8 DCT (the paper's prototype): direct evaluation of the
 /// type-II DCT definition, O(64²) multiply-adds per block.
-pub fn fdct_naive(block: &[u8; 64]) -> [f64; 64] {
+pub(crate) fn fdct_naive(block: &[u8; 64]) -> [f64; 64] {
     let mut shifted = [0.0f64; 64];
     for (s, &p) in shifted.iter_mut().zip(block) {
         *s = p as f64 - 128.0;
@@ -147,7 +147,7 @@ fn aan_1d(d: &mut [f64; 8]) {
 }
 
 /// AAN fast forward DCT — the scalar oracle the SIMD path is checked
-/// against. Output equals [`fdct_naive`] after descaling, which
+/// against. Output equals `fdct_naive` after descaling, which
 /// [`quantize_aan`] folds into quantization.
 pub fn fdct_aan_scalar(block: &[u8; 64]) -> [f64; 64] {
     let mut data = [0.0f64; 64];
@@ -201,7 +201,7 @@ pub fn simd_active() -> bool {
 }
 
 /// Quantize true (unscaled) DCT coefficients.
-pub fn quantize(coeffs: &[f64; 64], table: &[u16; 64]) -> [i16; 64] {
+pub(crate) fn quantize(coeffs: &[f64; 64], table: &[u16; 64]) -> [i16; 64] {
     let mut out = [0i16; 64];
     for i in 0..64 {
         out[i] = (coeffs[i] / table[i] as f64).round() as i16;
@@ -282,20 +282,6 @@ pub fn dct_quantize_aan_div(block: &[u8; 64], divisors: &[f64; 64]) -> [i16; 64]
     quantize_aan_div(&fdct_aan(block), divisors)
 }
 
-/// Transform + quantize a contiguous run of 8×8 blocks (`blocks.len()`
-/// and `out.len()` must be equal multiples of 64). Amortizes the divisor
-/// precomputation across the batch; each block takes the vectorized path
-/// when available.
-pub fn dct_quantize_aan_blocks(blocks: &[u8], table: &[u16; 64], out: &mut [i16]) {
-    assert_eq!(blocks.len() % 64, 0, "blocks must be a multiple of 64");
-    assert_eq!(blocks.len(), out.len(), "output length must match input");
-    let div = aan_divisors(table);
-    for (b_in, b_out) in blocks.chunks_exact(64).zip(out.chunks_exact_mut(64)) {
-        let block: &[u8; 64] = b_in.try_into().expect("exact 64-byte chunk");
-        b_out.copy_from_slice(&dct_quantize_aan_div(block, &div));
-    }
-}
-
 /// Inverse 8×8 DCT (naive), for round-trip tests.
 pub fn idct_naive(coeffs: &[f64; 64]) -> [u8; 64] {
     let mut out = [0u8; 64];
@@ -345,7 +331,7 @@ mod simd {
 
     /// Runtime AVX detection (cached by std behind an atomic).
     #[inline]
-    pub fn avx_available() -> bool {
+    pub(crate) fn avx_available() -> bool {
         std::arch::is_x86_feature_detected!("avx")
     }
 
@@ -457,7 +443,7 @@ mod simd {
     /// # Safety
     /// The caller must have verified AVX support ([`avx_available`]).
     #[target_feature(enable = "avx")]
-    pub unsafe fn fdct_aan_avx(block: &[u8; 64]) -> [f64; 64] {
+    pub(crate) unsafe fn fdct_aan_avx(block: &[u8; 64]) -> [f64; 64] {
         let mut data = [0.0f64; 64];
         for (s, &p) in data.iter_mut().zip(block) {
             *s = p as f64 - 128.0;
@@ -489,7 +475,7 @@ mod simd {
     /// # Safety
     /// The caller must have verified AVX support ([`avx_available`]).
     #[target_feature(enable = "avx")]
-    pub unsafe fn quantize_aan_div_avx(coeffs: &[f64; 64], divisors: &[f64; 64]) -> [i16; 64] {
+    pub(crate) unsafe fn quantize_aan_div_avx(coeffs: &[f64; 64], divisors: &[f64; 64]) -> [i16; 64] {
         let mut q = [0.0f64; 64];
         for i in (0..64).step_by(4) {
             let c = _mm256_loadu_pd(coeffs.as_ptr().add(i));
@@ -634,18 +620,6 @@ mod tests {
                     "seed {seed} quality {quality}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn block_batch_matches_per_block() {
-        let table = scaled_quant_table(&QUANT_LUMA, 75);
-        let blocks: Vec<u8> = (0..8u8).flat_map(|s| test_block(s).to_vec()).collect();
-        let mut out = vec![0i16; blocks.len()];
-        dct_quantize_aan_blocks(&blocks, &table, &mut out);
-        for (s, chunk) in out.chunks_exact(64).enumerate() {
-            let expect = dct_quantize_aan(&test_block(s as u8), &table);
-            assert_eq!(chunk, &expect[..], "block {s}");
         }
     }
 

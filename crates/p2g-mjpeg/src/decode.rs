@@ -1,7 +1,7 @@
 //! A baseline JPEG decoder for the frames this crate produces — used to
 //! validate the encoder end-to-end (decode ∘ encode ≈ id, measured as
 //! PSNR against the source frame). It parses the exact header layout
-//! [`crate::jpeg::write_headers`] emits (4:2:0, Annex-K Huffman tables) and
+//! `crate::jpeg::write_headers` emits (4:2:0, Annex-K Huffman tables) and
 //! reconstructs planar YUV via dequantization + inverse DCT.
 
 use crate::dct::{dequantize, idct_naive};
@@ -65,7 +65,7 @@ pub struct DecodedFrame {
 }
 
 /// Decode a single JPEG frame from the start of `data` (as produced by
-/// [`crate::jpeg::write_frame`]).
+/// `crate::jpeg::write_frame`).
 pub fn decode_frame(data: &[u8]) -> Result<DecodedFrame, DecodeError> {
     let mut p = Parser { data, pos: 0 };
 

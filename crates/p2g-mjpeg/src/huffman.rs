@@ -3,7 +3,7 @@
 
 /// Zigzag order: `ZIGZAG[i]` is the natural-order index of the `i`-th
 /// zigzag coefficient.
-pub const ZIGZAG: [usize; 64] = [
+pub(crate) const ZIGZAG: [usize; 64] = [
     0, 1, 8, 16, 9, 2, 3, 10, //
     17, 24, 32, 25, 18, 11, 4, 5, //
     12, 19, 26, 33, 40, 48, 41, 34, //
@@ -98,7 +98,7 @@ impl HuffTable {
     /// Code for a symbol; panics if the symbol has no code (invalid
     /// encoder state).
     #[inline]
-    pub fn code(&self, symbol: u8) -> (u16, u8) {
+    pub(crate) fn code(&self, symbol: u8) -> (u16, u8) {
         let (c, l) = self.codes[symbol as usize];
         assert!(l > 0, "symbol {symbol:#x} has no Huffman code");
         (c, l)
@@ -142,11 +142,6 @@ impl BitWriter {
             self.put((1u16 << pad) - 1, pad);
         }
         self.out
-    }
-
-    /// Bits written so far.
-    pub fn bit_len(&self) -> usize {
-        self.out.len() * 8 + self.nbits as usize
     }
 }
 
@@ -272,7 +267,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Decode one Huffman symbol via linear code-length search.
-    pub fn read_symbol(&mut self, spec: &HuffSpec) -> Option<u8> {
+    pub(crate) fn read_symbol(&mut self, spec: &HuffSpec) -> Option<u8> {
         let table = HuffTable::build(spec);
         let mut code = 0u16;
         for len in 1..=16u8 {
@@ -343,6 +338,13 @@ pub fn decode_block(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BitWriter {
+        /// Bits written so far.
+        fn bit_len(&self) -> usize {
+            self.out.len() * 8 + self.nbits as usize
+        }
+    }
 
     #[test]
     fn zigzag_is_a_permutation() {

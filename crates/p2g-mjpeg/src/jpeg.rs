@@ -8,22 +8,19 @@ use crate::huffman::{
 
 /// Encoding parameters shared by every kernel of the pipeline.
 #[derive(Debug, Clone)]
-pub struct JpegParams {
+pub(crate) struct JpegParams {
     pub width: usize,
     pub height: usize,
-    /// IJG quality 1..=100.
-    pub quality: u8,
     pub luma_table: [u16; 64],
     pub chroma_table: [u16; 64],
 }
 
 impl JpegParams {
-    /// Derive quantization tables for a quality setting.
+    /// Derive quantization tables for an IJG quality setting (1..=100).
     pub fn new(width: usize, height: usize, quality: u8) -> JpegParams {
         JpegParams {
             width,
             height,
-            quality,
             luma_table: scaled_quant_table(&QUANT_LUMA, quality),
             chroma_table: scaled_quant_table(&QUANT_CHROMA, quality),
         }
@@ -40,12 +37,12 @@ impl JpegParams {
     }
 
     /// MCUs per row (one MCU covers 16×16 luma pixels in 4:2:0).
-    pub fn mcus_x(&self) -> usize {
+    pub(crate) fn mcus_x(&self) -> usize {
         self.width / 16
     }
 
     /// MCU rows.
-    pub fn mcus_y(&self) -> usize {
+    pub(crate) fn mcus_y(&self) -> usize {
         self.height / 16
     }
 }
@@ -59,7 +56,7 @@ fn push_marker(out: &mut Vec<u8>, marker: u8, payload: &[u8]) {
 }
 
 /// Emit the JPEG headers (SOI through SOS) for a 4:2:0 baseline frame.
-pub fn write_headers(out: &mut Vec<u8>, params: &JpegParams) {
+pub(crate) fn write_headers(out: &mut Vec<u8>, params: &JpegParams) {
     // SOI.
     out.extend_from_slice(&[0xFF, 0xD8]);
 
@@ -131,7 +128,7 @@ pub fn write_headers(out: &mut Vec<u8>, params: &JpegParams) {
 ///
 /// `y`, `u`, `v` hold quantized coefficients in natural order, 64 per
 /// block, in row-major block order per plane.
-pub fn write_frame(out: &mut Vec<u8>, params: &JpegParams, y: &[i16], u: &[i16], v: &[i16]) {
+pub(crate) fn write_frame(out: &mut Vec<u8>, params: &JpegParams, y: &[i16], u: &[i16], v: &[i16]) {
     assert_eq!(y.len(), params.luma_blocks() * 64, "luma plane size");
     assert_eq!(u.len(), params.chroma_blocks() * 64, "u plane size");
     assert_eq!(v.len(), params.chroma_blocks() * 64, "v plane size");

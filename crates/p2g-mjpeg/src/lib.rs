@@ -20,7 +20,7 @@
 //!   plus JPEG quantization.
 //! * [`huffman`] — baseline JPEG entropy coding: zigzag, run-length,
 //!   canonical Huffman tables (ITU T.81 Annex K), bit writer/reader.
-//! * [`jpeg`] — JFIF frame assembly (SOI/DQT/SOF0/DHT/SOS/EOI).
+//! * `jpeg` — JFIF frame assembly (SOI/DQT/SOF0/DHT/SOS/EOI).
 //! * [`encoder`] — the standalone single-threaded encoder used as the
 //!   paper's baseline ("30 seconds on the Opteron, 19 on the Core i7").
 //! * [`decode`] — a baseline JPEG decoder used to validate the encoder
@@ -38,7 +38,7 @@ pub mod dct;
 pub mod decode;
 pub mod encoder;
 pub mod huffman;
-pub mod jpeg;
+pub(crate) mod jpeg;
 pub mod pipeline;
 pub mod serve;
 pub mod synthetic;

@@ -126,20 +126,6 @@ impl YuvFileSource {
             data: std::fs::read(path)?,
         })
     }
-
-    /// Wrap an in-memory I420 byte stream.
-    pub fn from_bytes(data: Vec<u8>, width: usize, height: usize) -> YuvFileSource {
-        YuvFileSource {
-            width,
-            height,
-            data,
-        }
-    }
-
-    /// Number of whole frames available.
-    pub fn frame_count(&self) -> u64 {
-        (self.data.len() / YuvFrame::i420_size(self.width, self.height)) as u64
-    }
 }
 
 impl FrameSource for YuvFileSource {
@@ -164,6 +150,22 @@ impl FrameSource for YuvFileSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl YuvFileSource {
+        /// Wrap an in-memory I420 byte stream.
+        fn from_bytes(data: Vec<u8>, width: usize, height: usize) -> YuvFileSource {
+            YuvFileSource {
+                width,
+                height,
+                data,
+            }
+        }
+
+        /// Number of whole frames available.
+        fn frame_count(&self) -> u64 {
+            (self.data.len() / YuvFrame::i420_size(self.width, self.height)) as u64
+        }
+    }
 
     #[test]
     fn synthetic_is_deterministic() {

@@ -73,16 +73,6 @@ impl YuvFrame {
         extract_block(&self.y, self.width, i)
     }
 
-    /// Extract chroma block `i` from the U plane.
-    pub fn u_block(&self, i: usize) -> [u8; 64] {
-        extract_block(&self.u, self.width / 2, i)
-    }
-
-    /// Extract chroma block `i` from the V plane.
-    pub fn v_block(&self, i: usize) -> [u8; 64] {
-        extract_block(&self.v, self.width / 2, i)
-    }
-
     /// All luma blocks flattened into one buffer (block-major, 64 samples
     /// per block) — the layout of the `y_input` field.
     pub fn luma_plane_blocks(&self) -> Vec<u8> {
@@ -90,12 +80,12 @@ impl YuvFrame {
     }
 
     /// All U blocks flattened.
-    pub fn u_plane_blocks(&self) -> Vec<u8> {
+    pub(crate) fn u_plane_blocks(&self) -> Vec<u8> {
         plane_blocks(&self.u, self.width / 2, self.height / 2)
     }
 
     /// All V blocks flattened.
-    pub fn v_plane_blocks(&self) -> Vec<u8> {
+    pub(crate) fn v_plane_blocks(&self) -> Vec<u8> {
         plane_blocks(&self.v, self.width / 2, self.height / 2)
     }
 }
@@ -168,7 +158,7 @@ mod simd {
 
     /// Runtime AVX2 detection (cached by std).
     #[inline]
-    pub fn avx2_available() -> bool {
+    pub(crate) fn avx2_available() -> bool {
         std::arch::is_x86_feature_detected!("avx2")
     }
 
@@ -211,7 +201,7 @@ mod simd {
     /// # Safety
     /// The caller must have verified AVX2 support ([`avx2_available`]).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn rgb_planes_to_ycbcr_avx2(
+    pub(crate) unsafe fn rgb_planes_to_ycbcr_avx2(
         r: &[u8],
         g: &[u8],
         b: &[u8],
@@ -243,7 +233,7 @@ mod simd {
     /// # Safety
     /// The caller must have verified AVX2 support ([`avx2_available`]).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn ycbcr_planes_to_rgb_avx2(
+    pub(crate) unsafe fn ycbcr_planes_to_rgb_avx2(
         y: &[u8],
         cb: &[u8],
         cr: &[u8],

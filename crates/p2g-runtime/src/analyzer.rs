@@ -75,7 +75,7 @@ pub type SharedFields = Arc<Vec<RwLock<Field>>>;
 /// Age-watch callback: `(age, poisoned)` fired on the analyzer thread when
 /// every instance of the watched kernel at `age` has completed (or been
 /// poisoned), in strictly increasing age order.
-pub type AgeWatchFn = Arc<dyn Fn(u64, bool) + Send + Sync>;
+pub(crate) type AgeWatchFn = Arc<dyn Fn(u64, bool) + Send + Sync>;
 
 /// A registered age watch: a frontier over one kernel's completed ages.
 struct AgeWatch {
@@ -341,7 +341,7 @@ impl DependencyAnalyzer {
 
     /// Attach the run's granularity controller: [`Self::chunk_size_for`]
     /// then follows its live per-kernel targets.
-    pub fn set_granularity(
+    pub(crate) fn set_granularity(
         &mut self,
         controller: Arc<crate::granularity::GranularityController>,
     ) {
@@ -367,18 +367,18 @@ impl DependencyAnalyzer {
     }
 
     /// True once any instance was poisoned — the run is degraded.
-    pub fn degraded(&self) -> bool {
+    pub(crate) fn degraded(&self) -> bool {
         self.degraded
     }
 
     /// Restrict dispatch to an assigned kernel subset (distributed mode).
-    pub fn set_assigned(&mut self, assigned: HashSet<KernelId>) {
+    pub(crate) fn set_assigned(&mut self, assigned: HashSet<KernelId>) {
         self.assigned = Some(assigned);
     }
 
     /// Attach the node's tracer (with the analyzer thread's buffer id) so
     /// age retirements are traced.
-    pub fn set_tracer(&mut self, tracer: Arc<crate::trace::Tracer>, tid: u32) {
+    pub(crate) fn set_tracer(&mut self, tracer: Arc<crate::trace::Tracer>, tid: u32) {
         self.tracer = Some((tracer, tid));
     }
 
@@ -386,7 +386,7 @@ impl DependencyAnalyzer {
     /// increasing order, when every instance of that age has completed or
     /// been poisoned. The session layer watches the terminal kernel to
     /// learn when a frame's output is ready.
-    pub fn set_age_watch(&mut self, kernel: KernelId, callback: AgeWatchFn) {
+    pub(crate) fn set_age_watch(&mut self, kernel: KernelId, callback: AgeWatchFn) {
         self.watches.push(AgeWatch {
             kernel,
             frontier: 0,
@@ -395,7 +395,7 @@ impl DependencyAnalyzer {
     }
 
     /// Drain the GC tally accumulated since the last call.
-    pub fn take_gc_collected(&mut self) -> u64 {
+    pub(crate) fn take_gc_collected(&mut self) -> u64 {
         std::mem::take(&mut self.gc_collected)
     }
 
@@ -438,7 +438,7 @@ impl DependencyAnalyzer {
 
     /// Live `(field, age)` views — the analyzer's notion of resident ages,
     /// sampled by the node's instruments for the peak-residency gauge.
-    pub fn live_ages(&self) -> usize {
+    pub(crate) fn live_ages(&self) -> usize {
         self.views.len()
     }
 
@@ -1854,15 +1854,6 @@ impl DependencyAnalyzer {
         }
         limit
     }
-
-    /// Test/diagnostic helper: total instances dispatched for a kernel.
-    pub fn dispatched_count(&self, kid: KernelId) -> usize {
-        self.dispatched
-            .iter()
-            .filter(|&(&(k, _), _)| k == kid.0)
-            .map(|(_, s)| s.count())
-            .sum()
-    }
 }
 
 #[inline]
@@ -1969,6 +1960,17 @@ mod tests {
     use crate::events::StoreEvent;
     use p2g_field::{Buffer, FieldDef, Region};
     use p2g_graph::spec::mul_sum_example;
+
+    impl DependencyAnalyzer {
+        /// Total instances dispatched for a kernel.
+        fn dispatched_count(&self, kid: KernelId) -> usize {
+            self.dispatched
+                .iter()
+                .filter(|&(&(k, _), _)| k == kid.0)
+                .map(|(_, s)| s.count())
+                .sum()
+        }
+    }
 
     fn setup() -> (DependencyAnalyzer, SharedFields, Arc<ProgramSpec>) {
         let spec = Arc::new(mul_sum_example());

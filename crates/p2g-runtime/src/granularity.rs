@@ -3,9 +3,9 @@
 //!
 //! The paper's low-level scheduler picks a data granularity per kernel once
 //! (our static [`crate::KernelOptions::chunk_size`]); this module closes
-//! the loop instead. A [`GranularityController`] lives on the analyzer
+//! the loop instead. A `GranularityController` lives on the analyzer
 //! thread and periodically differentiates each kernel's live instrument
-//! counters ([`crate::Instruments::kernel_raw`] and the per-kernel latency
+//! counters (`crate::Instruments::kernel_raw` and the per-kernel latency
 //! histograms): while the per-instance dispatch-overhead fraction stays
 //! above a threshold it doubles the kernel's chunk size (multiplicative
 //! increase — dispatch cost is being wasted on sub-microsecond bodies),
@@ -25,7 +25,7 @@ use crate::options::{AdaptiveGranularity, KernelOptions};
 
 /// One controller decision, for tracing and testing.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GranularityChangeInfo {
+pub(crate) struct GranularityChangeInfo {
     pub kernel: KernelId,
     pub from: usize,
     pub to: usize,
@@ -54,7 +54,7 @@ struct TickState {
 /// shard threads (only shard 0 ticks it) and read lock-free by whichever
 /// thread chunks runnable instances into dispatch units.
 #[derive(Debug)]
-pub struct GranularityController {
+pub(crate) struct GranularityController {
     cfg: AdaptiveGranularity,
     /// Current chunk-size target per kernel (indexed by `KernelId::idx`).
     targets: Vec<AtomicUsize>,
@@ -89,7 +89,7 @@ impl GranularityController {
     /// The chunk size the analyzer should use for `kernel` right now.
     /// Returns 0 for non-adaptive kernels, meaning "use the static
     /// number".
-    pub fn chunk_for(&self, kernel: KernelId) -> usize {
+    pub(crate) fn chunk_for(&self, kernel: KernelId) -> usize {
         if !self.adaptive[kernel.idx()] {
             return 0;
         }
@@ -99,7 +99,7 @@ impl GranularityController {
     /// Run one controller tick against the live instruments. Interval-
     /// gated internally; cheap to call every analyzer-loop iteration.
     /// Returns the decisions made (empty between intervals).
-    pub fn tick(&self, ins: &Instruments) -> Vec<GranularityChangeInfo> {
+    pub(crate) fn tick(&self, ins: &Instruments) -> Vec<GranularityChangeInfo> {
         let mut st = self.state.lock();
         let now = Instant::now();
         match st.last_tick {
@@ -167,7 +167,7 @@ impl GranularityController {
     /// kernels with at least one index variable (data-parallel instance
     /// spaces), not dispatch-ordered, and not coupled into a fusion plan
     /// (fusion fixes the unit shape).
-    pub fn eligibility(
+    pub(crate) fn eligibility(
         spec: &p2g_graph::ProgramSpec,
         options: &[KernelOptions],
         fusions: &[crate::program::FusionPlan],

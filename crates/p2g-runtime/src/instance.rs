@@ -46,17 +46,6 @@ pub struct InstanceKey {
     pub indices: Vec<usize>,
 }
 
-impl InstanceKey {
-    /// Instance with no index variables.
-    pub fn plain(kernel: KernelId, age: Age) -> InstanceKey {
-        InstanceKey {
-            kernel,
-            age,
-            indices: Vec::new(),
-        }
-    }
-}
-
 impl std::fmt::Display for InstanceKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}@{}", self.kernel, self.age)?;

@@ -13,7 +13,7 @@ use crate::trace::RunTrace;
 
 /// Number of log₂ latency buckets: bucket `i` covers `[2^i, 2^(i+1))`
 /// nanoseconds, so the histogram spans 1 ns to ~9 minutes.
-pub const LATENCY_BUCKETS: usize = 40;
+pub(crate) const LATENCY_BUCKETS: usize = 40;
 
 const fn latency_bucket(ns: u64) -> usize {
     let ns = if ns == 0 { 1 } else { ns };
@@ -27,7 +27,7 @@ const fn latency_bucket(ns: u64) -> usize {
 
 /// Lock-free log-bucketed latency accumulator (one per kernel).
 #[derive(Debug)]
-pub struct LatencyCounters {
+pub(crate) struct LatencyCounters {
     buckets: [AtomicU64; LATENCY_BUCKETS],
 }
 
@@ -74,11 +74,6 @@ impl LatencyHistogram {
         self.buckets.iter().sum()
     }
 
-    /// Raw bucket counts (bucket `i` = `[2^i, 2^(i+1))` ns).
-    pub fn buckets(&self) -> &[u64; LATENCY_BUCKETS] {
-        &self.buckets
-    }
-
     /// The latency at quantile `q` in `[0, 1]`, as the upper bound of the
     /// bucket holding that rank. Zero when no samples were recorded.
     pub fn quantile(&self, q: f64) -> Duration {
@@ -103,19 +98,19 @@ impl LatencyHistogram {
     }
 
     /// 95th-percentile latency (upper bucket bound).
-    pub fn p95(&self) -> Duration {
+    pub(crate) fn p95(&self) -> Duration {
         self.quantile(0.95)
     }
 
     /// 99th-percentile latency (upper bucket bound).
-    pub fn p99(&self) -> Duration {
+    pub(crate) fn p99(&self) -> Duration {
         self.quantile(0.99)
     }
 }
 
 /// Lock-free accumulator for one kernel definition.
 #[derive(Debug, Default)]
-pub struct KernelCounters {
+pub(crate) struct KernelCounters {
     /// Kernel instances executed.
     pub instances: AtomicU64,
     /// Dispatch units executed (differs from `instances` when chunking).
@@ -150,8 +145,8 @@ pub struct KernelCounters {
 /// paper's Tables II/III, where one instance is one dispatch. Under
 /// chunking (`KernelOptions::chunk_size > 1`) a single dispatch unit
 /// covers many instances, so the per-instance dispatch mean understates
-/// the cost of one scheduler round trip; use
-/// [`KernelStats::dispatch_time_per_unit`] for that reading.
+/// the cost of one scheduler round trip; `dispatch_total / units` is that
+/// reading.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelStats {
     pub instances: u64,
@@ -190,24 +185,6 @@ impl KernelStats {
     /// Mean kernel time per instance in microseconds.
     pub fn kernel_us(&self) -> f64 {
         self.kernel_time.as_nanos() as f64 / 1000.0
-    }
-
-    /// Mean dispatch overhead per **dispatch unit** — the cost of one
-    /// scheduler round trip. Equal to `dispatch_time` when `chunk_size`
-    /// is 1; larger under chunking (one unit amortizes over many
-    /// instances).
-    pub fn dispatch_time_per_unit(&self) -> Duration {
-        self.dispatch_total / self.units.max(1) as u32
-    }
-
-    /// Mean kernel time per dispatch unit.
-    pub fn kernel_time_per_unit(&self) -> Duration {
-        self.kernel_total / self.units.max(1) as u32
-    }
-
-    /// Mean dispatch time per unit in microseconds.
-    pub fn dispatch_us_per_unit(&self) -> f64 {
-        self.dispatch_time_per_unit().as_nanos() as f64 / 1000.0
     }
 }
 
@@ -257,7 +234,7 @@ impl Instruments {
     }
 
     /// Create counters for `names` kernels and `shards` analyzer shards.
-    pub fn new_sharded(names: Vec<String>, shards: usize) -> Instruments {
+    pub(crate) fn new_sharded(names: Vec<String>, shards: usize) -> Instruments {
         let shards = shards.max(1);
         Instruments {
             kernels: names
@@ -279,7 +256,7 @@ impl Instruments {
     }
 
     /// Record one chunk-size decision by the granularity controller.
-    pub fn record_granularity_change(&self) {
+    pub(crate) fn record_granularity_change(&self) {
         self.granularity_changes.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -291,7 +268,7 @@ impl Instruments {
     /// Live raw counter reads for one kernel —
     /// `(instances, units, dispatch_ns, kernel_ns)` — the monotonic inputs
     /// the granularity controller differentiates per interval.
-    pub fn kernel_raw(&self, kernel: KernelId) -> (u64, u64, u64, u64) {
+    pub(crate) fn kernel_raw(&self, kernel: KernelId) -> (u64, u64, u64, u64) {
         let c = &self.kernels[kernel.idx()].1;
         (
             c.instances.load(Ordering::Relaxed),
@@ -302,17 +279,17 @@ impl Instruments {
     }
 
     /// Live body-latency histogram snapshot for one kernel.
-    pub fn latency_histogram(&self, kernel: KernelId) -> LatencyHistogram {
+    pub(crate) fn latency_histogram(&self, kernel: KernelId) -> LatencyHistogram {
         self.kernels[kernel.idx()].1.latency.snapshot()
     }
 
     /// Record events processed by one analyzer shard.
-    pub fn record_shard_events(&self, shard: usize, events: u64) {
+    pub(crate) fn record_shard_events(&self, shard: usize, events: u64) {
         self.shard_events[shard].fetch_add(events, Ordering::Relaxed);
     }
 
     /// Record a shard's event-queue depth (the gauge keeps the maximum).
-    pub fn record_shard_queue_depth(&self, shard: usize, depth: u64) {
+    pub(crate) fn record_shard_queue_depth(&self, shard: usize, depth: u64) {
         self.shard_queue_peak[shard].fetch_max(depth, Ordering::Relaxed);
     }
 
@@ -334,7 +311,7 @@ impl Instruments {
 
     /// Record retired `(field, age)` slabs and the current live-age count
     /// (the peak gauge keeps the maximum).
-    pub fn record_gc(&self, collected: u64, live_ages: u64) {
+    pub(crate) fn record_gc(&self, collected: u64, live_ages: u64) {
         self.gc_ages_collected.fetch_add(collected, Ordering::Relaxed);
         self.peak_live_ages.fetch_max(live_ages, Ordering::Relaxed);
     }
@@ -350,7 +327,7 @@ impl Instruments {
     }
 
     /// Record one failed instance execution (body `Err` or panic).
-    pub fn record_failure(&self, kernel: KernelId) {
+    pub(crate) fn record_failure(&self, kernel: KernelId) {
         self.kernels[kernel.idx()]
             .1
             .failures
@@ -358,7 +335,7 @@ impl Instruments {
     }
 
     /// Record retry re-dispatches scheduled by the fault policy.
-    pub fn record_retries(&self, kernel: KernelId, n: u64) {
+    pub(crate) fn record_retries(&self, kernel: KernelId, n: u64) {
         self.kernels[kernel.idx()]
             .1
             .retries
@@ -366,7 +343,7 @@ impl Instruments {
     }
 
     /// Record a watchdog-flagged soft-deadline overrun.
-    pub fn record_deadline_miss(&self, kernel: KernelId) {
+    pub(crate) fn record_deadline_miss(&self, kernel: KernelId) {
         self.kernels[kernel.idx()]
             .1
             .deadline_misses
@@ -375,7 +352,7 @@ impl Instruments {
 
     /// Record an instance skipped by poison propagation, with its identity
     /// for the final report.
-    pub fn record_poisoned(&self, kernel: KernelId, age: u64, indices: &[usize]) {
+    pub(crate) fn record_poisoned(&self, kernel: KernelId, age: u64, indices: &[usize]) {
         self.kernels[kernel.idx()]
             .1
             .poisoned
@@ -394,7 +371,7 @@ impl Instruments {
     }
 
     /// Record store elements absorbed by deduplication.
-    pub fn record_deduped(&self, elements: u64) {
+    pub(crate) fn record_deduped(&self, elements: u64) {
         self.deduped_elements.fetch_add(elements, Ordering::Relaxed);
     }
 
@@ -404,7 +381,7 @@ impl Instruments {
     }
 
     /// Record one processed analyzer event and its processing time.
-    pub fn record_analyzer_event(&self, busy: Duration) {
+    pub(crate) fn record_analyzer_event(&self, busy: Duration) {
         self.analyzer_busy_ns
             .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
         self.analyzer_events.fetch_add(1, Ordering::Relaxed);
@@ -421,7 +398,7 @@ impl Instruments {
     }
 
     /// Record one greedy channel drain (a batch of one or more events).
-    pub fn record_analyzer_batch(&self) {
+    pub(crate) fn record_analyzer_batch(&self) {
         self.analyzer_batches.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -453,7 +430,7 @@ impl Instruments {
     }
 
     /// Record elements stored by a kernel into a field.
-    pub fn record_store(&self, kernel: KernelId, field: FieldId, elements: u64) {
+    pub(crate) fn record_store(&self, kernel: KernelId, field: FieldId, elements: u64) {
         self.kernels[kernel.idx()]
             .1
             .stored_elements
@@ -462,7 +439,7 @@ impl Instruments {
     }
 
     /// Snapshot one kernel's stats by id.
-    pub fn kernel_by_id(&self, kernel: KernelId) -> KernelStats {
+    pub(crate) fn kernel_by_id(&self, kernel: KernelId) -> KernelStats {
         let c = &self.kernels[kernel.idx()].1;
         let instances = c.instances.load(Ordering::Relaxed);
         let div = instances.max(1);
@@ -508,46 +485,6 @@ impl Instruments {
     pub fn store_volumes(&self) -> BTreeMap<(KernelId, FieldId), u64> {
         self.volumes.lock().clone()
     }
-
-    /// Mean kernel time per kernel in microseconds, for HLS vertex
-    /// weighting.
-    pub fn kernel_times_us(&self) -> BTreeMap<KernelId, f64> {
-        (0..self.kernels.len())
-            .map(|i| {
-                let id = KernelId(i as u32);
-                (id, self.kernel_by_id(id).kernel_us())
-            })
-            .collect()
-    }
-
-    /// Render the paper's micro-benchmark table (Tables II/III format),
-    /// extended with the per-kernel body-latency percentiles the
-    /// granularity controller reads.
-    pub fn render_table(&self) -> String {
-        render_kernel_table(&self.all())
-    }
-}
-
-/// Shared renderer for the live and snapshot instrument tables.
-fn render_kernel_table(entries: &[(String, KernelStats)]) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "{:<16} {:>10} {:>16} {:>16} {:>10} {:>10} {:>10}\n",
-        "Kernel", "Instances", "Dispatch Time", "Kernel Time", "p50", "p95", "p99"
-    ));
-    for (name, st) in entries {
-        s.push_str(&format!(
-            "{:<16} {:>10} {:>13.2} us {:>13.2} us {:>7.1} us {:>7.1} us {:>7.1} us\n",
-            name,
-            st.instances,
-            st.dispatch_us(),
-            st.kernel_us(),
-            st.latency.p50().as_nanos() as f64 / 1000.0,
-            st.latency.p95().as_nanos() as f64 / 1000.0,
-            st.latency.p99().as_nanos() as f64 / 1000.0,
-        ));
-    }
-    s
 }
 
 /// Why a run ended.
@@ -717,10 +654,27 @@ impl InstrumentsSnapshot {
         &self.volumes
     }
 
-    /// Render as the paper's micro-benchmark table (with latency
-    /// percentile columns).
+    /// Render as the paper's micro-benchmark table (Tables II/III format),
+    /// extended with the per-kernel body-latency percentiles the
+    /// granularity controller reads.
     pub fn render_table(&self) -> String {
-        let mut s = render_kernel_table(&self.entries);
+        let mut s = String::new();
+        s.push_str(&format!(
+            "{:<16} {:>10} {:>16} {:>16} {:>10} {:>10} {:>10}\n",
+            "Kernel", "Instances", "Dispatch Time", "Kernel Time", "p50", "p95", "p99"
+        ));
+        for (name, st) in &self.entries {
+            s.push_str(&format!(
+                "{:<16} {:>10} {:>13.2} us {:>13.2} us {:>7.1} us {:>7.1} us {:>7.1} us\n",
+                name,
+                st.instances,
+                st.dispatch_us(),
+                st.kernel_us(),
+                st.latency.p50().as_nanos() as f64 / 1000.0,
+                st.latency.p95().as_nanos() as f64 / 1000.0,
+                st.latency.p99().as_nanos() as f64 / 1000.0,
+            ));
+        }
         if self.granularity_changes > 0 {
             s.push_str(&format!(
                 "granularity      {:>10} changes\n",
@@ -795,11 +749,10 @@ mod tests {
             Duration::from_micros(3),
             Duration::from_micros(170),
         );
-        let table = ins.render_table();
+        let snap = InstrumentsSnapshot::capture(&ins);
+        let table = snap.render_table();
         assert!(table.contains("yDCT"));
         assert!(table.contains("Instances"));
-        let snap = InstrumentsSnapshot::capture(&ins);
-        assert!(snap.render_table().contains("yDCT"));
         assert_eq!(snap.kernel("yDCT").unwrap().instances, 1);
     }
 
@@ -808,10 +761,9 @@ mod tests {
         let ins = Instruments::new(vec!["k".into()]);
         ins.record_latency(KernelId(0), Duration::from_micros(100));
         ins.record_latency(KernelId(0), Duration::from_micros(3));
-        let table = ins.render_table();
-        assert!(table.contains("p50") && table.contains("p95") && table.contains("p99"));
         let snap = InstrumentsSnapshot::capture(&ins);
-        assert!(snap.render_table().contains("p95"));
+        let table = snap.render_table();
+        assert!(table.contains("p50") && table.contains("p95") && table.contains("p99"));
         let (p50, p95, p99) = snap.latency_quantiles("k").unwrap();
         assert!(p50 <= p95 && p95 <= p99);
         assert!(p99 >= Duration::from_micros(100));

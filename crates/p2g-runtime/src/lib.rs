@@ -68,24 +68,24 @@ pub mod trace;
 pub mod trace_check;
 mod watchdog;
 
-pub use analyzer::{AgeWatchFn, DependencyAnalyzer};
+pub use analyzer::DependencyAnalyzer;
 pub use error::RuntimeError;
 pub use events::{Event, StoreEvent};
-pub use granularity::{GranularityChangeInfo, GranularityController};
 pub use instance::InstanceKey;
 pub use instrument::{Instruments, KernelStats, LatencyHistogram, RunReport, Termination};
 pub use node::{FieldStore, NodeBuilder, NodeHandle, StoreTap};
-pub use options::{AdaptiveGranularity, ExhaustPolicy, FaultPolicy, KernelOptions, RunLimits};
+pub use options::{
+    jittered_backoff, AdaptiveGranularity, ExhaustPolicy, FaultPolicy, KernelOptions, RunLimits,
+};
 pub use pool::{Qos, WorkerPool};
 pub use program::{BodyResult, KernelCtx, Program};
-pub use ready::QOS_CLASS_NORMAL;
 pub use session::{
     Session, SessionConfig, SessionMetrics, SessionOutput, SessionReport, SessionRuntime,
     SessionSink, SubmitError, Ticket,
 };
 pub use shard::{ShardGc, ShardPlan};
 pub use timer::TimerTable;
-pub use trace::{RunTrace, TraceEvent, TraceOptions, TraceRecord, Tracer};
+pub use trace::{RunTrace, TraceEvent, TraceRecord, Tracer};
 
 /// Owned copy of an age expression, used internally where borrowing the
 /// program spec across a mutable analyzer call is not possible.

@@ -37,7 +37,7 @@ use crate::program::{
 };
 use crate::shard::{ShardGc, ShardPlan};
 use crate::timer::TimerTable;
-use crate::trace::{store_event, RunTrace, TraceEvent, Tracer};
+use crate::trace::{store_event, RunTrace, TraceEvent, Tracer, TRACE_CAPACITY};
 use crate::watchdog::Watchdog;
 
 thread_local! {
@@ -329,7 +329,7 @@ impl NodeBuilder {
     /// by age, and its shutdown leaves the pool running. This is how
     /// [`crate::session::SessionRuntime`] hosts many tenants on one fixed
     /// thread set.
-    pub fn pool(mut self, pool: Arc<WorkerPool>) -> NodeBuilder {
+    pub(crate) fn pool(mut self, pool: Arc<WorkerPool>) -> NodeBuilder {
         self.pool = Some(pool);
         self
     }
@@ -346,7 +346,7 @@ impl NodeBuilder {
     /// completed (or been poisoned), in strictly increasing age order. The
     /// session layer uses a watch on the terminal kernel to learn when a
     /// frame's output is ready.
-    pub fn watch_ages(mut self, kernel: &str, callback: AgeWatchFn) -> NodeBuilder {
+    pub(crate) fn watch_ages(mut self, kernel: &str, callback: AgeWatchFn) -> NodeBuilder {
         self.watches.push((kernel.to_string(), callback));
         self
     }
@@ -433,13 +433,13 @@ impl NodeBuilder {
         let analyzer_tid0 = worker_slots as u32;
         let watchdog_tid = analyzer_tid0 + shards as u32;
         let main_tid = watchdog_tid + 1;
-        let tracer = limits.trace.as_ref().map(|opts| {
+        let tracer = limits.trace.then(|| {
             let mut labels: Vec<String> = (0..worker_slots).map(|w| format!("worker-{w}")).collect();
             labels.extend((0..shards).map(|s| format!("analyzer-{s}")));
             labels.push("watchdog".into());
             labels.push("main".into());
             labels.push("remote".into());
-            Arc::new(Tracer::new(labels, opts.capacity))
+            Arc::new(Tracer::new(labels, TRACE_CAPACITY))
         });
         let watchdog = if fault.iter().any(|p| p.needs_watchdog()) {
             Some(Arc::new(Watchdog::new(
@@ -999,7 +999,7 @@ fn execute_unit(shared: &Arc<Shared>, unit: DispatchUnit) -> Result<(), RuntimeE
         shared,
         &unit,
         fusion,
-        &mut inputs,
+        &inputs,
         &mut staged,
         &mut body_time,
     );
@@ -1137,7 +1137,7 @@ fn run_bodies(
     shared: &Shared,
     unit: &DispatchUnit,
     fusion: Option<&FusionPlan>,
-    inputs: &mut [Buffer],
+    inputs: &[Buffer],
     staged: &mut Vec<StagedStore>,
     body_time: &mut Duration,
 ) -> Vec<(usize, String)> {
@@ -1177,7 +1177,7 @@ fn run_bodies(
                     age: unit.age,
                     indices,
                     slot: next,
-                    inputs: &mut *inputs,
+                    inputs,
                     stride: n,
                     staged: &mut *staged,
                     timers: &shared.timers,
@@ -1302,14 +1302,14 @@ fn run_consumer(
         if st.kernel != unit.kernel || st.store_idx != plan.producer_store {
             continue;
         }
-        let mut input = st.buffer.clone();
+        let input = st.buffer.clone();
         let first = staged.len();
         let mut ctx = KernelCtx {
             spec: cspec,
             age: unit.age,
             indices: cidx,
             slot: 0,
-            inputs: std::slice::from_mut(&mut input),
+            inputs: std::slice::from_ref(&input),
             stride: 1,
             staged: &mut *staged,
             timers: &shared.timers,

@@ -16,6 +16,30 @@ pub enum ExhaustPolicy {
     Poison,
 }
 
+/// Fraction of extra deterministic delay, in `[0, KERNEL_RETRY_JITTER]`,
+/// that each kernel retry backoff adds.
+const KERNEL_RETRY_JITTER: f64 = 0.2;
+
+/// Exponential backoff with deterministic jitter, the one backoff of both
+/// the kernel retry path ([`FaultPolicy::backoff_for`]) and the network's:
+/// `base` doubled per `attempt` up to `cap`, then stretched by a fraction
+/// in `[0, jitter]` derived from `salt` (splitmix64 finalizer), so retries
+/// of different instances decorrelate while reruns repeat their delays.
+pub fn jittered_backoff(
+    base: Duration,
+    cap: Duration,
+    jitter: f64,
+    attempt: u32,
+    salt: u64,
+) -> Duration {
+    let base = base.saturating_mul(1u32 << attempt.min(20)).min(cap);
+    let mut z = salt.wrapping_add(0x9E3779B97F4A7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    let frac = ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64;
+    base.mul_f64(1.0 + jitter * frac)
+}
+
 /// Per-kernel fault-isolation policy: retry budget, exponential backoff
 /// with deterministic jitter, per-instance soft deadline, and the
 /// exhaustion action. The default (`retries: 0`, `Abort`, no deadline)
@@ -30,10 +54,6 @@ pub struct FaultPolicy {
     pub backoff: Duration,
     /// Upper bound on the exponential backoff.
     pub backoff_cap: Duration,
-    /// Jitter fraction in `[0, 1]`: each delay is stretched by up to this
-    /// fraction, derived deterministically from the instance identity so
-    /// runs stay reproducible.
-    pub jitter: f64,
     /// Per-instance soft deadline. The watchdog thread flags an instance
     /// that overruns it through the cooperative cancellation token
     /// ([`crate::KernelCtx::cancelled`]); the body is expected to poll the
@@ -51,7 +71,6 @@ impl Default for FaultPolicy {
             retries: 0,
             backoff: Duration::from_millis(10),
             backoff_cap: Duration::from_secs(1),
-            jitter: 0.2,
             deadline: None,
             on_exhaust: ExhaustPolicy::Abort,
         }
@@ -88,7 +107,7 @@ impl FaultPolicy {
 
     /// True when this policy ever needs the watchdog thread (delayed
     /// retries or deadline flagging).
-    pub fn needs_watchdog(&self) -> bool {
+    pub(crate) fn needs_watchdog(&self) -> bool {
         self.retries > 0 || self.deadline.is_some()
     }
 
@@ -96,14 +115,13 @@ impl FaultPolicy {
     /// deterministic jitter derived from `salt` (an instance-identity
     /// hash).
     pub fn backoff_for(&self, attempt: u32, salt: u64) -> Duration {
-        let base = self.backoff.saturating_mul(1u32 << attempt.min(20));
-        let base = base.min(self.backoff_cap);
-        // splitmix64 finalizer: a well-mixed fraction in [0, 1).
-        let mut z = salt.wrapping_add(0x9E3779B97F4A7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        let frac = ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64;
-        base.mul_f64(1.0 + self.jitter.clamp(0.0, 1.0) * frac)
+        jittered_backoff(
+            self.backoff,
+            self.backoff_cap,
+            KERNEL_RETRY_JITTER,
+            attempt,
+            salt,
+        )
     }
 }
 
@@ -137,7 +155,7 @@ impl Default for KernelOptions {
 }
 
 /// Configuration of the online granularity controller
-/// ([`crate::granularity::GranularityController`]): the adaptation loop
+/// (`crate::granularity::GranularityController`): the adaptation loop
 /// that replaces static per-kernel `chunk_size` numbers with
 /// trace-driven decisions — multiplicative increase while per-instance
 /// dispatch overhead dominates, backoff when p95 instance latency
@@ -175,21 +193,6 @@ impl Default for AdaptiveGranularity {
     }
 }
 
-impl AdaptiveGranularity {
-    /// Set the per-unit p95 latency budget that triggers chunk backoff.
-    pub fn with_p95_budget(mut self, d: Duration) -> AdaptiveGranularity {
-        self.p95_budget = Some(d);
-        self
-    }
-
-    /// Bound the adapted chunk size to `[min, max]`.
-    pub fn with_chunk_bounds(mut self, min: usize, max: usize) -> AdaptiveGranularity {
-        self.min_chunk = min.max(1);
-        self.max_chunk = max.max(self.min_chunk);
-        self
-    }
-}
-
 /// Limits that bound a run of a (possibly infinite) P2G program.
 #[derive(Debug, Clone)]
 pub struct RunLimits {
@@ -206,18 +209,19 @@ pub struct RunLimits {
     /// quiescence and calls `request_stop` on every node.
     pub hold_open: bool,
     /// Structured run tracing ([`crate::trace`]): record typed execution
-    /// events into per-thread ring buffers and attach the merged
-    /// [`crate::trace::RunTrace`] to the run report. `None` disables
+    /// events into per-thread ring buffers of
+    /// [`crate::trace::TRACE_CAPACITY`] events and attach the merged
+    /// [`crate::trace::RunTrace`] to the run report. `false` disables
     /// recording (one branch per would-be event). Defaults to enabled
     /// when the crate is built with the `trace` feature.
-    pub trace: Option<crate::trace::TraceOptions>,
+    pub trace: bool,
     /// Number of dependency-analyzer shards: analyzer state is partitioned
     /// by `(kernel, age)` across this many threads so independent store
     /// events are analyzed concurrently ([`crate::shard`]). The default
     /// is one.
     pub shards: usize,
     /// Online granularity adaptation: when set, a
-    /// [`crate::granularity::GranularityController`] on the analyzer
+    /// `crate::granularity::GranularityController` on the analyzer
     /// thread adjusts each kernel's effective chunk size from live
     /// per-kernel latency/overhead instruments, overriding the static
     /// `chunk_size` numbers. `None` (the default) keeps static chunking.
@@ -231,11 +235,7 @@ impl Default for RunLimits {
             wall_deadline: None,
             gc_window: None,
             hold_open: false,
-            trace: if cfg!(feature = "trace") {
-                Some(crate::trace::TraceOptions::default())
-            } else {
-                None
-            },
+            trace: cfg!(feature = "trace"),
             shards: 1,
             adaptive: None,
         }
@@ -260,7 +260,7 @@ impl RunLimits {
     /// quiescence (input arrives over time, e.g. session frame submission),
     /// and GC field ages more than `gc_window` behind each field's
     /// frontier so memory stays flat over unbounded input.
-    pub fn streaming(gc_window: u64) -> RunLimits {
+    pub(crate) fn streaming(gc_window: u64) -> RunLimits {
         RunLimits {
             gc_window: Some(gc_window),
             hold_open: true,
@@ -280,15 +280,9 @@ impl RunLimits {
         self
     }
 
-    /// Enable structured run tracing with default buffer sizes.
+    /// Enable structured run tracing.
     pub fn with_trace(mut self) -> RunLimits {
-        self.trace = Some(crate::trace::TraceOptions::default());
-        self
-    }
-
-    /// Enable structured run tracing with explicit options.
-    pub fn with_trace_options(mut self, opts: crate::trace::TraceOptions) -> RunLimits {
-        self.trace = Some(opts);
+        self.trace = true;
         self
     }
 
@@ -345,8 +339,16 @@ mod tests {
         let cfg = l.adaptive.unwrap();
         assert_eq!(cfg.min_chunk, 1);
         assert_eq!(cfg.max_chunk, 256);
-        // Bounds clamp: min at least 1, max at least min.
-        let cfg = AdaptiveGranularity::default().with_chunk_bounds(0, 0);
-        assert_eq!((cfg.min_chunk, cfg.max_chunk), (1, 1));
+    }
+
+    /// The jittered doubling is pinned to the nanosecond for a fixed
+    /// salt, so a refactor of the backoff cannot move a delay.
+    #[test]
+    fn backoff_is_pinned() {
+        let p = FaultPolicy::default();
+        let got: Vec<u128> = (0..4)
+            .map(|a| p.backoff_for(a, 0x5EED).as_nanos())
+            .collect();
+        assert_eq!(got, [10_077_697, 20_155_395, 40_310_790, 80_621_580]);
     }
 }

@@ -2,7 +2,7 @@
 //! from one age-priority queue — the only place a kernel instance runs.
 //!
 //! Every node is a pool tenant. A node launched without
-//! [`crate::NodeBuilder::pool`] owns a pool of its own, sized by
+//! `crate::NodeBuilder::pool` owns a pool of its own, sized by
 //! [`crate::NodeBuilder::workers`]; a resident multi-tenant runtime
 //! ([`crate::session::SessionRuntime`]) instead attaches every session to
 //! one shared pool — a hundred sessions must not mean a hundred thread
@@ -49,7 +49,7 @@ const STRIDE_ONE: u64 = 1 << 20;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Qos {
     /// Strict priority level, lower is more urgent. Class
-    /// [`QOS_CLASS_NORMAL`] (1) is where sessions without explicit QoS
+    /// `QOS_CLASS_NORMAL` (1) is where sessions without explicit QoS
     /// rank; 0 is the realtime class, 2 the bulk class.
     pub class: u8,
     /// Fair-share weight within the class (at least 1): while saturated,

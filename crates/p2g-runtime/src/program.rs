@@ -22,7 +22,7 @@ use crate::timer::TimerTable;
 pub type BodyResult = Result<(), String>;
 
 /// A kernel body closure.
-pub type KernelBody = Box<dyn Fn(&mut KernelCtx) -> BodyResult + Send + Sync>;
+pub(crate) type KernelBody = Box<dyn Fn(&mut KernelCtx) -> BodyResult + Send + Sync>;
 
 /// A store staged by a kernel body, applied by the worker once every body
 /// of the dispatch unit has run.
@@ -55,7 +55,7 @@ pub struct KernelCtx<'a> {
     /// The whole unit's fetched buffers, fetch-major: input `i` of this
     /// instance is `inputs[i * stride + slot]`, `stride` being the unit's
     /// instance count.
-    pub(crate) inputs: &'a mut [Buffer],
+    pub(crate) inputs: &'a [Buffer],
     pub(crate) stride: usize,
     /// Every store staged so far by the unit's bodies.
     pub(crate) staged: &'a mut Vec<StagedStore>,
@@ -72,11 +72,6 @@ impl KernelCtx<'_> {
         self.age
     }
 
-    /// The kernel definition's name (useful in shared bodies and logs).
-    pub fn kernel_name(&self) -> &str {
-        &self.spec.name
-    }
-
     /// The value of index variable `v`.
     pub fn index(&self, v: usize) -> usize {
         self.indices[v]
@@ -85,20 +80,6 @@ impl KernelCtx<'_> {
     /// The fetched buffer for the kernel's `i`-th fetch declaration.
     pub fn input(&self, i: usize) -> &Buffer {
         &self.inputs[i * self.stride + self.slot]
-    }
-
-    /// Number of fetch declarations / input buffers.
-    pub fn num_inputs(&self) -> usize {
-        self.inputs.len() / self.stride
-    }
-
-    /// Take ownership of an input buffer (useful to mutate in place and
-    /// store back out without a copy).
-    pub fn take_input(&mut self, i: usize) -> Buffer {
-        std::mem::replace(
-            &mut self.inputs[i * self.stride + self.slot],
-            Buffer::from_vec(Vec::<u8>::new()),
-        )
     }
 
     fn stage(&mut self, store_idx: usize, region: Option<Region>, buffer: Buffer) {
@@ -139,11 +120,6 @@ impl KernelCtx<'_> {
     /// Reset a global timer (`t1 = now`).
     pub fn reset_timer(&self, name: &str) {
         self.timers.reset(name);
-    }
-
-    /// Elapsed time since a timer was reset.
-    pub fn timer_elapsed(&self, name: &str) -> Option<Duration> {
-        self.timers.elapsed(name)
     }
 
     /// Cooperative cancellation poll: true once the watchdog has flagged
@@ -242,7 +218,7 @@ impl Program {
     }
 
     /// Mutable access to a kernel's scheduler options.
-    pub fn options_mut(&mut self, kernel: &str) -> &mut KernelOptions {
+    pub(crate) fn options_mut(&mut self, kernel: &str) -> &mut KernelOptions {
         let id = self
             .spec
             .kernel_by_name(kernel)

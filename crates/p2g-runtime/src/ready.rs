@@ -16,7 +16,7 @@ use parking_lot::{Condvar, Mutex};
 
 /// The default (and middle) QoS priority class; entries that do not
 /// override [`Ranked::rank_class`] rank here.
-pub const QOS_CLASS_NORMAL: u8 = 1;
+pub(crate) const QOS_CLASS_NORMAL: u8 = 1;
 
 /// Payloads the queue knows how to rank. The full rank is
 /// `(class, vtime, age, kernel, seq)`, lowest first: `class` is a strict

@@ -20,7 +20,7 @@
 //!   a poisoned frame (exhausted retries under a `frame_deadline`-style
 //!   fault policy) yields a [`SessionOutput`] with `payload: None` so the
 //!   consumer sees the drop instead of a stall.
-//! * [`RunLimits::streaming`] keeps the node open across local quiescence
+//! * `RunLimits::streaming` keeps the node open across local quiescence
 //!   and arms the age GC; together with the analyzer-state pruning this
 //!   keeps resident memory flat over 10k+ frames — the soak tests assert
 //!   the peak live-age count stays bounded.
@@ -91,7 +91,7 @@ pub struct SessionConfig {
     pub output_kernel: String,
     /// Admission cap: maximum frames submitted but not yet completed.
     pub max_in_flight: usize,
-    /// Age GC window passed to [`RunLimits::streaming`].
+    /// Age GC window passed to `RunLimits::streaming`.
     pub gc_window: u64,
     /// Where the terminal kernel stages its output, if it produces bytes.
     pub sink: Option<Arc<SessionSink>>,
@@ -619,8 +619,8 @@ impl SessionRuntime {
     }
 
     /// Launch a *batch* program on the shared pool (source-driven, normal
-    /// run limits): the `p2gc serve` path, where N copies of a compiled
-    /// program share the pool as independent tenants.
+    /// run limits): N copies of a compiled program share the pool as
+    /// independent tenants, beside any open stream sessions.
     pub fn launch_batch(
         &self,
         program: Program,

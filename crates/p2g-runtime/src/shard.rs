@@ -139,7 +139,7 @@ impl ShardPlan {
 
     /// True when `shard` owns instance `(kernel, age)` — the shard that
     /// dispatches, completes and GC-accounts it.
-    pub fn owns(&self, kernel: KernelId, age: u64, shard: usize) -> bool {
+    pub(crate) fn owns(&self, kernel: KernelId, age: u64, shard: usize) -> bool {
         let k = kernel.idx();
         if self.pinned[k] {
             self.home[k] == shard
@@ -149,12 +149,12 @@ impl ShardPlan {
     }
 
     /// True when every age of `kernel` lives on its home shard.
-    pub fn is_pinned(&self, kernel: KernelId) -> bool {
+    pub(crate) fn is_pinned(&self, kernel: KernelId) -> bool {
         self.pinned[kernel.idx()]
     }
 
     /// The shard owning a `(kernel, age)` instance.
-    pub fn unit_owner(&self, kernel: KernelId, age: u64) -> usize {
+    pub(crate) fn unit_owner(&self, kernel: KernelId, age: u64) -> usize {
         let k = kernel.idx();
         if self.pinned[k] {
             self.home[k]
@@ -164,7 +164,7 @@ impl ShardPlan {
     }
 
     /// Bitmask selecting every shard of the plan.
-    pub fn all_mask(&self) -> u64 {
+    pub(crate) fn all_mask(&self) -> u64 {
         if self.shards >= 64 {
             u64::MAX
         } else {
@@ -233,12 +233,12 @@ impl ShardGc {
     }
 
     /// Publish shard `s`'s safe age for `kernel`.
-    pub fn publish_kernel_frontier(&self, kernel: KernelId, s: usize, age: u64) {
+    pub(crate) fn publish_kernel_frontier(&self, kernel: KernelId, s: usize, age: u64) {
         self.kernel_frontier[kernel.idx() * self.shards + s].store(age, Ordering::Release);
     }
 
     /// Global safe age for `kernel`: min over every shard's published slot.
-    pub fn kernel_frontier(&self, kernel: KernelId) -> u64 {
+    pub(crate) fn kernel_frontier(&self, kernel: KernelId) -> u64 {
         let base = kernel.idx() * self.shards;
         (0..self.shards)
             .map(|s| self.kernel_frontier[base + s].load(Ordering::Acquire))
@@ -248,12 +248,12 @@ impl ShardGc {
 
     /// Try to advance `field`'s retire floor to `limit`. Returns the floor
     /// before the call; the caller collects iff it was below `limit`.
-    pub fn claim_retire(&self, field: FieldId, limit: u64) -> u64 {
+    pub(crate) fn claim_retire(&self, field: FieldId, limit: u64) -> u64 {
         self.field_retired[field.idx()].fetch_max(limit, Ordering::AcqRel)
     }
 
     /// The field's current retire floor.
-    pub fn retire_floor(&self, field: FieldId) -> u64 {
+    pub(crate) fn retire_floor(&self, field: FieldId) -> u64 {
         self.field_retired[field.idx()].load(Ordering::Acquire)
     }
 }

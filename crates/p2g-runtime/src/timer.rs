@@ -30,7 +30,7 @@ impl TimerTable {
     }
 
     /// Reset a timer to now (`t1 = now`). Declares it if unknown.
-    pub fn reset(&self, name: &str) {
+    pub(crate) fn reset(&self, name: &str) {
         self.declare(name);
     }
 
@@ -43,7 +43,7 @@ impl TimerTable {
     /// Poll a deadline condition (`t1 + timeout` in the kernel language):
     /// true when `timeout` has passed since the last reset. Unknown timers
     /// are never expired.
-    pub fn expired(&self, name: &str, timeout: Duration) -> bool {
+    pub(crate) fn expired(&self, name: &str, timeout: Duration) -> bool {
         self.elapsed(name).is_some_and(|e| e > timeout)
     }
 

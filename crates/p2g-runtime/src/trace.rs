@@ -31,21 +31,6 @@ use parking_lot::Mutex;
 use p2g_field::{Age, DimSel, FieldId, Region};
 use p2g_graph::{KernelId, NodeId, ProgramSpec};
 
-/// Tracing configuration for one run.
-#[derive(Debug, Clone)]
-pub struct TraceOptions {
-    /// Per-thread ring-buffer capacity in events. When a buffer fills, the
-    /// oldest events are dropped (and counted in [`RunTrace::dropped`]);
-    /// [`crate::trace_check`] refuses to certify a lossy trace.
-    pub capacity: usize,
-}
-
-impl Default for TraceOptions {
-    fn default() -> TraceOptions {
-        TraceOptions { capacity: 1 << 16 }
-    }
-}
-
 /// One structured runtime event.
 ///
 /// Ages are carried as raw `u64` and regions pre-resolved (no extent-
@@ -220,6 +205,12 @@ impl Ring {
     }
 }
 
+/// Per-thread ring-buffer capacity, in events, of a traced run. When a
+/// buffer fills, the oldest events are dropped (and counted in
+/// [`RunTrace::dropped`]); [`crate::trace_check`] refuses to certify a
+/// lossy trace.
+pub const TRACE_CAPACITY: usize = 1 << 16;
+
 /// The per-run event collector: one bounded ring buffer per runtime
 /// thread, each behind its own (uncontended) mutex, sharing a monotonic
 /// epoch so timestamps are comparable across threads.
@@ -330,21 +321,6 @@ impl std::fmt::Debug for RunTrace {
 }
 
 impl RunTrace {
-    /// Build a trace directly from parts (dist-level traces, tests).
-    pub fn from_records(
-        spec: Arc<ProgramSpec>,
-        records: Vec<TraceRecord>,
-        dropped: u64,
-        thread_labels: Vec<String>,
-    ) -> RunTrace {
-        RunTrace {
-            spec,
-            records,
-            dropped,
-            thread_labels,
-        }
-    }
-
     /// The program spec the traced run executed.
     pub fn spec(&self) -> &ProgramSpec {
         &self.spec

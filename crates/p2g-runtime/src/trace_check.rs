@@ -56,7 +56,7 @@ pub fn all(report: &RunReport) {
     assert_eq!(
         trace.dropped, 0,
         "trace ring buffers overflowed ({} events dropped); raise \
-         TraceOptions::capacity for invariant checking",
+         trace::TRACE_CAPACITY for invariant checking",
         trace.dropped
     );
     dependencies_respected(trace);
@@ -82,7 +82,7 @@ pub fn all(report: &RunReport) {
 
 /// Invariant 7: every instance dispatch is traced on an analyzer shard's
 /// lane or on `main` (launch-time seeding of the source kernels).
-pub fn only_analyzer_dispatches(trace: &RunTrace) {
+pub(crate) fn only_analyzer_dispatches(trace: &RunTrace) {
     for r in trace.of_kind("InstanceDispatched") {
         let lane = trace
             .thread_labels
@@ -102,7 +102,7 @@ pub fn only_analyzer_dispatches(trace: &RunTrace) {
 /// `to`), every decision actually changes the chunk size, moves by exactly
 /// a factor of two (`to ∈ {from/2, from*2}`, halving rounds down), and the
 /// target never drops to zero.
-pub fn granularity_sane(trace: &RunTrace) {
+pub(crate) fn granularity_sane(trace: &RunTrace) {
     let mut last_to: HashMap<u32, usize> = HashMap::new();
     for r in trace.of_kind("GranularityChange") {
         let TraceEvent::GranularityChange {
@@ -139,7 +139,7 @@ pub fn granularity_sane(trace: &RunTrace) {
 /// Invariant 5: no store lands at a `(field, age)` the GC already retired.
 /// (A store tying the same timestamp as the retirement is ordered before
 /// it by the capture sort, which is the causally-correct reading.)
-pub fn no_store_after_retire(trace: &RunTrace) {
+pub(crate) fn no_store_after_retire(trace: &RunTrace) {
     let mut retired: HashMap<u32, u64> = HashMap::new();
     for r in &trace.records {
         match &r.event {
@@ -240,7 +240,7 @@ fn check_dispatch(
 /// group are credited before any dispatch in that group is checked. For
 /// the strict single-queue ordering (exact record order, no tie
 /// tolerance) use [`dependencies_respected_strict`].
-pub fn dependencies_respected(trace: &RunTrace) {
+pub(crate) fn dependencies_respected(trace: &RunTrace) {
     let mut written: HashMap<(u32, u64), WrittenAge> = HashMap::new();
     let records = &trace.records;
     let mut i = 0;
@@ -284,7 +284,7 @@ pub fn dependencies_respected(trace: &RunTrace) {
     }
 }
 
-/// Invariant 1 (strict): like [`dependencies_respected`] but in exact
+/// Invariant 1 (strict): like `dependencies_respected` but in exact
 /// merged-record order with no timestamp tie tolerance — each dispatch
 /// sees only the stores at strictly earlier record positions.
 ///
@@ -326,7 +326,7 @@ pub fn dependencies_respected_strict(trace: &RunTrace) {
 /// were fresh, and remote-injected stores are replicas of a store already
 /// checked on the producing node. This under-approximates (never
 /// false-positives) in distributed mode and is exact on a single node.
-pub fn write_once(trace: &RunTrace) {
+pub(crate) fn write_once(trace: &RunTrace) {
     let mut fresh: HashMap<(u32, u64), HashSet<Vec<usize>>> = HashMap::new();
     for r in &trace.records {
         if let TraceEvent::StoreApplied {
@@ -364,7 +364,7 @@ pub fn write_once(trace: &RunTrace) {
 /// Invariant 3: every scheduled retry stays within its kernel's budget
 /// (each `RetryScheduled` event carries the budget it was checked
 /// against).
-pub fn retries_within_budget(trace: &RunTrace) {
+pub(crate) fn retries_within_budget(trace: &RunTrace) {
     for r in trace.of_kind("RetryScheduled") {
         if let TraceEvent::RetryScheduled {
             kernel,
@@ -388,7 +388,7 @@ pub fn retries_within_budget(trace: &RunTrace) {
 
 /// Invariant 4: the traced poisoned set equals the instruments' poisoned
 /// set, and poisoning implies recorded body failures.
-pub fn poisoned_consistent(trace: &RunTrace, report: &RunReport) {
+pub(crate) fn poisoned_consistent(trace: &RunTrace, report: &RunReport) {
     let traced: BTreeSet<(String, u64, Vec<usize>)> = trace
         .of_kind("Poisoned")
         .filter_map(|r| match &r.event {

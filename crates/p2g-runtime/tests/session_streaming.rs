@@ -448,7 +448,7 @@ fn mul_sum_contents(fields: &FieldStore) -> Vec<(&'static str, u64, Written)> {
     out
 }
 
-/// `launch_batch`, the `p2gc serve` path: two batch tenants share a
+/// `launch_batch`, batch tenants on a shared pool: two of them share a
 /// 2-worker runtime with an open stream session. Each tenant quiesces with
 /// the fields a solo `workers(2)` node computes, and the session keeps
 /// delivering its frames in age order throughout.

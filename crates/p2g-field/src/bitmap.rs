@@ -93,6 +93,38 @@ impl Bitmap {
         true
     }
 
+    /// Set every one of the `len` bits from `start` and return how many
+    /// were not set before. `on_new` receives the indices of the bits this
+    /// call set, a word at a time. Unlike `set_run`, a run overlapping set
+    /// bits is not refused: the dependency analyzer accounts a stored row
+    /// this way, and a duplicate delivery or replay overlaps earlier
+    /// accounting.
+    pub fn fill_run(&mut self, start: usize, len: usize, mut on_new: impl FnMut(BitIter)) -> usize {
+        debug_assert!(start + len <= self.len);
+        let mut fresh = 0usize;
+        for (w, m) in Self::run_masks(start, len) {
+            let new = m & !self.words[w];
+            if new != 0 {
+                self.words[w] |= new;
+                fresh += new.count_ones() as usize;
+                on_new(BitIter {
+                    word: new,
+                    base: w * 64,
+                });
+            }
+        }
+        self.count += fresh;
+        fresh
+    }
+
+    /// Number of set bits among the `len` bits from `start`.
+    pub fn count_run(&self, start: usize, len: usize) -> usize {
+        debug_assert!(start + len <= self.len);
+        Self::run_masks(start, len)
+            .map(|(w, m)| (self.words[w] & m).count_ones() as usize)
+            .sum()
+    }
+
     /// True when all `len` bits from `start` are set.
     pub(crate) fn all_set_run(&self, start: usize, len: usize) -> bool {
         debug_assert!(start + len <= self.len);
@@ -125,7 +157,9 @@ impl Bitmap {
     }
 }
 
-struct BitIter {
+/// The indices of the set bits of one bitmap word, lowest first.
+#[derive(Debug, Clone)]
+pub struct BitIter {
     word: u64,
     base: usize,
 }
@@ -296,6 +330,34 @@ mod tests {
         assert!(!b.set_run(199, 1));
         assert!(b.all_set_run(0, 70) && b.all_set_run(100, 100) && b.all_set_run(5, 0));
         assert!(!b.all_set_run(60, 41) && !b.all_set_run(69, 2));
+    }
+
+    #[test]
+    fn fill_run_counts_only_new_bits() {
+        let mut b = Bitmap::new(200);
+        let mut news: Vec<Vec<usize>> = Vec::new();
+        // Across a word boundary.
+        assert_eq!(b.fill_run(60, 10, |bits| news.push(bits.collect())), 10);
+        assert_eq!(news, [(60..64).collect::<Vec<_>>(), (64..70).collect()]);
+        assert_eq!(b.count_run(60, 10), 10);
+        // Partly set: only the bits outside [60, 70) are new.
+        news.clear();
+        assert_eq!(b.fill_run(58, 14, |bits| news.push(bits.collect())), 4);
+        assert_eq!(news, [[58, 59], [70, 71]]);
+        assert!((58..72).all(|i| b.get(i)) && !b.get(57) && !b.get(72));
+        // Fully set: nothing new, no word reported.
+        news.clear();
+        assert_eq!(b.fill_run(60, 10, |bits| news.push(bits.collect())), 0);
+        assert!(news.is_empty());
+        // Zero-length runs touch nothing, also at the end.
+        assert_eq!(b.fill_run(100, 0, |_| panic!("no word")), 0);
+        assert_eq!(b.fill_run(200, 0, |_| panic!("no word")), 0);
+        assert_eq!((b.count_run(100, 0), b.count_run(200, 0)), (0, 0));
+        // Three words, ending on a boundary; the count stays exact.
+        assert_eq!(b.fill_run(64, 128, |_| ()), 128 - 8);
+        assert_eq!(b.count(), 14 + 120);
+        assert_eq!(b.count_run(0, 200), b.count());
+        assert_eq!(b.count_run(50, 30), 22);
     }
 
     #[test]

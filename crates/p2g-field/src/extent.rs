@@ -190,9 +190,10 @@ impl Region {
 
     /// The region as rows: the linear index (against `extents`) of the
     /// first element of each innermost-dimension run, in row-major order,
-    /// and the run length. A row is contiguous in a row-major buffer. The
-    /// region must lie within `extents`.
-    pub(crate) fn rows<'a>(&self, extents: &'a Extents) -> Result<(RegionIter<'a>, usize), FieldError> {
+    /// and the run length. A row is contiguous in a row-major buffer;
+    /// [`RegionIter::index`] gives the multi-index of the row's first
+    /// element. The region must lie within `extents`.
+    pub fn rows<'a>(&self, extents: &'a Extents) -> Result<(RegionIter<'a>, usize), FieldError> {
         let mut spans = self.resolve(extents)?;
         let row = match spans.last_mut() {
             Some((_, len)) => std::mem::replace(len, (*len).min(1)),
@@ -248,10 +249,11 @@ impl std::fmt::Display for Region {
 }
 
 /// Row-major iterator over the linear indices of a region.
-pub(crate) struct RegionIter<'a> {
+pub struct RegionIter<'a> {
     spans: Vec<(usize, usize)>,
     extents: &'a Extents,
     cursor: Vec<usize>,
+    started: bool,
     done: bool,
 }
 
@@ -263,8 +265,15 @@ impl<'a> RegionIter<'a> {
             spans,
             extents,
             cursor,
+            started: false,
             done,
         }
+    }
+
+    /// The multi-index of the element [`Iterator::next`] last yielded.
+    #[inline]
+    pub fn index(&self) -> &[usize] {
+        &self.cursor
     }
 }
 
@@ -275,21 +284,29 @@ impl Iterator for RegionIter<'_> {
         if self.done {
             return None;
         }
-        let lin = self
-            .extents
-            .linearize(&self.cursor)
-            .expect("RegionIter cursor in bounds");
-        // Advance the row-major odometer.
-        for d in (0..self.cursor.len()).rev() {
-            let (start, len) = self.spans[d];
-            self.cursor[d] += 1;
-            if self.cursor[d] < start + len {
-                return Some(lin);
+        if self.started {
+            // Advance the row-major odometer.
+            let mut d = self.cursor.len();
+            loop {
+                if d == 0 {
+                    self.done = true;
+                    return None;
+                }
+                d -= 1;
+                let (start, len) = self.spans[d];
+                self.cursor[d] += 1;
+                if self.cursor[d] < start + len {
+                    break;
+                }
+                self.cursor[d] = start;
             }
-            self.cursor[d] = start;
         }
-        self.done = true;
-        Some(lin)
+        self.started = true;
+        Some(
+            self.extents
+                .linearize(&self.cursor)
+                .expect("RegionIter cursor in bounds"),
+        )
     }
 }
 
@@ -363,6 +380,14 @@ mod tests {
         ]);
         let (rows, row) = r3.rows(&e3).unwrap();
         assert_eq!((rows.collect::<Vec<_>>(), row), (vec![1, 4, 7, 10], 2));
+        // Each row's multi-index is its first element's.
+        let (mut rows, _) = r3.rows(&e3).unwrap();
+        let mut firsts = Vec::new();
+        while let Some(lin) = rows.next() {
+            assert_eq!(e3.linearize(rows.index()), Some(lin));
+            firsts.push(rows.index().to_vec());
+        }
+        assert_eq!(firsts, [[0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 1]]);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! # Incremental dependency analysis
 //!
 //! The analyzer is *delta-driven*: its per-event cost is proportional to the
-//! stored region, not to the kernel instance spaces. Three pieces make this
-//! work:
+//! stored region's rows and the instances the store affects — not to the
+//! elements stored, nor to the kernel instance spaces. Three pieces make
+//! this work:
 //!
 //! * **Views** — a per-(field, age) record of extents and accounted
 //!   elements, built purely from store events. The hot path never takes a
@@ -22,9 +23,11 @@
 //!   one per instance, created lazily when the binding fetches' views first
 //!   exist. A store decrements exactly the counters of instances whose fetch
 //!   regions contain the stored elements, found by *inverting* the fetch
-//!   patterns (stored coordinate → instance rectangle) instead of
-//!   enumerating the instance space. An instance whose counter hits zero is
-//!   dispatched (if its gates are open).
+//!   patterns instead of enumerating the instance space: once per stored
+//!   row and consumer fetch, the row's outer coordinates pin an instance
+//!   rectangle, which is decremented by the row's newly accounted elements
+//!   it reads. An instance whose counter hits zero is dispatched (if its
+//!   gates are open).
 //! * **Gates** — whole-field and whole-dimension fetches don't count
 //!   elements; they wait for view completeness and settled extents. Gate
 //!   state is cached per table and recomputed only for tables the event
@@ -53,13 +56,14 @@
 //! `(kernel, age)` slice its shard owns and retires field ages through the
 //! shared [`ShardGc`] frontiers.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use p2g_field::bitmap::remap_for_resize;
-use p2g_field::{Age, Bitmap, Extents, Field, FieldId, ShapedBitmap};
+use p2g_field::bitmap::{remap_for_resize, BitIter};
+use p2g_field::{Age, Bitmap, DimSel, Extents, Field, FieldId, Region, ShapedBitmap};
 use p2g_graph::spec::{AgeExpr, IndexSel, KernelSpec};
 use p2g_graph::{KernelId, ProgramSpec};
 
@@ -218,6 +222,10 @@ pub struct DependencyAnalyzer {
     /// Adaptive mode: the online chunk-size controller consulted (instead
     /// of the static `chunk_size`) when chunking runnable instances.
     granularity: Option<Arc<crate::granularity::GranularityController>>,
+    /// Steps of the accounting walk since the last drain: one per stored
+    /// or counted row, plus one per fresh element a fetch that is `Var`
+    /// along the row inverts on its own.
+    elements_walked: Cell<u64>,
 }
 
 impl DependencyAnalyzer {
@@ -335,6 +343,7 @@ impl DependencyAnalyzer {
             scope,
             outbox_keys: Vec::new(),
             granularity: None,
+            elements_walked: Cell::new(0),
             spec,
         }
     }
@@ -397,6 +406,11 @@ impl DependencyAnalyzer {
     /// Drain the GC tally accumulated since the last call.
     pub(crate) fn take_gc_collected(&mut self) -> u64 {
         std::mem::take(&mut self.gc_collected)
+    }
+
+    /// Drain the accounting-walk steps taken since the last call.
+    pub(crate) fn take_elements_walked(&mut self) -> u64 {
+        self.elements_walked.take()
     }
 
     /// Make this analyzer shard `shard` of `plan`, coordinating age GC
@@ -1095,12 +1109,13 @@ impl DependencyAnalyzer {
             let old_ranges = self.tables[&key].ranges.clone();
             if new_ranges != old_ranges {
                 let target = old_ranges.union(&new_ranges);
+                let shared = self.missing(kid, a, &[], false);
                 let mut remaining = vec![0u32; target.len()];
                 for (lin, slot) in remaining.iter_mut().enumerate() {
                     let idx = target.delinearize(lin);
                     *slot = match old_ranges.linearize(&idx) {
                         Some(old_lin) => self.tables[&key].remaining[old_lin],
-                        None => self.instance_missing(kid, a, &idx),
+                        None => shared + self.missing(kid, a, &idx, true),
                     };
                 }
                 let table = self.tables.get_mut(&key).expect("checked above");
@@ -1130,8 +1145,9 @@ impl DependencyAnalyzer {
         let Some(ranges) = self.table_ranges(kid, a) else {
             return; // a binding view is still missing
         };
+        let shared = self.missing(kid, a, &[], false);
         let remaining = (0..ranges.len())
-            .map(|lin| self.instance_missing(kid, a, &ranges.delinearize(lin)))
+            .map(|lin| shared + self.missing(kid, a, &ranges.delinearize(lin), true))
             .collect();
         self.tables.insert(
             (kid.0, a),
@@ -1161,86 +1177,113 @@ impl DependencyAnalyzer {
         Some(Extents(dims))
     }
 
-    /// Count the unaccounted fetch elements of instance `idx` of (kid, a)
-    /// against the current views — the initial value of its pending
-    /// counter. Whole-field fetches contribute nothing (gates); a missing
+    /// Count unaccounted fetch elements of instance `idx` of (kid, a)
+    /// against the current views — summed over the fetches with a `Var`
+    /// dimension when `per_instance`, and otherwise over the rest, which
+    /// read the same elements for every instance (`idx` unused). An
+    /// instance's pending counter starts at the sum of both.
+    ///
+    /// Whole-field fetches contribute nothing (gates). A counted fetch
+    /// reads a slab: its `Var` and `Const` dims fixed, its `All` dims
+    /// spanning the view (one element for a pointwise fetch). A missing
     /// view contributes the full pointwise element, and nothing for a
     /// row-like slab (its extent is zero until the view exists, and its
-    /// settledness gate is closed until then).
-    fn instance_missing(&self, kid: KernelId, a: u64, idx: &[usize]) -> u32 {
+    /// settledness gate is closed until then); a fixed coordinate outside
+    /// the view's extents leaves the whole slab unaccounted.
+    fn missing(&self, kid: KernelId, a: u64, idx: &[usize], per_instance: bool) -> u32 {
         let k = self.spec.kernel(kid);
         let kinds = &self.fetch_kinds[kid.idx()];
         let mut missing = 0u32;
-        let mut coord: Vec<usize> = Vec::new();
         for (fi, fe) in k.fetches.iter().enumerate() {
-            let fa = fe.age.resolve(Age(a));
-            match kinds[fi] {
-                FetchKind::WholeField => {}
-                FetchKind::Pointwise => {
-                    coord.clear();
-                    coord.extend(fe.dims.iter().map(|s| match s {
-                        IndexSel::Var(v) => idx[v.0 as usize],
-                        IndexSel::Const(c) => *c,
-                        IndexSel::All => unreachable!("pointwise has no All dim"),
-                    }));
-                    let accounted = self.views.get(&(fe.field.0, fa.0)).is_some_and(|view| {
-                        view.extents
-                            .linearize(&coord)
-                            .is_some_and(|lin| view.accounted.get(lin))
-                    });
-                    if !accounted {
-                        missing += 1;
-                    }
-                }
-                FetchKind::RowLike => {
-                    let Some(view) = self.views.get(&(fe.field.0, fa.0)) else {
-                        continue;
-                    };
-                    // The slab: Var and Const dims fixed, All dims spanning
-                    // the view extents. A fixed coordinate out of the
-                    // view's extents leaves the whole slab unaccounted.
-                    let mut in_bounds = true;
-                    let spans: Vec<(usize, usize)> = fe
-                        .dims
-                        .iter()
-                        .enumerate()
-                        .map(|(d, s)| {
-                            let c = match s {
-                                IndexSel::Var(v) => idx[v.0 as usize],
-                                IndexSel::Const(c) => *c,
-                                IndexSel::All => return (0, view.extents.dim(d)),
-                            };
-                            in_bounds &= c < view.extents.dim(d);
-                            (c, 1)
-                        })
-                        .collect();
-                    let slab: usize = spans.iter().map(|&(_, l)| l).product();
-                    if !in_bounds {
-                        missing += slab as u32;
-                        continue;
-                    }
-                    missing += count_unaccounted(&spans, &view.extents, &view.accounted);
-                }
+            let varies = fe.dims.iter().any(|s| matches!(s, IndexSel::Var(_)));
+            if kinds[fi] == FetchKind::WholeField || varies != per_instance {
+                continue;
             }
+            let fa = fe.age.resolve(Age(a));
+            let Some(view) = self.views.get(&(fe.field.0, fa.0)) else {
+                missing += u32::from(kinds[fi] == FetchKind::Pointwise);
+                continue;
+            };
+            let mut in_bounds = true;
+            let slab = Region(
+                fe.dims
+                    .iter()
+                    .enumerate()
+                    .map(|(d, s)| {
+                        let c = match s {
+                            IndexSel::Var(v) => idx[v.0 as usize],
+                            IndexSel::Const(c) => *c,
+                            IndexSel::All => {
+                                return DimSel::Range {
+                                    start: 0,
+                                    len: view.extents.dim(d),
+                                }
+                            }
+                        };
+                        in_bounds &= c < view.extents.dim(d);
+                        DimSel::Index(c)
+                    })
+                    .collect(),
+            );
+            missing += if in_bounds {
+                self.count_unaccounted(&slab, view)
+            } else {
+                slab.len(&view.extents).expect("slab has the view's rank") as u32
+            };
         }
         missing
     }
 
-    /// Account every fresh element of the store into its view, and for
-    /// each one decrement the pending counters of every instance whose
-    /// inverted fetch pattern contains it. Counters hitting zero are
-    /// collected into `zeros` by table linear index.
+    /// Count the unaccounted elements of the in-bounds region `slab` of
+    /// `view`, a row at a time.
+    fn count_unaccounted(&self, slab: &Region, view: &FieldView) -> u32 {
+        let (rows, row) = slab.rows(&view.extents).expect("slab within view extents");
+        let mut missing = 0usize;
+        for start in rows {
+            self.elements_walked.set(self.elements_walked.get() + 1);
+            missing += row - view.accounted.count_run(start, row);
+        }
+        missing as u32
+    }
+
+    /// Account the store's fresh elements into its view a row at a time,
+    /// and per row decrement, once per consumer fetch, the pending counters
+    /// of the instance rectangle whose inverted fetch pattern reads the
+    /// row's fresh elements, by the number it reads. Counters hitting zero
+    /// are collected into `zeros` by table linear index.
     fn account_and_decrement(
         &mut self,
         se: &StoreEvent,
         zeros: &mut HashMap<(u32, u64), Vec<usize>>,
     ) {
         // The inversion plan: each counted consumer fetch of this field
-        // whose resolved age matches, with the kernel ages it feeds.
+        // whose resolved age matches, with the kernel ages it feeds and
+        // scratch for the instance rectangle.
         struct Plan {
             kid: KernelId,
             fetch: usize,
             ages: Vec<u64>,
+            pins: Vec<Option<usize>>,
+            cursor: Vec<usize>,
+        }
+        impl Plan {
+            /// Decrement the pinned rectangle by `amount` at every age.
+            fn decrement(
+                &mut self,
+                tables: &mut HashMap<(u32, u64), PendingTable>,
+                amount: u32,
+                zeros: &mut HashMap<(u32, u64), Vec<usize>>,
+            ) {
+                for &a in &self.ages {
+                    let key = (self.kid.0, a);
+                    let Some(table) = tables.get_mut(&key) else {
+                        continue;
+                    };
+                    decrement_rectangle(table, &self.pins, &mut self.cursor, amount, |lin| {
+                        zeros.entry(key).or_default().push(lin);
+                    });
+                }
+            }
         }
         let mut plans: Vec<Plan> = Vec::new();
         for &kid in &self.consumers[se.field.idx()] {
@@ -1280,101 +1323,97 @@ impl DependencyAnalyzer {
                     .filter(|&a| self.tables.contains_key(&(kid.0, a)))
                     .collect();
                 if !ages.is_empty() {
+                    let nvars = k.index_vars as usize;
                     plans.push(Plan {
                         kid,
                         fetch: fi,
                         ages,
+                        pins: vec![None; nvars],
+                        cursor: vec![0; nvars],
                     });
                 }
             }
         }
 
-        // Walk the stored region's coordinates against the (union-grown)
-        // view extents; the event's region is pre-resolved so it stays
-        // valid under the larger extents.
-        let view = self
+        // Walk the stored region by rows against the (union-grown) view
+        // extents; the event's region is pre-resolved so it stays valid
+        // under the larger extents. A row's fresh bits are the elements no
+        // earlier event accounted (duplicates and replays overlap).
+        let FieldView { extents, accounted } = self
             .views
             .get_mut(&vkey_of(se))
             .expect("view created above");
-        let view_extents = view.extents.clone();
-        let Ok(spans) = se.region.resolve(&view_extents) else {
+        let Ok((mut rows, row_len)) = se.region.rows(extents) else {
             // Unreachable for a landed store: its region resolved against
             // extents no larger than the view's.
             return;
         };
-        let ndim = spans.len();
-        let mut coord: Vec<usize> = spans.iter().map(|&(s, _)| s).collect();
-        if spans.iter().any(|&(_, l)| l == 0) {
-            return;
-        }
-        let mut fixed: Vec<Option<usize>> = Vec::new();
-        loop {
-            // Mark accounted; skip elements already accounted (idempotent
-            // replays, deduped remote stores).
-            let lin = view_extents
-                .linearize(&coord)
-                .expect("region coordinate within view extents");
-            let view = self.views.get_mut(&vkey_of(se)).expect("view exists");
-            if view.accounted.set(lin) {
-                for plan in &plans {
-                    let k = self.spec.kernel(plan.kid);
-                    let fe = &k.fetches[plan.fetch];
-                    // Invert the fetch pattern at this coordinate: Var
-                    // dims pin the instance rectangle, Const dims filter,
-                    // All dims leave it free.
-                    fixed.clear();
-                    fixed.resize(k.index_vars as usize, None);
-                    let mut applies = true;
-                    for (d, s) in fe.dims.iter().enumerate() {
-                        match s {
-                            IndexSel::Var(v) => {
-                                let vi = v.0 as usize;
-                                match fixed[vi] {
-                                    None => fixed[vi] = Some(coord[d]),
-                                    Some(prev) if prev == coord[d] => {}
-                                    Some(_) => {
-                                        applies = false;
-                                        break;
-                                    }
-                                }
-                            }
-                            IndexSel::Const(c) => {
-                                if coord[d] != *c {
-                                    applies = false;
-                                    break;
-                                }
-                            }
-                            IndexSel::All => {}
-                        }
-                    }
-                    if !applies {
+        // Only a fetch that is not `All` along the row reads the fresh
+        // bits themselves; the others take their count.
+        let keep_bits = plans.iter().any(|p| {
+            let fe = &self.spec.kernel(p.kid).fetches[p.fetch];
+            !matches!(fe.dims.last(), None | Some(IndexSel::All))
+        });
+        let mut fresh_words: Vec<BitIter> = Vec::new();
+        while let Some(row_start) = rows.next() {
+            let coord = rows.index();
+            fresh_words.clear();
+            let fresh = accounted.fill_run(row_start, row_len, |bits| {
+                if keep_bits {
+                    fresh_words.push(bits);
+                }
+            });
+            self.elements_walked.set(self.elements_walked.get() + 1);
+            if fresh == 0 {
+                continue;
+            }
+            // The fresh bits' coordinates along the row dimension.
+            let row_x0 = coord.last().copied().unwrap_or(0);
+            let fresh_xs = || {
+                fresh_words
+                    .iter()
+                    .cloned()
+                    .flatten()
+                    .map(|b| b - row_start + row_x0)
+            };
+            for plan in &mut plans {
+                let fe = &self.spec.kernel(plan.kid).fetches[plan.fetch];
+                // Invert the fetch pattern over the row: the outer
+                // coordinates pin Var dims and filter Const dims.
+                plan.pins.fill(None);
+                // A scalar field's one element reads like an `All` row.
+                let (row_sel, outer) = fe.dims.split_last().unwrap_or((&IndexSel::All, &[]));
+                let applies = outer.iter().zip(coord).all(|(s, &c)| match *s {
+                    IndexSel::Var(v) => pin(&mut plan.pins, v.0 as usize, c),
+                    IndexSel::Const(k) => k == c,
+                    IndexSel::All => true,
+                });
+                if !applies {
+                    continue;
+                }
+                // Along the row: All takes the fresh count at once; a
+                // Const, or a Var the outer dims already pinned, tests one
+                // bit; a free Var pins each fresh bit, one instance each.
+                let target = match *row_sel {
+                    IndexSel::All => {
+                        plan.decrement(&mut self.tables, fresh as u32, zeros);
                         continue;
                     }
-                    for &a in &plan.ages {
-                        let key = (plan.kid.0, a);
-                        let Some(table) = self.tables.get_mut(&key) else {
+                    IndexSel::Const(k) => k,
+                    IndexSel::Var(v) => match plan.pins[v.0 as usize] {
+                        Some(p) => p,
+                        None => {
+                            for x in fresh_xs() {
+                                self.elements_walked.set(self.elements_walked.get() + 1);
+                                plan.pins[v.0 as usize] = Some(x);
+                                plan.decrement(&mut self.tables, 1, zeros);
+                            }
                             continue;
-                        };
-                        decrement_rectangle(table, &fixed, |table_lin| {
-                            zeros.entry(key).or_default().push(table_lin);
-                        });
-                    }
-                }
-            }
-            // Advance the region odometer.
-            let mut d = ndim;
-            loop {
-                if d == 0 {
-                    return;
-                }
-                d -= 1;
-                coord[d] += 1;
-                if coord[d] < spans[d].0 + spans[d].1 {
-                    break;
-                }
-                coord[d] = spans[d].0;
-                if d == 0 {
-                    return;
+                        }
+                    },
+                };
+                if fresh_xs().any(|x| x == target) {
+                    plan.decrement(&mut self.tables, 1, zeros);
                 }
             }
         }
@@ -1861,95 +1900,64 @@ fn vkey_of(se: &StoreEvent) -> (u32, u64) {
     (se.field.0, se.age.0)
 }
 
-/// Count unaccounted elements of the rectangle `spans` (start, len per
-/// dimension) under `extents`.
-fn count_unaccounted(spans: &[(usize, usize)], extents: &Extents, accounted: &Bitmap) -> u32 {
-    let total: usize = spans.iter().map(|&(_, l)| l).product();
-    if total == 0 {
-        return 0;
-    }
-    let mut coord: Vec<usize> = spans.iter().map(|&(s, _)| s).collect();
-    let mut missing = 0u32;
-    loop {
-        let lin = extents
-            .linearize(&coord)
-            .expect("slab coordinate within extents");
-        if !accounted.get(lin) {
-            missing += 1;
-        }
-        let mut d = spans.len();
-        loop {
-            if d == 0 {
-                return missing;
-            }
-            d -= 1;
-            coord[d] += 1;
-            if coord[d] < spans[d].0 + spans[d].1 {
-                break;
-            }
-            coord[d] = spans[d].0;
-            if d == 0 {
-                return missing;
-            }
-        }
-    }
+/// Pin index variable `v` to `c` in `pins`; false when the fetch already
+/// pinned it to another value (a variable named twice, as in a diagonal
+/// fetch `[X, X]`, only reads elements whose coordinates agree).
+fn pin(pins: &mut [Option<usize>], v: usize, c: usize) -> bool {
+    *pins[v].get_or_insert(c) == c
 }
 
-/// Decrement every counter in the instance rectangle given by `fixed`
-/// (Some pins a variable, None leaves it free), invoking `on_zero` with
-/// the table linear index of each counter that transitions to zero.
-/// Rectangles with a pinned value outside the table's ranges are skipped
-/// entirely — those instances don't exist yet, and when the table grows
-/// they are initialized from the views (which already account the
-/// element).
+/// Decrement by `amount` every counter in the instance rectangle `pins`
+/// selects (Some pins a variable, None spans its range), invoking
+/// `on_zero` with the table linear index of each counter that reaches
+/// zero. `cursor` is scratch of one slot per variable. Rectangles with a
+/// pinned value outside the table's ranges are skipped entirely — those
+/// instances don't exist yet, and when the table grows they are
+/// initialized from the views (which already account the elements).
 fn decrement_rectangle(
     table: &mut PendingTable,
-    fixed: &[Option<usize>],
+    pins: &[Option<usize>],
+    cursor: &mut [usize],
+    amount: u32,
     mut on_zero: impl FnMut(usize),
 ) {
-    let nvars = fixed.len();
-    debug_assert_eq!(nvars, table.ranges.ndim());
-    let mut coord = vec![0usize; nvars];
-    for (v, f) in fixed.iter().enumerate() {
-        if let Some(c) = *f {
-            if c >= table.ranges.dim(v) {
-                return;
-            }
-            coord[v] = c;
+    debug_assert_eq!(pins.len(), table.ranges.ndim());
+    for (v, p) in pins.iter().enumerate() {
+        match *p {
+            Some(c) if c >= table.ranges.dim(v) => return,
+            Some(c) => cursor[v] = c,
+            None => cursor[v] = 0,
         }
     }
     loop {
         let lin = table
             .ranges
-            .linearize(&coord)
+            .linearize(cursor)
             .expect("rectangle coordinate within table ranges");
         let slot = &mut table.remaining[lin];
-        debug_assert!(*slot > 0, "counter underflow: element decremented twice");
-        *slot = slot.saturating_sub(1);
+        debug_assert!(
+            *slot >= amount,
+            "counter underflow: element decremented twice"
+        );
+        *slot = slot.saturating_sub(amount);
         if *slot == 0 {
             on_zero(lin);
         }
         // Advance over the free variables only.
-        let mut d = nvars;
+        let mut v = pins.len();
         loop {
-            if d == 0 {
+            if v == 0 {
                 return;
             }
-            d -= 1;
-            if fixed[d].is_some() {
-                if d == 0 {
-                    return;
-                }
+            v -= 1;
+            if pins[v].is_some() {
                 continue;
             }
-            coord[d] += 1;
-            if coord[d] < table.ranges.dim(d) {
+            cursor[v] += 1;
+            if cursor[v] < table.ranges.dim(v) {
                 break;
             }
-            coord[d] = 0;
-            if d == 0 {
-                return;
-            }
+            cursor[v] = 0;
         }
     }
 }

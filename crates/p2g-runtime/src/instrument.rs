@@ -198,6 +198,10 @@ pub struct Instruments {
     analyzer_busy_ns: AtomicU64,
     /// Events the analyzer processed.
     analyzer_events: AtomicU64,
+    /// Steps of the analyzer's accounting walk: one per stored or counted
+    /// row, plus one per fresh element a fetch that is `Var` along the row
+    /// inverts on its own.
+    analyzer_elements_walked: AtomicU64,
     /// Channel drains by the analyzer loop. events / batches is the mean
     /// batch size — a gauge of how bursty the store-event load is.
     analyzer_batches: AtomicU64,
@@ -243,6 +247,7 @@ impl Instruments {
                 .collect(),
             analyzer_busy_ns: AtomicU64::new(0),
             analyzer_events: AtomicU64::new(0),
+            analyzer_elements_walked: AtomicU64::new(0),
             analyzer_batches: AtomicU64::new(0),
             volumes: parking_lot::Mutex::new(BTreeMap::new()),
             deduped_elements: AtomicU64::new(0),
@@ -380,11 +385,14 @@ impl Instruments {
         self.deduped_elements.load(Ordering::Relaxed)
     }
 
-    /// Record one processed analyzer event and its processing time.
-    pub(crate) fn record_analyzer_event(&self, busy: Duration) {
+    /// Record one processed analyzer event, its processing time and the
+    /// steps its accounting walk took.
+    pub(crate) fn record_analyzer_event(&self, busy: Duration, elements_walked: u64) {
         self.analyzer_busy_ns
             .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
         self.analyzer_events.fetch_add(1, Ordering::Relaxed);
+        self.analyzer_elements_walked
+            .fetch_add(elements_walked, Ordering::Relaxed);
     }
 
     /// Total time the analyzer spent processing events.
@@ -395,6 +403,11 @@ impl Instruments {
     /// Number of events the analyzer processed.
     pub fn analyzer_events(&self) -> u64 {
         self.analyzer_events.load(Ordering::Relaxed)
+    }
+
+    /// Steps the analyzer's accounting walk took.
+    pub fn analyzer_elements_walked(&self) -> u64 {
+        self.analyzer_elements_walked.load(Ordering::Relaxed)
     }
 
     /// Record one greedy channel drain (a batch of one or more events).
@@ -530,6 +543,7 @@ pub struct InstrumentsSnapshot {
     volumes: BTreeMap<(KernelId, FieldId), u64>,
     analyzer_busy: Duration,
     analyzer_events: u64,
+    analyzer_elements_walked: u64,
     analyzer_batches: u64,
     deduped_elements: u64,
     poisoned_instances: BTreeMap<(String, u64), Vec<Vec<usize>>>,
@@ -548,6 +562,7 @@ impl InstrumentsSnapshot {
             volumes: live.store_volumes(),
             analyzer_busy: live.analyzer_busy(),
             analyzer_events: live.analyzer_events(),
+            analyzer_elements_walked: live.analyzer_elements_walked(),
             analyzer_batches: live.analyzer_batches(),
             deduped_elements: live.deduped_elements(),
             poisoned_instances: live.poisoned_instances(),
@@ -615,6 +630,14 @@ impl InstrumentsSnapshot {
     /// Events the analyzer processed.
     pub fn analyzer_events(&self) -> u64 {
         self.analyzer_events
+    }
+
+    /// Steps of the analyzer's accounting walk: one per stored or counted
+    /// row, plus one per fresh element a fetch that is `Var` along the row
+    /// inverts on its own. Scales with the instances stores affect, not
+    /// the elements they write.
+    pub fn analyzer_elements_walked(&self) -> u64 {
+        self.analyzer_elements_walked
     }
 
     /// Channel drains by the analyzer loop (events / batches = mean batch

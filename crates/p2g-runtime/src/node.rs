@@ -873,7 +873,9 @@ fn analyzer_loop(
                     return Termination::Failed;
                 }
             };
-            shared.instruments.record_analyzer_event(t_event.elapsed());
+            shared
+                .instruments
+                .record_analyzer_event(t_event.elapsed(), analyzer.take_elements_walked());
             shared
                 .instruments
                 .record_gc(analyzer.take_gc_collected(), analyzer.live_ages() as u64);
@@ -1475,21 +1477,23 @@ fn land(
         };
         let extents = f.extents(age).cloned().expect("age resident after store");
         let resolved = region.resolved_against(&extents);
+        // Recorded before the lock is released, so the trace's
+        // StoreApplied happens-before any dispatch derived from the data:
+        // from this store's event, and from a `Reassign` rescan, which
+        // reads the fields themselves.
+        shared.trace(|| {
+            store_event(
+                kernel,
+                field,
+                age,
+                resolved.clone(),
+                outcome.stored,
+                outcome.deduped,
+                outcome.age_complete,
+            )
+        });
         (outcome, resolved, extents)
     };
-    // Recorded before the store event is sent, so the trace's StoreApplied
-    // happens-before any dispatch the analyzer derives from it.
-    shared.trace(|| {
-        store_event(
-            kernel,
-            field,
-            age,
-            region.clone(),
-            outcome.stored,
-            outcome.deduped,
-            outcome.age_complete,
-        )
-    });
     if outcome.deduped > 0 {
         shared.instruments.record_deduped(outcome.deduped as u64);
     }

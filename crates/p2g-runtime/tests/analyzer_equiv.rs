@@ -3,19 +3,20 @@
 //!
 //! The analyzer (pending tables + counter decrements + gates) must dispatch
 //! exactly the instances [`reference`] derives from field ground truth —
-//! for every fetch shape, any store order, any partial coverage, any
-//! duplicated event delivery, and a `Reassign` after lost events. The
-//! reference enumerates each instance space and checks every fetch against
-//! the fields; it shares no code with the analyzer. A *fresh* analyzer
-//! driven through `Event::Reassign` (which rebuilds its tables from views
-//! resynchronized with the fields) must agree with both.
+//! for every fetch shape, any store order, any partial coverage, stores of
+//! whole rectangles that overlap earlier ones, any duplicated event
+//! delivery, and a `Reassign` after lost events. The reference enumerates
+//! each instance space and checks every fetch against the fields; it
+//! shares no code with the analyzer. A *fresh* analyzer driven through
+//! `Event::Reassign` (which rebuilds its tables from views resynchronized
+//! with the fields) must agree with both.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use p2g_field::{Age, Extents, Field, FieldDef, FieldId, Region, ScalarType, Value};
+use p2g_field::{Age, Buffer, DimSel, Extents, Field, FieldDef, FieldId, Region, ScalarType};
 use p2g_graph::spec::{AgeExpr, FetchDecl, IndexSel, IndexVar, KernelSpec, StoreDecl};
 use p2g_graph::{KernelId, ProgramSpec};
 use p2g_runtime::analyzer::{DependencyAnalyzer, SharedFields};
@@ -25,6 +26,8 @@ use p2g_runtime::program::resolve_region;
 use p2g_runtime::{KernelOptions, RunLimits, ShardGc, ShardPlan};
 
 type Instance = (u32, u64, Vec<usize>);
+/// A store: field, age and the `(start, len)` rectangle it writes.
+type Store = (u32, u64, Vec<(usize, usize)>);
 
 fn fetch(field: FieldId, age: AgeExpr, dims: Vec<IndexSel>) -> FetchDecl {
     FetchDecl { field, age, dims }
@@ -51,9 +54,10 @@ const Y: IndexSel = IndexSel::Var(IndexVar(1));
 const ALL: IndexSel = IndexSel::All;
 
 /// Pure-consumer program exercising every fetch shape the analyzer
-/// classifies: pointwise, row-like, whole-field, constant-age, and a
-/// constant row next to a whole dimension (row 1, out of bounds when
-/// `n1 = 1`).
+/// classifies: pointwise, row-like, whole-field, constant-age, a constant
+/// row next to a whole dimension (row 1, out of bounds when `n1 = 1`), and
+/// the shapes whose innermost (row) dimension is not `All`: a column
+/// `[ALL, X]`, a constant column `[X, 1]` and the diagonal `[X, X]`.
 fn consumer_spec(n0: usize, n1: usize, n2: usize) -> ProgramSpec {
     let mut spec = ProgramSpec::new();
     let f0 = spec.add_field(FieldDef::with_extents(
@@ -93,6 +97,24 @@ fn consumer_spec(n0: usize, n1: usize, n2: usize) -> ProgramSpec {
         "k_inel",
         0,
         vec![fetch(f1, rel, vec![IndexSel::Const(1), ALL])],
+        vec![],
+    ));
+    spec.add_kernel(kernel(
+        "k_col",
+        1,
+        vec![fetch(f1, rel, vec![ALL, X])],
+        vec![],
+    ));
+    spec.add_kernel(kernel(
+        "k_c1",
+        1,
+        vec![fetch(f1, rel, vec![X, IndexSel::Const(1)])],
+        vec![],
+    ));
+    spec.add_kernel(kernel(
+        "k_diag",
+        1,
+        vec![fetch(f1, rel, vec![X, X])],
         vec![],
     ));
     spec
@@ -180,37 +202,59 @@ fn reference(spec: &ProgramSpec, fields: &SharedFields, ages: u64) -> Vec<Instan
     out
 }
 
-/// Every element of both fields at every age, a pseudo-random subset of
-/// them, shuffled.
+/// A pseudo-random subset of every element of both fields at every age,
+/// plus `rects` random rectangles per field and age — which overlap the
+/// elements and each other, and repeat whole — shuffled.
 fn storm(
     (n0, n1, n2, ages): (usize, usize, usize, u64),
     subset_seed: u64,
     keep_num: u32,
+    rects: usize,
     order: u64,
-) -> Vec<Instance> {
-    let mut stores: Vec<Instance> = Vec::new();
+) -> Vec<Store> {
+    let mut stores: Vec<Store> = Vec::new();
     for a in 0..ages {
         for x in 0..n0 {
-            stores.push((0, a, vec![x]));
+            stores.push((0, a, vec![(x, 1)]));
         }
         for y in 0..n1 {
             for z in 0..n2 {
-                stores.push((1, a, vec![y, z]));
+                stores.push((1, a, vec![(y, 1), (z, 1)]));
             }
         }
     }
-    let mut keep: Vec<Instance> = stores
+    // Cheap splitmix-style hash.
+    let hash = |i: u64| {
+        let mut h = subset_seed ^ i.wrapping_mul(0x9E3779B97F4A7C15);
+        h ^= h >> 31;
+        h = h.wrapping_mul(0xBF58476D1CE4E5B9);
+        h ^ (h >> 29)
+    };
+    let mut keep: Vec<Store> = stores
         .into_iter()
         .enumerate()
-        .filter(|(i, _)| {
-            // Cheap splitmix-style hash for subset selection.
-            let mut h = subset_seed ^ (*i as u64).wrapping_mul(0x9E3779B97F4A7C15);
-            h ^= h >> 31;
-            h = h.wrapping_mul(0xBF58476D1CE4E5B9);
-            (h % 100) < keep_num as u64
-        })
+        .filter(|(i, _)| (hash(*i as u64) % 100) < keep_num as u64)
         .map(|(_, s)| s)
         .collect();
+    let mut draw = 1u64 << 32;
+    let mut span = |n: usize| {
+        draw += 2;
+        let start = hash(draw) as usize % n;
+        (start, 1 + hash(draw + 1) as usize % (n - start))
+    };
+    for a in 0..ages {
+        for r in 0..rects {
+            let rect0 = (0, a, vec![span(n0)]);
+            let rect1 = (1, a, vec![span(n1), span(n2)]);
+            // Every third rectangle is stored twice.
+            if r % 3 == 2 {
+                keep.push(rect0.clone());
+                keep.push(rect1.clone());
+            }
+            keep.push(rect0);
+            keep.push(rect1);
+        }
+    }
     // Fisher–Yates with the perturbed order seed.
     let mut state = order;
     for i in (1..keep.len()).rev() {
@@ -222,17 +266,38 @@ fn storm(
     keep
 }
 
-/// Store one element into the fields and build its event.
-fn land(fields: &SharedFields, (fid, a, idx): &Instance, value: i32) -> Event {
+/// Store one rectangle into the fields and build its event. Each element's
+/// value is a function of its coordinates, so a store overlapping earlier
+/// ones lands as an idempotent replay: the already written elements are
+/// deduplicated, and the event still carries the whole rectangle.
+fn land(fields: &SharedFields, (fid, a, spans): &Store) -> Event {
+    let shape = Extents(spans.iter().map(|&(_, len)| len).collect());
+    let values: Vec<i32> = (0..shape.len())
+        .map(|lin| {
+            let off = shape.delinearize(lin);
+            spans
+                .iter()
+                .zip(off)
+                .fold(*fid as i32, |h, (&(start, _), o)| {
+                    h * 31 + (start + o) as i32
+                })
+        })
+        .collect();
+    let region = Region(
+        spans
+            .iter()
+            .map(|&(start, len)| DimSel::Range { start, len })
+            .collect(),
+    );
     let mut field = fields[*fid as usize].write();
     let out = field
-        .store_element(Age(*a), idx, Value::I32(value))
+        .store_idempotent(Age(*a), &region, &Buffer::from_vec(values))
         .unwrap();
     let extents = field.extents(Age(*a)).cloned().unwrap();
     Event::Store(StoreEvent {
         field: FieldId(*fid),
         age: Age(*a),
-        region: Region::point(idx).resolved_against(&extents),
+        region: region.resolved_against(&extents),
         extents,
         elements: out.stored,
         age_complete: out.age_complete,
@@ -265,8 +330,9 @@ fn check_against_ground_truth(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Feed a random subset of element stores in random order (with random
-    /// duplicate event deliveries) through the analyzer. The first
+    /// Feed a random subset of element stores and overlapping rectangle
+    /// stores in random order (with random duplicate event deliveries)
+    /// through the analyzer. The first
     /// `reassign_at` stores land with some events lost (a clear `dup_mask`
     /// bit), then `Reassign` resynchronizes; the rest are delivered. The
     /// dispatched instances must equal the ground truth, with no duplicate.
@@ -280,19 +346,20 @@ proptest! {
         keep_num in 0u32..=100,
         dup_mask in any::<u64>(),
         order in any::<u64>(),
+        rects in 0usize..6,
         reassign_at in 0usize..48,
     ) {
         let spec = Arc::new(consumer_spec(n0, n1, n2));
         let fields = make_fields(&spec);
         let mut an = make_analyzer(&spec, &fields, ages);
         let mut units = an.seed();
-        let keep = storm((n0, n1, n2, ages), subset_seed, keep_num, order);
+        let keep = storm((n0, n1, n2, ages), subset_seed, keep_num, rects, order);
         let cut = reassign_at.min(keep.len());
         for (i, store) in keep.iter().enumerate() {
             if i == cut {
                 units.extend(an.on_event(&reassign_all(&spec)).unwrap());
             }
-            let ev = land(&fields, store, i as i32);
+            let ev = land(&fields, store);
             let bit = dup_mask & (1 << (i % 64)) != 0;
             if i >= cut || bit {
                 units.extend(an.on_event(&ev).unwrap());
@@ -326,6 +393,7 @@ proptest! {
         keep_num in 0u32..=100,
         dup_mask in any::<u64>(),
         order in any::<u64>(),
+        rects in 0usize..6,
         reassign_at in 0usize..48,
     ) {
         let spec = Arc::new(consumer_spec(n0, n1, n2));
@@ -375,13 +443,13 @@ proptest! {
             }
         };
         let every_shard = (1u64 << shards) - 1;
-        let keep = storm((n0, n1, n2, ages), subset_seed, keep_num, order);
+        let keep = storm((n0, n1, n2, ages), subset_seed, keep_num, rects, order);
         let cut = reassign_at.min(keep.len());
         for (i, store) in keep.iter().enumerate() {
             if i == cut {
                 deliver(&mut analyzers, &mut units, &reassign_all(&spec), every_shard);
             }
-            let ev = land(&fields, store, i as i32);
+            let ev = land(&fields, store);
             let dests = plan.store_dests(FieldId(store.0), store.1);
             let bit = dup_mask & (1 << (i % 64)) != 0;
             if i >= cut || bit {
@@ -396,6 +464,39 @@ proptest! {
         }
         check_against_ground_truth(&spec, &fields, ages, instances_of(&units))?;
     }
+}
+
+/// `Reassign` after a rectangle store whose event was lost while an earlier,
+/// overlapping rectangle's was delivered: the rebuilt views account the
+/// lost store's elements, and the late replays of both events (and a
+/// duplicate) must dispatch nothing twice and miss nothing.
+#[test]
+fn reassign_after_partly_delivered_rectangle() {
+    let spec = Arc::new(consumer_spec(3, 3, 3));
+    let fields = make_fields(&spec);
+    let mut an = make_analyzer(&spec, &fields, 1);
+    let mut units = an.seed();
+    let first = land(&fields, &(1, 0, vec![(0, 2), (0, 2)]));
+    units.extend(an.on_event(&first).unwrap());
+    // Overlaps `first` in [1, 2) x [1, 2); its event is lost.
+    let lost = land(&fields, &(1, 0, vec![(1, 2), (1, 2)]));
+    units.extend(an.on_event(&reassign_all(&spec)).unwrap());
+    for ev in [&lost, &first, &lost] {
+        units.extend(an.on_event(ev).unwrap());
+    }
+    for x in 0..3 {
+        units.extend(an.on_event(&land(&fields, &(0, 0, vec![(x, 1)]))).unwrap());
+    }
+    let rest = land(&fields, &(1, 0, vec![(0, 3), (0, 3)]));
+    units.extend(an.on_event(&rest).unwrap());
+    let got = instances_of(&units);
+    check_against_ground_truth(&spec, &fields, 1, got.clone()).unwrap();
+    // Everything is written: every in-bounds instance of every kernel ran.
+    assert_eq!(got.len(), reference(&spec, &fields, 1).len());
+    assert!(
+        got.contains(&(7, 0, vec![2])),
+        "the diagonal's last element"
+    );
 }
 
 /// Poisoned instances drained from `an`, as sorted (kernel, indices) at
@@ -460,7 +561,7 @@ fn late_poison_reaches_constant_row_consumer() {
     an.on_event(&failure(0, vec![])).unwrap();
     assert_eq!(poisoned(&mut an), vec![(0, vec![])]);
     for x in 0..3 {
-        let units = an.on_event(&land(&fields, &(0, 0, vec![x]), 7)).unwrap();
+        let units = an.on_event(&land(&fields, &(0, 0, vec![(x, 1)]))).unwrap();
         assert!(units.is_empty(), "a poisoned instance was dispatched");
     }
     assert_eq!(
@@ -515,7 +616,7 @@ fn poison_through_constant_index_filters() {
     let fields = make_fields(&spec);
     let mut an = make_analyzer(&spec, &fields, 1);
     for x in 0..3 {
-        an.on_event(&land(&fields, &(1, 0, vec![x]), 7)).unwrap();
+        an.on_event(&land(&fields, &(1, 0, vec![(x, 1)]))).unwrap();
     }
     an.on_event(&failure(0, vec![0])).unwrap();
     let all3 = |k: u32| (0..3).map(move |x| (k, vec![x]));

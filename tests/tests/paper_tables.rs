@@ -172,3 +172,59 @@ fn kmeans_converges_under_p2g() {
     }
     assert!(log[7] < log[0], "inertia must strictly improve overall");
 }
+
+/// The analyzer's accounting walk scales with the instances a store
+/// affects, not the elements it writes (the paper's sub-field granularity,
+/// §V-C): a CIF frame stores ≈ 304k elements across its input and result
+/// planes, but feeds only 2376 DCT instances, and the walk takes at most
+/// about four steps per instance. A K-means point assignment costs one
+/// step for its stored element and one for its instance's `points` row,
+/// plus a share of the dataset's and the centroids' rows: at most 2.5 per
+/// item.
+#[test]
+fn analyzer_walk_scales_with_instances() {
+    use p2g_kmeans::{build_kmeans_program, KmeansConfig};
+    use p2g_mjpeg::{build_mjpeg_program, MjpegConfig, SyntheticVideo};
+
+    let frames = 2u64;
+    let src = SyntheticVideo::new(352, 288, frames, 1);
+    let config = MjpegConfig {
+        quality: 75,
+        max_frames: frames,
+        fast_dct: true,
+        dct_chunk: 1,
+        ..MjpegConfig::default()
+    };
+    let (program, _) = build_mjpeg_program(Arc::new(src), config).unwrap();
+    let report = NodeBuilder::new(program)
+        .workers(1)
+        .launch(RunLimits::ages(frames + 1))
+        .and_then(|n| n.wait())
+        .unwrap();
+    let per_frame = report.instruments.analyzer_elements_walked() / frames;
+    assert!(
+        per_frame <= 9_500,
+        "{per_frame} walk steps per CIF frame for 2376 DCT instances"
+    );
+
+    let kconfig = KmeansConfig {
+        n: 400,
+        k: 10,
+        dim: 2,
+        iterations: 4,
+        seed: 3,
+        assign_chunk: 1,
+    };
+    let (kprogram, _) = build_kmeans_program(&kconfig).unwrap();
+    let kreport = NodeBuilder::new(kprogram)
+        .workers(1)
+        .launch(RunLimits::ages(kconfig.iterations))
+        .and_then(|n| n.wait())
+        .unwrap();
+    let items = (kconfig.n as u64) * kconfig.iterations;
+    let walked = kreport.instruments.analyzer_elements_walked();
+    assert!(
+        walked * 2 <= items * 5,
+        "{walked} walk steps for {items} K-means point assignments"
+    );
+}

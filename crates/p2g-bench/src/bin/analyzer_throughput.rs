@@ -16,26 +16,17 @@
 //! `--trace` records a structured trace event per fed store (the same
 //! per-store record a tracing-enabled worker performs), measuring the
 //! tracing hot-path overhead against an untraced run of the same storm.
-//!
-//! With `--shards N` the bench switches to the **sharded storm** mode:
-//! the store storm is pre-built, `--producers P` threads route it to
-//! per-shard channels through the [`ShardPlan`], and N analyzer shard
-//! threads drain them concurrently — the parallel analysis pipeline of
-//! the sharded runtime, minus worker execution. It sweeps 1 shard vs N
-//! shards on the same storm and writes `BENCH_analyzer_shard.json`.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use p2g_bench::{arg, has_flag, write_result};
 use p2g_core::prelude::*;
 use p2g_core::runtime::analyzer::{DependencyAnalyzer, SharedFields};
 use p2g_core::runtime::events::Event;
 use p2g_core::runtime::trace::{TraceEvent, Tracer};
-use p2g_core::runtime::{ShardGc, ShardPlan};
 
 mod event_shim {
     //! Builds a [`StoreEvent`] from a just-applied store the way the node's
@@ -186,338 +177,6 @@ fn run_storm(n: usize, k: usize, ages: u64, tracer: Option<&Tracer>, batch: usiz
     }
 }
 
-/// Pre-build (and apply) the full K-means store storm against fresh
-/// fields, in generation order — the sharded storm routes these from
-/// producer threads instead of feeding them synchronously.
-fn build_storm(n: usize, k: usize, ages: u64, fields: &SharedFields) -> Vec<Event> {
-    let mut events = Vec::with_capacity((n + k) * ages as usize + 2);
-    let pts = Buffer::zeroed(ScalarType::F64, Extents::new([n, 2]));
-    events.push(Event::Store(store_event(
-        fields,
-        0,
-        0,
-        &Region::all(2),
-        &pts,
-    )));
-    let cts = Buffer::zeroed(ScalarType::F64, Extents::new([k, 2]));
-    events.push(Event::Store(store_event(
-        fields,
-        1,
-        0,
-        &Region::all(2),
-        &cts,
-    )));
-    for a in 0..ages {
-        for x in 0..n {
-            events.push(Event::Store(store_event(
-                fields,
-                2,
-                a,
-                &Region::point(&[x]),
-                &Buffer::from_vec(vec![(x % k) as i32]),
-            )));
-        }
-        if a + 1 < ages {
-            for c in 0..k {
-                let row = Buffer::zeroed(ScalarType::F64, Extents::new([1, 2]));
-                let region = Region(vec![
-                    DimSel::Range { start: c, len: 1 },
-                    DimSel::Range { start: 0, len: 2 },
-                ]);
-                events.push(Event::Store(store_event(fields, 1, a + 1, &region, &row)));
-            }
-        }
-    }
-    events
-}
-
-struct ShardStormStats {
-    /// Store events generated by the storm.
-    stored_events: usize,
-    /// `on_event` calls processed across every shard (a broadcast store
-    /// is analyzed once per destination shard).
-    deliveries: usize,
-    units: usize,
-    instances: usize,
-    elapsed_s: f64,
-    lat_ns: Vec<u64>,
-    per_shard: Vec<usize>,
-}
-
-/// The sharded storm: `producers` threads route the pre-built storm to
-/// per-shard channels via the [`ShardPlan`]; `shards` analyzer threads
-/// drain them concurrently, forwarding expected-extents broadcasts to
-/// their peers exactly as the node's analyzer loop does. Only the routing
-/// and analysis are timed — the stores themselves pre-applied.
-fn run_storm_sharded(
-    n: usize,
-    k: usize,
-    ages: u64,
-    shards: usize,
-    producers: usize,
-) -> ShardStormStats {
-    let spec = Arc::new(p2g_kmeans::pipeline::kmeans_spec(n, k, 2));
-    let fields: SharedFields = Arc::new(
-        spec.fields
-            .iter()
-            .enumerate()
-            .map(|(i, d)| parking_lot::RwLock::new(Field::new(FieldId(i as u32), d.clone())))
-            .collect(),
-    );
-    let options = vec![p2g_core::runtime::KernelOptions::default(); spec.kernels.len()];
-    let events = Arc::new(build_storm(n, k, ages, &fields));
-    let stored_events = events.len();
-    let plan = Arc::new(ShardPlan::new(
-        &spec,
-        &options,
-        &HashSet::new(),
-        &HashSet::new(),
-        shards,
-    ));
-    let gc = Arc::new(ShardGc::new(spec.kernels.len(), spec.fields.len(), shards));
-
-    let (txs, rxs): (Vec<_>, Vec<_>) = (0..shards)
-        .map(|_| crossbeam::channel::unbounded::<Event>())
-        .unzip();
-    // Deliveries routed but not yet analyzed; producers increment before
-    // sending, analyzers decrement after processing (and increment for
-    // each peer broadcast they originate).
-    let in_flight = Arc::new(AtomicI64::new(0));
-    let done = Arc::new(AtomicBool::new(false));
-
-    let mut analyzers = Vec::with_capacity(shards);
-    for s in 0..shards {
-        let mut an = DependencyAnalyzer::new(
-            spec.clone(),
-            options.clone(),
-            HashSet::new(),
-            fields.clone(),
-            RunLimits::ages(ages),
-        );
-        an.set_shard_scope(plan.clone(), s, gc.clone());
-        an.seed();
-        analyzers.push(an);
-    }
-
-    let t0 = Instant::now();
-    let mut shard_handles = Vec::with_capacity(shards);
-    for (s, (mut an, rx)) in analyzers.into_iter().zip(rxs).enumerate() {
-        let txs: Vec<_> = txs.clone();
-        let in_flight = in_flight.clone();
-        let done = done.clone();
-        shard_handles.push(std::thread::spawn(move || {
-            let mut lat = Vec::new();
-            let mut units = 0usize;
-            let mut instances = 0usize;
-            let mut processed = 0usize;
-            loop {
-                match rx.recv_timeout(Duration::from_micros(500)) {
-                    Ok(ev) => {
-                        let t = Instant::now();
-                        let out = an.on_event(&ev).expect("analyzer accepts event");
-                        lat.push(t.elapsed().as_nanos() as u64);
-                        processed += 1;
-                        units += out.len();
-                        instances += out.iter().map(|u| u.len()).sum::<usize>();
-                        for bc in an.take_outbox() {
-                            for (p, tx) in txs.iter().enumerate() {
-                                if p != s {
-                                    in_flight.fetch_add(1, Ordering::SeqCst);
-                                    let _ = tx.send(bc.clone());
-                                }
-                            }
-                        }
-                        in_flight.fetch_sub(1, Ordering::SeqCst);
-                    }
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                        if done.load(Ordering::SeqCst) && in_flight.load(Ordering::SeqCst) == 0 {
-                            break;
-                        }
-                    }
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            (processed, units, instances, lat)
-        }));
-    }
-
-    // Producers: round-robin slices of the storm, each event routed to
-    // the shards owning an affected consumer instance.
-    let producers = producers.max(1);
-    let mut producer_handles = Vec::with_capacity(producers);
-    for p in 0..producers {
-        let events = events.clone();
-        let txs: Vec<_> = txs.clone();
-        let plan = plan.clone();
-        let in_flight = in_flight.clone();
-        producer_handles.push(std::thread::spawn(move || {
-            for ev in events.iter().skip(p).step_by(producers) {
-                let Event::Store(se) = ev else { continue };
-                let mut mask = plan.store_dests(se.field, se.age.0);
-                let mut s = 0usize;
-                while mask != 0 {
-                    if mask & 1 != 0 {
-                        in_flight.fetch_add(1, Ordering::SeqCst);
-                        let _ = txs[s].send(ev.clone());
-                    }
-                    mask >>= 1;
-                    s += 1;
-                }
-            }
-        }));
-    }
-    for h in producer_handles {
-        h.join().expect("producer thread");
-    }
-    done.store(true, Ordering::SeqCst);
-    drop(txs);
-
-    let mut deliveries = 0usize;
-    let mut units = 0usize;
-    let mut instances = 0usize;
-    let mut lat_ns = Vec::new();
-    let mut per_shard = Vec::with_capacity(shards);
-    for h in shard_handles {
-        let (p, u, i, mut lat) = h.join().expect("analyzer shard thread");
-        per_shard.push(p);
-        deliveries += p;
-        units += u;
-        instances += i;
-        lat_ns.append(&mut lat);
-    }
-    ShardStormStats {
-        stored_events,
-        deliveries,
-        units,
-        instances,
-        elapsed_s: t0.elapsed().as_secs_f64(),
-        lat_ns,
-        per_shard,
-    }
-}
-
-struct CapacityStats {
-    stored_events: usize,
-    deliveries: usize,
-    units: usize,
-    instances: usize,
-    /// Per-shard analysis busy time, seconds.
-    busy_s: Vec<f64>,
-    lat_ns: Vec<u64>,
-    per_shard: Vec<usize>,
-}
-
-impl CapacityStats {
-    /// The storm's critical path: the busiest shard's analysis time — the
-    /// wall time a host with one core per shard would observe.
-    fn critical_path_s(&self) -> f64 {
-        self.busy_s.iter().copied().fold(0.0, f64::max)
-    }
-}
-
-/// Deterministic per-shard capacity measurement: the storm is routed into
-/// per-shard FIFO queues up front, then each shard's analyzer drains its
-/// queue to exhaustion on one thread (multi-pass, so cross-shard
-/// expectation broadcasts are delivered before the next round), timing
-/// each shard separately. `max(busy)` is the storm's critical path when
-/// every shard has its own core — the number a `>= shards`-core host
-/// observes as wall time — which keeps the measurement meaningful on CI
-/// hosts with fewer cores than shards, where timeshared threads cannot
-/// show any wall-clock speedup and preemption pollutes per-event timers.
-fn run_storm_capacity(n: usize, k: usize, ages: u64, shards: usize) -> CapacityStats {
-    let spec = Arc::new(p2g_kmeans::pipeline::kmeans_spec(n, k, 2));
-    let fields: SharedFields = Arc::new(
-        spec.fields
-            .iter()
-            .enumerate()
-            .map(|(i, d)| parking_lot::RwLock::new(Field::new(FieldId(i as u32), d.clone())))
-            .collect(),
-    );
-    let options = vec![p2g_core::runtime::KernelOptions::default(); spec.kernels.len()];
-    let events = build_storm(n, k, ages, &fields);
-    let stored_events = events.len();
-    let plan = Arc::new(ShardPlan::new(
-        &spec,
-        &options,
-        &HashSet::new(),
-        &HashSet::new(),
-        shards,
-    ));
-    let gc = Arc::new(ShardGc::new(spec.kernels.len(), spec.fields.len(), shards));
-
-    let mut analyzers = Vec::with_capacity(shards);
-    for s in 0..shards {
-        let mut an = DependencyAnalyzer::new(
-            spec.clone(),
-            options.clone(),
-            HashSet::new(),
-            fields.clone(),
-            RunLimits::ages(ages),
-        );
-        an.set_shard_scope(plan.clone(), s, gc.clone());
-        an.seed();
-        analyzers.push(an);
-    }
-
-    let mut queues: Vec<VecDeque<Event>> = (0..shards).map(|_| VecDeque::new()).collect();
-    for ev in &events {
-        let Event::Store(se) = ev else { continue };
-        let mut mask = plan.store_dests(se.field, se.age.0);
-        let mut s = 0usize;
-        while mask != 0 {
-            if mask & 1 != 0 {
-                queues[s].push_back(ev.clone());
-            }
-            mask >>= 1;
-            s += 1;
-        }
-    }
-
-    let mut busy = vec![Duration::ZERO; shards];
-    let mut per_shard = vec![0usize; shards];
-    let mut lat_ns = Vec::new();
-    let mut deliveries = 0usize;
-    let mut units = 0usize;
-    let mut instances = 0usize;
-    loop {
-        let mut progressed = false;
-        for s in 0..shards {
-            while let Some(ev) = queues[s].pop_front() {
-                progressed = true;
-                let t = Instant::now();
-                let out = analyzers[s].on_event(&ev).expect("analyzer accepts event");
-                let d = t.elapsed();
-                busy[s] += d;
-                lat_ns.push(d.as_nanos() as u64);
-                per_shard[s] += 1;
-                deliveries += 1;
-                units += out.len();
-                instances += out.iter().map(|u| u.len()).sum::<usize>();
-                for bc in analyzers[s].take_outbox() {
-                    for (p, q) in queues.iter_mut().enumerate() {
-                        if p != s {
-                            q.push_back(bc.clone());
-                        }
-                    }
-                }
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
-
-    CapacityStats {
-        stored_events,
-        deliveries,
-        units,
-        instances,
-        busy_s: busy.iter().map(|d| d.as_secs_f64()).collect(),
-        lat_ns,
-        per_shard,
-    }
-}
-
 fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -526,145 +185,8 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// The sharded storm sweep: 1 shard (the serial baseline path, scope
-/// unset) vs N shards on the same storm shape. Each sweep entry carries
-/// two measurements:
-///
-/// * **capacity** (`elapsed_s` / `events_per_sec`, comparable to the
-///   serial bench's schema): the deterministic per-shard drain's critical
-///   path — the busiest shard's analysis time, i.e. the wall time of a
-///   host with one core per shard.
-/// * **threaded wall** (`wall_s` / `wall_events_per_sec`): the live
-///   producer→channel→shard-thread pipeline on *this* host, whose
-///   `host_cpus` bounds any observable wall speedup.
-fn main_sharded(shards: usize, quick: bool) {
-    let (dn, dk, dages) = if quick { (200, 20, 8) } else { (2000, 100, 16) };
-    let n: usize = arg("--n", dn);
-    let k: usize = arg("--k", dk);
-    let ages: u64 = arg("--ages", dages);
-    let reps: usize = arg("--reps", if quick { 1 } else { 3 });
-    let producers: usize = arg("--producers", 1);
-    let label: String = arg("--label", "current".to_string());
-    let out_name: String = arg("--out", "BENCH_analyzer_shard.json".to_string());
-    let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
-
-    eprintln!(
-        "analyzer_throughput storm: n={n} k={k} ages={ages} reps={reps} \
-         producers={producers} shards={shards} host_cpus={host_cpus} label={label}"
-    );
-
-    let counts: Vec<usize> = if shards == 1 { vec![1] } else { vec![1, shards] };
-    let mut entries = Vec::new();
-    for &sc in &counts {
-        let mut best_cap: Option<CapacityStats> = None;
-        let mut best_wall: Option<ShardStormStats> = None;
-        for rep in 0..reps.max(1) {
-            let c = run_storm_capacity(n, k, ages, sc);
-            let w = run_storm_sharded(n, k, ages, sc, producers);
-            // The deterministic drain and the live pipeline must agree on
-            // the work they did — same routing, same dispatch decisions.
-            assert_eq!(w.stored_events, c.stored_events, "stored-event mismatch");
-            assert_eq!(w.units, c.units, "dispatch-unit mismatch");
-            assert_eq!(w.instances, c.instances, "instance mismatch");
-            assert_eq!(w.lat_ns.len(), c.lat_ns.len(), "delivery-count mismatch");
-            assert_eq!(w.per_shard, c.per_shard, "per-shard routing mismatch");
-            eprintln!(
-                "  shards={sc} rep {rep}: critical path {:.4}s ({:.0} events/s, \
-                 per-shard {:?}), threaded wall {:.4}s ({:.0} events/s)",
-                c.critical_path_s(),
-                c.deliveries as f64 / c.critical_path_s(),
-                c.per_shard,
-                w.elapsed_s,
-                w.deliveries as f64 / w.elapsed_s,
-            );
-            if best_cap
-                .as_ref()
-                .is_none_or(|b| c.critical_path_s() < b.critical_path_s())
-            {
-                best_cap = Some(c);
-            }
-            if best_wall.as_ref().is_none_or(|b| w.elapsed_s < b.elapsed_s) {
-                best_wall = Some(w);
-            }
-        }
-        entries.push((
-            best_cap.expect("at least one rep"),
-            best_wall.expect("at least one rep"),
-        ));
-    }
-
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"analyzer_shard_storm\",");
-    let _ = writeln!(json, "  \"label\": \"{label}\",");
-    let _ = writeln!(
-        json,
-        "  \"workload\": {{ \"shape\": \"kmeans\", \"n\": {n}, \"k\": {k}, \"ages\": {ages} }},"
-    );
-    let _ = writeln!(json, "  \"reps\": {reps},");
-    let _ = writeln!(json, "  \"producers\": {producers},");
-    let _ = writeln!(json, "  \"host_cpus\": {host_cpus},");
-    let _ = writeln!(
-        json,
-        "  \"measure\": \"events_per_sec = deliveries / busiest shard's analysis time \
-         (critical path, = wall on a host with one core per shard); \
-         wall_events_per_sec = threaded pipeline wall on this host\","
-    );
-    let _ = writeln!(json, "  \"sweep\": [");
-    for (i, (sc, (c, w))) in counts.iter().zip(&entries).enumerate() {
-        let mut lat = c.lat_ns.clone();
-        lat.sort_unstable();
-        let mean_ns = lat.iter().sum::<u64>() as f64 / lat.len().max(1) as f64;
-        let elapsed_s = c.critical_path_s();
-        let events_per_sec = c.deliveries as f64 / elapsed_s;
-        let busy: Vec<String> = c.busy_s.iter().map(|b| format!("{b:.6}")).collect();
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"shards\": {sc},");
-        let _ = writeln!(json, "      \"events\": {},", c.deliveries);
-        let _ = writeln!(json, "      \"stored_events\": {},", c.stored_events);
-        let _ = writeln!(json, "      \"dispatch_units\": {},", c.units);
-        let _ = writeln!(json, "      \"dispatched_instances\": {},", c.instances);
-        let _ = writeln!(json, "      \"elapsed_s\": {elapsed_s:.6},");
-        let _ = writeln!(json, "      \"events_per_sec\": {events_per_sec:.1},");
-        let _ = writeln!(json, "      \"per_shard_events\": {:?},", c.per_shard);
-        let _ = writeln!(json, "      \"per_shard_busy_s\": [{}],", busy.join(", "));
-        let _ = writeln!(json, "      \"wall_s\": {:.6},", w.elapsed_s);
-        let _ = writeln!(
-            json,
-            "      \"wall_events_per_sec\": {:.1},",
-            w.deliveries as f64 / w.elapsed_s
-        );
-        let _ = writeln!(json, "      \"dispatch_latency_ns\": {{");
-        let _ = writeln!(json, "        \"mean\": {mean_ns:.0},");
-        let _ = writeln!(json, "        \"p50\": {},", percentile(&lat, 0.50));
-        let _ = writeln!(json, "        \"p99\": {},", percentile(&lat, 0.99));
-        let _ = writeln!(json, "        \"max\": {}", lat.last().copied().unwrap_or(0));
-        let _ = writeln!(json, "      }}");
-        let _ = writeln!(
-            json,
-            "    }}{}",
-            if i + 1 < entries.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let first = &entries.first().expect("sweep nonempty").0;
-    let last = &entries.last().expect("sweep nonempty").0;
-    let speedup = (last.deliveries as f64 / last.critical_path_s())
-        / (first.deliveries as f64 / first.critical_path_s()).max(f64::MIN_POSITIVE);
-    let _ = writeln!(json, "  \"speedup\": {speedup:.3}");
-    let _ = writeln!(json, "}}");
-
-    print!("{json}");
-    write_result(&out_name, &json);
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let shards: usize = arg("--shards", 0);
-    if shards > 0 {
-        main_sharded(shards, quick);
-        return;
-    }
     let (dn, dk, dages) = if quick { (200, 20, 3) } else { (2000, 100, 10) };
     let n: usize = arg("--n", dn);
     let k: usize = arg("--k", dk);

@@ -7,7 +7,7 @@
 //! per-kernel instrumentation table.
 //!
 //! Usage:
-//!   p2gc run <file.p2g> [--ages N] [--workers W] [--shards S] [--trace-out PATH]
+//!   p2gc run <file.p2g> [--ages N] [--workers W] [--trace-out PATH]
 //!                       [--adaptive]
 //!   p2gc check <file.p2g>
 //!   p2gc graph <file.p2g>        # dump Figures 2/3 style dot graphs
@@ -34,7 +34,7 @@ use p2g_runtime::{NodeBuilder, Qos, RunLimits};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  p2gc run <file.p2g> [--ages N] [--workers W] [--shards S] [--trace-out PATH]\n                      [--adaptive]\n  p2gc check <file.p2g>\n  p2gc graph <file.p2g>\n  p2gc cluster master <file.p2g> --nodes N [--port P] [--ages A]\n                      [--failure-timeout-ms D] [--deadline-ms D]\n                      [--net-retries R] [--net-backoff-us B]\n  p2gc cluster node <file.p2g> --node-id I --master HOST:PORT [--workers W]\n                      [--ages A] [--deadline-ms D]\n                      [--net-retries R] [--net-backoff-us B]\n  p2gc serve-node [--port P] [--workers W] [--stats-interval-ms D]\n                  [--orphan-timeout-ms D] [--deadline-ms D]\n                  [--net-retries R] [--net-backoff-us B]\n  p2gc submit --server HOST:PORT [--client-id I] [--width W] [--height H]\n              [--frames N] [--quality Q] [--seed S] [--cadence-ms C]\n              [--priority P] [--weight W] [--window N] [--out PATH]\n              [--shutdown-server]\n\nmulti-process cluster (p2gc cluster):\n  master listens on loopback, plans the dependency graph across the\n  joined nodes, supervises their status reports, replans and replays\n  around node deaths, and prints a chunking-invariant results digest;\n  each node process runs its assigned kernels and forwards stores over TCP\n  --net-retries R         send attempts before a peer is declared dead\n  --net-backoff-us B      initial reconnect/retry backoff (doubles, jittered)\n\nremote session serving (p2gc serve-node / p2gc submit):\n  serve-node hosts a resident session runtime behind TCP, offering the\n  built-in \"mjpeg\" pipeline; submit streams synthetic i420 frames into\n  it as one remote session and receives the encoded MJPEG stream back\n  --cadence-ms C          delay between frame submits (live-source pacing)\n  --priority P            QoS class: 0 realtime, 1 normal, 2 bulk\n  --weight W              fair-share weight within the class\n  --out PATH              write the received MJPEG stream to PATH\n  --shutdown-server       send the admin shutdown after closing\n\nparallel dependency analysis:\n  --shards S              analyzer shards (default 1, the sequential\n                          analyzer; at most 64)\n\ngranularity adaptation:\n  --adaptive              adapt kernel chunk sizes online from live\n                          dispatch-overhead and latency measurements\n\ntracing:\n  --trace-out PATH        record a structured run trace; write Chrome\n                          trace-viewer JSON if PATH ends in .json, else JSONL"
+        "usage:\n  p2gc run <file.p2g> [--ages N] [--workers W] [--trace-out PATH]\n                      [--adaptive]\n  p2gc check <file.p2g>\n  p2gc graph <file.p2g>\n  p2gc cluster master <file.p2g> --nodes N [--port P] [--ages A]\n                      [--failure-timeout-ms D] [--deadline-ms D]\n                      [--net-retries R] [--net-backoff-us B]\n  p2gc cluster node <file.p2g> --node-id I --master HOST:PORT [--workers W]\n                      [--ages A] [--deadline-ms D]\n                      [--net-retries R] [--net-backoff-us B]\n  p2gc serve-node [--port P] [--workers W] [--stats-interval-ms D]\n                  [--orphan-timeout-ms D] [--deadline-ms D]\n                  [--net-retries R] [--net-backoff-us B]\n  p2gc submit --server HOST:PORT [--client-id I] [--width W] [--height H]\n              [--frames N] [--quality Q] [--seed S] [--cadence-ms C]\n              [--priority P] [--weight W] [--window N] [--out PATH]\n              [--shutdown-server]\n\nmulti-process cluster (p2gc cluster):\n  master listens on loopback, plans the dependency graph across the\n  joined nodes, supervises their status reports, replans and replays\n  around node deaths, and prints a chunking-invariant results digest;\n  each node process runs its assigned kernels and forwards stores over TCP\n  --net-retries R         send attempts before a peer is declared dead\n  --net-backoff-us B      initial reconnect/retry backoff (doubles, jittered)\n\nremote session serving (p2gc serve-node / p2gc submit):\n  serve-node hosts a resident session runtime behind TCP, offering the\n  built-in \"mjpeg\" pipeline; submit streams synthetic i420 frames into\n  it as one remote session and receives the encoded MJPEG stream back\n  --cadence-ms C          delay between frame submits (live-source pacing)\n  --priority P            QoS class: 0 realtime, 1 normal, 2 bulk\n  --weight W              fair-share weight within the class\n  --out PATH              write the received MJPEG stream to PATH\n  --shutdown-server       send the admin shutdown after closing\n\ngranularity adaptation:\n  --adaptive              adapt kernel chunk sizes online from live\n                          dispatch-overhead and latency measurements\n\ntracing:\n  --trace-out PATH        record a structured run trace; write Chrome\n                          trace-viewer JSON if PATH ends in .json, else JSONL"
     );
     ExitCode::from(2)
 }
@@ -124,8 +124,7 @@ fn main() -> ExitCode {
             let ages: u64 = flag(&args, "--ages").unwrap_or(4);
             let workers: usize = flag(&args, "--workers")
                 .unwrap_or_else(|| std::thread::available_parallelism().map_or(2, |n| n.get()));
-            let shards: usize = flag(&args, "--shards").unwrap_or(1);
-            let mut limits = RunLimits::ages(ages).with_shards(shards);
+            let mut limits = RunLimits::ages(ages);
             if has_flag(&args, "--adaptive") {
                 limits = limits.with_adaptive(p2g_runtime::AdaptiveGranularity::default());
             }
@@ -143,15 +142,6 @@ fn main() -> ExitCode {
                         report.termination, report.wall_time
                     );
                     eprint!("{}", report.instruments.render_table());
-                    // The node clamps the shard count, so report what ran.
-                    let shard_events = report.instruments.shard_events();
-                    if shard_events.len() > 1 {
-                        eprintln!(
-                            "analyzer shards: {} ({} events)",
-                            shard_events.len(),
-                            shard_events.iter().sum::<u64>()
-                        );
-                    }
                     if let Some(out) = trace_out {
                         let trace = report.trace.as_ref().expect("tracing was enabled");
                         let body = if out.ends_with(".json") {

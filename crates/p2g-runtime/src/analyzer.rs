@@ -51,10 +51,10 @@
 //! * **age garbage collection** — with a configured window, field ages far
 //!   enough behind the field's newest age are reclaimed.
 //!
-//! Every analyzer is one shard of a [`ShardPlan`] ([`crate::shard`]); a
-//! single analyzer is shard 0 of a one-shard plan. It analyzes the
-//! `(kernel, age)` slice its shard owns and retires field ages through the
-//! shared [`ShardGc`] frontiers.
+//! A node runs exactly one analyzer, on its own thread, fed by one event
+//! channel (paper Section V-C): it sees every event of the node in one
+//! order, owns every `(kernel, age)` instance, and retires field ages on
+//! its own.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -71,7 +71,6 @@ use crate::events::{Event, StoreEvent};
 use crate::instance::DispatchUnit;
 use crate::options::{KernelOptions, RunLimits};
 use crate::program::FusionPlan;
-use crate::shard::{ShardGc, ShardPlan};
 
 /// Shared handle to the node's fields.
 pub type SharedFields = Arc<Vec<RwLock<Field>>>;
@@ -104,14 +103,6 @@ enum FetchKind {
     /// also be settled (a gate), and extent growth bumps every counter by
     /// the slab growth.
     RowLike,
-}
-
-/// Shard scope ([`crate::shard`]): the slice of the `(kernel, age)` space
-/// this analyzer instance owns, plus the shared cross-shard GC frontiers.
-pub(crate) struct ShardScope {
-    pub(crate) plan: Arc<ShardPlan>,
-    pub(crate) shard: usize,
-    pub(crate) gc: Arc<ShardGc>,
 }
 
 /// Event-derived knowledge of one (field, age): the extents seen so far and
@@ -213,12 +204,6 @@ pub struct DependencyAnalyzer {
     field_gc_floor: Vec<u64>,
     /// `(field, age)` slabs retired by GC since the last drain.
     gc_collected: u64,
-    /// This instance's slice of the `(kernel, age)` space.
-    scope: ShardScope,
-    /// `(field, age)` keys whose expected extents grew since the last
-    /// [`DependencyAnalyzer::take_outbox`] — broadcast to peers. Recorded
-    /// only when the plan has peers.
-    outbox_keys: Vec<(u32, u64)>,
     /// Adaptive mode: the online chunk-size controller consulted (instead
     /// of the static `chunk_size`) when chunking runnable instances.
     granularity: Option<Arc<crate::granularity::GranularityController>>,
@@ -229,35 +214,15 @@ pub struct DependencyAnalyzer {
 }
 
 impl DependencyAnalyzer {
-    /// Build the analyzer for a program, as shard 0 of a one-shard plan.
-    /// A standalone analyzer has no fusion plans: `fused_consumers` are
-    /// never dispatched, and poison does not follow a producer into them.
+    /// Build the analyzer for a program. `fused_consumers` are never
+    /// dispatched on their own; until [`Self::set_fusions`] names their
+    /// producers, poison does not follow a producer into them.
     pub fn new(
         spec: Arc<ProgramSpec>,
         options: Vec<KernelOptions>,
         fused_consumers: HashSet<KernelId>,
         fields: SharedFields,
         limits: RunLimits,
-    ) -> DependencyAnalyzer {
-        let plan = ShardPlan::new(&spec, &options, &fused_consumers, &HashSet::new(), 1);
-        let scope = ShardScope {
-            plan: Arc::new(plan),
-            shard: 0,
-            gc: Arc::new(ShardGc::new(spec.kernels.len(), spec.fields.len(), 1)),
-        };
-        let mut analyzer = Self::in_scope(spec, options, &[], fields, limits, scope);
-        analyzer.fused_consumers = fused_consumers;
-        analyzer
-    }
-
-    /// Build the analyzer as one shard of a node's plan.
-    pub(crate) fn in_scope(
-        spec: Arc<ProgramSpec>,
-        options: Vec<KernelOptions>,
-        fusions: &[FusionPlan],
-        fields: SharedFields,
-        limits: RunLimits,
-        scope: ShardScope,
     ) -> DependencyAnalyzer {
         let nf = spec.fields.len();
         let nk = spec.kernels.len();
@@ -311,8 +276,8 @@ impl DependencyAnalyzer {
             .collect();
         DependencyAnalyzer {
             options,
-            fusions: fusions.to_vec(),
-            fused_consumers: fusions.iter().map(|f| f.consumer).collect(),
+            fusions: Vec::new(),
+            fused_consumers,
             fields,
             limits,
             dispatched: HashMap::new(),
@@ -340,12 +305,16 @@ impl DependencyAnalyzer {
             watches: Vec::new(),
             field_gc_floor: vec![0; nf],
             gc_collected: 0,
-            scope,
-            outbox_keys: Vec::new(),
             granularity: None,
             elements_walked: Cell::new(0),
             spec,
         }
+    }
+
+    /// Attach the node's fusion plans (Figure 4, Age=3), so poison follows
+    /// a failed producer into its fused consumer.
+    pub(crate) fn set_fusions(&mut self, fusions: &[FusionPlan]) {
+        self.fusions = fusions.to_vec();
     }
 
     /// Attach the run's granularity controller: [`Self::chunk_size_for`]
@@ -413,43 +382,6 @@ impl DependencyAnalyzer {
         self.elements_walked.take()
     }
 
-    /// Make this analyzer shard `shard` of `plan`, coordinating age GC
-    /// through the shared frontiers in `gc` (a new analyzer is shard 0 of
-    /// a one-shard plan).
-    pub fn set_shard_scope(&mut self, plan: Arc<ShardPlan>, shard: usize, gc: Arc<ShardGc>) {
-        self.scope = ShardScope { plan, shard, gc };
-    }
-
-    /// Drain the expected-extents broadcasts accumulated since the last
-    /// call (always empty in a one-shard plan). The caller must deliver
-    /// these to every peer shard *before* dispatching the units returned by
-    /// the same `on_event` call: per-shard FIFO delivery then guarantees an
-    /// expectation arrives ahead of any store produced under it.
-    pub fn take_outbox(&mut self) -> Vec<Event> {
-        if self.outbox_keys.is_empty() {
-            return Vec::new();
-        }
-        let mut keys = std::mem::take(&mut self.outbox_keys);
-        keys.sort_unstable();
-        keys.dedup();
-        keys.into_iter()
-            .filter_map(|(f, a)| {
-                self.expected_extents
-                    .get(&(f, a))
-                    .map(|dims| Event::ShardExpect {
-                        field: FieldId(f),
-                        age: Age(a),
-                        dims: dims.clone(),
-                    })
-            })
-            .collect()
-    }
-
-    /// True when this analyzer's shard owns `(kid, a)`.
-    fn owns(&self, kid: KernelId, a: u64) -> bool {
-        self.scope.plan.owns(kid, a, self.scope.shard)
-    }
-
     /// Live `(field, age)` views — the analyzer's notion of resident ages,
     /// sampled by the node's instruments for the peak-residency gauge.
     pub(crate) fn live_ages(&self) -> usize {
@@ -481,7 +413,7 @@ impl DependencyAnalyzer {
             .iter()
             .filter(|k| k.is_source() && !self.fused_consumers.contains(&k.id))
             .map(|k| k.id)
-            .filter(|&id| self.runs(id) && self.owns(id, 0))
+            .filter(|&id| self.runs(id))
             .collect();
         for id in source_ids {
             if !self.age_allowed(self.spec.kernel(id), 0) {
@@ -524,7 +456,6 @@ impl DependencyAnalyzer {
                 ..
             } => self.pending_poison.push((*kernel, age.0, indices.clone())),
             Event::Failure(_) => {}
-            Event::ShardExpect { field, age, dims } => self.on_shard_expect(*field, *age, dims),
         }
         self.process_poison(&mut out);
         self.advance_watches();
@@ -569,43 +500,6 @@ impl DependencyAnalyzer {
         d >= space && c >= d
     }
 
-    /// Merge a peer shard's expected-extents broadcast. Expectations only
-    /// ever grow, and growth can only *close* settledness gates, so a
-    /// changed merge re-derives the affected tables' cached gate state;
-    /// re-opening (with its table sweep) happens on the store path as
-    /// usual — a broadcast carries no new data elements, so it can never
-    /// make an instance newly runnable.
-    fn on_shard_expect(&mut self, field: FieldId, age: Age, dims: &[Option<usize>]) {
-        let ndim = self.spec.fields[field.idx()].ndim;
-        let entry = self
-            .expected_extents
-            .entry((field.0, age.0))
-            .or_insert_with(|| vec![None; ndim]);
-        let mut changed = false;
-        for (slot, d) in entry.iter_mut().zip(dims) {
-            if let Some(n) = d {
-                if slot.is_none_or(|cur| cur < *n) {
-                    *slot = Some(*n);
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            return;
-        }
-        for kid in self.consumers[field.idx()].clone() {
-            if self.fused_consumers.contains(&kid) {
-                continue;
-            }
-            for a2 in self.affected_ages(kid, field, age) {
-                let key = (kid.0, a2);
-                if self.tables.contains_key(&key) && !self.table_gate(kid, a2) {
-                    self.tables.get_mut(&key).expect("checked above").gates_open = false;
-                }
-            }
-        }
-    }
-
     /// Drain the poison worklist: each entry poisons one instance, which
     /// may queue its transitive dependents back onto the worklist.
     fn process_poison(&mut self, out: &mut Vec<DispatchUnit>) {
@@ -628,19 +522,13 @@ impl DependencyAnalyzer {
             return;
         }
         self.degraded = true;
-        // The traversal itself is replicated on every shard
-        // (KernelFailure is broadcast and the walk is deterministic from
-        // the spec), but completion accounting and the instrument drain
-        // must happen exactly once — on the owning shard.
-        if self.owns(kid, a) {
-            self.poisoned_drain.push((kid, a, idx.clone()));
-            // A transitively poisoned instance was never dispatched; a
-            // directly failed one already was (mark_dispatched dedups).
-            // Either way it counts as completed — its UnitDone (if any)
-            // reported successes only.
-            self.mark_dispatched(kid, a, &idx);
-            *self.completed.entry((kid.0, a)).or_insert(0) += 1;
-        }
+        self.poisoned_drain.push((kid, a, idx.clone()));
+        // A transitively poisoned instance was never dispatched; a directly
+        // failed one already was (mark_dispatched dedups). Either way it
+        // counts as completed — its UnitDone (if any) reported successes
+        // only.
+        self.mark_dispatched(kid, a, &idx);
+        *self.completed.entry((kid.0, a)).or_insert(0) += 1;
 
         let k = self.spec.kernel(kid).clone();
         let fused = self
@@ -690,17 +578,13 @@ impl DependencyAnalyzer {
         // are independent reads (frame dropping, not stream truncation).
         if k.is_source() && k.has_age_var {
             let next = a + 1;
-            if self.age_allowed(&k, next)
-                && self.owns(kid, next)
-                && self.mark_dispatched(kid, next, &[])
-            {
+            if self.age_allowed(&k, next) && self.mark_dispatched(kid, next, &[]) {
                 self.emit(DispatchUnit::new(kid, Age(next), vec![vec![]]), out);
             }
         }
         // The poisoned instance may have been the one gating an ordered
-        // kernel's age advancement. Ordered kernels are pinned, so only
-        // their home shard holds the gating state.
-        if self.options[kid.idx()].ordered && self.owns(kid, a) {
+        // kernel's age advancement.
+        if self.options[kid.idx()].ordered {
             self.advance_ordered(kid, out);
         }
     }
@@ -877,17 +761,12 @@ impl DependencyAnalyzer {
         }
         let fmax = *fmax;
         if let Some(w) = self.limits.gc_window {
-            // Retirement goes through the shared floor so exactly one
-            // shard collects the field slabs; every shard then prunes its
-            // local state as it observes the floor advance. Each shard's
-            // window bound uses its own frontier view; the shared
-            // `claim_retire` fetch_max makes the outcome the max over
-            // shards, and `gc_limit` clamps by the *global* min consumer
-            // frontier, so no live age retires.
+            // `gc_limit` clamps the window bound by every consumer's safe
+            // age, so no live age retires.
             let fi = se.field.idx();
             if fmax > w {
                 let limit = self.gc_limit(se.field, fmax - w);
-                if limit > 0 && self.scope.gc.claim_retire(se.field, limit) < limit {
+                if limit > self.field_gc_floor[fi] {
                     let collected = self.fields[fi].write().collect_below(Age(limit));
                     self.gc_collected += collected as u64;
                     if let Some((t, tid)) = &self.tracer {
@@ -900,22 +779,19 @@ impl DependencyAnalyzer {
                             },
                         );
                     }
+                    // The prune runs once per floor advance, not per store
+                    // event: streaming runs would otherwise grow views/
+                    // tables/dispatched/completed maps without bound even
+                    // though the field data itself is collected.
+                    self.field_gc_floor[fi] = limit;
+                    let f = se.field.0;
+                    self.views.retain(|&(vf, va), _| vf != f || va >= limit);
+                    self.view_ages[fi].retain(|&a| a >= limit);
+                    self.poison.retain(|&(pf, pa), _| pf != f || pa >= limit);
+                    self.expected_extents
+                        .retain(|&(ef, ea), _| ef != f || ea >= limit);
+                    self.prune_kernel_state();
                 }
-            }
-            // The prune runs once per floor advance, not per store event:
-            // streaming runs would otherwise grow views/tables/dispatched/
-            // completed maps without bound even though the field data
-            // itself is collected.
-            let floor = self.scope.gc.retire_floor(se.field);
-            if floor > self.field_gc_floor[fi] {
-                self.field_gc_floor[fi] = floor;
-                let f = se.field.0;
-                self.views.retain(|&(vf, va), _| vf != f || va >= floor);
-                self.view_ages[fi].retain(|&a| a >= floor);
-                self.poison.retain(|&(pf, pa), _| pf != f || pa >= floor);
-                self.expected_extents
-                    .retain(|&(ef, ea), _| ef != f || ea >= floor);
-                self.prune_kernel_state();
             }
             // An event below the floor is stale (its slabs are gone);
             // rebuilding a view for it would leak state that no later
@@ -1132,14 +1008,14 @@ impl DependencyAnalyzer {
     }
 
     /// Create the pending table of (kid, a) from the current views — when
-    /// this shard owns a non-source instance age the run limits allow, and
+    /// it is a non-source instance age the run limits allow, and
     /// once every binding fetch has a view. On the store path the counters
     /// are initialized *before* the event's elements are accounted, so the
     /// decrement phase sees them as pending. The table starts closed; the
     /// caller's [`Self::regate`] performs the initial sweep.
     fn create_table(&mut self, kid: KernelId, a: u64) {
         let k = self.spec.kernel(kid);
-        if k.is_source() || !self.age_allowed(k, a) || !self.owns(kid, a) {
+        if k.is_source() || !self.age_allowed(k, a) {
             return;
         }
         let Some(ranges) = self.table_ranges(kid, a) else {
@@ -1543,9 +1419,6 @@ impl DependencyAnalyzer {
             *slot = Some(slot.map_or(range, |cur| cur.max(range)));
             if *slot != before {
                 changed.push((f, a));
-                if self.scope.plan.shards() > 1 {
-                    self.outbox_keys.push((f, a));
-                }
             }
         }
     }
@@ -1775,27 +1648,12 @@ impl DependencyAnalyzer {
     /// completed — no field age that `kid` still needs may be collected.
     /// `u64::MAX` when the kernel can never run again (age cap reached).
     fn kernel_safe_age(&mut self, kid: KernelId) -> u64 {
-        let sc = &self.scope;
-        if sc.plan.is_pinned(kid) && sc.plan.unit_owner(kid, 0) != sc.shard {
-            // A peer shard owns every age of this pinned kernel; its
-            // published frontier is the binding one. (Without this the
-            // skip-non-owned loop below would never terminate.)
-            sc.gc.publish_kernel_frontier(kid, sc.shard, u64::MAX);
-            return u64::MAX;
-        }
         let mut a = *self.gc_floor.get(&kid.0).unwrap_or(&0);
         loop {
             let k = self.spec.kernel(kid);
             if !self.age_allowed(k, a) {
                 a = u64::MAX;
                 break;
-            }
-            if !self.owns(kid, a) {
-                // A peer shard owns this age; the global frontier is the
-                // min over every shard's published slot, so skipping it
-                // here is sound.
-                a += 1;
-                continue;
             }
             let Some(space) = self.instance_space(kid, a) else {
                 break;
@@ -1810,9 +1668,6 @@ impl DependencyAnalyzer {
         if a != u64::MAX {
             self.gc_floor.insert(kid.0, a);
         }
-        self.scope
-            .gc
-            .publish_kernel_frontier(kid, self.scope.shard, a);
         a
     }
 
@@ -1878,11 +1733,7 @@ impl DependencyAnalyzer {
             for fa in fetch_ages {
                 match fa {
                     crate::AgeExprCopy::Rel(t) => {
-                        // Refresh (and publish) the local frontier, then
-                        // clamp by the *global* one — a peer may own ages
-                        // this shard has skipped over.
-                        self.kernel_safe_age(kid);
-                        let safe = self.scope.gc.kernel_frontier(kid);
+                        let safe = self.kernel_safe_age(kid);
                         limit = limit.min(safe.saturating_add(t.max(0) as u64));
                     }
                     crate::AgeExprCopy::Const(c) => {

@@ -81,15 +81,4 @@ pub enum Event {
     },
     /// A kernel body failed; the node aborts the run.
     Failure(String),
-    /// A shard's expected-extents knowledge for `(field, age)` grew
-    /// ([`crate::analyzer`] extent propagation). The expectation is
-    /// broadcast to the peer shards (a one-shard plan has none) so their
-    /// settledness gates close before any store produced under the new
-    /// expectation can arrive. Max-merged on receipt; expectations only
-    /// ever grow.
-    ShardExpect {
-        field: FieldId,
-        age: Age,
-        dims: Vec<Option<usize>>,
-    },
 }

@@ -50,9 +50,9 @@ struct TickState {
     prev: Vec<KernelWindow>,
 }
 
-/// The online chunk-size controller. One per run, shared by the analyzer
-/// shard threads (only shard 0 ticks it) and read lock-free by whichever
-/// thread chunks runnable instances into dispatch units.
+/// The online chunk-size controller. One per run, ticked by the analyzer
+/// thread and read lock-free by whichever thread chunks runnable instances
+/// into dispatch units.
 #[derive(Debug)]
 pub(crate) struct GranularityController {
     cfg: AdaptiveGranularity,

@@ -220,10 +220,8 @@ pub struct Instruments {
     /// Peak simultaneously-live `(field, age)` views observed by the
     /// analyzer — the flat-memory gauge the streaming soak tests assert on.
     peak_live_ages: AtomicU64,
-    /// Events processed per analyzer shard ([`crate::shard`]).
-    shard_events: Vec<AtomicU64>,
-    /// Per-shard event-queue depth high-water mark.
-    shard_queue_peak: Vec<AtomicU64>,
+    /// The analyzer's event-queue depth high-water mark.
+    queue_peak: AtomicU64,
     /// Chunk-size decisions made by the online granularity controller.
     granularity_changes: AtomicU64,
 }
@@ -234,12 +232,6 @@ pub type PoisonedInstances = BTreeMap<(String, u64), Vec<Vec<usize>>>;
 impl Instruments {
     /// Create counters for `names` kernels (indexed by `KernelId::idx`).
     pub fn new(names: Vec<String>) -> Instruments {
-        Instruments::new_sharded(names, 1)
-    }
-
-    /// Create counters for `names` kernels and `shards` analyzer shards.
-    pub(crate) fn new_sharded(names: Vec<String>, shards: usize) -> Instruments {
-        let shards = shards.max(1);
         Instruments {
             kernels: names
                 .into_iter()
@@ -254,8 +246,7 @@ impl Instruments {
             poisoned_instances: parking_lot::Mutex::new(BTreeMap::new()),
             gc_ages_collected: AtomicU64::new(0),
             peak_live_ages: AtomicU64::new(0),
-            shard_events: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            shard_queue_peak: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            queue_peak: AtomicU64::new(0),
             granularity_changes: AtomicU64::new(0),
         }
     }
@@ -288,30 +279,15 @@ impl Instruments {
         self.kernels[kernel.idx()].1.latency.snapshot()
     }
 
-    /// Record events processed by one analyzer shard.
-    pub(crate) fn record_shard_events(&self, shard: usize, events: u64) {
-        self.shard_events[shard].fetch_add(events, Ordering::Relaxed);
+    /// Record the analyzer's event-queue depth (the gauge keeps the
+    /// maximum).
+    pub(crate) fn record_queue_depth(&self, depth: u64) {
+        self.queue_peak.fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// Record a shard's event-queue depth (the gauge keeps the maximum).
-    pub(crate) fn record_shard_queue_depth(&self, shard: usize, depth: u64) {
-        self.shard_queue_peak[shard].fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Events processed per analyzer shard.
-    pub fn shard_events(&self) -> Vec<u64> {
-        self.shard_events
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Per-shard event-queue depth high-water marks.
-    pub fn shard_queue_peaks(&self) -> Vec<u64> {
-        self.shard_queue_peak
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
+    /// The analyzer's event-queue depth high-water mark.
+    pub(crate) fn queue_peak(&self) -> u64 {
+        self.queue_peak.load(Ordering::Relaxed)
     }
 
     /// Record retired `(field, age)` slabs and the current live-age count
@@ -549,8 +525,7 @@ pub struct InstrumentsSnapshot {
     poisoned_instances: BTreeMap<(String, u64), Vec<Vec<usize>>>,
     gc_ages_collected: u64,
     peak_live_ages: u64,
-    shard_events: Vec<u64>,
-    shard_queue_peaks: Vec<u64>,
+    queue_peak: u64,
     granularity_changes: u64,
 }
 
@@ -568,8 +543,7 @@ impl InstrumentsSnapshot {
             poisoned_instances: live.poisoned_instances(),
             gc_ages_collected: live.gc_ages_collected(),
             peak_live_ages: live.peak_live_ages(),
-            shard_events: live.shard_events(),
-            shard_queue_peaks: live.shard_queue_peaks(),
+            queue_peak: live.queue_peak(),
             granularity_changes: live.granularity_changes(),
         }
     }
@@ -646,14 +620,11 @@ impl InstrumentsSnapshot {
         self.analyzer_batches
     }
 
-    /// Events processed per analyzer shard, indexed by shard.
-    pub fn shard_events(&self) -> &[u64] {
-        &self.shard_events
-    }
-
-    /// High-water queue depth per analyzer shard, indexed by shard.
+    /// The analyzer's event-queue depth high-water mark, as a one-entry
+    /// slice: the frozen benchmark ledger (v1) reads it under this name
+    /// and type, and ledger v2 renames it.
     pub fn shard_queue_peaks(&self) -> &[u64] {
-        &self.shard_queue_peaks
+        std::slice::from_ref(&self.queue_peak)
     }
 
     /// Stats for a kernel by name.
@@ -704,19 +675,10 @@ impl InstrumentsSnapshot {
                 self.granularity_changes
             ));
         }
-        if self.shard_events.len() > 1 {
-            for (i, (ev, peak)) in self
-                .shard_events
-                .iter()
-                .zip(&self.shard_queue_peaks)
-                .enumerate()
-            {
-                s.push_str(&format!(
-                    "analyzer-{:<7} {:>10} events {:>9} queue peak\n",
-                    i, ev, peak
-                ));
-            }
-        }
+        s.push_str(&format!(
+            "analyzer         {:>10} events {:>9} queue peak\n",
+            self.analyzer_events, self.queue_peak
+        ));
         s
     }
 }

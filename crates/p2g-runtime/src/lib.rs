@@ -62,7 +62,6 @@ pub mod pool;
 pub mod program;
 pub mod ready;
 pub mod session;
-pub mod shard;
 pub mod timer;
 pub mod trace;
 pub mod trace_check;
@@ -83,7 +82,6 @@ pub use session::{
     Session, SessionConfig, SessionMetrics, SessionOutput, SessionReport, SessionRuntime,
     SessionSink, SubmitError, Ticket,
 };
-pub use shard::{ShardGc, ShardPlan};
 pub use timer::TimerTable;
 pub use trace::{RunTrace, TraceEvent, TraceRecord, Tracer};
 

@@ -1,11 +1,10 @@
-//! The execution node: dependency-analyzer shard threads feeding a worker
-//! pool.
+//! The execution node: a dependency-analyzer thread feeding a worker pool.
 //!
 //! Threading model (paper Section VI-B): kernel instances execute on the
 //! threads of a [`WorkerPool`] — the node's own, or one shared with other
-//! tenants — and publish store events; dependencies are analyzed in
-//! dedicated analyzer threads — one per shard of the node's [`ShardPlan`],
-//! one by default — which feed the pool's age-priority queue. Termination
+//! tenants — and publish store events; dependencies are analyzed on one
+//! dedicated analyzer thread, fed by one event channel, which feeds the
+//! pool's age-priority queue. Termination
 //! uses an outstanding-work counter: every event and dispatch unit is
 //! counted before it is made visible, so the count can only reach zero when
 //! the program is quiescent.
@@ -24,7 +23,7 @@ use p2g_field::{Age, Buffer, DimSel, Field, FieldId, Region, Value};
 use p2g_graph::spec::IndexSel;
 use p2g_graph::{KernelId, ProgramSpec};
 
-use crate::analyzer::{AgeWatchFn, DependencyAnalyzer, ShardScope, SharedFields};
+use crate::analyzer::{AgeWatchFn, DependencyAnalyzer, SharedFields};
 use crate::error::RuntimeError;
 use crate::events::{Event, StoreEvent};
 use crate::granularity::GranularityController;
@@ -35,7 +34,6 @@ use crate::pool::{PoolTask, QosState, WorkerPool};
 use crate::program::{
     resolve_region, BodyResult, FusionPlan, KernelBody, KernelCtx, Program, StagedStore,
 };
-use crate::shard::{ShardGc, ShardPlan};
 use crate::timer::TimerTable;
 use crate::trace::{store_event, RunTrace, TraceEvent, Tracer, TRACE_CAPACITY};
 use crate::watchdog::Watchdog;
@@ -85,11 +83,9 @@ pub(crate) struct Shared {
     bodies: Vec<Option<KernelBody>>,
     fusions: Vec<FusionPlan>,
     fields: SharedFields,
-    /// One event channel per analyzer shard. Workers route through
+    /// The analyzer's event channel. Workers publish through
     /// [`Shared::send_event`].
-    event_txs: Vec<Sender<Event>>,
-    /// The store/unit routing plan.
-    shard_plan: Arc<ShardPlan>,
+    event_tx: Sender<Event>,
     /// Events + queued units not yet fully processed. Zero ⇒ quiescent.
     outstanding: AtomicI64,
     stop: AtomicBool,
@@ -116,7 +112,7 @@ pub(crate) struct Shared {
     /// the node closes it on stop and joins it on finish. A shared pool is
     /// never touched by a node's shutdown.
     owns_pool: bool,
-    /// The online chunk-size controller, ticked by analyzer shard 0
+    /// The online chunk-size controller, ticked by the analyzer thread
     /// ([`RunLimits::adaptive`]).
     granularity: Option<Arc<GranularityController>>,
     /// Per-session QoS rank source (session mode): the pool stamps each
@@ -182,56 +178,11 @@ impl Shared {
         self.pool.submit(self.clone(), unit);
     }
 
-    /// Publish an event to the analyzer shard(s) that must observe it.
-    /// Stores go to the shards owning an affected consumer instance
-    /// ([`ShardPlan::store_dests`]), `UnitDone` to the unit's owner, and
-    /// failure/reassign events broadcast. Every delivered copy is counted
-    /// separately as outstanding work before the first send, so quiescence
-    /// still requires each copy processed. In a one-shard plan every event
-    /// is one copy to shard 0.
+    /// Publish an event to the analyzer. It is counted as outstanding work
+    /// before it is sent, so the analyzer cannot observe a transient zero.
     fn send_event(&self, ev: Event) {
-        let plan = &self.shard_plan;
-        let mask: u64 = match &ev {
-            Event::Store(se) => plan.store_dests(se.field, se.age.0),
-            Event::UnitDone { kernel, age, .. } => 1u64 << plan.unit_owner(*kernel, age.0),
-            // Failures and reassignments broadcast. Expectation broadcasts
-            // originate on an analyzer shard and go through
-            // `broadcast_expect` (which excludes the originator).
-            Event::Reassign { .. }
-            | Event::KernelFailure { .. }
-            | Event::Failure(_)
-            | Event::ShardExpect { .. } => plan.all_mask(),
-        };
-        self.send_to_mask(ev, mask);
-    }
-
-    /// Deliver one analyzer shard's expected-extents broadcast to every
-    /// *other* shard (the originator already merged it locally).
-    fn broadcast_expect(&self, ev: Event, from: usize) {
-        let mask = self.shard_plan.all_mask() & !(1u64 << from);
-        self.send_to_mask(ev, mask);
-    }
-
-    /// Send counted copies of `ev` to every shard in `mask`.
-    fn send_to_mask(&self, ev: Event, mask: u64) {
-        let copies = mask.count_ones() as i64;
-        if copies == 0 {
-            return;
-        }
-        // All copies counted before any is visible: a shard that finishes
-        // its copy instantly cannot observe a transient zero.
-        self.outstanding.fetch_add(copies, Ordering::SeqCst);
-        let last = 63 - mask.leading_zeros() as usize;
-        let mut rem = mask & !(1u64 << last);
-        let mut s = 0usize;
-        while rem != 0 {
-            if rem & 1 != 0 {
-                let _ = self.event_txs[s].send(ev.clone());
-            }
-            rem >>= 1;
-            s += 1;
-        }
-        let _ = self.event_txs[last].send(ev);
+        self.outstanding.fetch_add(1, Ordering::SeqCst);
+        let _ = self.event_tx.send(ev);
     }
 }
 
@@ -388,14 +339,10 @@ impl NodeBuilder {
                 .map(|(i, d)| RwLock::new(Field::new(FieldId(i as u32), d.clone())))
                 .collect(),
         );
-        // One event channel (and one analyzer thread) per shard.
-        let shards = limits.shards.clamp(1, 64);
-        let (event_txs, event_rxs): (Vec<Sender<Event>>, Vec<Receiver<Event>>) =
-            (0..shards).map(|_| unbounded::<Event>()).unzip();
+        let (event_tx, events_rx) = unbounded::<Event>();
         let fault: Vec<FaultPolicy> = options.iter().map(|o| o.fault.clone()).collect();
 
-        // Resolve age watches up front: watched kernels are pinned by the
-        // shard plan (their callbacks must fire in global age order).
+        // Resolve age watches up front.
         let mut watch_ids: Vec<(KernelId, AgeWatchFn)> = Vec::new();
         for (name, callback) in self.watches {
             let Some(idx) = spec.kernels.iter().position(|k| k.name == name) else {
@@ -406,16 +353,7 @@ impl NodeBuilder {
             };
             watch_ids.push((KernelId(idx as u32), callback));
         }
-        let watched: HashSet<KernelId> = watch_ids.iter().map(|(k, _)| *k).collect();
         let fused_consumers: HashSet<KernelId> = fusions.iter().map(|f| f.consumer).collect();
-        let shard_plan = Arc::new(ShardPlan::new(
-            &spec,
-            &options,
-            &fused_consumers,
-            &watched,
-            shards,
-        ));
-        let shard_gc = Arc::new(ShardGc::new(spec.kernels.len(), spec.fields.len(), shards));
         let granularity = limits.adaptive.as_ref().map(|cfg| {
             let adaptive = GranularityController::eligibility(&spec, &options, &fusions);
             Arc::new(GranularityController::new(cfg.clone(), &options, adaptive))
@@ -426,16 +364,16 @@ impl NodeBuilder {
             Some(pool) => (pool, false),
             None => (WorkerPool::new(self.workers), true),
         };
-        // Trace buffer ids: the pool's workers 0..n, then the analyzer
-        // shards, watchdog, main, and last `remote` (stores injected from
-        // outside the node, whichever thread delivers them).
+        // Trace buffer ids: the pool's workers 0..n, then the analyzer,
+        // watchdog, main, and last `remote` (stores injected from outside
+        // the node, whichever thread delivers them).
         let worker_slots = pool.workers();
-        let analyzer_tid0 = worker_slots as u32;
-        let watchdog_tid = analyzer_tid0 + shards as u32;
+        let analyzer_tid = worker_slots as u32;
+        let watchdog_tid = analyzer_tid + 1;
         let main_tid = watchdog_tid + 1;
         let tracer = limits.trace.then(|| {
             let mut labels: Vec<String> = (0..worker_slots).map(|w| format!("worker-{w}")).collect();
-            labels.extend((0..shards).map(|s| format!("analyzer-{s}")));
+            labels.push("analyzer".into());
             labels.push("watchdog".into());
             labels.push("main".into());
             labels.push("remote".into());
@@ -454,15 +392,11 @@ impl NodeBuilder {
             bodies,
             fusions: fusions.clone(),
             fields: fields.clone(),
-            event_txs,
-            shard_plan: shard_plan.clone(),
+            event_tx,
             outstanding: AtomicI64::new(0),
             stop: AtomicBool::new(false),
             failure: Mutex::new(None),
-            instruments: Instruments::new_sharded(
-                spec.kernels.iter().map(|k| k.name.clone()).collect(),
-                shards,
-            ),
+            instruments: Instruments::new(spec.kernels.iter().map(|k| k.name.clone()).collect()),
             timers,
             store_tap: self.store_tap.clone(),
             hold_open: limits.hold_open,
@@ -476,54 +410,42 @@ impl NodeBuilder {
             qos: self.qos.clone(),
         });
 
-        let mut analyzers = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let mut analyzer = DependencyAnalyzer::in_scope(
-                spec.clone(),
-                options.clone(),
-                &fusions,
-                fields.clone(),
-                limits.clone(),
-                ShardScope {
-                    plan: shard_plan.clone(),
-                    shard: s,
-                    gc: shard_gc.clone(),
-                },
-            );
-            if let Some(assigned) = &self.assigned {
-                analyzer.set_assigned(assigned.clone());
-            }
-            if let Some(t) = &tracer {
-                analyzer.set_tracer(t.clone(), analyzer_tid0 + s as u32);
-            }
-            if let Some(g) = &granularity {
-                analyzer.set_granularity(g.clone());
-            }
-            analyzers.push(analyzer);
+        let mut analyzer = DependencyAnalyzer::new(
+            spec.clone(),
+            options,
+            fused_consumers,
+            fields.clone(),
+            limits.clone(),
+        );
+        analyzer.set_fusions(&fusions);
+        if let Some(assigned) = self.assigned {
+            analyzer.set_assigned(assigned);
         }
-        // An age watch lives on the shard owning the watched kernel
-        // (pinned, so one shard owns every age and fires in order).
+        if let Some(t) = &tracer {
+            analyzer.set_tracer(t.clone(), analyzer_tid);
+        }
+        if let Some(g) = &granularity {
+            analyzer.set_granularity(g.clone());
+        }
         for (kid, callback) in watch_ids {
-            analyzers[shard_plan.unit_owner(kid, 0)].set_age_watch(kid, callback);
+            analyzer.set_age_watch(kid, callback);
         }
 
         let start = Instant::now();
 
         // Seed source kernels before any worker can observe an empty
-        // queue. Each shard only seeds the sources it owns.
+        // queue.
         TRACE_TID.with(|c| c.set(main_tid));
-        for analyzer in &mut analyzers {
-            for unit in analyzer.seed() {
-                for indices in &unit.instances {
-                    shared.trace(|| TraceEvent::InstanceDispatched {
-                        kernel: unit.kernel,
-                        age: unit.age.0,
-                        indices: indices.clone(),
-                    });
-                }
-                shared.outstanding.fetch_add(1, Ordering::SeqCst);
-                shared.dispatch(unit);
+        for unit in analyzer.seed() {
+            for indices in &unit.instances {
+                shared.trace(|| TraceEvent::InstanceDispatched {
+                    kernel: unit.kernel,
+                    age: unit.age.0,
+                    indices: indices.clone(),
+                });
             }
+            shared.outstanding.fetch_add(1, Ordering::SeqCst);
+            shared.dispatch(unit);
         }
         // A program with no sources is quiescent immediately (unless it
         // waits for remote stores).
@@ -531,27 +453,21 @@ impl NodeBuilder {
             shared.shutdown();
         }
 
-        // Analyzer shard threads. They poll (see `ANALYZER_POLL`) only when
-        // each can have a core to itself: the node owns its pool, and the
-        // pool's workers and the shards fit the machine. A shared pool's
+        // The analyzer thread. It polls (see `ANALYZER_POLL`) only when it
+        // can have a core to itself: the node owns its pool, and the pool's
+        // workers plus the analyzer fit the machine. A shared pool's
         // workers serve other tenants' analyzers too, so those never do.
         let deadline = limits.wall_deadline.map(|d| start + d);
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let poll = shared.owns_pool && shared.pool.workers() + shards <= cores;
-        let mut analyzer_handles = Vec::with_capacity(shards);
-        for (s, (analyzer, events_rx)) in analyzers.into_iter().zip(event_rxs).enumerate() {
-            let analyzer_shared = shared.clone();
-            let tid = analyzer_tid0 + s as u32;
-            analyzer_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("p2g-analyzer-{s}"))
-                    .spawn(move || {
-                        TRACE_TID.with(|c| c.set(tid));
-                        analyzer_loop(analyzer, analyzer_shared, events_rx, deadline, s, poll)
-                    })
-                    .expect("spawn analyzer"),
-            );
-        }
+        let poll = shared.owns_pool && shared.pool.workers() < cores;
+        let analyzer_shared = shared.clone();
+        let analyzer_handle = std::thread::Builder::new()
+            .name("p2g-analyzer".into())
+            .spawn(move || {
+                TRACE_TID.with(|c| c.set(analyzer_tid));
+                analyzer_loop(analyzer, analyzer_shared, events_rx, deadline, poll)
+            })
+            .expect("spawn analyzer");
 
         // Watchdog thread: releases due retries to the ready queue and
         // flags soft-deadline overruns.
@@ -568,7 +484,7 @@ impl NodeBuilder {
             fields,
             spec,
             start,
-            analyzer_handles,
+            analyzer_handle,
             watchdog_handle,
         })
     }
@@ -581,7 +497,7 @@ pub struct NodeHandle {
     fields: SharedFields,
     spec: Arc<ProgramSpec>,
     start: Instant,
-    analyzer_handles: Vec<std::thread::JoinHandle<Termination>>,
+    analyzer_handle: std::thread::JoinHandle<Termination>,
     watchdog_handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -589,7 +505,7 @@ impl NodeHandle {
     /// Forward a store produced on another node (or submitted to a
     /// session) into this node's field replicas. It lands like a local
     /// store, idempotently since remote forwards may duplicate, and its
-    /// store event is routed to every shard owning a consumer it unblocks.
+    /// store event goes to the analyzer.
     /// A conflicting value means two nodes produced the same element
     /// differently; it fails the node. The store is traced on the node's
     /// `remote` buffer.
@@ -648,8 +564,6 @@ impl NodeHandle {
     /// analyzer seeds newly-owned sources and rescans resident field data
     /// for instances that became this node's responsibility.
     pub fn reassign(&self, kernels: std::collections::HashSet<KernelId>) {
-        // Broadcast: every shard adopts the assignment and rescans the
-        // slice of the instance space it owns.
         self.shared.send_event(Event::Reassign { kernels });
     }
 
@@ -694,25 +608,13 @@ impl NodeHandle {
             fields,
             spec,
             start,
-            analyzer_handles,
+            analyzer_handle,
             watchdog_handle,
         } = self;
-        // Join every analyzer shard and keep the most severe exit status:
-        // one shard hitting the deadline (or failing) decides the run even
-        // when its peers wound down quiescent.
-        let mut termination = Termination::Quiescent;
-        for handle in analyzer_handles {
-            let t = match handle.join() {
-                Ok(t) => t,
-                Err(_) => {
-                    shared.fail(RuntimeError::WorkerPanic);
-                    Termination::Failed
-                }
-            };
-            if termination_rank(t) > termination_rank(termination) {
-                termination = t;
-            }
-        }
+        let termination = analyzer_handle.join().unwrap_or_else(|_| {
+            shared.fail(RuntimeError::WorkerPanic);
+            Termination::Failed
+        });
         // The analyzer has returned, so stop is set; make sure the
         // watchdog and then the node's own pool wind down before
         // collecting. The pool goes last: no thread is left to queue a
@@ -761,16 +663,6 @@ impl NodeHandle {
     }
 }
 
-/// Severity order for merging per-shard analyzer exit statuses.
-fn termination_rank(t: Termination) -> u8 {
-    match t {
-        Termination::Quiescent => 0,
-        Termination::Degraded => 1,
-        Termination::DeadlineExpired => 2,
-        Termination::Failed => 3,
-    }
-}
-
 /// Watchdog thread: queue due retry units on the pool (their
 /// outstanding counts were taken at schedule time) until stopped.
 fn watchdog_loop(wd: Arc<Watchdog>, shared: Arc<Shared>) {
@@ -781,16 +673,16 @@ fn watchdog_loop(wd: Arc<Watchdog>, shared: Arc<Shared>) {
     }
 }
 
-/// How long an analyzer shard polls its empty event channel before it
+/// How long the analyzer polls its empty event channel before it
 /// blocks on it. While units are outstanding the next store event is one
 /// instance away (microseconds), and a blocked analyzer costs the storing
 /// worker a futex wake-up — across cores an IPI — per event; on a
 /// virtualised host that wake-up latency, not the work, decided how long
-/// a fine-grained job took and varied from run to run. Only a shard with a
-/// core to itself polls (decided at launch), and it yields between looks.
+/// a fine-grained job took and varied from run to run. Only an analyzer with
+/// a core to itself polls (decided at launch), and it yields between looks.
 const ANALYZER_POLL: Duration = Duration::from_micros(50);
 
-/// Maximum events an analyzer shard drains back-to-back before it
+/// Maximum events the analyzer drains back-to-back before it
 /// re-checks the stop flag and deadline and records a batch.
 const ANALYZER_BATCH: usize = 256;
 
@@ -799,7 +691,6 @@ fn analyzer_loop(
     shared: Arc<Shared>,
     events_rx: Receiver<Event>,
     deadline: Option<Instant>,
-    shard: usize,
     poll: bool,
 ) -> Termination {
     // The non-failure exit status: quiescent, or degraded once any
@@ -826,12 +717,9 @@ fn analyzer_loop(
                 return Termination::DeadlineExpired;
             }
         }
-        // Adaptive granularity: shard 0 runs the controller tick (it is
-        // interval-gated internally, so this is one lock + compare on the
-        // idle path).
-        if shard == 0 {
-            granularity_tick(&shared);
-        }
+        // Adaptive granularity: the controller tick is interval-gated
+        // internally, so this is one lock + compare on the idle path.
+        granularity_tick(&shared);
         // Poll before blocking, but only while work is outstanding (an idle
         // node goes straight to the blocking receive).
         let poll_start = Instant::now();
@@ -849,7 +737,7 @@ fn analyzer_loop(
         };
         shared
             .instruments
-            .record_shard_queue_depth(shard, events_rx.len() as u64 + 1);
+            .record_queue_depth(events_rx.len() as u64 + 1);
         // Greedy batch drain: under a store storm the channel is never
         // empty, and handling a burst back-to-back keeps the analyzer's
         // accounting state cache-hot and skips the blocking-receive path.
@@ -887,12 +775,6 @@ fn analyzer_loop(
                 });
                 shared.instruments.record_poisoned(kid, age, &indices);
             }
-            // Expectation broadcasts must reach peer shards before any
-            // store a dispatched unit produces: per-shard FIFO channels
-            // make sending them first sufficient.
-            for bc in analyzer.take_outbox() {
-                shared.broadcast_expect(bc, shard);
-            }
             for unit in units {
                 // Retry units are re-dispatches, not fresh analyzer
                 // decisions (they come back through the watchdog, not
@@ -918,14 +800,13 @@ fn analyzer_loop(
         }
         shared.trace(|| TraceEvent::AnalyzerBatch { events: handled });
         shared.instruments.record_analyzer_batch();
-        shared.instruments.record_shard_events(shard, handled as u64);
     }
 }
 
 /// One controller tick ([`RunLimits::adaptive`]): differentiate the
 /// instrument counters and publish every chunk-size decision as a
-/// `GranularityChange` trace event. Called from analyzer shard 0 only, so
-/// decisions are totally ordered.
+/// `GranularityChange` trace event. Called from the analyzer thread only,
+/// so decisions are totally ordered.
 fn granularity_tick(shared: &Arc<Shared>) {
     let Some(g) = &shared.granularity else { return };
     for ch in g.tick(&shared.instruments) {
@@ -1031,8 +912,8 @@ fn execute_unit(shared: &Arc<Shared>, unit: DispatchUnit) -> Result<(), RuntimeE
                 })
             }
             ExhaustPolicy::Poison => {
-                // Counted event(s): every analyzer shard quarantines the
-                // instance and propagates poison over the slice it owns.
+                // Counted event: the analyzer quarantines the instance and
+                // propagates poison to its dependents.
                 shared.send_event(Event::KernelFailure {
                     kernel,
                     age: unit.age,
@@ -1082,8 +963,8 @@ fn execute_unit(shared: &Arc<Shared>, unit: DispatchUnit) -> Result<(), RuntimeE
 
     // `instances` reports only this execution's successes — poisoned
     // instances are accounted by the analyzer, retried ones by the retry
-    // unit's own UnitDone. Routed to the shard owning the unit, behind
-    // every store event this thread published for it (per-shard FIFO).
+    // unit's own UnitDone. It reaches the analyzer behind every store
+    // event this thread published for the unit (one FIFO channel).
     shared.send_event(Event::UnitDone {
         kernel,
         age: unit.age,

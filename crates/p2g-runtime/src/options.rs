@@ -215,11 +215,6 @@ pub struct RunLimits {
     /// recording (one branch per would-be event). Defaults to enabled
     /// when the crate is built with the `trace` feature.
     pub trace: bool,
-    /// Number of dependency-analyzer shards: analyzer state is partitioned
-    /// by `(kernel, age)` across this many threads so independent store
-    /// events are analyzed concurrently ([`crate::shard`]). The default
-    /// is one.
-    pub shards: usize,
     /// Online granularity adaptation: when set, a
     /// `crate::granularity::GranularityController` on the analyzer
     /// thread adjusts each kernel's effective chunk size from live
@@ -228,6 +223,10 @@ pub struct RunLimits {
     pub adaptive: Option<AdaptiveGranularity>,
 }
 
+/// Whether [`RunLimits::default`] traces: on when the crate is built with
+/// the `trace` feature.
+const TRACE_BY_DEFAULT: bool = cfg!(feature = "trace");
+
 impl Default for RunLimits {
     fn default() -> RunLimits {
         RunLimits {
@@ -235,8 +234,7 @@ impl Default for RunLimits {
             wall_deadline: None,
             gc_window: None,
             hold_open: false,
-            trace: cfg!(feature = "trace"),
-            shards: 1,
+            trace: TRACE_BY_DEFAULT,
             adaptive: None,
         }
     }
@@ -286,12 +284,6 @@ impl RunLimits {
         self
     }
 
-    /// Shard the dependency analyzer across `n` threads (at least one).
-    pub fn with_shards(mut self, n: usize) -> RunLimits {
-        self.shards = n.max(1);
-        self
-    }
-
     /// Enable online granularity adaptation with the given controller
     /// configuration: the controller resizes each eligible kernel's
     /// dispatch units, which the executor runs as one work unit whatever
@@ -321,14 +313,6 @@ mod tests {
         assert_eq!(l.max_ages, Some(5));
         assert_eq!(l.gc_window, Some(3));
         assert!(l.wall_deadline.is_some());
-    }
-
-    #[test]
-    fn shard_builders() {
-        assert_eq!(RunLimits::default().shards, 1);
-        assert_eq!(RunLimits::ages(5).with_shards(4).shards, 4);
-        // A degenerate count clamps to one shard.
-        assert_eq!(RunLimits::default().with_shards(0).shards, 1);
     }
 
     #[test]

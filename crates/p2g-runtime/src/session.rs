@@ -97,9 +97,6 @@ pub struct SessionConfig {
     pub sink: Option<Arc<SessionSink>>,
     /// Enable structured run tracing for this session's node.
     pub trace: bool,
-    /// Dependency-analyzer shards for this session's node (default 1, the
-    /// single sequential analyzer). See [`RunLimits::with_shards`].
-    pub shards: usize,
     /// Online chunk-size adaptation for this session's node. See
     /// [`RunLimits::with_adaptive`].
     pub adaptive: Option<crate::options::AdaptiveGranularity>,
@@ -124,7 +121,6 @@ impl SessionConfig {
             gc_window: 16,
             sink: None,
             trace: false,
-            shards: 1,
             adaptive: None,
             qos: None,
             on_output: None,
@@ -153,13 +149,6 @@ impl SessionConfig {
     /// trace).
     pub fn with_trace(mut self) -> SessionConfig {
         self.trace = true;
-        self
-    }
-
-    /// Shard the session's dependency analyzer across `n` threads
-    /// (at least 1).
-    pub fn shards(mut self, n: usize) -> SessionConfig {
-        self.shards = n.max(1);
         self
     }
 
@@ -594,7 +583,7 @@ impl SessionRuntime {
                 hook();
             }
         });
-        let mut limits = RunLimits::streaming(config.gc_window).with_shards(config.shards);
+        let mut limits = RunLimits::streaming(config.gc_window);
         if config.trace {
             limits = limits.with_trace();
         }

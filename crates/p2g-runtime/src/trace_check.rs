@@ -14,9 +14,12 @@
 //! The invariants:
 //!
 //! 1. **Dependencies before dispatch** — every analyzer dispatch of an
-//!    instance is preceded in the trace by stores covering its resolvable
-//!    fetch coordinates; whole-field (`All`) fetches require the fetched
-//!    age to have been completed by a prior store.
+//!    instance is preceded in the merged record order (no timestamp tie
+//!    tolerance) by stores covering its resolvable fetch coordinates;
+//!    whole-field (`All`) fetches require the fetched age to have been
+//!    completed by a prior store. One analyzer thread reads one event
+//!    queue, so every dependency store is traced before the dispatch it
+//!    enables.
 //! 2. **Write-once** — no (field, age, element) is freshly written twice
 //!    by kernel stores, net of distributed-mode deduplication (deduped
 //!    and remote-injected stores are exempt by construction).
@@ -34,7 +37,7 @@
 //!    per-kernel chain (each decision's `from` is the previous decision's
 //!    `to`), move by exactly a factor of two, and never reach zero.
 //! 7. **Only the analyzer dispatches** — every `InstanceDispatched` is
-//!    recorded on an analyzer shard's lane (`analyzer-*`), or on `main`,
+//!    recorded on the `analyzer` lane, or on `main`,
 //!    where launch seeds the source kernels. No worker, watchdog or
 //!    remote-store path makes an instance ready.
 
@@ -59,7 +62,7 @@ pub fn all(report: &RunReport) {
          trace::TRACE_CAPACITY for invariant checking",
         trace.dropped
     );
-    dependencies_respected(trace);
+    dependencies_respected_strict(trace);
     write_once(trace);
     retries_within_budget(trace);
     let retried: usize = trace
@@ -80,8 +83,8 @@ pub fn all(report: &RunReport) {
     only_analyzer_dispatches(trace);
 }
 
-/// Invariant 7: every instance dispatch is traced on an analyzer shard's
-/// lane or on `main` (launch-time seeding of the source kernels).
+/// Invariant 7: every instance dispatch is traced on the `analyzer` lane
+/// or on `main` (launch-time seeding of the source kernels).
 pub(crate) fn only_analyzer_dispatches(trace: &RunTrace) {
     for r in trace.of_kind("InstanceDispatched") {
         let lane = trace
@@ -89,7 +92,7 @@ pub(crate) fn only_analyzer_dispatches(trace: &RunTrace) {
             .get(r.tid as usize)
             .map_or("<unlabelled>", String::as_str);
         assert!(
-            lane == "main" || lane.starts_with("analyzer-"),
+            lane == "main" || lane == "analyzer",
             "{:?} traced on lane {lane}: only the analyzer (or launch-time \
              seeding on main) may make an instance ready",
             r.event
@@ -224,74 +227,20 @@ fn check_dispatch(
     }
 }
 
-/// Invariant 1 (relaxed, the default): every `InstanceDispatched` is
-/// preceded — per fetched `(field, age)` timeline — by stores covering its
-/// fetch set.
+/// Invariant 1: every `InstanceDispatched` is preceded, in exact
+/// merged-record order with no timestamp tie tolerance, by stores covering
+/// its fetch set — each dispatch sees only the stores at strictly earlier
+/// record positions.
 ///
 /// Fetch regions that resolve to concrete coordinates (index variables and
 /// constants) are checked pointwise. A whole-dimension (`All`) fetch is
 /// gated by age completeness in the analyzer, so the check requires a
 /// prior store with `age_complete` for that (field, age).
 ///
-/// "Preceded" is timestamp-based with tie tolerance: a sharded run traces
-/// stores on worker threads and dispatches on N analyzer threads, so two
-/// causally-ordered records can carry the same monotonic timestamp and
-/// sort either way in the merged trace. All stores in a timestamp tie
-/// group are credited before any dispatch in that group is checked. For
-/// the strict single-queue ordering (exact record order, no tie
-/// tolerance) use [`dependencies_respected_strict`].
-pub(crate) fn dependencies_respected(trace: &RunTrace) {
-    let mut written: HashMap<(u32, u64), WrittenAge> = HashMap::new();
-    let records = &trace.records;
-    let mut i = 0;
-    while i < records.len() {
-        let ts = records[i].ts_ns;
-        let mut j = i;
-        while j < records.len() && records[j].ts_ns == ts {
-            j += 1;
-        }
-        // Credit every store in the tie group first…
-        for r in &records[i..j] {
-            if let TraceEvent::StoreApplied {
-                field,
-                age,
-                region,
-                age_complete,
-                ..
-            } = &r.event
-            {
-                let w = written.entry((field.0, *age)).or_default();
-                // Remote regions are pre-resolved, so coords always
-                // enumerate; stay defensive anyway.
-                if let Some(coords) = region_coords(region) {
-                    w.coords.extend(coords);
-                }
-                w.complete |= *age_complete;
-            }
-        }
-        // …then check the group's dispatches.
-        for r in &records[i..j] {
-            if let TraceEvent::InstanceDispatched {
-                kernel,
-                age,
-                indices,
-            } = &r.event
-            {
-                check_dispatch(&written, trace, *kernel, *age, indices);
-            }
-        }
-        i = j;
-    }
-}
-
-/// Invariant 1 (strict): like `dependencies_respected` but in exact
-/// merged-record order with no timestamp tie tolerance — each dispatch
-/// sees only the stores at strictly earlier record positions.
-///
-/// This is the one-shard (`shards = 1`) guarantee: one event queue
-/// imposes one global order, so every dependency store is traced at an
-/// earlier position than the dispatch it enables. Sharded runs satisfy
-/// only the relaxed per-`(field, age)` form.
+/// The node's one analyzer reads one event queue, and a store is traced
+/// before its event is sent (the merge sorts stores first on a timestamp
+/// tie), so every dependency store is traced at an earlier position than
+/// the dispatch it enables.
 pub fn dependencies_respected_strict(trace: &RunTrace) {
     let mut written: HashMap<(u32, u64), WrittenAge> = HashMap::new();
     for r in &trace.records {

@@ -23,7 +23,7 @@ use p2g_runtime::analyzer::{DependencyAnalyzer, SharedFields};
 use p2g_runtime::events::{Event, StoreEvent};
 use p2g_runtime::instance::DispatchUnit;
 use p2g_runtime::program::resolve_region;
-use p2g_runtime::{KernelOptions, RunLimits, ShardGc, ShardPlan};
+use p2g_runtime::{KernelOptions, RunLimits};
 
 type Instance = (u32, u64, Vec<usize>);
 /// A store: field, age and the `(start, len)` rectangle it writes.
@@ -375,95 +375,6 @@ proptest! {
         check_against_ground_truth(&spec, &fields, ages, instances_of(&units))?;
     }
 
-    /// Drive the same storm through N shard-scoped analyzers: each store
-    /// is delivered (in a deterministic single-thread interleaving) to
-    /// exactly the shards the [`ShardPlan`] routes it to, `Reassign` to
-    /// every shard, and expectation broadcasts are forwarded to every peer
-    /// as the node's analyzer loop does. The union of dispatched instances
-    /// must equal the ground truth — nothing missed, nothing dispatched
-    /// twice.
-    #[test]
-    fn sharded_union_matches_ground_truth(
-        n0 in 1usize..5,
-        n1 in 1usize..4,
-        n2 in 1usize..4,
-        ages in 1u64..4,
-        shards in 2usize..5,
-        subset_seed in any::<u64>(),
-        keep_num in 0u32..=100,
-        dup_mask in any::<u64>(),
-        order in any::<u64>(),
-        rects in 0usize..6,
-        reassign_at in 0usize..48,
-    ) {
-        let spec = Arc::new(consumer_spec(n0, n1, n2));
-        let fields = make_fields(&spec);
-        let options = vec![KernelOptions::default(); spec.kernels.len()];
-        let plan = Arc::new(ShardPlan::new(
-            &spec,
-            &options,
-            &HashSet::new(),
-            &HashSet::new(),
-            shards,
-        ));
-        let gc = Arc::new(ShardGc::new(spec.kernels.len(), spec.fields.len(), shards));
-        let mut analyzers: Vec<DependencyAnalyzer> = (0..shards)
-            .map(|s| {
-                let mut an = make_analyzer(&spec, &fields, ages);
-                an.set_shard_scope(plan.clone(), s, gc.clone());
-                an
-            })
-            .collect();
-        let mut units = Vec::new();
-        for an in analyzers.iter_mut() {
-            units.extend(an.seed());
-        }
-
-        // Deliver an event to the shards in `mask` (a valid linearization
-        // of the runtime's per-shard FIFO channels, where expectation
-        // broadcasts always precede later stores).
-        let deliver = |analyzers: &mut Vec<DependencyAnalyzer>,
-                       units: &mut Vec<DispatchUnit>,
-                       ev: &Event,
-                       mut mask: u64| {
-            let mut s = 0usize;
-            while mask != 0 {
-                if mask & 1 != 0 {
-                    units.extend(analyzers[s].on_event(ev).unwrap());
-                    for bc in analyzers[s].take_outbox() {
-                        for (p, peer) in analyzers.iter_mut().enumerate() {
-                            if p != s {
-                                units.extend(peer.on_event(&bc).unwrap());
-                            }
-                        }
-                    }
-                }
-                mask >>= 1;
-                s += 1;
-            }
-        };
-        let every_shard = (1u64 << shards) - 1;
-        let keep = storm((n0, n1, n2, ages), subset_seed, keep_num, rects, order);
-        let cut = reassign_at.min(keep.len());
-        for (i, store) in keep.iter().enumerate() {
-            if i == cut {
-                deliver(&mut analyzers, &mut units, &reassign_all(&spec), every_shard);
-            }
-            let ev = land(&fields, store);
-            let dests = plan.store_dests(FieldId(store.0), store.1);
-            let bit = dup_mask & (1 << (i % 64)) != 0;
-            if i >= cut || bit {
-                deliver(&mut analyzers, &mut units, &ev, dests);
-            }
-            if i >= cut && bit {
-                deliver(&mut analyzers, &mut units, &ev, dests);
-            }
-        }
-        if cut == keep.len() {
-            deliver(&mut analyzers, &mut units, &reassign_all(&spec), every_shard);
-        }
-        check_against_ground_truth(&spec, &fields, ages, instances_of(&units))?;
-    }
 }
 
 /// `Reassign` after a rectangle store whose event was lost while an earlier,

@@ -101,56 +101,50 @@ fn hold_open_node_processes_injected_stores() {
     assert_eq!(report.instruments.kernel("double").unwrap().instances, 2);
 }
 
-/// A forwarded store lands like a local one at every shard count: an equal
-/// duplicate dedups and the run stays quiescent, and a conflicting value
-/// fails the node with the write-once error.
+/// A forwarded store lands like a local one: an equal duplicate dedups and
+/// the run stays quiescent, and a conflicting value fails the node with the
+/// write-once error.
 #[test]
 fn injected_duplicates_dedup_and_conflicts_fail() {
-    for shards in [1, 2] {
-        let inject_twice = |second: Vec<i32>| {
-            let mut limits = RunLimits::ages(1).with_shards(shards);
-            limits.hold_open = true;
-            let node = NodeBuilder::new(consumer_program())
-                .workers(1)
-                .launch(limits)
-                .unwrap();
-            for data in [vec![1i32, 2, 3, 4], second] {
-                node.inject_remote_store(
-                    p2g_field::FieldId(0),
-                    Age(0),
-                    Region::all(1),
-                    Buffer::from_vec(data),
-                );
-            }
-            let t0 = std::time::Instant::now();
-            while node.outstanding() != 0 && !node.is_stopped() {
-                assert!(t0.elapsed() < Duration::from_secs(10), "node never drained");
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            node.request_stop();
-            node.collect()
-        };
-
-        let (report, fields) = inject_twice(vec![1, 2, 3, 4]).unwrap();
-        assert_eq!(
-            report.termination,
-            Termination::Quiescent,
-            "shards={shards}"
-        );
-        assert!(report.instruments.deduped_elements() > 0, "shards={shards}");
-        assert_eq!(
-            fields
-                .fetch("output", Age(0), &Region::all(1))
-                .unwrap()
-                .as_i32()
-                .unwrap(),
-            &[2, 4, 6, 8]
-        );
-
-        match inject_twice(vec![1, 2, 3, 5]) {
-            Err(e) => assert!(matches!(e, RuntimeError::Field(_)), "shards={shards}: {e}"),
-            Ok(_) => panic!("shards={shards}: a conflicting remote store was accepted"),
+    let inject_twice = |second: Vec<i32>| {
+        let mut limits = RunLimits::ages(1);
+        limits.hold_open = true;
+        let node = NodeBuilder::new(consumer_program())
+            .workers(1)
+            .launch(limits)
+            .unwrap();
+        for data in [vec![1i32, 2, 3, 4], second] {
+            node.inject_remote_store(
+                p2g_field::FieldId(0),
+                Age(0),
+                Region::all(1),
+                Buffer::from_vec(data),
+            );
         }
+        let t0 = std::time::Instant::now();
+        while node.outstanding() != 0 && !node.is_stopped() {
+            assert!(t0.elapsed() < Duration::from_secs(10), "node never drained");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        node.request_stop();
+        node.collect()
+    };
+
+    let (report, fields) = inject_twice(vec![1, 2, 3, 4]).unwrap();
+    assert_eq!(report.termination, Termination::Quiescent);
+    assert!(report.instruments.deduped_elements() > 0);
+    assert_eq!(
+        fields
+            .fetch("output", Age(0), &Region::all(1))
+            .unwrap()
+            .as_i32()
+            .unwrap(),
+        &[2, 4, 6, 8]
+    );
+
+    match inject_twice(vec![1, 2, 3, 5]) {
+        Err(e) => assert!(matches!(e, RuntimeError::Field(_)), "{e}"),
+        Ok(_) => panic!("a conflicting remote store was accepted"),
     }
 }
 

@@ -314,69 +314,6 @@ fn poisoned_frame_surfaces_as_dropped_output() {
     runtime.shutdown();
 }
 
-/// The soak forced onto the sharded analyzer path: a 4-shard session must
-/// deliver every frame in age order with resident memory flat, and the
-/// per-shard instrumentation must be populated. This is the streaming-mode
-/// counterpart of the batch sharded-invariants test: age watches live on
-/// one pinned shard while unpinned analysis spreads across all four.
-#[test]
-fn sharded_session_soak_stays_flat_and_ordered() {
-    const FRAMES: u64 = 1_000;
-    let runtime = SessionRuntime::new(4);
-    let sink = SessionSink::new();
-    let program = stream_program(sink.clone(), None, None);
-    let session = runtime
-        .open(
-            program,
-            SessionConfig::new("emit")
-                .sink(sink)
-                .max_in_flight(8)
-                .gc_window(8)
-                .shards(4),
-        )
-        .unwrap();
-
-    let mut ages = Vec::new();
-    let mut peak_resident = 0usize;
-    for n in 0..FRAMES {
-        session.submit(frame(n)).unwrap();
-        while let Some(out) = session.poll_output() {
-            assert_eq!(
-                out.payload.as_deref().map(|b| b.len()),
-                Some(16),
-                "4 doubled i32s per frame"
-            );
-            ages.push(out.age);
-        }
-        if n % 64 == 0 {
-            peak_resident = peak_resident.max(session.resident_ages());
-        }
-    }
-    ages.extend(drain_outputs(&session, FRAMES - ages.len() as u64));
-    assert_eq!(ages, (0..FRAMES).collect::<Vec<_>>());
-    assert!(
-        peak_resident < 200,
-        "resident slabs must stay near the GC window on the sharded path, \
-         saw peak {peak_resident}"
-    );
-
-    let report = session.finish(Duration::from_secs(20)).unwrap();
-    assert_eq!(report.frames_submitted, FRAMES);
-    assert_eq!(report.frames_completed, FRAMES);
-    assert_eq!(report.frames_dropped, 0);
-    let ins = &report.report.instruments;
-    assert_eq!(ins.shard_events().len(), 4);
-    assert!(
-        ins.shard_events().iter().sum::<u64>() > 0,
-        "sharded session recorded no per-shard events"
-    );
-    assert!(
-        ins.gc_ages_collected() > FRAMES,
-        "sharded age GC must have retired most of the stream's slabs"
-    );
-    runtime.shutdown();
-}
-
 /// A traced session run passes every trace invariant, including the GC
 /// no-store-after-retire check over the `AgeRetired` records.
 #[test]

@@ -95,12 +95,11 @@ fn invariants_and_counts_on_a_real_run() {
     }));
 }
 
-/// A run on the single-analyzer path (`shards = 1`) satisfies the *strict*
-/// dependency ordering — every dependency store appears at a strictly
-/// earlier position in the merged trace than the dispatch it enables.
-/// Sharded runs are only required to satisfy the relaxed per-(field, age)
-/// form checked by `trace_check::all`; this pins the stronger single-queue
-/// guarantee so it can't silently regress.
+/// A run satisfies the *strict* dependency ordering on its own — every
+/// dependency store appears at a strictly earlier position in the merged
+/// trace than the dispatch it enables — checked directly rather than
+/// through `trace_check::all`, so the guarantee stays pinned even if the
+/// suite's composition changes.
 #[test]
 fn single_shard_satisfies_strict_ordering() {
     let report = traced_run(4, 4);
@@ -108,40 +107,46 @@ fn single_shard_satisfies_strict_ordering() {
     p2g_runtime::trace_check::dependencies_respected_strict(trace);
 }
 
-/// The full invariant suite certifies a sharded run, and the sharded
-/// instrumentation (per-shard event counts, queue peaks) is populated.
+/// Invariant 1 can fail: a dependent (non-source) dispatch moved in front
+/// of every store is a dispatch with no dependency stored before it.
 #[test]
-fn invariants_hold_on_a_sharded_run() {
-    let report = NodeBuilder::new(build_program())
-        .workers(4)
-        .launch(RunLimits::ages(6).with_trace().with_shards(4))
-        .and_then(|n| n.wait())
-        .unwrap();
+#[should_panic(expected = "precedes")]
+fn a_dispatch_before_its_stores_fails_invariant_1() {
+    let mut report = traced_run(4, 4);
+    let trace = report.trace.as_mut().unwrap();
+    let mul2 = trace.spec().kernels.iter().position(|k| k.name == "mul2");
+    let at = trace
+        .records
+        .iter()
+        .position(|r| {
+            matches!(&r.event, TraceEvent::InstanceDispatched { kernel, .. }
+                if Some(kernel.idx()) == mul2)
+        })
+        .expect("mul2 was dispatched");
+    let dispatch = trace.records.remove(at);
+    trace.records.insert(0, dispatch);
     p2g_runtime::trace_check::all(&report);
+}
 
-    // The same instance space ran as on the single-shard path.
-    let single = NodeBuilder::new(build_program())
-        .workers(4)
-        .launch(RunLimits::ages(6))
-        .and_then(|n| n.wait())
-        .unwrap();
-    for k in ["init", "mul2", "plus5", "print"] {
-        assert_eq!(
-            report.instruments.kernel(k).unwrap().instances,
-            single.instruments.kernel(k).unwrap().instances,
-            "sharded run dispatched a different number of {k} instances"
-        );
-    }
-
-    // Per-shard counters surfaced in the snapshot.
-    let shard_events = report.instruments.shard_events();
-    assert_eq!(shard_events.len(), 4);
-    assert!(
-        shard_events.iter().sum::<u64>() > 0,
-        "sharded run recorded no per-shard events"
-    );
-    assert_eq!(report.instruments.shard_queue_peaks().len(), 4);
-    assert!(report.instruments.render_table().contains("analyzer-0"));
+/// Invariant 7 can fail: a dispatch traced on a worker lane is an instance
+/// made ready outside the analyzer.
+#[test]
+#[should_panic(expected = "only the analyzer")]
+fn a_dispatch_on_a_worker_lane_fails_invariant_7() {
+    let mut report = traced_run(4, 4);
+    let trace = report.trace.as_mut().unwrap();
+    let worker = trace
+        .thread_labels
+        .iter()
+        .position(|l| l.starts_with("worker-"))
+        .expect("the node has workers") as u32;
+    let dispatch = trace
+        .records
+        .iter_mut()
+        .find(|r| matches!(r.event, TraceEvent::InstanceDispatched { .. }))
+        .expect("something was dispatched");
+    dispatch.tid = worker;
+    p2g_runtime::trace_check::all(&report);
 }
 
 /// A pointwise aging pipeline over statically-sized fields: each kernel
@@ -223,9 +228,9 @@ fn pointwise_program(n: usize) -> Program {
 
 /// A pointwise, statically-sized pipeline — the shape where one stored
 /// element proves exactly one consumer instance ready — is dispatched by
-/// the analyzer alone, at one shard and at four: every trace invariant
-/// holds (invariant 7 pins each dispatch to an analyzer lane or launch
-/// seeding) and the dispatched instance space is exactly the program's.
+/// the analyzer alone: every trace invariant holds (invariant 7 pins each
+/// dispatch to the analyzer lane or launch seeding) and the dispatched
+/// instance space is exactly the program's.
 #[test]
 fn pointwise_pipeline_dispatches_only_from_the_analyzer() {
     const AGES: u64 = 6;
@@ -235,23 +240,18 @@ fn pointwise_pipeline_dispatches_only_from_the_analyzer() {
         ("twice", N as u64 * AGES),
         ("inc", N as u64 * AGES),
     ];
-    for (limits, label) in [
-        (RunLimits::ages(AGES), "default limits"),
-        (RunLimits::ages(AGES).with_shards(4), "shards=4"),
-    ] {
-        let report = NodeBuilder::new(pointwise_program(N))
-            .workers(4)
-            .launch(limits.with_trace())
-            .and_then(|n| n.wait())
-            .unwrap();
-        p2g_runtime::trace_check::all(&report);
-        for (k, instances) in per_kernel {
-            assert_eq!(
-                report.instruments.kernel(k).unwrap().instances,
-                instances,
-                "{label}: the {k} instance space changed"
-            );
-        }
+    let report = NodeBuilder::new(pointwise_program(N))
+        .workers(4)
+        .launch(RunLimits::ages(AGES).with_trace())
+        .and_then(|n| n.wait())
+        .unwrap();
+    p2g_runtime::trace_check::all(&report);
+    for (k, instances) in per_kernel {
+        assert_eq!(
+            report.instruments.kernel(k).unwrap().instances,
+            instances,
+            "the {k} instance space changed"
+        );
     }
 }
 

@@ -57,8 +57,8 @@ fn main() {
     out.push_str("\npaper reference shape: scales to ~4 workers, then running time\n");
     out.push_str("increases — the serial dependency analyzer becomes the bottleneck\n");
     out.push_str("because assign's dispatch time (~4 us) is comparable to its kernel\n");
-    out.push_str("time (~7 us). Decreasing data granularity (--assign-chunk via the\n");
-    out.push_str("granularity bench) relieves it, as the paper predicts.\n");
+    out.push_str("time (~7 us). Decreasing data granularity (a larger\n");
+    out.push_str("KmeansConfig::assign_chunk) relieves it, as the paper predicts.\n");
 
     print!("{out}");
     write_result("fig10_kmeans.txt", &out);

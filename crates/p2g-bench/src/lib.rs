@@ -38,7 +38,7 @@ impl Series {
 }
 
 /// Mean and standard deviation of durations, in seconds.
-pub fn mean_std(samples: &[Duration]) -> (f64, f64) {
+fn mean_std(samples: &[Duration]) -> (f64, f64) {
     let xs: Vec<f64> = samples.iter().map(|d| d.as_secs_f64()).collect();
     let n = xs.len().max(1) as f64;
     let mean = xs.iter().sum::<f64>() / n;

@@ -82,6 +82,16 @@ pub struct FetchDecl {
     pub dims: Vec<IndexSel>,
 }
 
+impl FetchDecl {
+    /// The region names an index variable, so it differs between the
+    /// kernel's instances at one age; otherwise every instance fetches the
+    /// same region.
+    #[inline]
+    pub fn varies_by_instance(&self) -> bool {
+        self.dims.iter().any(|d| matches!(d, IndexSel::Var(_)))
+    }
+}
+
 /// A `store` statement: which slice of which field, at which age, a kernel
 /// instance may produce.
 ///
@@ -440,8 +450,8 @@ impl ProgramSpec {
 }
 
 /// Build the paper's Figure-5 example program spec (mul2 / plus5 / print /
-/// init over fields `m_data` and `p_data`). Used by tests, docs, examples
-/// and benches throughout the workspace.
+/// init over fields `m_data` and `p_data`). Used by tests, docs and
+/// examples throughout the workspace.
 pub fn mul_sum_example() -> ProgramSpec {
     use p2g_field::ScalarType;
 

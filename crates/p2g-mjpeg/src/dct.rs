@@ -186,20 +186,6 @@ pub fn fdct_aan(block: &[u8; 64]) -> [f64; 64] {
     fdct_aan_scalar(block)
 }
 
-/// True when the vectorized AAN/quantize/YUV paths are compiled in and the
-/// host supports them (reported by benches; correctness never depends on
-/// it).
-pub fn simd_active() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        simd::avx_available()
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        false
-    }
-}
-
 /// Quantize true (unscaled) DCT coefficients.
 pub(crate) fn quantize(coeffs: &[f64; 64], table: &[u16; 64]) -> [i16; 64] {
     let mut out = [0i16; 64];

@@ -388,19 +388,6 @@ pub fn yuv_to_rgb_scalar(frame: &YuvFrame) -> Vec<u8> {
     yuv_to_rgb_with(frame, ycbcr_planes_to_rgb_scalar)
 }
 
-/// True when the AVX2 colour-conversion path is compiled in and the host
-/// supports it.
-pub fn yuv_simd_active() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        simd::avx2_available()
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        false
-    }
-}
-
 fn extract_block(plane: &[u8], stride: usize, block: usize) -> [u8; 64] {
     let blocks_per_row = stride / 8;
     let bx = (block % blocks_per_row) * 8;

@@ -411,6 +411,9 @@ fn zero_timeout_recv_sees_what_has_arrived() {
         );
         std::thread::sleep(Duration::from_millis(2));
     }
+    // The pushed stats are the server's gauges for this session.
+    let stats = session.stats().expect("stats arrived");
+    assert_eq!((stats.submitted, stats.dropped), (1, 0));
     assert_eq!(out.age, 0);
     assert_eq!(out.payload, Some(encode_standalone(&video, 75, 1, false)));
     session.close();

@@ -1071,8 +1071,7 @@ impl DependencyAnalyzer {
         let kinds = &self.fetch_kinds[kid.idx()];
         let mut missing = 0u32;
         for (fi, fe) in k.fetches.iter().enumerate() {
-            let varies = fe.dims.iter().any(|s| matches!(s, IndexSel::Var(_)));
-            if kinds[fi] == FetchKind::WholeField || varies != per_instance {
+            if kinds[fi] == FetchKind::WholeField || fe.varies_by_instance() != per_instance {
                 continue;
             }
             let fa = fe.age.resolve(Age(a));

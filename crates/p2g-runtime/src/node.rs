@@ -32,7 +32,7 @@ use crate::instrument::{Instruments, InstrumentsSnapshot, RunReport, Termination
 use crate::options::{ExhaustPolicy, FaultPolicy, RunLimits};
 use crate::pool::{PoolTask, QosState, WorkerPool};
 use crate::program::{
-    resolve_region, BodyResult, FusionPlan, KernelBody, KernelCtx, Program, StagedStore,
+    resolve_region, BodyResult, FetchSlot, FusionPlan, KernelBody, KernelCtx, Program, StagedStore,
 };
 use crate::timer::TimerTable;
 use crate::trace::{store_event, RunTrace, TraceEvent, Tracer, TRACE_CAPACITY};
@@ -81,6 +81,8 @@ pub type StoreTap = Arc<dyn Fn(FieldId, Age, &Region, &Buffer) + Send + Sync>;
 pub(crate) struct Shared {
     spec: Arc<ProgramSpec>,
     bodies: Vec<Option<KernelBody>>,
+    /// Per kernel: where each fetch's buffers sit in a unit's inputs.
+    fetch_layouts: Vec<Box<[FetchSlot]>>,
     fusions: Vec<FusionPlan>,
     fields: SharedFields,
     /// The analyzer's event channel. Workers publish through
@@ -390,6 +392,7 @@ impl NodeBuilder {
         let shared = Arc::new(Shared {
             spec: spec.clone(),
             bodies,
+            fetch_layouts: spec.kernels.iter().map(FetchSlot::layout).collect(),
             fusions: fusions.clone(),
             fields: fields.clone(),
             event_tx,
@@ -868,12 +871,16 @@ fn execute_unit(shared: &Arc<Shared>, unit: DispatchUnit) -> Result<(), RuntimeE
     let mut body_time = Duration::ZERO;
 
     // Buffers are copies — workers never hold field locks while running
-    // kernel code. They live as long as the bodies.
-    let mut inputs = Vec::with_capacity(n * kspec.fetches.len());
-    for fe in &kspec.fetches {
+    // kernel code. They live as long as the bodies. A fetch that names no
+    // index variable is the same region for every instance: one copy.
+    let layout = &shared.fetch_layouts[kernel.idx()];
+    let once = layout.iter().filter(|f| f.invariant).count();
+    let mut inputs = Vec::with_capacity(once + (layout.len() - once) * n);
+    for (fe, f) in kspec.fetches.iter().zip(layout.iter()) {
         let age = fe.age.resolve(unit.age);
         let field = shared.fields[fe.field.idx()].read();
-        for indices in &unit.instances {
+        let copies = if f.invariant { 1 } else { n };
+        for indices in &unit.instances[..copies] {
             inputs.push(field.fetch(age, &resolve_region(&fe.dims, indices))?);
         }
     }
@@ -1061,6 +1068,7 @@ fn run_bodies(
                     indices,
                     slot: next,
                     inputs,
+                    layout: &shared.fetch_layouts[kernel.idx()],
                     stride: n,
                     staged: &mut *staged,
                     timers: &shared.timers,
@@ -1193,6 +1201,7 @@ fn run_consumer(
             indices: cidx,
             slot: 0,
             inputs: std::slice::from_ref(&input),
+            layout: &shared.fetch_layouts[plan.consumer.idx()],
             stride: 1,
             staged: &mut *staged,
             timers: &shared.timers,

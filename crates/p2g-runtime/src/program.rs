@@ -44,6 +44,36 @@ pub(crate) struct StagedStore {
     pub(crate) buffer: Buffer,
 }
 
+/// Where one fetch declaration's buffers sit in a dispatch unit's inputs.
+/// Fixed per kernel at launch.
+#[derive(Clone, Copy)]
+pub(crate) struct FetchSlot {
+    /// The region names no index variable, so the unit fetches it once
+    /// for all its instances.
+    pub(crate) invariant: bool,
+    /// Invariant fetch declarations before this one.
+    pub(crate) invariant_before: usize,
+}
+
+impl FetchSlot {
+    /// The layout of a kernel's fetch declarations, in declaration order.
+    pub(crate) fn layout(kspec: &KernelSpec) -> Box<[FetchSlot]> {
+        let mut invariant_before = 0;
+        kspec
+            .fetches
+            .iter()
+            .map(|fe| {
+                let slot = FetchSlot {
+                    invariant: !fe.varies_by_instance(),
+                    invariant_before,
+                };
+                invariant_before += usize::from(slot.invariant);
+                slot
+            })
+            .collect()
+    }
+}
+
 /// The execution context handed to a kernel body: one kernel instance's
 /// view of the world.
 pub struct KernelCtx<'a> {
@@ -52,10 +82,12 @@ pub struct KernelCtx<'a> {
     pub(crate) indices: &'a [usize],
     /// This instance's position in its dispatch unit.
     pub(crate) slot: usize,
-    /// The whole unit's fetched buffers, fetch-major: input `i` of this
-    /// instance is `inputs[i * stride + slot]`, `stride` being the unit's
-    /// instance count.
+    /// The whole unit's fetched buffers, fetch-major: an invariant fetch
+    /// holds one buffer shared by every instance, any other fetch `stride`
+    /// buffers (the unit's instance count), one per slot.
     pub(crate) inputs: &'a [Buffer],
+    /// The kernel's fetch layout ([`FetchSlot::layout`]).
+    pub(crate) layout: &'a [FetchSlot],
     pub(crate) stride: usize,
     /// Every store staged so far by the unit's bodies.
     pub(crate) staged: &'a mut Vec<StagedStore>,
@@ -79,7 +111,9 @@ impl KernelCtx<'_> {
 
     /// The fetched buffer for the kernel's `i`-th fetch declaration.
     pub fn input(&self, i: usize) -> &Buffer {
-        &self.inputs[i * self.stride + self.slot]
+        let f = self.layout[i];
+        let base = f.invariant_before + (i - f.invariant_before) * self.stride;
+        &self.inputs[if f.invariant { base } else { base + self.slot }]
     }
 
     fn stage(&mut self, store_idx: usize, region: Option<Region>, buffer: Buffer) {

@@ -97,9 +97,6 @@ pub struct SessionConfig {
     pub sink: Option<Arc<SessionSink>>,
     /// Enable structured run tracing for this session's node.
     pub trace: bool,
-    /// Online chunk-size adaptation for this session's node. See
-    /// [`RunLimits::with_adaptive`].
-    pub adaptive: Option<crate::options::AdaptiveGranularity>,
     /// Per-session QoS on the shared pool: priority class + fair-share
     /// weight. `None` keeps the neutral default rank (pure age ordering).
     pub qos: Option<Qos>,
@@ -121,7 +118,6 @@ impl SessionConfig {
             gc_window: 16,
             sink: None,
             trace: false,
-            adaptive: None,
             qos: None,
             on_output: None,
         }
@@ -149,12 +145,6 @@ impl SessionConfig {
     /// trace).
     pub fn with_trace(mut self) -> SessionConfig {
         self.trace = true;
-        self
-    }
-
-    /// Adapt kernel chunk sizes online while the session runs.
-    pub fn with_adaptive(mut self, cfg: crate::options::AdaptiveGranularity) -> SessionConfig {
-        self.adaptive = Some(cfg);
         self
     }
 
@@ -586,9 +576,6 @@ impl SessionRuntime {
         let mut limits = RunLimits::streaming(config.gc_window);
         if config.trace {
             limits = limits.with_trace();
-        }
-        if let Some(cfg) = config.adaptive.clone() {
-            limits = limits.with_adaptive(cfg);
         }
         let qos_state = config.qos.map(QosState::new);
         let mut builder = NodeBuilder::new(program)

@@ -6,13 +6,17 @@
 //! per-instance, and every trace invariant must keep holding.
 
 use p2g_field::{Age, Buffer, Region, Value};
-use p2g_graph::spec::mul_sum_example;
+use p2g_graph::spec::{mul_sum_example, AgeExpr, FetchDecl, IndexSel, ProgramSpec};
 use p2g_runtime::{
     AdaptiveGranularity, FaultPolicy, NodeBuilder, Program, RunLimits, Termination, TraceEvent,
 };
 
 fn build_program() -> Program {
-    let mut program = Program::new(mul_sum_example()).unwrap();
+    build_program_for(mul_sum_example())
+}
+
+fn build_program_for(spec: ProgramSpec) -> Program {
+    let mut program = Program::new(spec).unwrap();
     program.body("init", |ctx| {
         ctx.store(
             0,
@@ -108,6 +112,68 @@ fn chunked_unit_runs_each_body_once() {
         mul2.instances,
         "the body runs once per instance"
     );
+}
+
+/// A fetch whose region names no index variable is the same for every
+/// instance, so a chunked unit fetches it once: every instance's
+/// `ctx.input` for it is one shared buffer, and the per-instance fetch
+/// behind it still reads the instance's own element.
+#[test]
+fn chunked_unit_fetches_an_invariant_region_once() {
+    use std::collections::{BTreeMap, HashSet};
+    use std::sync::{Arc, Mutex};
+    let mut spec = mul_sum_example();
+    let m_data = spec.field_by_name("m_data").unwrap();
+    let mul2 = spec.kernel_by_name("mul2").unwrap();
+    // mul2 fetches the whole m_data(a) first, then its own m_data(a)[x].
+    spec.kernels[mul2.idx()].fetches.insert(
+        0,
+        FetchDecl {
+            field: m_data,
+            age: AgeExpr::Rel(0),
+            dims: vec![IndexSel::All],
+        },
+    );
+    let mut program = build_program_for(spec);
+    program.set_chunk_size("mul2", 5);
+    let seen: Arc<Mutex<BTreeMap<u64, HashSet<usize>>>> = Arc::default();
+    let s = seen.clone();
+    program.body("mul2", move |ctx| {
+        let whole = ctx.input(0);
+        let own = ctx.input(1).value(0);
+        assert_eq!(whole.len(), 5);
+        assert_eq!(whole.value(ctx.index(0)), own);
+        s.lock()
+            .unwrap()
+            .entry(ctx.age().0)
+            .or_default()
+            .insert(std::ptr::from_ref(whole) as usize);
+        let Value::I32(v) = own else {
+            return Err(format!("unexpected type {own:?}"));
+        };
+        ctx.store(0, Buffer::from_vec(vec![v.wrapping_mul(2)]));
+        Ok(())
+    });
+    let (report, fields) = NodeBuilder::new(program)
+        .workers(2)
+        .launch(RunLimits::ages(3).with_trace())
+        .and_then(|n| n.collect())
+        .unwrap();
+    assert_eq!(report.termination, Termination::Quiescent);
+    p2g_runtime::trace_check::all(&report);
+    assert_eq!(i32s(&fields, "p_data", 0), vec![20, 22, 24, 26, 28]);
+    assert_eq!(i32s(&fields, "p_data", 1), vec![50, 54, 58, 62, 66]);
+    let k = report.instruments.kernel("mul2").unwrap();
+    assert_eq!(
+        (k.units, k.instances),
+        (3, 15),
+        "one unit of 5 per age: all of an age's instances wait on its whole m_data"
+    );
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len(), 3);
+    for (age, addrs) in seen.iter() {
+        assert_eq!(addrs.len(), 1, "age {age}: one copy per unit");
+    }
 }
 
 /// Per-instance fault containment in a chunked unit: one failing

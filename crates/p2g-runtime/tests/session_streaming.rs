@@ -141,6 +141,7 @@ fn soak_age_gc_keeps_memory_flat() {
 
     let mut ages = Vec::new();
     let mut peak_resident = 0usize;
+    let mut peak_bytes = 0usize;
     for n in 0..FRAMES {
         session.submit(frame(n)).unwrap();
         while let Some(out) = session.poll_output() {
@@ -153,6 +154,7 @@ fn soak_age_gc_keeps_memory_flat() {
         }
         if n % 64 == 0 {
             peak_resident = peak_resident.max(session.resident_ages());
+            peak_bytes = peak_bytes.max(session.bytes_resident());
         }
     }
     ages.extend(drain_outputs(&session, FRAMES - ages.len() as u64));
@@ -165,6 +167,7 @@ fn soak_age_gc_keeps_memory_flat() {
         "resident (field, age) slabs must stay near the GC window over \
          {FRAMES} frames, saw peak {peak_resident}"
     );
+    assert!(peak_bytes > 0, "the resident-bytes gauge saw nothing");
 
     let report = session.finish(Duration::from_secs(20)).unwrap();
     assert_eq!(report.frames_submitted, FRAMES);

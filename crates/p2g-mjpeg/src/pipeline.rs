@@ -42,14 +42,14 @@ pub struct MjpegConfig {
     /// Data-granularity chunk size for the DCT kernels (Figure 4, Age=2).
     pub dct_chunk: usize,
     /// Soft per-instance deadline for the DCT kernels. When set, they run
-    /// under a `Poison` fault policy: a block that overruns is flagged by
-    /// the watchdog, bails out cooperatively, and its *frame* is dropped
+    /// under a `Poison` fault policy: a block that overruns sees
+    /// `ctx.cancelled()` turn true, bails out, and its *frame* is dropped
     /// from the stream (the poison reaches the frame's `vlc/write`
     /// instance) — a real-time encoder skips a late frame rather than
     /// stalling the whole pipeline behind it.
     pub frame_deadline: Option<std::time::Duration>,
     /// Chaos knob for tests: stall luma block 0 of this frame — the body
-    /// spins until its cancellation token is flagged. Only meaningful
+    /// polls `ctx.cancelled()` until its deadline passes. Only meaningful
     /// together with `frame_deadline`.
     pub stall_frame: Option<u64>,
 }
@@ -324,7 +324,7 @@ fn install_dct_bodies(program: &mut Program, config: &MjpegConfig) {
         program.body(name, move |ctx| {
             if stall == Some(ctx.age().0) && ctx.index(0) == 0 {
                 // Injected stall: overrun the frame deadline, bail out
-                // when the watchdog flags us.
+                // once it has passed.
                 while !ctx.cancelled() {
                     std::thread::sleep(std::time::Duration::from_millis(1));
                 }

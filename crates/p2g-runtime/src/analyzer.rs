@@ -447,15 +447,22 @@ impl DependencyAnalyzer {
                 age,
                 instances,
                 stored_any,
-                retried,
-            } => self.on_unit_done(*kernel, *age, *instances, *stored_any, *retried, &mut out),
+                retry,
+            } => self.on_unit_done(
+                *kernel,
+                *age,
+                *instances,
+                *stored_any,
+                retry.is_some(),
+                &mut out,
+            ),
             Event::KernelFailure {
                 kernel,
                 age,
                 indices,
                 ..
             } => self.pending_poison.push((*kernel, age.0, indices.clone())),
-            Event::Failure(_) => {}
+            Event::Wake => {}
         }
         self.process_poison(&mut out);
         self.advance_watches();
@@ -1980,7 +1987,7 @@ mod tests {
                 age: Age(0),
                 instances: 1,
                 stored_any: true,
-                retried: false,
+                retry: None,
             })
             .unwrap();
         assert_eq!(units.len(), 1);
@@ -1992,7 +1999,7 @@ mod tests {
                 age: Age(1),
                 instances: 1,
                 stored_any: false,
-                retried: false,
+                retry: None,
             })
             .unwrap();
         assert!(units.is_empty());
@@ -2031,7 +2038,7 @@ mod tests {
                 age: Age(0),
                 instances: 1,
                 stored_any: false,
-                retried: false,
+                retry: None,
             })
             .unwrap();
         assert_eq!(released.len(), 1);
@@ -2176,7 +2183,7 @@ mod tests {
                     age: u.age,
                     instances: u.len(),
                     stored_any: false,
-                    retried: false,
+                    retry: None,
                 })
                 .unwrap();
             }
@@ -2251,7 +2258,7 @@ mod tests {
                     age: a,
                     instances: n,
                     stored_any: false,
-                    retried: false,
+                    retry: None,
                 })
                 .unwrap();
             }

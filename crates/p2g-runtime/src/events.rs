@@ -5,8 +5,12 @@
 //! analyzer subscribes to events for the fields each kernel fetches and
 //! derives newly-runnable instances.
 
+use std::time::Instant;
+
 use p2g_field::{Age, Extents, FieldId, Region};
 use p2g_graph::KernelId;
+
+use crate::instance::DispatchUnit;
 
 /// A store applied to a field by a kernel instance.
 ///
@@ -63,10 +67,13 @@ pub enum Event {
         instances: usize,
         /// True when the unit's bodies performed at least one store.
         stored_any: bool,
-        /// True when some instances of the unit failed and were re-queued
-        /// for a delayed retry: the unit is not yet finished, so ordered
-        /// gating and source sequencing must keep waiting for it.
-        retried: bool,
+        /// The unit's failed instances as a retry unit and the instant it
+        /// falls due, when some instances failed within their retry
+        /// budget: the unit is not yet finished, so ordered gating and
+        /// source sequencing keep waiting for it, and the node's analyzer
+        /// loop holds the retry until it is due. Its outstanding count was
+        /// taken by the worker.
+        retry: Option<(DispatchUnit, Instant)>,
     },
     /// A kernel instance failed for good (its retry budget, if any, is
     /// exhausted) under [`crate::options::ExhaustPolicy::Poison`]. The
@@ -79,6 +86,7 @@ pub enum Event {
         indices: Vec<usize>,
         message: String,
     },
-    /// A kernel body failed; the node aborts the run.
-    Failure(String),
+    /// Uncounted: the node stopped. Sent so that an analyzer blocked on an
+    /// empty channel wakes and sees the stop flag.
+    Wake,
 }

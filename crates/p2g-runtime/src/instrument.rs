@@ -129,7 +129,7 @@ pub(crate) struct KernelCounters {
     pub failures: AtomicU64,
     /// Retry re-dispatches scheduled by the fault policy.
     pub retries: AtomicU64,
-    /// Instances the watchdog flagged past their soft deadline.
+    /// Instances that finished at or after their soft deadline.
     pub deadline_misses: AtomicU64,
     /// Instances skipped by poison propagation: this kernel's own
     /// exhausted-retry instances plus transitively dependent ones.
@@ -167,7 +167,7 @@ pub struct KernelStats {
     pub failures: u64,
     /// Retry re-dispatches scheduled by the fault policy.
     pub retries: u64,
-    /// Soft-deadline overruns flagged by the watchdog.
+    /// Instances that finished at or after their soft deadline.
     pub deadline_misses: u64,
     /// Instances skipped by poison propagation.
     pub poisoned: u64,
@@ -323,7 +323,7 @@ impl Instruments {
             .fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Record a watchdog-flagged soft-deadline overrun.
+    /// Record an instance that finished past its soft deadline.
     pub(crate) fn record_deadline_miss(&self, kernel: KernelId) {
         self.kernels[kernel.idx()]
             .1
@@ -580,7 +580,7 @@ impl InstrumentsSnapshot {
         self.entries.iter().map(|(_, s)| s.retries).sum()
     }
 
-    /// Sum of watchdog deadline misses across kernels.
+    /// Sum of soft-deadline misses across kernels.
     pub fn total_deadline_misses(&self) -> u64 {
         self.entries.iter().map(|(_, s)| s.deadline_misses).sum()
     }

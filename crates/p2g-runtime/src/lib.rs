@@ -65,7 +65,6 @@ pub mod session;
 pub mod timer;
 pub mod trace;
 pub mod trace_check;
-mod watchdog;
 
 pub use analyzer::DependencyAnalyzer;
 pub use error::RuntimeError;

@@ -4,13 +4,16 @@
 //! threads of a [`WorkerPool`] — the node's own, or one shared with other
 //! tenants — and publish store events; dependencies are analyzed on one
 //! dedicated analyzer thread, fed by one event channel, which feeds the
-//! pool's age-priority queue. Termination
-//! uses an outstanding-work counter: every event and dispatch unit is
-//! counted before it is made visible, so the count can only reach zero when
-//! the program is quiescent.
+//! pool's age-priority queue. The analyzer thread is also the node's one
+//! clock: it holds delayed retries until they are due and watches the run
+//! deadline, sleeping on its channel until the next event or timed action.
+//! A soft deadline needs no thread at all — it is a clock read in the
+//! body. Termination uses an outstanding-work counter: every event and
+//! dispatch unit is counted before it is made visible, so the count can
+//! only reach zero when the program is quiescent.
 
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Once};
@@ -36,13 +39,12 @@ use crate::program::{
 };
 use crate::timer::TimerTable;
 use crate::trace::{store_event, RunTrace, TraceEvent, Tracer, TRACE_CAPACITY};
-use crate::watchdog::Watchdog;
 
 thread_local! {
     /// True while this worker thread is inside a (contained) kernel body.
     static IN_KERNEL: Cell<bool> = const { Cell::new(false) };
-    /// This thread's trace-buffer id (workers `0..n`, then analyzer,
-    /// watchdog, and the launching thread). Set once at thread start.
+    /// This thread's trace-buffer id (workers `0..n`, then analyzer and
+    /// the launching thread). Set once at thread start.
     static TRACE_TID: Cell<u32> = const { Cell::new(0) };
 }
 
@@ -78,6 +80,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// the data to subscriber nodes through this hook).
 pub type StoreTap = Arc<dyn Fn(FieldId, Age, &Region, &Buffer) + Send + Sync>;
 
+/// Called each time the node is told to stop, right after the stop flag is
+/// set (session mode: wakes the session's waiters).
+pub(crate) type StopHook = Box<dyn Fn() + Send + Sync>;
+
 pub(crate) struct Shared {
     spec: Arc<ProgramSpec>,
     bodies: Vec<Option<KernelBody>>,
@@ -102,9 +108,8 @@ pub(crate) struct Shared {
     dedup_stores: bool,
     /// Per-kernel fault policies (indexed by `KernelId::idx`).
     fault: Vec<FaultPolicy>,
-    /// Present when some kernel's fault policy needs delayed retries or
-    /// deadline flagging.
-    watchdog: Option<Arc<Watchdog>>,
+    /// Run by every [`Shared::shutdown`] ([`NodeBuilder::on_stop`]).
+    on_stop: Option<StopHook>,
     /// Structured event tracing; `None` keeps the hot path at one branch
     /// per would-be event.
     tracer: Option<Arc<Tracer>>,
@@ -142,18 +147,17 @@ impl Shared {
     }
 
     /// Stop every thread of the node: flag stop, close its own pool's
-    /// queue (without joining: this runs on pool threads too), and stop the
-    /// watchdog — releasing the outstanding count of retries that will
-    /// never run.
+    /// queue (without joining: this runs on pool threads too), wake the
+    /// analyzer with an uncounted event (it releases the retries it still
+    /// holds as it exits), and run the stop hook.
     fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
         if self.owns_pool {
             self.pool.close();
         }
-        if let Some(wd) = &self.watchdog {
-            for _unit in wd.stop() {
-                self.outstanding.fetch_sub(1, Ordering::SeqCst);
-            }
+        let _ = self.event_tx.send(Event::Wake);
+        if let Some(hook) = &self.on_stop {
+            hook();
         }
     }
 
@@ -253,6 +257,7 @@ pub struct NodeBuilder {
     pool: Option<Arc<WorkerPool>>,
     watches: Vec<(String, AgeWatchFn)>,
     qos: Option<Arc<QosState>>,
+    on_stop: Option<StopHook>,
 }
 
 impl NodeBuilder {
@@ -266,6 +271,7 @@ impl NodeBuilder {
             pool: None,
             watches: Vec::new(),
             qos: None,
+            on_stop: None,
         }
     }
 
@@ -301,6 +307,16 @@ impl NodeBuilder {
     /// frame's output is ready.
     pub(crate) fn watch_ages(mut self, kernel: &str, callback: AgeWatchFn) -> NodeBuilder {
         self.watches.push((kernel.to_string(), callback));
+        self
+    }
+
+    /// Run `hook` each time the node is told to stop, right after its stop
+    /// flag is set, on whichever thread stops it. The session layer wakes
+    /// its blocked `submit`/`recv`/`finish` callers with it, so none waits
+    /// on a clock for a failed node. Must be quick, and may take a lock
+    /// only if no thread stops the node while holding it.
+    pub(crate) fn on_stop(mut self, hook: StopHook) -> NodeBuilder {
+        self.on_stop = Some(hook);
         self
     }
 
@@ -367,27 +383,18 @@ impl NodeBuilder {
             None => (WorkerPool::new(self.workers), true),
         };
         // Trace buffer ids: the pool's workers 0..n, then the analyzer,
-        // watchdog, main, and last `remote` (stores injected from outside
-        // the node, whichever thread delivers them).
+        // main, and last `remote` (stores injected from outside the node,
+        // whichever thread delivers them).
         let worker_slots = pool.workers();
         let analyzer_tid = worker_slots as u32;
-        let watchdog_tid = analyzer_tid + 1;
-        let main_tid = watchdog_tid + 1;
+        let main_tid = analyzer_tid + 1;
         let tracer = limits.trace.then(|| {
             let mut labels: Vec<String> = (0..worker_slots).map(|w| format!("worker-{w}")).collect();
             labels.push("analyzer".into());
-            labels.push("watchdog".into());
             labels.push("main".into());
             labels.push("remote".into());
             Arc::new(Tracer::new(labels, TRACE_CAPACITY))
         });
-        let watchdog = if fault.iter().any(|p| p.needs_watchdog()) {
-            Some(Arc::new(Watchdog::new(
-                tracer.clone().map(|t| (t, watchdog_tid)),
-            )))
-        } else {
-            None
-        };
         install_contained_panic_hook();
         let shared = Arc::new(Shared {
             spec: spec.clone(),
@@ -405,7 +412,7 @@ impl NodeBuilder {
             hold_open: limits.hold_open,
             dedup_stores,
             fault,
-            watchdog,
+            on_stop: self.on_stop,
             tracer: tracer.clone(),
             pool,
             owns_pool,
@@ -472,23 +479,12 @@ impl NodeBuilder {
             })
             .expect("spawn analyzer");
 
-        // Watchdog thread: releases due retries to the ready queue and
-        // flags soft-deadline overruns.
-        let watchdog_handle = shared.watchdog.clone().map(|wd| {
-            let ws = shared.clone();
-            std::thread::Builder::new()
-                .name("p2g-watchdog".into())
-                .spawn(move || watchdog_loop(wd, ws))
-                .expect("spawn watchdog")
-        });
-
         Ok(NodeHandle {
             shared,
             fields,
             spec,
             start,
             analyzer_handle,
-            watchdog_handle,
         })
     }
 }
@@ -501,7 +497,6 @@ pub struct NodeHandle {
     spec: Arc<ProgramSpec>,
     start: Instant,
     analyzer_handle: std::thread::JoinHandle<Termination>,
-    watchdog_handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl NodeHandle {
@@ -543,8 +538,8 @@ impl NodeHandle {
     }
 
     /// True once the node's stop flag is set (quiescence, failure, or an
-    /// external [`NodeHandle::request_stop`]). The session layer polls
-    /// this while draining so a dead node cannot hang `finish`.
+    /// external [`NodeHandle::request_stop`]). The session layer checks it
+    /// in each of its waits, and its stop hook wakes them when it flips.
     pub fn is_stopped(&self) -> bool {
         self.shared.stop.load(Ordering::SeqCst)
     }
@@ -612,20 +607,15 @@ impl NodeHandle {
             spec,
             start,
             analyzer_handle,
-            watchdog_handle,
         } = self;
         let termination = analyzer_handle.join().unwrap_or_else(|_| {
             shared.fail(RuntimeError::WorkerPanic);
             Termination::Failed
         });
-        // The analyzer has returned, so stop is set; make sure the
-        // watchdog and then the node's own pool wind down before
-        // collecting. The pool goes last: no thread is left to queue a
-        // unit behind its join.
+        // The analyzer has returned, so stop is set; make sure the node's
+        // own pool winds down before collecting. The analyzer was the last
+        // thread that could queue a unit, so nothing lands behind the join.
         shared.shutdown();
-        if let Some(h) = watchdog_handle {
-            let _ = h.join();
-        }
         if shared.owns_pool && !shared.pool.shutdown() {
             shared.fail(RuntimeError::WorkerPanic);
         }
@@ -666,16 +656,6 @@ impl NodeHandle {
     }
 }
 
-/// Watchdog thread: queue due retry units on the pool (their
-/// outstanding counts were taken at schedule time) until stopped.
-fn watchdog_loop(wd: Arc<Watchdog>, shared: Arc<Shared>) {
-    while let Some(due) = wd.next_due() {
-        for unit in due {
-            shared.dispatch(unit);
-        }
-    }
-}
-
 /// How long the analyzer polls its empty event channel before it
 /// blocks on it. While units are outstanding the next store event is one
 /// instance away (microseconds), and a blocked analyzer costs the storing
@@ -686,9 +666,16 @@ fn watchdog_loop(wd: Arc<Watchdog>, shared: Arc<Shared>) {
 const ANALYZER_POLL: Duration = Duration::from_micros(50);
 
 /// Maximum events the analyzer drains back-to-back before it
-/// re-checks the stop flag and deadline and records a batch.
+/// re-checks the stop flag, the deadline and the due retries, and records
+/// a batch.
 const ANALYZER_BATCH: usize = 256;
 
+/// The analyzer thread: drain events into the analyzer, queue the units it
+/// makes ready, and own the node's timed actions. Delayed retries arrive
+/// on their unit's `UnitDone` and wait here, due-ordered, until the loop
+/// head dispatches them; between events the thread sleeps until the
+/// earlier of the next retry's due time and the run deadline, or with
+/// neither, until the next event (a stop sends one).
 fn analyzer_loop(
     mut analyzer: DependencyAnalyzer,
     shared: Arc<Shared>,
@@ -696,6 +683,7 @@ fn analyzer_loop(
     deadline: Option<Instant>,
     poll: bool,
 ) -> Termination {
+    use crossbeam::channel::RecvTimeoutError;
     // The non-failure exit status: quiescent, or degraded once any
     // instance was poisoned.
     let finished = |analyzer: &DependencyAnalyzer| {
@@ -705,38 +693,52 @@ fn analyzer_loop(
             Termination::Quiescent
         }
     };
-    loop {
+    // Retry units waiting out their backoff, keyed by (due, arrival) so
+    // equal due times stay distinct. Each holds its outstanding count.
+    let mut retries: BTreeMap<(Instant, u64), DispatchUnit> = BTreeMap::new();
+    let mut arrivals = 0u64;
+    let termination = 'run: loop {
         if shared.stop.load(Ordering::SeqCst) {
             // Either quiescent-stop (set below) or failure-stop.
-            return if shared.has_failed() {
+            break if shared.has_failed() {
                 Termination::Failed
             } else {
                 finished(&analyzer)
             };
         }
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                shared.shutdown();
-                return Termination::DeadlineExpired;
+        let now = Instant::now();
+        if deadline.is_some_and(|d| now >= d) {
+            shared.shutdown();
+            break Termination::DeadlineExpired;
+        }
+        while let Some(entry) = retries.first_entry() {
+            if entry.key().0 > now {
+                break;
             }
+            shared.dispatch(entry.remove());
         }
         // Adaptive granularity: the controller tick is interval-gated
         // internally, so this is one lock + compare on the idle path.
         granularity_tick(&shared);
         // Poll before blocking, but only while work is outstanding (an idle
         // node goes straight to the blocking receive).
-        let poll_start = Instant::now();
         while poll
             && events_rx.is_empty()
             && shared.outstanding.load(Ordering::SeqCst) > 0
-            && poll_start.elapsed() < ANALYZER_POLL
+            && now.elapsed() < ANALYZER_POLL
         {
             std::thread::yield_now();
         }
-        let mut next = match events_rx.recv_timeout(Duration::from_millis(5)) {
+        let next_due = retries.keys().next().map(|&(due, _)| due);
+        let wake = next_due.into_iter().chain(deadline).min();
+        let received = match wake {
+            None => events_rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some(t) => events_rx.recv_timeout(t.saturating_duration_since(Instant::now())),
+        };
+        let mut next = match received {
+            Ok(Event::Wake) | Err(RecvTimeoutError::Timeout) => continue,
             Ok(ev) => Some(ev),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return finished(&analyzer),
+            Err(RecvTimeoutError::Disconnected) => break finished(&analyzer),
         };
         shared
             .instruments
@@ -749,19 +751,12 @@ fn analyzer_loop(
         // protocol is unchanged.
         let mut handled = 0usize;
         while let Some(ev) = next.take() {
-            if let Event::Failure(msg) = &ev {
-                shared.fail(RuntimeError::Kernel {
-                    kernel: "<unknown>".into(),
-                    message: msg.clone(),
-                });
-                return Termination::Failed;
-            }
             let t_event = Instant::now();
             let units = match analyzer.on_event(&ev) {
                 Ok(units) => units,
                 Err(e) => {
                     shared.fail(RuntimeError::Field(e));
-                    return Termination::Failed;
+                    break 'run Termination::Failed;
                 }
             };
             shared
@@ -780,8 +775,8 @@ fn analyzer_loop(
             }
             for unit in units {
                 // Retry units are re-dispatches, not fresh analyzer
-                // decisions (they come back through the watchdog, not
-                // here), so every unit seen at this point is attempt 0.
+                // decisions (they are released at the loop head, untraced),
+                // so every unit seen at this point is attempt 0.
                 for indices in &unit.instances {
                     shared.trace(|| TraceEvent::InstanceDispatched {
                         kernel: unit.kernel,
@@ -792,18 +787,35 @@ fn analyzer_loop(
                 shared.outstanding.fetch_add(1, Ordering::SeqCst);
                 shared.dispatch(unit);
             }
+            if let Event::UnitDone {
+                retry: Some((unit, due)),
+                ..
+            } = ev
+            {
+                retries.insert((due, arrivals), unit);
+                arrivals += 1;
+            }
             // This event is fully processed; the release may observe
             // quiescence. A stop ends the batch here: it is recorded, and
             // the loop head returns without another poll cycle.
             shared.release_outstanding();
             handled += 1;
             if handled < ANALYZER_BATCH && !shared.stop.load(Ordering::SeqCst) {
-                next = events_rx.try_recv().ok();
+                next = events_rx
+                    .try_recv()
+                    .ok()
+                    .filter(|ev| !matches!(ev, Event::Wake));
             }
         }
         shared.trace(|| TraceEvent::AnalyzerBatch { events: handled });
         shared.instruments.record_analyzer_batch();
-    }
+    };
+    // Retries that never became due die with the node: release their
+    // counts.
+    shared
+        .outstanding
+        .fetch_sub(retries.len() as i64, Ordering::SeqCst);
+    termination
 }
 
 /// One controller tick ([`RunLimits::adaptive`]): differentiate the
@@ -936,11 +948,11 @@ fn execute_unit(shared: &Arc<Shared>, unit: DispatchUnit) -> Result<(), RuntimeE
         .instruments
         .record_unit(kernel, n as u64, dispatch_time, body_time);
 
-    // The retry unit is re-dispatched by the watchdog after the backoff
-    // delay. Its outstanding count is taken here and held until the retry
-    // finishes, so quiescence cannot be observed with a retry pending.
-    let retried = !failed.is_empty();
-    if retried {
+    // The retry unit rides on this unit's UnitDone to the analyzer, which
+    // re-dispatches it after the backoff delay. Its outstanding count is
+    // taken here and held until the retry finishes (or the analyzer drops
+    // it at stop), so quiescence cannot be observed while it is pending.
+    let retry = (!failed.is_empty()).then(|| {
         shared.trace(|| TraceEvent::RetryScheduled {
             kernel,
             age: unit.age.0,
@@ -961,12 +973,8 @@ fn execute_unit(shared: &Arc<Shared>, unit: DispatchUnit) -> Result<(), RuntimeE
             prior_stored: stored_any,
         };
         shared.outstanding.fetch_add(1, Ordering::SeqCst);
-        shared
-            .watchdog
-            .as_ref()
-            .expect("watchdog runs whenever retries are configured")
-            .schedule_retry(retry, due);
-    }
+        (retry, due)
+    });
 
     // `instances` reports only this execution's successes — poisoned
     // instances are accounted by the analyzer, retried ones by the retry
@@ -977,7 +985,7 @@ fn execute_unit(shared: &Arc<Shared>, unit: DispatchUnit) -> Result<(), RuntimeE
         age: unit.age,
         instances: ok_instances,
         stored_any,
-        retried,
+        retry,
     });
     Ok(())
 }
@@ -988,26 +996,31 @@ fn execute_unit(shared: &Arc<Shared>, unit: DispatchUnit) -> Result<(), RuntimeE
 struct InFlight {
     /// The running body's kernel and start time.
     body: Option<(KernelId, Instant)>,
-    /// The running instance's soft-deadline registration.
-    registration: Option<u64>,
+    /// The running instance's soft deadline.
+    deadline: Option<Instant>,
     /// `staged.len()` before the running instance's first body.
     mark: usize,
 }
 
 impl InFlight {
-    /// Close the running instance: deregister its deadline (recording a
-    /// miss) and, when it failed, drop everything it staged.
+    /// Close the running instance, `unit`'s `slot`: record a deadline miss
+    /// when it finished at or after its deadline and, when it failed, drop
+    /// everything it staged.
     fn close(
         &mut self,
         shared: &Shared,
-        kernel: KernelId,
+        unit: &DispatchUnit,
+        slot: usize,
         failed: bool,
         staged: &mut Vec<StagedStore>,
     ) {
-        if let (Some(id), Some(wd)) = (self.registration.take(), &shared.watchdog) {
-            if wd.deregister(id) {
-                shared.instruments.record_deadline_miss(kernel);
-            }
+        if self.deadline.take().is_some_and(|d| Instant::now() >= d) {
+            shared.instruments.record_deadline_miss(unit.kernel);
+            shared.trace(|| TraceEvent::DeadlineMiss {
+                kernel: unit.kernel,
+                age: unit.age.0,
+                indices: unit.instances[slot].clone(),
+            });
         }
         if failed {
             staged.truncate(self.mark);
@@ -1020,7 +1033,7 @@ impl InFlight {
 /// as possible: one frame covers every remaining instance, and a panic
 /// fails only the instance that raised it; the next frame resumes right
 /// after it, so no successful body re-runs. Each instance has its own
-/// soft-deadline registration and cancel token. A failed instance's
+/// soft deadline, which a fused consumer shares. A failed instance's
 /// staging, producer's and consumer's alike, is discarded; the failures
 /// come back as `(slot, message)`.
 fn run_bodies(
@@ -1049,19 +1062,8 @@ fn run_bodies(
             while next < n {
                 let indices = &unit.instances[next];
                 live.mark = staged.len();
-                // Soft-deadline registration: the watchdog flags the token
-                // when the instance overruns; the body polls
-                // `ctx.cancelled()`.
-                let cancel = deadline.map(|_| Arc::new(AtomicBool::new(false)));
-                if let (Some(wd), Some(dl), Some(token)) = (&shared.watchdog, deadline, &cancel) {
-                    live.registration = Some(wd.register(
-                        Instant::now() + dl,
-                        token.clone(),
-                        kernel,
-                        unit.age,
-                        indices.clone(),
-                    ));
-                }
+                // The body polls `ctx.cancelled()` against this instant.
+                live.deadline = deadline.map(|d| Instant::now() + d);
                 let mut ctx = KernelCtx {
                     spec: kspec,
                     age: unit.age,
@@ -1072,24 +1074,16 @@ fn run_bodies(
                     stride: n,
                     staged: &mut *staged,
                     timers: &shared.timers,
-                    cancel: cancel.as_deref(),
+                    deadline: live.deadline,
                 };
                 let mut result =
                     call_body(shared, body, &mut ctx, unit.attempt, &mut live, body_time);
                 if let (Ok(()), Some(plan)) = (&result, fusion) {
                     result = run_consumer(
-                        shared,
-                        plan,
-                        unit,
-                        next,
-                        staged,
-                        &mut cidx,
-                        cancel.as_deref(),
-                        &mut live,
-                        body_time,
+                        shared, plan, unit, next, staged, &mut cidx, &mut live, body_time,
                     );
                 }
-                live.close(shared, kernel, result.is_err(), staged);
+                live.close(shared, unit, next, result.is_err(), staged);
                 if let Err(message) = result {
                     failures.push((next, message));
                 }
@@ -1117,7 +1111,7 @@ fn run_bodies(
                     ok: false,
                 });
             }
-            live.close(shared, kernel, true, staged);
+            live.close(shared, unit, next, true, staged);
             failures.push((next, format!("panic: {}", panic_message(payload.as_ref()))));
             next += 1;
         }
@@ -1172,7 +1166,6 @@ fn run_consumer(
     slot: usize,
     staged: &mut Vec<StagedStore>,
     cidx: &mut Vec<usize>,
-    cancel: Option<&AtomicBool>,
     live: &mut InFlight,
     body_time: &mut Duration,
 ) -> BodyResult {
@@ -1205,7 +1198,7 @@ fn run_consumer(
             stride: 1,
             staged: &mut *staged,
             timers: &shared.timers,
-            cancel,
+            deadline: live.deadline,
         };
         call_body(shared, body, &mut ctx, unit.attempt, live, body_time)?;
         for st in &mut staged[first..] {

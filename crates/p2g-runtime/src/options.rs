@@ -54,12 +54,12 @@ pub struct FaultPolicy {
     pub backoff: Duration,
     /// Upper bound on the exponential backoff.
     pub backoff_cap: Duration,
-    /// Per-instance soft deadline. The watchdog thread flags an instance
-    /// that overruns it through the cooperative cancellation token
-    /// ([`crate::KernelCtx::cancelled`]); the body is expected to poll the
-    /// token and bail out (`Err`), which then goes through the normal
-    /// retry/exhaustion path. A body that never polls is merely recorded
-    /// as a deadline miss — threads are never killed.
+    /// Per-instance soft deadline, counted from the instance's start. A
+    /// body polls it through [`crate::KernelCtx::cancelled`] (a clock read)
+    /// and is expected to bail out (`Err`) once it passes, which then goes
+    /// through the normal retry/exhaustion path. An instance that finishes
+    /// at or after its deadline is recorded as a deadline miss whether or
+    /// not it polled — threads are never killed.
     pub deadline: Option<Duration>,
     /// Action once `retries` is exhausted.
     pub on_exhaust: ExhaustPolicy,
@@ -103,12 +103,6 @@ impl FaultPolicy {
         self.backoff = base;
         self.backoff_cap = cap;
         self
-    }
-
-    /// True when this policy ever needs the watchdog thread (delayed
-    /// retries or deadline flagging).
-    pub(crate) fn needs_watchdog(&self) -> bool {
-        self.retries > 0 || self.deadline.is_some()
     }
 
     /// The backoff delay before re-dispatching `attempt + 1`, with the

@@ -8,7 +8,7 @@
 //! what preserves the write-once discipline.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use p2g_field::{Age, Buffer, Region, Value};
 use p2g_graph::spec::{AgeExpr, IndexSel, KernelSpec};
@@ -92,10 +92,10 @@ pub struct KernelCtx<'a> {
     /// Every store staged so far by the unit's bodies.
     pub(crate) staged: &'a mut Vec<StagedStore>,
     pub(crate) timers: &'a TimerTable,
-    /// Cooperative cancellation token, set by the watchdog thread when the
-    /// instance overruns its fault-policy soft deadline. `None` when the
-    /// kernel has no deadline configured.
-    pub(crate) cancel: Option<&'a std::sync::atomic::AtomicBool>,
+    /// The instance's fault-policy soft deadline (a fused consumer runs
+    /// under its producer's). `None` when the kernel has no deadline
+    /// configured.
+    pub(crate) deadline: Option<Instant>,
 }
 
 impl KernelCtx<'_> {
@@ -156,15 +156,13 @@ impl KernelCtx<'_> {
         self.timers.reset(name);
     }
 
-    /// Cooperative cancellation poll: true once the watchdog has flagged
-    /// this instance past its [`crate::options::FaultPolicy`] soft
-    /// deadline. Long-running bodies should poll this and return `Err` to
+    /// Cooperative cancellation poll: true once this instance has run
+    /// past its [`crate::options::FaultPolicy`] soft deadline (one clock
+    /// read). Long-running bodies should poll this and return `Err` to
     /// yield the worker; the failure then follows the kernel's normal
     /// retry/exhaustion path. Always false for kernels without a deadline.
     pub fn cancelled(&self) -> bool {
-        self.cancel
-            .map(|c| c.load(std::sync::atomic::Ordering::Relaxed))
-            .unwrap_or(false)
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 

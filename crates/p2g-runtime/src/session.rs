@@ -271,11 +271,23 @@ pub struct SessionMetrics {
 
 struct SessionShared {
     state: Mutex<SessionState>,
-    /// Signalled when the in-flight window shrinks (admission).
+    /// Signalled when the in-flight window shrinks (admission), and when
+    /// the session closes or its node stops.
     submit_cv: Condvar,
     /// Signalled when an output becomes ready (and on completion, for the
-    /// drain loop).
+    /// drain loop), and when the session closes or its node stops.
     output_cv: Condvar,
+}
+
+impl SessionShared {
+    /// Wake every waiter so it re-checks its condition. Taking the state
+    /// lock first means a waiter is either not yet checking (and will see
+    /// the new state) or already parked on a condvar (and gets the signal).
+    fn wake_all(&self) {
+        let _g = self.state.lock();
+        self.submit_cv.notify_all();
+        self.output_cv.notify_all();
+    }
 }
 
 /// One tenant pipeline of a [`SessionRuntime`]: an unbounded stream of
@@ -332,11 +344,8 @@ impl Session {
                 if !wait {
                     return Err(SubmitError::WouldBlock);
                 }
-                // Timed wait: a failed node never signals, so re-check the
-                // stop flag periodically instead of blocking forever.
-                self.shared
-                    .submit_cv
-                    .wait_for(&mut g, Duration::from_millis(10));
+                // A completion, a close or the node's stop signals this.
+                self.shared.submit_cv.wait(&mut g);
             }
             let age = g.next_age;
             g.next_age += 1;
@@ -372,12 +381,14 @@ impl Session {
             if (g.closed && g.in_flight == 0) || self.node.is_stopped() {
                 return None;
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
+            if self
+                .shared
+                .output_cv
+                .wait_until(&mut g, deadline)
+                .timed_out()
+            {
+                return g.ready.pop_front();
             }
-            let step = (deadline - now).min(Duration::from_millis(10));
-            self.shared.output_cv.wait_for(&mut g, step);
         }
     }
 
@@ -453,7 +464,7 @@ impl Session {
     /// Refuse further submissions; in-flight frames keep completing.
     pub fn close(&self) {
         self.shared.state.lock().closed = true;
-        self.shared.submit_cv.notify_all();
+        self.shared.wake_all();
     }
 
     /// Close, drain in-flight frames (bounded by `drain_timeout`), stop
@@ -465,10 +476,15 @@ impl Session {
         let deadline = Instant::now() + drain_timeout;
         {
             let mut g = self.shared.state.lock();
-            while g.in_flight > 0 && !self.node.is_stopped() && Instant::now() < deadline {
-                self.shared
+            while g.in_flight > 0 && !self.node.is_stopped() {
+                if self
+                    .shared
                     .output_cv
-                    .wait_for(&mut g, Duration::from_millis(10));
+                    .wait_until(&mut g, deadline)
+                    .timed_out()
+                {
+                    break;
+                }
             }
         }
         self.node.request_stop();
@@ -578,9 +594,11 @@ impl SessionRuntime {
             limits = limits.with_trace();
         }
         let qos_state = config.qos.map(QosState::new);
+        let stop_shared = shared.clone();
         let mut builder = NodeBuilder::new(program)
             .pool(self.pool.clone())
-            .watch_ages(&config.output_kernel, watch);
+            .watch_ages(&config.output_kernel, watch)
+            .on_stop(Box::new(move || stop_shared.wake_all()));
         if let Some(q) = &qos_state {
             builder = builder.qos_state(q.clone());
         }

@@ -14,7 +14,7 @@
 //!
 //! Recording is gated twice: a runtime `Option` (tracing off costs one
 //! branch per would-be event) and per-thread ring buffers behind
-//! uncontended mutexes (each runtime thread — worker, analyzer, watchdog —
+//! uncontended mutexes (each runtime thread — worker, analyzer, main —
 //! writes only its own buffer; the locks are touched by another thread
 //! only at capture time). Buffers are bounded: when a ring is full the
 //! oldest event is dropped and counted, so the hot path never allocates
@@ -84,7 +84,8 @@ pub enum TraceEvent {
         attempt: u32,
         budget: u32,
     },
-    /// The watchdog flagged an instance past its soft deadline.
+    /// An instance finished at or after its soft deadline (traced on the
+    /// worker's lane as the instance closes).
     DeadlineMiss {
         kernel: KernelId,
         age: u64,

@@ -38,7 +38,7 @@
 //!    `to`), move by exactly a factor of two, and never reach zero.
 //! 7. **Only the analyzer dispatches** — every `InstanceDispatched` is
 //!    recorded on the `analyzer` lane, or on `main`,
-//!    where launch seeds the source kernels. No worker, watchdog or
+//!    where launch seeds the source kernels. No worker or
 //!    remote-store path makes an instance ready.
 
 use std::collections::{BTreeSet, HashMap, HashSet};

@@ -244,8 +244,8 @@ fn permanent_failure_degrades_only_dependents() {
 }
 
 // ---------------------------------------------------------------------------
-// Deadline watchdog: an overrunning instance is flagged through the
-// cooperative token, recorded as a deadline miss, and (here) poisoned.
+// Soft deadline: an overrunning instance sees `cancelled()` turn true, is
+// recorded as a deadline miss, and (here) poisoned.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -283,7 +283,7 @@ fn deadline_flags_and_degrades_overrunning_instance() {
     p2g_runtime::trace_check::all(&report);
     assert!(report.instruments.total_deadline_misses() >= 1);
     assert!(report.instruments.total_poisoned() >= 1);
-    // The watchdog traced the miss with the overrunning instance identity.
+    // The miss is traced with the overrunning instance identity.
     let trace = report.trace.as_ref().unwrap();
     assert!(
         trace.of_kind("DeadlineMiss").count() >= 1,

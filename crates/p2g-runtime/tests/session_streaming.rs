@@ -317,6 +317,62 @@ fn poisoned_frame_surfaces_as_dropped_output() {
     runtime.shutdown();
 }
 
+/// A session whose `double` body fails its first frame after `delay`
+/// under the default (aborting) fault policy: the node stops on its own,
+/// with callers still blocked in the session.
+fn failing_session(runtime: &SessionRuntime, delay: Duration) -> Arc<Session> {
+    let sink = SessionSink::new();
+    let mut program = stream_program(sink.clone(), Some(0), Some(delay));
+    program.set_fault_policy("double", FaultPolicy::default());
+    let config = SessionConfig::new("emit").sink(sink).max_in_flight(1);
+    Arc::new(runtime.open(program, config).unwrap())
+}
+
+/// Run `call` on its own thread and return its result, failing the test
+/// (instead of hanging it) when no result arrives within 10 s.
+fn within_10s<T: Send + 'static>(call: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(call());
+    });
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("a blocked session call must return once the node stops")
+}
+
+/// A `submit` blocked on a full admission window returns `Closed` as soon
+/// as the session's node fails: the node's stop wakes it.
+#[test]
+fn blocked_submit_returns_closed_when_the_node_fails() {
+    let runtime = SessionRuntime::new(1);
+    let session = failing_session(&runtime, Duration::from_millis(100));
+    session.submit(frame(0)).unwrap();
+    let s = session.clone();
+    assert_eq!(
+        within_10s(move || s.submit(frame(1))),
+        Err(SubmitError::Closed)
+    );
+    assert!(session.has_failed());
+    let session = Arc::try_unwrap(session).ok().expect("sole owner");
+    assert!(session.finish(Duration::from_secs(1)).is_err());
+    runtime.shutdown();
+}
+
+/// A long `recv` returns `None` as soon as the session's node fails.
+#[test]
+fn long_recv_returns_none_when_the_node_fails() {
+    let runtime = SessionRuntime::new(1);
+    let session = failing_session(&runtime, Duration::from_millis(100));
+    session.submit(frame(0)).unwrap();
+    let s = session.clone();
+    let t0 = std::time::Instant::now();
+    assert_eq!(within_10s(move || s.recv(Duration::from_secs(30))), None);
+    assert!(t0.elapsed() < Duration::from_secs(10));
+    assert!(session.has_failed());
+    let session = Arc::try_unwrap(session).ok().expect("sole owner");
+    assert!(session.finish(Duration::from_secs(1)).is_err());
+    runtime.shutdown();
+}
+
 /// A traced session run passes every trace invariant, including the GC
 /// no-store-after-retire check over the `AgeRetired` records.
 #[test]

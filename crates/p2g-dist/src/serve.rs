@@ -905,7 +905,8 @@ impl ServeClient {
         timeout: Duration,
         mut take: impl FnMut(&mut SessionSlot) -> Option<T>,
     ) -> Result<Option<T>, RuntimeError> {
-        let deadline = Instant::now() + timeout;
+        // `Duration::MAX` waits with no deadline.
+        let deadline = Instant::now().checked_add(timeout);
         let mut g = self.shared.state.lock();
         loop {
             let down = g.down;
@@ -921,10 +922,13 @@ impl ServeClient {
             if down {
                 return Err(RuntimeError::Net("client endpoint closed".into()));
             }
-            if Instant::now() >= deadline {
-                return Ok(None);
+            match deadline {
+                Some(deadline) if Instant::now() >= deadline => return Ok(None),
+                Some(deadline) => {
+                    self.shared.changed.wait_until(&mut g, deadline);
+                }
+                None => self.shared.changed.wait(&mut g),
             }
-            self.shared.changed.wait_until(&mut g, deadline);
         }
     }
 }

@@ -274,8 +274,9 @@ impl TcpNet {
     /// Block until every frame queued for `dst` has been written *and
     /// acknowledged* (or the timeout expires / the peer dies). A process
     /// about to exit calls this so its final messages actually leave.
+    /// `Duration::MAX` waits with no deadline.
     pub fn flush(&self, dst: NodeId, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let Some(peer) = self.shared.peers.lock().get(&dst).cloned() else {
             return true;
         };
@@ -284,10 +285,16 @@ impl TcpNet {
             if q.closed || (q.out.is_empty() && q.unacked.is_empty()) {
                 return true;
             }
-            if Instant::now() >= deadline || self.shared.is_dead(dst) {
+            if self.shared.is_dead(dst) {
                 return false;
             }
-            peer.drained.wait_until(&mut q, deadline);
+            match deadline {
+                Some(deadline) if Instant::now() >= deadline => return false,
+                Some(deadline) => {
+                    peer.drained.wait_until(&mut q, deadline);
+                }
+                None => peer.drained.wait(&mut q),
+            }
         }
     }
 
@@ -832,6 +839,22 @@ mod tests {
             "b acked the window"
         );
         assert_eq!(a.in_flight(), 0, "the ack balanced the send");
+    }
+
+    /// `flush(Duration::MAX)` waits with no deadline instead of
+    /// overflowing the clock: it returns once the peer acknowledged.
+    #[test]
+    fn flush_with_duration_max_returns_on_the_ack() {
+        let a = TcpNet::bind(NodeId(0), RetryConfig::default(), 1).unwrap();
+        let b = TcpNet::bind(NodeId(1), RetryConfig::default(), 1).unwrap();
+        a.set_peer(NodeId(1), SocketAddr::from(([127, 0, 0, 1], b.port())));
+        assert!(a.try_send(NodeId(0), NodeId(1), store(4)));
+        let (done, result) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(a.flush(NodeId(1), Duration::MAX));
+        });
+        assert_eq!(result.recv_timeout(Duration::from_secs(10)), Ok(true));
+        drop(b);
     }
 
     #[test]

@@ -61,6 +61,45 @@ impl BufferData {
             ScalarType::F64 => BufferData::F64(vec![0.0; len]),
         }
     }
+
+    /// Empty storage of `ty` with room for `cap` elements, for
+    /// [`BufferData::extend_from`] to fill without a zeroing pass.
+    pub(crate) fn with_capacity(ty: ScalarType, cap: usize) -> BufferData {
+        match ty {
+            ScalarType::U8 => BufferData::U8(Vec::with_capacity(cap)),
+            ScalarType::I16 => BufferData::I16(Vec::with_capacity(cap)),
+            ScalarType::I32 => BufferData::I32(Vec::with_capacity(cap)),
+            ScalarType::I64 => BufferData::I64(Vec::with_capacity(cap)),
+            ScalarType::F32 => BufferData::F32(Vec::with_capacity(cap)),
+            ScalarType::F64 => BufferData::F64(Vec::with_capacity(cap)),
+        }
+    }
+
+    /// Append `len` elements of `src` starting at `from`, as one slice
+    /// copy. The element types must match.
+    pub(crate) fn extend_from(
+        &mut self,
+        src: &BufferData,
+        from: usize,
+        len: usize,
+    ) -> Result<(), FieldError> {
+        let from = from..from + len;
+        match (self, src) {
+            (BufferData::U8(d), BufferData::U8(s)) => d.extend_from_slice(&s[from]),
+            (BufferData::I16(d), BufferData::I16(s)) => d.extend_from_slice(&s[from]),
+            (BufferData::I32(d), BufferData::I32(s)) => d.extend_from_slice(&s[from]),
+            (BufferData::I64(d), BufferData::I64(s)) => d.extend_from_slice(&s[from]),
+            (BufferData::F32(d), BufferData::F32(s)) => d.extend_from_slice(&s[from]),
+            (BufferData::F64(d), BufferData::F64(s)) => d.extend_from_slice(&s[from]),
+            (d, s) => {
+                return Err(FieldError::TypeMismatch {
+                    expected: d.scalar_type(),
+                    found: s.scalar_type(),
+                })
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Buffer {

@@ -202,6 +202,31 @@ impl Region {
         Ok((RegionIter::new(spans, extents), row))
     }
 
+    /// The region as maximal runs: like [`Region::rows`], but a run also
+    /// spans every trailing dimension the region selects whole (start 0,
+    /// length = extent), so it is the longest stretch of the region that
+    /// is contiguous in a row-major buffer. `All` over every dimension is
+    /// one run. [`RegionIter::index`] gives the multi-index of the run's
+    /// first element. The region must lie within `extents`.
+    pub fn runs<'a>(&self, extents: &'a Extents) -> Result<(RegionIter<'a>, usize), FieldError> {
+        let mut spans = self.resolve(extents)?;
+        // `outer` is the innermost dimension the region does not select
+        // whole; the run is its span times everything inside it.
+        let whole = spans
+            .iter()
+            .zip(&extents.0)
+            .rev()
+            .take_while(|&(&(start, len), &ext)| start == 0 && len == ext)
+            .count();
+        let outer = spans.len().saturating_sub(whole + 1);
+        let mut run = 1;
+        for (_, len) in &mut spans[outer..] {
+            run *= *len;
+            *len = (*len).min(1);
+        }
+        Ok((RegionIter::new(spans, extents), run))
+    }
+
     /// Resolve every selector against `extents` into an explicit
     /// `Index`/`Range` selector — in particular `All` becomes the concrete
     /// `Range` it denotes *right now*.
@@ -398,6 +423,46 @@ mod tests {
         let scalar = Extents::new([]);
         let (rows, row) = Region::all(0).rows(&scalar).unwrap();
         assert_eq!((rows.collect::<Vec<_>>(), row), (vec![0], 1));
+    }
+
+    #[test]
+    fn runs_span_trailing_whole_dimensions() {
+        let e = Extents::new([4, 3, 2]);
+        let firsts = |r: &Region| {
+            let (runs, run) = r.runs(&e).unwrap();
+            (runs.collect::<Vec<_>>(), run)
+        };
+        // Everything: one run.
+        assert_eq!(firsts(&Region::all(3)), (vec![0], 24));
+        // A range over whole inner dimensions: one run of its rows.
+        let r = Region(vec![DimSel::Range { start: 1, len: 2 }, DimSel::All, DimSel::All]);
+        assert_eq!(firsts(&r), (vec![6], 12));
+        // A `Range` spelling out the whole extent counts as whole.
+        let r = Region(vec![
+            DimSel::Index(2),
+            DimSel::Range { start: 0, len: 3 },
+            DimSel::All,
+        ]);
+        assert_eq!(firsts(&r), (vec![12], 6));
+        // A partial middle dimension stops the run there.
+        let r = Region(vec![DimSel::All, DimSel::Index(1), DimSel::All]);
+        assert_eq!(firsts(&r), (vec![2, 8, 14, 20], 2));
+        // A partial innermost dimension: runs are rows.
+        let r = Region(vec![DimSel::All, DimSel::All, DimSel::Index(1)]);
+        assert_eq!(firsts(&r).1, 1);
+        assert_eq!(firsts(&r).0.len(), 12);
+        // Each run's multi-index is its first element's.
+        let r = Region(vec![DimSel::Range { start: 1, len: 2 }, DimSel::Index(2), DimSel::All]);
+        let (mut runs, run) = r.runs(&e).unwrap();
+        assert_eq!((runs.next(), runs.index(), run), (Some(10), &[1, 2, 0][..], 2));
+        assert_eq!((runs.next(), runs.index()), (Some(16), &[2, 2, 0][..]));
+        assert_eq!(runs.next(), None);
+        // Rank 0 and empty extents.
+        let (scalar, empty) = (Extents::new([]), Extents::new([2, 0]));
+        let (runs, run) = Region::all(0).runs(&scalar).unwrap();
+        assert_eq!((runs.collect::<Vec<_>>(), run), (vec![0], 1));
+        let (mut runs, run) = Region::all(2).runs(&empty).unwrap();
+        assert_eq!((runs.next(), run), (None, 0));
     }
 
     #[test]

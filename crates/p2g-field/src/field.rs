@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use crate::bitmap::{remap_for_resize, Bitmap};
-use crate::buffer::Buffer;
+use crate::buffer::{Buffer, BufferData};
 use crate::error::FieldError;
 use crate::extent::{DimSel, Extents, Region};
 use crate::types::{ScalarType, Value};
@@ -203,13 +203,13 @@ impl Field {
         let Some(a) = self.ages.get(&age.0) else {
             return false;
         };
-        let Ok((mut rows, row)) = region.rows(&a.extents) else {
+        let Ok((mut runs, run)) = region.runs(&a.extents) else {
             return false;
         };
         // A region that resolves to zero elements is trivially complete
         // only when extents are known *and* nonzero overall is not required:
         // P2G treats empty slices as satisfied.
-        rows.all(|start| a.written.all_set_run(start, row))
+        runs.all(|start| a.written.all_set_run(start, run))
     }
 
     fn check_age_live(&self, age: Age) -> Result<(), FieldError> {
@@ -355,29 +355,29 @@ impl Field {
             });
         }
 
-        // Copy in row by row: a row (the region's innermost run) is
-        // contiguous in payload and age buffer alike, so a row with no
-        // element written yet is one slice copy. A row overlapping written
-        // elements goes element by element, enforcing write-once per
-        // element.
+        // Copy in run by run: a run (the region's longest contiguous
+        // stretch, see `Region::runs`) is contiguous in payload and age
+        // buffer alike, so a run with no element written yet is one slice
+        // copy. A run overlapping written elements goes element by
+        // element, enforcing write-once per element.
         let AgeData {
             extents,
             buffer,
             written,
         } = &mut *data;
-        let (rows, row) = region.rows(extents)?;
+        let (runs, run) = region.runs(extents)?;
         let mut stored = 0usize;
         let mut deduped = 0usize;
-        for (r, start) in rows.enumerate() {
-            let from = r * row;
-            if written.set_run(start, row) {
+        for (r, start) in runs.enumerate() {
+            let from = r * run;
+            if written.set_run(start, run) {
                 buffer
-                    .copy_from(start, payload, from, row)
+                    .copy_from(start, payload, from, run)
                     .expect("type checked above");
-                stored += row;
+                stored += run;
                 continue;
             }
-            for (src, dst) in (from..from + row).zip(start..) {
+            for (src, dst) in (from..from + run).zip(start..) {
                 if !written.set(dst) {
                     if !dedup {
                         return Err(FieldError::WriteOnceViolation {
@@ -443,21 +443,22 @@ impl Field {
                 region: region.clone(),
             })?;
         let shape = region.shape(&data.extents)?;
-        let mut out = Buffer::zeroed(self.def.ty, shape);
-        // Row by row, as stores land: a fully written row is one copy.
-        let (rows, row) = region.rows(&data.extents)?;
-        for (r, start) in rows.enumerate() {
-            if !data.written.all_set_run(start, row) {
+        // Run by run, appended to an unfilled buffer: a fully written run
+        // is one copy.
+        let mut out = BufferData::with_capacity(self.def.ty, shape.len());
+        let (runs, run) = region.runs(&data.extents)?;
+        for start in runs {
+            if !data.written.all_set_run(start, run) {
                 return Err(FieldError::UnwrittenRead {
                     field: self.def.name.clone(),
                     age,
                     region: region.clone(),
                 });
             }
-            out.copy_from(r * row, &data.buffer, start, row)
+            out.extend_from(data.buffer.data(), start, run)
                 .expect("same scalar type");
         }
-        Ok(out)
+        Ok(Buffer::from_data(out, shape).expect("the runs cover the region"))
     }
 
     /// Fetch a single element's value.
@@ -835,6 +836,56 @@ mod tests {
             f.store(Age(0), &region, &block),
             Err(FieldError::WriteOnceViolation {
                 linear_index: 1,
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn coalesced_run_overlapping_written_elements() {
+        // All × All over [3, 4] is one 12-element run; two elements of it
+        // are already written.
+        let partly_written = || {
+            let mut f = Field::new(
+                FieldId(0),
+                FieldDef::with_extents("f", ScalarType::I32, Extents::new([3, 4])),
+            );
+            f.store_element(Age(0), &[1, 2], Value::I32(6)).unwrap();
+            f.store_element(Age(0), &[2, 0], Value::I32(8)).unwrap();
+            f
+        };
+        let plane = Buffer::from_vec((0..12).collect::<Vec<i32>>())
+            .reshape(Extents::new([3, 4]))
+            .unwrap();
+        // The first written element in row-major order is the violation.
+        assert!(matches!(
+            partly_written().store(Age(0), &Region::all(2), &plane),
+            Err(FieldError::WriteOnceViolation {
+                linear_index: 6,
+                ..
+            })
+        ));
+        // The idempotent store lands the other ten and dedups the two.
+        let mut f = partly_written();
+        let out = f.store_idempotent(Age(0), &Region::all(2), &plane).unwrap();
+        assert_eq!((out.stored, out.deduped, out.age_complete), (10, 2, true));
+        assert_eq!(
+            f.fetch(Age(0), &Region::all(2)).unwrap().as_i32().unwrap(),
+            &(0..12).collect::<Vec<i32>>()[..]
+        );
+        // A replay of the whole plane dedups all of it.
+        let replay = f.store_idempotent(Age(0), &Region::all(2), &plane).unwrap();
+        assert_eq!((replay.stored, replay.deduped), (0, 12));
+        // A range of whole rows is one run too: the violation is its first
+        // written element.
+        let rows = Region(vec![DimSel::Range { start: 1, len: 2 }, DimSel::All]);
+        let eight = Buffer::from_vec(vec![0i32; 8])
+            .reshape(Extents::new([2, 4]))
+            .unwrap();
+        assert!(matches!(
+            f.store(Age(0), &rows, &eight),
+            Err(FieldError::WriteOnceViolation {
+                linear_index: 4,
                 ..
             })
         ));

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use p2g_field::{
-    Age, Buffer, Extents, Field, FieldDef, FieldError, FieldId, Region, ScalarType, Value,
+    Age, Buffer, DimSel, Extents, Field, FieldDef, FieldError, FieldId, Region, ScalarType, Value,
 };
 
 fn small_extents() -> impl Strategy<Value = Vec<usize>> {
@@ -129,8 +129,8 @@ proptest! {
         let rl = rl.min(rows - r0);
         let cl = cl.min(cols - c0);
         let region = Region(vec![
-            p2g_field::DimSel::Range { start: r0, len: rl },
-            p2g_field::DimSel::Range { start: c0, len: cl },
+            DimSel::Range { start: r0, len: rl },
+            DimSel::Range { start: c0, len: cl },
         ]);
         let got = f.fetch(Age(0), &region).unwrap();
         let mut want = Vec::new();
@@ -167,5 +167,74 @@ proptest! {
             let b = f.fetch(Age(a), &Region::all(1)).unwrap();
             prop_assert_eq!(b.as_i32().unwrap(), &[a as i32; 4][..]);
         }
+    }
+}
+
+/// A selector for a dimension of extent `ext` from three random draws:
+/// an index, a range or the whole dimension, always within the extent.
+fn selector(ext: usize, (kind, a, b): (u8, usize, usize)) -> DimSel {
+    match kind {
+        0 if ext > 0 => DimSel::Index(a % ext),
+        0 | 2 => DimSel::All,
+        _ => {
+            let start = a % (ext + 1);
+            DimSel::Range {
+                start,
+                len: b % (ext + 1 - start),
+            }
+        }
+    }
+}
+
+/// The linear indices a `(firsts, length)` walk covers, in walk order.
+fn covered(walk: impl Iterator<Item = usize>, len: usize) -> Vec<usize> {
+    walk.flat_map(|start| start..start + len).collect()
+}
+
+proptest! {
+    /// `runs` covers exactly the linear indices `rows` covers, in the same
+    /// order, in no more pieces; each run starts at its reported index.
+    #[test]
+    fn runs_cover_exactly_the_rows(
+        dims in prop::collection::vec(0usize..=6, 1..=4),
+        draws in prop::collection::vec((0u8..3, 0usize..7, 0usize..7), 4..=4),
+    ) {
+        let e = Extents::new(dims.clone());
+        let region = Region(dims.iter().zip(&draws).map(|(&ext, &d)| selector(ext, d)).collect());
+        let (rows, row) = region.rows(&e).unwrap();
+        let (rows_n, rows_lin) = {
+            let firsts: Vec<usize> = rows.collect();
+            (firsts.len(), covered(firsts.into_iter(), row))
+        };
+        let (mut runs, run) = region.runs(&e).unwrap();
+        let mut firsts = Vec::new();
+        while let Some(lin) = runs.next() {
+            prop_assert_eq!(e.linearize(runs.index()), Some(lin));
+            firsts.push(lin);
+        }
+        prop_assert!(firsts.len() <= rows_n);
+        prop_assert_eq!(covered(firsts.into_iter(), run), rows_lin.clone());
+        prop_assert_eq!(rows_lin.len(), region.len(&e).unwrap());
+    }
+
+    /// Fetching any region of a fully written field of rank 1–4 returns
+    /// the selected elements in row-major order.
+    #[test]
+    fn fetch_gathers_the_region(
+        dims in prop::collection::vec(1usize..=5, 1..=4),
+        draws in prop::collection::vec((0u8..3, 0usize..7, 0usize..7), 4..=4),
+    ) {
+        let e = Extents::new(dims.clone());
+        let mut f = Field::new(FieldId(0), FieldDef::with_extents("v", ScalarType::I32, e.clone()));
+        let all: Vec<i32> = (0..e.len() as i32).collect();
+        f.store(Age(0), &Region::all(e.ndim()), &Buffer::from_vec(all).reshape(e.clone()).unwrap())
+            .unwrap();
+        let region = Region(dims.iter().zip(&draws).map(|(&ext, &d)| selector(ext, d)).collect());
+        let (rows, row) = region.rows(&e).unwrap();
+        let want: Vec<i32> = covered(rows, row).into_iter().map(|lin| lin as i32).collect();
+        let got = f.fetch(Age(0), &region).unwrap();
+        prop_assert_eq!(got.shape(), &region.shape(&e).unwrap());
+        prop_assert_eq!(got.as_i32().unwrap(), &want[..]);
+        prop_assert!(f.region_written(Age(0), &region));
     }
 }

@@ -421,6 +421,37 @@ fn zero_timeout_recv_sees_what_has_arrived() {
     client.close();
 }
 
+/// `Duration::MAX` is a wait with no deadline on every client call that
+/// waits for the slot (open, submit, recv), not an overflowed clock.
+#[test]
+fn duration_max_waits_have_no_deadline() {
+    let _alone = alone();
+    let (node, addr) = start_node(mjpeg_only(), ServeConfig::default());
+    let client = ServeClient::connect(NodeId(1), addr, RetryConfig::default()).expect("connect");
+    let (done, result) = std::sync::mpsc::channel();
+    let worker = client.clone();
+    std::thread::spawn(move || {
+        let video = SyntheticVideo::new(64, 64, 1, 5);
+        let params = [("width", 64), ("height", 64), ("quality", 75)];
+        let session = worker
+            .open("mjpeg", &params, Qos::normal(), Duration::MAX)
+            .expect("open");
+        let frame = pack_i420(&video.frame(0).expect("synthetic frame"));
+        session.submit(frame, Duration::MAX).expect("submit");
+        let out = session.recv(Duration::MAX).expect("recv");
+        session.close();
+        let _ = done.send(out.map(|o| (o.age, o.payload)));
+    });
+    let out = result.recv_timeout(LONG).expect("the waits returned");
+    let video = SyntheticVideo::new(64, 64, 1, 5);
+    assert_eq!(
+        out,
+        Some((0, Some(encode_standalone(&video, 75, 1, false))))
+    );
+    stop_node(&client, node);
+    client.close();
+}
+
 /// A dead client's session drains in the background: while its four slow
 /// frames finish, another tenant's round trips stay as fast as ever, and
 /// the orphan is still counted and still completes what it had admitted.

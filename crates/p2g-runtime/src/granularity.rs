@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn grows_on_high_overhead() {
         let c = controller(1, fast_cfg());
-        let ins = Instruments::new(vec!["k".into()]);
+        let ins = Instruments::new(vec![("k".into(), vec![])]);
         // 100 instances, dispatch dominates (80/20).
         ins.record_unit(
             KernelId(0),
@@ -232,7 +232,7 @@ mod tests {
         cfg.p95_budget = Some(Duration::from_micros(10));
         let c = controller(1, cfg);
         c.targets[0].store(64, Ordering::Relaxed);
-        let ins = Instruments::new(vec!["k".into()]);
+        let ins = Instruments::new(vec![("k".into(), vec![])]);
         // Body-heavy interval with slow instances: 64 × ~2µs ≫ 10µs.
         ins.record_unit(
             KernelId(0),
@@ -251,7 +251,7 @@ mod tests {
     #[test]
     fn holds_steady_in_the_comfortable_band() {
         let c = controller(1, fast_cfg());
-        let ins = Instruments::new(vec!["k".into()]);
+        let ins = Instruments::new(vec![("k".into(), vec![])]);
         // Low overhead (10/90), fast instances: no reason to move.
         ins.record_unit(
             KernelId(0),
@@ -271,7 +271,7 @@ mod tests {
         let mut cfg = fast_cfg();
         cfg.min_samples = 1000;
         let c = controller(1, cfg);
-        let ins = Instruments::new(vec!["k".into()]);
+        let ins = Instruments::new(vec![("k".into(), vec![])]);
         ins.record_unit(
             KernelId(0),
             100,
@@ -286,7 +286,7 @@ mod tests {
         let mut cfg = fast_cfg();
         cfg.interval = Duration::from_secs(3600);
         let c = controller(1, cfg);
-        let ins = Instruments::new(vec!["k".into()]);
+        let ins = Instruments::new(vec![("k".into(), vec![])]);
         ins.record_unit(
             KernelId(0),
             100,
@@ -313,7 +313,7 @@ mod tests {
         cfg.max_chunk = 4;
         cfg.p95_budget = None;
         let c = controller(1, cfg);
-        let ins = Instruments::new(vec!["k".into()]);
+        let ins = Instruments::new(vec![("k".into(), vec![])]);
         for round in 1..=5u64 {
             ins.record_unit(
                 KernelId(0),

@@ -121,9 +121,12 @@ pub(crate) struct KernelCounters {
     pub dispatch_ns: AtomicU64,
     /// Nanoseconds spent inside kernel bodies.
     pub kernel_ns: AtomicU64,
-    /// Elements stored by this kernel, per target field — the edge volume
-    /// feedback for the HLS.
+    /// Elements stored by this kernel, over all target fields.
     pub stored_elements: AtomicU64,
+    /// Elements stored per target field — the edge volume feedback for
+    /// the HLS. One counter per field the kernel stores to, fixed at
+    /// construction, so counting a store takes no lock.
+    pub volumes: Vec<(FieldId, AtomicU64)>,
     /// Instance executions that failed (body `Err` or contained panic),
     /// counting every attempt.
     pub failures: AtomicU64,
@@ -205,9 +208,6 @@ pub struct Instruments {
     /// Channel drains by the analyzer loop. events / batches is the mean
     /// batch size — a gauge of how bursty the store-event load is.
     analyzer_batches: AtomicU64,
-    /// Elements moved per (producer kernel, field) — aggregated into edge
-    /// volumes for repartitioning.
-    volumes: parking_lot::Mutex<BTreeMap<(KernelId, FieldId), u64>>,
     /// Store elements absorbed by write-once deduplication (duplicate
     /// remote deliveries and recovery re-execution). Nonzero only in
     /// distributed mode.
@@ -230,18 +230,29 @@ pub struct Instruments {
 pub type PoisonedInstances = BTreeMap<(String, u64), Vec<Vec<usize>>>;
 
 impl Instruments {
-    /// Create counters for `names` kernels (indexed by `KernelId::idx`).
-    pub fn new(names: Vec<String>) -> Instruments {
+    /// Create counters for `kernels` (indexed by `KernelId::idx`): each
+    /// kernel's name and the fields it stores to.
+    pub fn new(kernels: Vec<(String, Vec<FieldId>)>) -> Instruments {
         Instruments {
-            kernels: names
+            kernels: kernels
                 .into_iter()
-                .map(|n| (n, KernelCounters::default()))
+                .map(|(name, mut stores)| {
+                    stores.sort();
+                    stores.dedup();
+                    let volumes = stores.into_iter().map(|f| (f, AtomicU64::new(0))).collect();
+                    (
+                        name,
+                        KernelCounters {
+                            volumes,
+                            ..KernelCounters::default()
+                        },
+                    )
+                })
                 .collect(),
             analyzer_busy_ns: AtomicU64::new(0),
             analyzer_events: AtomicU64::new(0),
             analyzer_elements_walked: AtomicU64::new(0),
             analyzer_batches: AtomicU64::new(0),
-            volumes: parking_lot::Mutex::new(BTreeMap::new()),
             deduped_elements: AtomicU64::new(0),
             poisoned_instances: parking_lot::Mutex::new(BTreeMap::new()),
             gc_ages_collected: AtomicU64::new(0),
@@ -419,12 +430,15 @@ impl Instruments {
     }
 
     /// Record elements stored by a kernel into a field.
+    /// `field` must be one the kernel was declared to store to.
     pub(crate) fn record_store(&self, kernel: KernelId, field: FieldId, elements: u64) {
-        self.kernels[kernel.idx()]
-            .1
-            .stored_elements
-            .fetch_add(elements, Ordering::Relaxed);
-        *self.volumes.lock().entry((kernel, field)).or_insert(0) += elements;
+        let c = &self.kernels[kernel.idx()].1;
+        c.stored_elements.fetch_add(elements, Ordering::Relaxed);
+        let volume = c.volumes.iter().find(|(f, _)| *f == field);
+        debug_assert!(volume.is_some(), "kernel {kernel:?} stores undeclared {field:?}");
+        if let Some((_, n)) = volume {
+            n.fetch_add(elements, Ordering::Relaxed);
+        }
     }
 
     /// Snapshot one kernel's stats by id.
@@ -471,8 +485,18 @@ impl Instruments {
     }
 
     /// Per-(kernel, field) element volumes, for HLS edge weighting.
+    /// Pairs that stored nothing are left out.
     pub fn store_volumes(&self) -> BTreeMap<(KernelId, FieldId), u64> {
-        self.volumes.lock().clone()
+        let mut out = BTreeMap::new();
+        for (k, (_, c)) in self.kernels.iter().enumerate() {
+            for (field, n) in &c.volumes {
+                let n = n.load(Ordering::Relaxed);
+                if n > 0 {
+                    out.insert((KernelId(k as u32), *field), n);
+                }
+            }
+        }
+        out
     }
 }
 
@@ -689,7 +713,7 @@ mod tests {
 
     #[test]
     fn record_and_snapshot() {
-        let ins = Instruments::new(vec!["a".into(), "b".into()]);
+        let ins = Instruments::new(vec![("a".into(), vec![]), ("b".into(), vec![])]);
         ins.record_unit(
             KernelId(0),
             4,
@@ -712,7 +736,7 @@ mod tests {
 
     #[test]
     fn store_volume_tracking() {
-        let ins = Instruments::new(vec!["a".into()]);
+        let ins = Instruments::new(vec![("a".into(), vec![FieldId(2)])]);
         ins.record_store(KernelId(0), FieldId(2), 64);
         ins.record_store(KernelId(0), FieldId(2), 64);
         assert_eq!(ins.store_volumes()[&(KernelId(0), FieldId(2))], 128);
@@ -721,13 +745,13 @@ mod tests {
 
     #[test]
     fn unknown_kernel_name() {
-        let ins = Instruments::new(vec!["a".into()]);
+        let ins = Instruments::new(vec![("a".into(), vec![])]);
         assert!(ins.kernel("nope").is_none());
     }
 
     #[test]
     fn table_rendering() {
-        let ins = Instruments::new(vec!["yDCT".into()]);
+        let ins = Instruments::new(vec![("yDCT".into(), vec![])]);
         ins.record_unit(
             KernelId(0),
             1,
@@ -743,7 +767,7 @@ mod tests {
 
     #[test]
     fn latency_percentiles_in_tables() {
-        let ins = Instruments::new(vec!["k".into()]);
+        let ins = Instruments::new(vec![("k".into(), vec![])]);
         ins.record_latency(KernelId(0), Duration::from_micros(100));
         ins.record_latency(KernelId(0), Duration::from_micros(3));
         let snap = InstrumentsSnapshot::capture(&ins);
@@ -756,7 +780,7 @@ mod tests {
 
     #[test]
     fn batched_and_granularity_counters() {
-        let ins = Instruments::new(vec!["k".into()]);
+        let ins = Instruments::new(vec![("k".into(), vec![])]);
         ins.record_granularity_change();
         assert_eq!(ins.granularity_changes(), 1);
         let snap = InstrumentsSnapshot::capture(&ins);
@@ -766,7 +790,7 @@ mod tests {
 
     #[test]
     fn kernel_raw_reads_live_counters() {
-        let ins = Instruments::new(vec!["k".into()]);
+        let ins = Instruments::new(vec![("k".into(), vec![])]);
         ins.record_unit(
             KernelId(0),
             4,

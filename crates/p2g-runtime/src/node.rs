@@ -406,7 +406,12 @@ impl NodeBuilder {
             outstanding: AtomicI64::new(0),
             stop: AtomicBool::new(false),
             failure: Mutex::new(None),
-            instruments: Instruments::new(spec.kernels.iter().map(|k| k.name.clone()).collect()),
+            instruments: Instruments::new(
+                spec.kernels
+                    .iter()
+                    .map(|k| (k.name.clone(), k.stores.iter().map(|s| s.field).collect()))
+                    .collect(),
+            ),
             timers,
             store_tap: self.store_tap.clone(),
             hold_open: limits.hold_open,

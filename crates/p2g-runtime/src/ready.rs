@@ -166,6 +166,7 @@ impl<T: Ranked> ReadyQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     /// A payload ranked like a pool task without QoS: by (age, kernel).
     struct Unit {
@@ -209,7 +210,7 @@ mod tests {
 
     #[test]
     fn close_unblocks_poppers() {
-        let q = std::sync::Arc::new(ReadyQueue::<Unit>::new());
+        let q = Arc::new(ReadyQueue::<Unit>::new());
         let q2 = q.clone();
         let h = std::thread::spawn(move || q2.pop());
         std::thread::sleep(std::time::Duration::from_millis(10));
@@ -297,5 +298,85 @@ mod tests {
         q.push(Classed { class: 1, vtime: 10, age: 9, tag: "light" });
         assert_eq!(q.try_pop().unwrap().tag, "light");
         assert_eq!(q.try_pop().unwrap().tag, "heavy");
+    }
+
+    /// How long a stress test waits for a worker's result: far beyond the
+    /// work itself, so only a lost wake-up (a popper parked forever) runs
+    /// into it.
+    const HANG: std::time::Duration = std::time::Duration::from_secs(60);
+
+    /// 100k hand-offs between two threads over a pair of queues: each
+    /// `pop` parks unless the other side was quicker, and every park needs
+    /// the wake of the matching `push`.
+    #[test]
+    fn wakeup_ready_queue_ping_pong() {
+        const ROUNDS: u32 = 50_000;
+        let ping = Arc::new(ReadyQueue::<Unit>::new());
+        let pong = Arc::new(ReadyQueue::<Unit>::new());
+        let (done, results) = std::sync::mpsc::channel();
+        for first in [true, false] {
+            let (ping, pong, done) = (ping.clone(), pong.clone(), done.clone());
+            std::thread::spawn(move || {
+                for n in 0..ROUNDS {
+                    if first {
+                        ping.push(Unit { tag: n, ..unit(0, n.into()) });
+                        assert_eq!(pong.pop().unwrap().tag, n + 1);
+                    } else {
+                        let u = ping.pop().unwrap();
+                        pong.push(Unit { tag: u.tag + 1, ..u });
+                    }
+                }
+                done.send(()).unwrap();
+            });
+        }
+        for _ in 0..2 {
+            results.recv_timeout(HANG).expect("lost wake-up");
+        }
+    }
+
+    /// Four pushers feed one popper that parks whenever the queue runs
+    /// dry; `close` then ends its last, parked `pop`.
+    #[test]
+    fn wakeup_ready_queue_fan_in_then_close() {
+        const PER: u32 = 25_000;
+        let q = Arc::new(ReadyQueue::<Unit>::new());
+        let (done, result) = std::sync::mpsc::channel();
+        let popper = q.clone();
+        std::thread::spawn(move || {
+            let mut n = 0u32;
+            while popper.pop().is_some() {
+                n += 1;
+            }
+            done.send(n).unwrap();
+        });
+        let pushers: Vec<_> = (0..4)
+            .map(|k| {
+                let q = q.clone();
+                std::thread::spawn(move || {
+                    for age in 0..PER {
+                        q.push(unit(k, age.into()));
+                    }
+                })
+            })
+            .collect();
+        for p in pushers {
+            p.join().unwrap();
+        }
+        q.close();
+        assert_eq!(result.recv_timeout(HANG).expect("lost wake-up"), 4 * PER);
+    }
+
+    /// A `pop` parked on an empty queue returns `None` when it closes.
+    #[test]
+    fn wakeup_ready_queue_close_ends_parked_pop() {
+        for _ in 0..200 {
+            let q = Arc::new(ReadyQueue::<Unit>::new());
+            let (done, result) = std::sync::mpsc::channel();
+            let popper = q.clone();
+            std::thread::spawn(move || done.send(popper.pop().is_none()).unwrap());
+            std::thread::yield_now();
+            q.close();
+            assert_eq!(result.recv_timeout(HANG), Ok(true), "lost wake-up");
+        }
     }
 }

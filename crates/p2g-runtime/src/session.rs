@@ -371,8 +371,10 @@ impl Session {
     /// Blocking receive with a timeout. `None` when the timeout elapses
     /// with nothing ready, or when the session can produce no more output
     /// (closed and drained, or its node stopped).
+    /// A timeout too large to be a point in time (`Duration::MAX`) waits
+    /// with no deadline.
     pub fn recv(&self, timeout: Duration) -> Option<SessionOutput> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut g = self.shared.state.lock();
         loop {
             if let Some(out) = g.ready.pop_front() {
@@ -381,13 +383,18 @@ impl Session {
             if (g.closed && g.in_flight == 0) || self.node.is_stopped() {
                 return None;
             }
-            if self
-                .shared
-                .output_cv
-                .wait_until(&mut g, deadline)
-                .timed_out()
-            {
-                return g.ready.pop_front();
+            match deadline {
+                Some(deadline) => {
+                    if self
+                        .shared
+                        .output_cv
+                        .wait_until(&mut g, deadline)
+                        .timed_out()
+                    {
+                        return g.ready.pop_front();
+                    }
+                }
+                None => self.shared.output_cv.wait(&mut g),
             }
         }
     }
@@ -473,17 +480,23 @@ impl Session {
     /// [`Session::poll_output`] before finishing if the bytes matter.
     pub fn finish(self, drain_timeout: Duration) -> Result<SessionReport, RuntimeError> {
         self.close();
-        let deadline = Instant::now() + drain_timeout;
+        // `Duration::MAX` drains with no deadline.
+        let deadline = Instant::now().checked_add(drain_timeout);
         {
             let mut g = self.shared.state.lock();
             while g.in_flight > 0 && !self.node.is_stopped() {
-                if self
-                    .shared
-                    .output_cv
-                    .wait_until(&mut g, deadline)
-                    .timed_out()
-                {
-                    break;
+                match deadline {
+                    Some(deadline) => {
+                        if self
+                            .shared
+                            .output_cv
+                            .wait_until(&mut g, deadline)
+                            .timed_out()
+                        {
+                            break;
+                        }
+                    }
+                    None => self.shared.output_cv.wait(&mut g),
                 }
             }
         }

@@ -373,6 +373,48 @@ fn long_recv_returns_none_when_the_node_fails() {
     runtime.shutdown();
 }
 
+/// `recv(Duration::MAX)` waits with no deadline instead of overflowing
+/// the clock: it returns the next output.
+#[test]
+fn recv_with_duration_max_returns_the_output() {
+    let runtime = SessionRuntime::new(1);
+    let sink = SessionSink::new();
+    let program = stream_program(sink.clone(), None, Some(Duration::from_millis(20)));
+    let session = Arc::new(
+        runtime
+            .open(program, SessionConfig::new("emit").sink(sink))
+            .unwrap(),
+    );
+    session.submit(frame(0)).unwrap();
+    let s = session.clone();
+    let out = within_10s(move || s.recv(Duration::MAX)).expect("the frame's output");
+    assert_eq!(out.age, 0);
+    let session = Arc::try_unwrap(session).ok().expect("sole owner");
+    session.finish(Duration::from_secs(20)).unwrap();
+    runtime.shutdown();
+}
+
+/// `finish(Duration::MAX)` drains with no deadline instead of
+/// overflowing the clock: it returns once the in-flight frames complete.
+#[test]
+fn finish_with_duration_max_drains_and_returns() {
+    let runtime = SessionRuntime::new(1);
+    let sink = SessionSink::new();
+    let program = stream_program(sink.clone(), None, Some(Duration::from_millis(20)));
+    let session = runtime
+        .open(
+            program,
+            SessionConfig::new("emit").sink(sink).max_in_flight(4),
+        )
+        .unwrap();
+    for n in 0..3 {
+        session.submit(frame(n)).unwrap();
+    }
+    let report = within_10s(move || session.finish(Duration::MAX)).unwrap();
+    assert_eq!(report.frames_completed, 3);
+    runtime.shutdown();
+}
+
 /// A traced session run passes every trace invariant, including the GC
 /// no-store-after-retire check over the `AgeRetired` records.
 #[test]
